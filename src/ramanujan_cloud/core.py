@@ -2,10 +2,11 @@
 
 Scalar functions work by trial division against a cached prime list and are
 memoized, which is plenty for moduli up to ~10^9.  The million-term summation
-loops elsewhere in the package go through the numpy table builders
-(``phi_table``, ``mobius_table``, ``squarefree_table``) instead; tables are
-built once, marked read-only, and shared, so everything here is safe to call
-from concurrent workers.
+loops elsewhere in the package go through the numpy table builders instead:
+only ``mobius_table`` and ``squarefree_table`` feed them now, while
+``phi_table`` stays available as a public table.  Tables are built once,
+marked read-only, and shared, so everything here is safe to call from
+concurrent workers.
 """
 
 from __future__ import annotations

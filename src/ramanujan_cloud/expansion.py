@@ -132,38 +132,45 @@ def _use_exact(G, Q: int, exact: Optional[bool]) -> bool:
     return exact
 
 
-def _probe_complex(G: MultiplicativeFunction) -> bool:
-    return any(isinstance(G.rule(p, 1), complex) for p in (2, 3, 5, 7))
-
-
 def _value_table(G, Q: int) -> np.ndarray:
     """G(n) for n = 0..Q as a float64/complex128 array (index 0 is 0).
 
     Multiplicative G is sieved one prime power at a time; a general G is
-    evaluated pointwise.  Cached on the function object.
+    evaluated pointwise.  The table starts as float64 and is promoted to
+    complex128 at the first complex value.  Cached on the function object.
     """
     memo = getattr(G, "_memo", None)
     key = ("values", Q)
     if memo is not None and key in memo:
         return memo[key]
 
+    vals = np.zeros(Q + 1, dtype=np.float64)
+    cplx = False
+
+    def scalar(v: Number):
+        # Cast v to the table's dtype, promoting the table on first contact
+        # with a complex value.  Callers must read ``vals`` after this call.
+        nonlocal vals, cplx
+        if not cplx and isinstance(v, complex):
+            cplx = True
+            vals = vals.astype(np.complex128)
+        return complex(v) if cplx else float(v)
+
     if isinstance(G, MultiplicativeFunction):
-        cplx = _probe_complex(G)
-        dtype = np.complex128 if cplx else np.float64
-        cast = complex if cplx else float
-        vals = np.ones(Q + 1, dtype=dtype)
-        vals[0] = 0
+        vals[1:] = 1
         primes = sieve_primes(Q)
         for p in primes[primes * primes <= Q].tolist():
             m, e = p, 1
             while m <= Q:
                 idx = np.arange(m, Q + 1, m, dtype=np.int64)
                 keep = (idx // m) % p != 0
-                vals[idx[keep]] *= cast(G.rule(p, e))
+                g = scalar(G.rule(p, e))
+                vals[idx[keep]] *= g
                 m *= p
                 e += 1
         for p in primes[primes * primes > Q].tolist():
-            vals[p::p] *= cast(G.rule(p, 1))  # exponent is exactly 1 here
+            g = scalar(G.rule(p, 1))  # exponent is exactly 1 here
+            vals[p::p] *= g
         if G.squarefree_cap is not None:
             sf = squarefree_table(Q)
             n = np.arange(Q + 1, dtype=np.float64)
@@ -174,13 +181,9 @@ def _value_table(G, Q: int) -> np.ndarray:
             if mask.any():
                 vals[mask] *= bound[mask] / mag[mask]
     else:
-        sample = [G.eval(n) for n in range(1, min(Q, 64) + 1)]
-        cplx = any(isinstance(v, complex) for v in sample)
-        dtype = np.complex128 if cplx else np.float64
-        cast = complex if cplx else float
-        vals = np.zeros(Q + 1, dtype=dtype)
         for n in range(1, Q + 1):
-            vals[n] = cast(G.eval(n))
+            g = scalar(G.eval(n))
+            vals[n] = g
 
     vals.setflags(write=False)
     if memo is not None:
@@ -189,11 +192,17 @@ def _value_table(G, Q: int) -> np.ndarray:
 
 
 def _coprime_mask(Q: int, b: int) -> Optional[np.ndarray]:
-    """Boolean mask of n in 0..Q sharing a factor with b (None when b = 1)."""
-    rad = radical(b)
-    if rad == 1:
+    """Boolean mask of n in 0..Q sharing a factor with b (None when b = 1).
+
+    Struck out prime by prime over p | b; index 0 is a multiple of every p.
+    """
+    primes = factorize(b).primes()
+    if not primes:
         return None
-    return np.gcd(np.arange(Q + 1, dtype=np.int64), rad) != 1
+    mask = np.zeros(Q + 1, dtype=bool)
+    for p in primes:
+        mask[::p] = True
+    return mask
 
 
 def expansion_partial_sums(
@@ -446,16 +455,21 @@ def _growth_exponent(series: PartialSumSeries) -> Optional[float]:
     return float(slope)
 
 
+_DEFAULTS = EngineConfig()
+
+
 def detect_convergence(
     series: PartialSumSeries,
     target: Optional[complex] = None,
-    window: int = 32,
-    tol: float = 0.01,
-    divergence_threshold: float = 10.0,
-    growth_exponent_min: float = 0.1,
+    window: int = _DEFAULTS.window,
+    tol: float = _DEFAULTS.conv_tol,
+    divergence_threshold: float = _DEFAULTS.divergence_threshold,
+    growth_exponent_min: float = _DEFAULTS.growth_exponent_min,
 ) -> ConvergenceVerdict:
     """Classify a series as converging (to ``target`` or its windowed mean),
-    diverging to infinity, or inconclusive."""
+    diverging to infinity, or inconclusive.
+
+    The keyword defaults are the ``EngineConfig`` field defaults."""
     if len(series.checkpoints) < window:
         raise ValueError(f"need at least {window} checkpoints, have {len(series.checkpoints)}")
     tail = [complex(v) for _, v in series.checkpoints[-window:]]

@@ -1,10 +1,13 @@
 """Ramanujan sums c_q(a) by three independent routes, all exact integers.
 
-``c_holder`` (von Sterneck / Hoelder closed form) is the production formula:
-O(log) work after factorization, exact integer arithmetic.  ``c_direct``
-(root-of-unity sum, floating) and ``c_kluyver`` (divisor sum over gcd(q, a))
-exist as mutually independent cross-checks; the big summation loops never
-call them.
+``c_holder`` (von Sterneck / Hoelder closed form) is the production scalar
+formula: O(log) work after factorization, exact integer arithmetic.
+``c_direct`` (root-of-unity sum, floating) and ``c_kluyver`` (divisor sum
+over gcd(q, a)) remain the independent scalar checkers.
+
+``c_table``, the kernel of the big summation loops, is the vectorized
+divisor-sieve (Kluyver) form over the shared Mobius table; the tests check
+it against ``c_holder``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import divisors, euler_phi, mobius, mobius_table, phi_table, valuation
+from .core import divisors, euler_phi, mobius, mobius_table, valuation
 
 # c_direct must land within this distance of an integer (and on the real axis).
 DIRECT_TOL = 1e-6
@@ -105,17 +108,18 @@ def prime_power_column_sum(p: int, a: int) -> int:
 def c_table(a: int, Q: int) -> np.ndarray:
     """c_q(a) for q = 0..Q (index 0 unused, set to 0) as an int64 array.
 
-    Vectorized Hoelder formula over the shared mu/phi tables; this is the
-    kernel the million-term expansion loops consume.
+    Divisor sieve c_q(a) = sum over d | gcd(q, a) of mu(q/d) * d: each
+    divisor d <= Q of a adds d * mu(k) at q = d*k, so the cost is
+    sum over d | a of Q/d strided adds.  This is the kernel the
+    million-term expansion loops consume.
     """
     if a < 1 or Q < 1:
         raise ValueError("a and Q must be >= 1")
-    phi = phi_table(Q)
     mu = mobius_table(Q)
-    q = np.arange(Q + 1, dtype=np.int64)
-    g = np.gcd(q, a)
-    g[0] = 1
-    m = q // g
-    c = mu[m].astype(np.int64) * (phi[q] // np.maximum(phi[m], 1))
-    c[0] = 0
+    c = mu.astype(np.int64)  # the d = 1 term; mu[0] = 0 keeps index 0 at 0
+    for d in divisors(a)[1:]:
+        if d > Q:
+            break
+        # Scale in int64: d * int8 overflows for d > 127 under numpy 2.
+        c[d::d] += np.multiply(mu[1 : Q // d + 1], d, dtype=np.int64)
     return c

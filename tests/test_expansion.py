@@ -7,12 +7,14 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanujan_cloud import (
     EngineConfig,
+    GeneralArithmeticFunction,
     MultiplicativeFunction,
     PartialSumSeries,
     ResourceLimitError,
@@ -28,9 +30,11 @@ from ramanujan_cloud import (
     finite_factor_forms_equal,
     finite_factor_star,
     mobius,
+    radical,
     restricted_mobius_partial_sums,
     zero_cloud_verdict,
 )
+from ramanujan_cloud.expansion import _coprime_mask, _value_table
 
 FAST_CFG = EngineConfig(Q=20_000, sample_a=tuple(range(1, 9)))
 
@@ -147,6 +151,45 @@ class TestExpansionSums:
             expansion_partial_sums(catalog("GR"), 1, 10, checkpoints=[5, 3])
         with pytest.raises(ValueError):
             expansion_partial_sums(catalog("GR"), 1, 10, checkpoints=[0, 3])
+
+
+class TestCoprimeMask:
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.one_of(st.integers(min_value=2, max_value=10**7), st.sampled_from([2, 6, 30030, 999983, 2**20])),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_gcd_oracle(self, Q, b):
+        mask = _coprime_mask(Q, b)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, np.gcd(np.arange(Q + 1), radical(b)) != 1)
+
+    def test_unrestricted_is_none(self):
+        assert _coprime_mask(100, 1) is None
+
+
+class TestValueTable:
+    def test_late_complex_prime_is_promoted(self):
+        # The first complex value sits at p = 11, past any small-prime probe.
+        G = catalog("prop5", p2=11, g2=0.5 + 0.5j)
+        vals = _value_table(G, 1000)
+        assert vals.dtype == np.complex128
+        for n in range(1, 1001):
+            want = complex(G.eval(n))
+            assert abs(vals[n] - want) <= 1e-12 * max(1.0, abs(want))
+        series = expansion_partial_sums(G, 6, 1000, exact=False)
+        assert isinstance(series.final, complex)
+
+    def test_late_complex_general_function_is_promoted(self):
+        G = GeneralArithmeticFunction("complex past 64", fn=lambda n: 1j if n == 500 else Fraction(1, n))
+        vals = _value_table(G, 1000)
+        assert vals.dtype == np.complex128
+        assert vals[500] == 1j
+        assert all(vals[n] == float(Fraction(1, n)) for n in range(1, 1001) if n != 500)
+
+    def test_real_rules_stay_real(self):
+        for G in (catalog("GR"), catalog("GH"), catalog("prop5")):
+            assert _value_table(G, 500).dtype == np.float64
 
 
 class TestRestrictedMobius:
@@ -319,6 +362,16 @@ class TestDetectConvergence:
         assert detect_convergence(series, target=0, window=32, tol=0.01).outcome == "inconclusive"
         got = detect_convergence(series, window=32, tol=0.01)
         assert got.outcome == "converges_to" and got.limit == pytest.approx(1.0)
+
+    def test_defaults_come_from_engine_config(self):
+        cfg = EngineConfig()
+        spread = (cfg.conv_tol + 0.01) / 2  # between the old 0.01 default and conv_tol
+        series = PartialSumSeries(
+            "wobble", tuple((x, spread * (-1) ** x) for x in range(1, cfg.window + 9)), "floating"
+        )
+        verdict = detect_convergence(series, target=0)
+        assert verdict.outcome == "converges_to"
+        assert (verdict.window, verdict.tol) == (cfg.window, cfg.conv_tol)
 
     def test_needs_enough_checkpoints(self):
         series = PartialSumSeries("short", ((1, 0.0), (2, 0.0)), "floating")

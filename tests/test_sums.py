@@ -5,10 +5,12 @@ expansion machinery leans on."""
 import cmath
 from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramanujan_cloud import core
 from ramanujan_cloud import (
     c_direct,
     c_holder,
@@ -140,3 +142,31 @@ class TestVectorizedTable:
             c_table(0, 10)
         with pytest.raises(ValueError):
             c_table(1, 0)
+
+
+# Highly composite, prime, prime-power and primorial arguments, on top of
+# uniform draws; every draw above 3000 exceeds the largest Q.
+SPECIAL_A = [1, 2, 720, 5040, 30030, 720720, 999983, 9999991, 2**23, 3**14]
+
+
+class TestDivisorSieveTable:
+    @given(
+        st.one_of(st.integers(min_value=1, max_value=10**7), st.sampled_from(SPECIAL_A)),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @example(a=720720, Q=3000)  # divisors above 127 scale the int8 Mobius table
+    @example(a=999983, Q=1)
+    @example(a=2, Q=3000)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_holder(self, a, Q):
+        table = c_table(a, Q)
+        assert table.dtype == np.int64
+        assert table.shape == (Q + 1,)
+        assert table[0] == 0
+        assert table[1:].tolist() == [c_holder(q, a) for q in range(1, Q + 1)]
+
+    def test_phi_table_stays_off_the_path(self):
+        before = core.phi_table.cache_info()
+        c_table(720720, 5000)
+        after = core.phi_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
