@@ -7,6 +7,12 @@ only ``mobius_table`` and ``squarefree_table`` feed them now, while
 ``phi_table`` stays available as a public table.  Tables are built once,
 marked read-only, and shared, so everything here is safe to call from
 concurrent workers.
+
+Tables of multiplicative functions (mu here, G(q) in the expansion engine)
+come from one two-phase sieve, ``multiplicative_sieve``: one strided multiply
+per prime p <= isqrt(Q), then one gather per cofactor m < sqrt(Q) for all the
+primes above isqrt(Q) at once.  That is O(pi(sqrt Q) + sqrt Q) numpy calls
+instead of one per prime up to Q.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -53,18 +60,73 @@ def phi_table(limit: int) -> np.ndarray:
     return phi
 
 
+def multiplicative_sieve(
+    limit: int,
+    powers: Callable[[int, int], np.ndarray],
+    at_primes: Callable[[np.ndarray], np.ndarray],
+    dtype,
+) -> np.ndarray:
+    """g(n) for n = 0..limit (g(0) = 0) of a multiplicative g, writable.
+
+    ``powers(p, E)`` returns g(p), g(p^2), ..., g(p^E) for a prime
+    p <= isqrt(limit), where p^E <= limit < p^(E+1); ``at_primes(P)`` returns
+    g(p) for each prime p in the ascending array P of all primes in
+    (isqrt(limit), limit].  The table starts as ``dtype`` and is promoted
+    when a value array holds what it cannot (complex values in a float table).
+
+    Phase 1, primes p <= isqrt(limit) in ascending order: a column over the
+    multiples of p holds g(p^v_p(n)) and multiplies into ``table[p::p]``.
+    Phase 2: each n <= limit has at most one prime factor p > isqrt(limit),
+    with exponent 1 and cofactor m = n / p < sqrt(limit), so for each m one
+    gather multiplies ``table[m * P] *= g(P)`` over the primes P <= limit / m.
+    Every entry is multiplied in the order of a prime-by-prime sweep (its
+    small primes ascending, then its large prime), so real tables are
+    bit-identical to one.
+    """
+    table = np.ones(limit + 1, dtype=dtype)
+    table[0] = 0
+    primes = sieve_primes(limit)
+    split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
+    for p in primes[:split].tolist():
+        E, pe = 1, p
+        while pe * p <= limit:
+            E, pe = E + 1, pe * p
+        g = powers(p, E)
+        if not np.can_cast(g.dtype, table.dtype):
+            table = table.astype(np.result_type(table, g))
+        col = np.full(limit // p, g[0], dtype=g.dtype)
+        step = 1
+        for value in g[1:]:
+            step *= p
+            col[step - 1 :: step] = value  # n = p * (index + 1) divisible by p * step
+        table[p::p] *= col
+    large = primes[split:]
+    if len(large):
+        g = at_primes(large)
+        if not np.can_cast(g.dtype, table.dtype):
+            table = table.astype(np.result_type(table, g))
+        cofactors = np.arange(1, limit // int(large[0]) + 1)
+        counts = np.searchsorted(large, limit // cofactors, "right")
+        for m, k in enumerate(counts.tolist(), start=1):
+            table[m * large[:k]] *= g[:k]
+    return table
+
+
+def _mobius_powers(p: int, E: int) -> np.ndarray:
+    return np.array([-1] + [0] * (E - 1), dtype=np.int8)
+
+
 @lru_cache(maxsize=4)
 def mobius_table(limit: int) -> np.ndarray:
-    """mu(n) for n = 0..limit (mu[0] = 0), read-only int8 array."""
+    """mu(n) for n = 0..limit (mu[0] = 0), read-only int8 array.
+
+    Built by ``multiplicative_sieve``: -1 at p and 0 at p^2 for each prime
+    p <= isqrt(limit), then -1 for every prime above it, in
+    O(pi(sqrt limit) + sqrt limit) numpy calls.
+    """
     if limit > SIEVE_BUDGET:
         raise ResourceLimitError(f"mobius table of size {limit} exceeds budget")
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in sieve_primes(limit):
-        mu[p::p] *= -1
-        p2 = p * p
-        if p2 <= limit:
-            mu[p2::p2] = 0
+    mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
     mu.setflags(write=False)
     return mu
 

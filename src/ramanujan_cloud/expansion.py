@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .config import EngineConfig
-from .core import ResourceLimitError, divisors, factorize, is_prime, mobius, mobius_table, radical, sieve_primes, squarefree_table
+from .core import ResourceLimitError, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes, squarefree_table
 from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
@@ -132,45 +133,41 @@ def _use_exact(G, Q: int, exact: Optional[bool]) -> bool:
     return exact
 
 
+def _gather(values: Callable[[], Iterable[Number]], count: int) -> np.ndarray:
+    """``values()`` as a float64 array, or as complex128 if one is complex.
+
+    The explicit ``float``/``complex`` casts make a non-number raise
+    ``TypeError``; ``np.fromiter`` alone would store None as NaN.
+    """
+    try:
+        return np.fromiter(map(float, values()), np.float64, count=count)
+    except TypeError:
+        return np.fromiter(map(complex, values()), np.complex128, count=count)
+
+
 def _value_table(G, Q: int) -> np.ndarray:
     """G(n) for n = 0..Q as a float64/complex128 array (index 0 is 0).
 
-    Multiplicative G is sieved one prime power at a time; a general G is
-    evaluated pointwise.  The table starts as float64 and is promoted to
-    complex128 at the first complex value.  Cached on the function object.
+    Multiplicative G goes through ``multiplicative_sieve``: one strided
+    multiply per prime p <= isqrt(Q), then one gather per cofactor
+    m < sqrt(Q) for the primes above it, O(pi(sqrt Q) + sqrt Q) numpy calls
+    in all; the rule is called once per prime power.  A general G is
+    evaluated pointwise.  The table is float64 unless a value is complex,
+    then complex128.  Cached on the function object.
     """
     memo = getattr(G, "_memo", None)
     key = ("values", Q)
     if memo is not None and key in memo:
         return memo[key]
 
-    vals = np.zeros(Q + 1, dtype=np.float64)
-    cplx = False
-
-    def scalar(v: Number):
-        # Cast v to the table's dtype, promoting the table on first contact
-        # with a complex value.  Callers must read ``vals`` after this call.
-        nonlocal vals, cplx
-        if not cplx and isinstance(v, complex):
-            cplx = True
-            vals = vals.astype(np.complex128)
-        return complex(v) if cplx else float(v)
-
     if isinstance(G, MultiplicativeFunction):
-        vals[1:] = 1
-        primes = sieve_primes(Q)
-        for p in primes[primes * primes <= Q].tolist():
-            m, e = p, 1
-            while m <= Q:
-                idx = np.arange(m, Q + 1, m, dtype=np.int64)
-                keep = (idx // m) % p != 0
-                g = scalar(G.rule(p, e))
-                vals[idx[keep]] *= g
-                m *= p
-                e += 1
-        for p in primes[primes * primes > Q].tolist():
-            g = scalar(G.rule(p, 1))  # exponent is exactly 1 here
-            vals[p::p] *= g
+        vals = multiplicative_sieve(
+            Q,
+            lambda p, E: _gather(lambda: map(G.rule, repeat(p, E), range(1, E + 1)), E),
+            # Above isqrt(Q) every exponent is exactly 1.
+            lambda P: _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P)),
+            np.float64,
+        )
         if G.squarefree_cap is not None:
             sf = squarefree_table(Q)
             n = np.arange(Q + 1, dtype=np.float64)
@@ -181,9 +178,7 @@ def _value_table(G, Q: int) -> np.ndarray:
             if mask.any():
                 vals[mask] *= bound[mask] / mag[mask]
     else:
-        for n in range(1, Q + 1):
-            g = scalar(G.eval(n))
-            vals[n] = g
+        vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
 
     vals.setflags(write=False)
     if memo is not None:
@@ -191,18 +186,13 @@ def _value_table(G, Q: int) -> np.ndarray:
     return vals
 
 
-def _coprime_mask(Q: int, b: int) -> Optional[np.ndarray]:
-    """Boolean mask of n in 0..Q sharing a factor with b (None when b = 1).
+def _strike_non_coprime(terms: np.ndarray, b: int) -> None:
+    """Zero ``terms[n]`` wherever gcd(n, b) != 1, in place.
 
-    Struck out prime by prime over p | b; index 0 is a multiple of every p.
+    One strided store per prime of b; index 0 is a multiple of every p.
     """
-    primes = factorize(b).primes()
-    if not primes:
-        return None
-    mask = np.zeros(Q + 1, dtype=bool)
-    for p in primes:
-        mask[::p] = True
-    return mask
+    for p in factorize(b).primes():
+        terms[::p] = 0
 
 
 def expansion_partial_sums(
@@ -249,9 +239,7 @@ def expansion_partial_sums(
         return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
 
     terms = _value_table(G, Q) * c_table(a, Q)
-    mask = _coprime_mask(Q, coprime_to)
-    if mask is not None:
-        terms[mask] = 0
+    _strike_non_coprime(terms, coprime_to)
     if absolute:
         terms = np.abs(terms)
     sums = _neumaier_segments(terms, cps)
@@ -301,9 +289,7 @@ def restricted_mobius_partial_sums(
         return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
 
     terms = _value_table(G, x) * mobius_table(x)
-    mask = _coprime_mask(x, rad)
-    if mask is not None:
-        terms[mask] = 0
+    _strike_non_coprime(terms, rad)
     if absolute:
         terms = np.abs(terms)
     sums = _neumaier_segments(terms, cps)

@@ -187,6 +187,26 @@ class TestTables:
         tab = mobius_table(2000)
         assert all(tab[n] == mobius(n) for n in range(1, 2001))
 
+    # The sieve switches phases at isqrt(limit), so limits at and around
+    # p^2 and the degenerate 0..4 are where an off-by-one would show.
+    _SPLIT_EDGES = st.sampled_from([p * p for p in range(2, 71) if is_prime(p)]).flatmap(
+        lambda sq: st.sampled_from([sq - 1, sq, sq + 1])
+    )
+
+    @given(st.one_of(st.sampled_from([0, 1, 2, 3, 4]), _SPLIT_EDGES, st.integers(min_value=0, max_value=5000)))
+    @settings(max_examples=80, deadline=None)
+    def test_mobius_table_property(self, limit):
+        tab = mobius_table(limit)
+        assert tab.dtype == np.int8 and len(tab) == limit + 1 and tab[0] == 0
+        assert tab[1:].tolist() == [mobius(n) for n in range(1, limit + 1)]
+
+    @pytest.mark.parametrize("limit, mertens, squarefree", [(10**6, 212, 607926), (10**7, 1037, 6079291)])
+    def test_mobius_table_published_values(self, limit, mertens, squarefree):
+        # Mertens function M(10^k) is OEIS A084237; squarefree counts A071172.
+        tab = mobius_table(limit)
+        assert int(tab.sum(dtype=np.int64)) == mertens
+        assert np.count_nonzero(tab) == squarefree
+
     def test_squarefree_table_matches_mobius(self):
         tab = squarefree_table(2000)
         assert all(bool(tab[n]) == (mobius(n) != 0) for n in range(1, 2001))

@@ -34,7 +34,7 @@ from ramanujan_cloud import (
     restricted_mobius_partial_sums,
     zero_cloud_verdict,
 )
-from ramanujan_cloud.expansion import _coprime_mask, _value_table
+from ramanujan_cloud.expansion import _strike_non_coprime, _value_table
 
 FAST_CFG = EngineConfig(Q=20_000, sample_a=tuple(range(1, 9)))
 
@@ -157,15 +157,21 @@ class TestCoprimeMask:
     @given(
         st.integers(min_value=1, max_value=3000),
         st.one_of(st.integers(min_value=2, max_value=10**7), st.sampled_from([2, 6, 30030, 999983, 2**20])),
+        st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_gcd_oracle(self, Q, b):
-        mask = _coprime_mask(Q, b)
-        assert mask.dtype == np.bool_
-        assert np.array_equal(mask, np.gcd(np.arange(Q + 1), radical(b)) != 1)
+    def test_matches_gcd_oracle(self, Q, b, seed):
+        terms = np.random.default_rng(seed).standard_normal(Q + 1)
+        struck = terms.copy()
+        _strike_non_coprime(struck, b)
+        shared = np.gcd(np.arange(Q + 1), radical(b)) != 1
+        assert np.all(struck[shared] == 0)
+        assert struck[~shared].tobytes() == terms[~shared].tobytes()
 
-    def test_unrestricted_is_none(self):
-        assert _coprime_mask(100, 1) is None
+    def test_unrestricted_leaves_terms(self):
+        terms = np.arange(101, dtype=np.float64)
+        _strike_non_coprime(terms, 1)
+        assert terms.tobytes() == np.arange(101, dtype=np.float64).tobytes()
 
 
 class TestValueTable:
@@ -190,6 +196,42 @@ class TestValueTable:
     def test_real_rules_stay_real(self):
         for G in (catalog("GR"), catalog("GH"), catalog("prop5")):
             assert _value_table(G, 500).dtype == np.float64
+
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=6).map(
+            lambda vs: vs + [Fraction(0), Fraction(-1, 2)]
+        ),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_float_oracle_on_random_rules(self, values, Q):
+        # Values include 0 and negatives; the oracle multiplies in the sieve's
+        # order (ascending p), so the tables must agree exactly.
+        G = MultiplicativeFunction("random", rule=lambda p, e: values[(7 * p + e) % len(values)], exact=True)
+        vals = _value_table(G, Q)
+        assert vals.dtype == np.float64 and vals[0] == 0
+        for n in range(1, Q + 1):
+            want = 1.0
+            for p, e in factorize(n):
+                want *= float(G.rule(p, e))
+            assert vals[n] == want, n
+
+    def test_non_number_is_rejected_not_nan(self):
+        for G in (
+            MultiplicativeFunction("None at 7", rule=lambda p, e: None if p == 7 else Fraction(1, 2)),
+            MultiplicativeFunction("None at 97", rule=lambda p, e: None if p == 97 else Fraction(1, 2)),
+            GeneralArithmeticFunction("None at 70", fn=lambda n: None if n == 70 else Fraction(1, 2)),
+        ):
+            with pytest.raises(TypeError):
+                _value_table(G, 100)
+
+    @pytest.mark.parametrize("cap", [10.0, 1.2])
+    def test_squarefree_cap_matches_eval(self, cap):
+        # cap = 1.2 makes the clamp bite on many squarefree n.
+        G = catalog("prop1", cap=cap)
+        vals = _value_table(G, 5000)
+        want = np.array([0.0] + [float(G.eval(n)) for n in range(1, 5001)])
+        assert np.allclose(vals, want, rtol=1e-12, atol=0)
 
 
 class TestRestrictedMobius:
