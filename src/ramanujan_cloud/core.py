@@ -60,6 +60,19 @@ def phi_table(limit: int) -> np.ndarray:
     return phi
 
 
+def checked_values(values, count: int, what: str) -> np.ndarray:
+    """``values`` unchanged if it is a numeric ndarray of shape ``(count,)``.
+
+    Anything else (a scalar that would broadcast, a wrong length, an object
+    array) raises ``ValueError`` naming ``what``.
+    """
+    if not (isinstance(values, np.ndarray) and values.shape == (count,) and np.issubdtype(values.dtype, np.number)):
+        shape = getattr(values, "shape", None)
+        dtype = getattr(values, "dtype", type(values).__name__)
+        raise ValueError(f"{what} must be a numeric array of shape ({count},), got shape {shape} dtype {dtype}")
+    return values
+
+
 def multiplicative_sieve(
     limit: int,
     powers: Callable[[int, int], np.ndarray],
@@ -71,8 +84,10 @@ def multiplicative_sieve(
     ``powers(p, E)`` returns g(p), g(p^2), ..., g(p^E) for a prime
     p <= isqrt(limit), where p^E <= limit < p^(E+1); ``at_primes(P)`` returns
     g(p) for each prime p in the ascending array P of all primes in
-    (isqrt(limit), limit].  The table starts as ``dtype`` and is promoted
-    when a value array holds what it cannot (complex values in a float table).
+    (isqrt(limit), limit], as a numeric array of shape ``(len(P),)``
+    (anything else raises ``ValueError``).  The table starts as ``dtype`` and
+    is promoted when a value array holds what it cannot (complex values in a
+    float table).
 
     Phase 1, primes p <= isqrt(limit) in ascending order: a column over the
     multiples of p holds g(p^v_p(n)) and multiplies into ``table[p::p]``.
@@ -102,7 +117,7 @@ def multiplicative_sieve(
         table[p::p] *= col
     large = primes[split:]
     if len(large):
-        g = at_primes(large)
+        g = checked_values(at_primes(large), len(large), "at_primes(P)")
         if not np.can_cast(g.dtype, table.dtype):
             table = table.astype(np.result_type(table, g))
         cofactors = np.arange(1, limit // int(large[0]) + 1)

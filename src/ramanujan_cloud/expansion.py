@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .config import EngineConfig
-from .core import ResourceLimitError, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes, squarefree_table
+from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes, squarefree_table
 from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
@@ -151,9 +151,14 @@ def _value_table(G, Q: int) -> np.ndarray:
     Multiplicative G goes through ``multiplicative_sieve``: one strided
     multiply per prime p <= isqrt(Q), then one gather per cofactor
     m < sqrt(Q) for the primes above it, O(pi(sqrt Q) + sqrt Q) numpy calls
-    in all; the rule is called once per prime power.  A general G is
-    evaluated pointwise.  The table is float64 unless a value is complex,
-    then complex128.  Cached on the function object.
+    in all.  The rule is called once per power of each prime p <= isqrt(Q);
+    the values at the primes above come from ``G.at_primes`` when the entry
+    carries that numpy form, else from one rule call per prime.  A general
+    G uses ``G.table`` when set, else is evaluated pointwise.  Both forms
+    are bit-identical to the scalar paths they replace (see the field
+    docstrings), so the table does not depend on which path ran.  The table
+    is float64 unless a value is complex, then complex128.  Cached on the
+    function object.
     """
     memo = getattr(G, "_memo", None)
     key = ("values", Q)
@@ -165,7 +170,7 @@ def _value_table(G, Q: int) -> np.ndarray:
             Q,
             lambda p, E: _gather(lambda: map(G.rule, repeat(p, E), range(1, E + 1)), E),
             # Above isqrt(Q) every exponent is exactly 1.
-            lambda P: _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P)),
+            G.at_primes or (lambda P: _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P))),
             np.float64,
         )
         if G.squarefree_cap is not None:
@@ -177,6 +182,8 @@ def _value_table(G, Q: int) -> np.ndarray:
             mask = sf & (mag > bound)
             if mask.any():
                 vals[mask] *= bound[mask] / mag[mask]
+    elif getattr(G, "table", None) is not None:
+        vals = checked_values(G.table(Q), Q + 1, f"{G.label}: table(Q)")
     else:
         vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
 
@@ -306,13 +313,18 @@ def finite_factor(G, a: int) -> Number:
         raise ValueError("a must be >= 1")
     out: Number = 1
     for p, v in factorize(a).factors:
-        inner: Number = 0
-        for K in range(v + 2):
-            c = c_prime_power(p, K, a)
-            if c:
-                inner = inner + G.at_prime_power(p, K) * c
-        out = out * inner
+        out = out * _local_factor(G, p, v, a)
     return out
+
+
+def _local_factor(G, p: int, v: int, a: int) -> Number:
+    """sum_{K=0}^{v+1} G(p^K) c_{p^K}(a) for p^v exactly dividing a."""
+    inner: Number = 0
+    for K in range(v + 2):
+        c = c_prime_power(p, K, a)
+        if c:
+            inner = inner + G.at_prime_power(p, K) * c
+    return inner
 
 
 def finite_factor_star(
@@ -345,11 +357,7 @@ def finite_factor_forms_equal(G, a: int, tol: float = 1e-10) -> bool:
         raise ValueError("a must be >= 1")
     exact = getattr(G, "exact", False)
     for p, v in factorize(a).factors:
-        lhs: Number = 0
-        for K in range(v + 2):
-            c = c_prime_power(p, K, a)
-            if c:
-                lhs = lhs + G.at_prime_power(p, K) * c
+        lhs = _local_factor(G, p, v, a)
         rhs: Number = 0
         for K in range(v + 1):
             rhs = rhs + p**K * (G.at_prime_power(p, K) - G.at_prime_power(p, K + 1))
@@ -520,7 +528,11 @@ def absolute_convergence_report(
         raise ValueError("bounds must be >= 1 (prime_bound >= 2)")
 
     primes = sieve_primes(prime_bound)
-    prime_vals = np.array([abs(complex(G.rule(int(p), 1))) for p in primes], dtype=np.float64)
+    if G.at_primes is not None:
+        # |x| of a real float equals abs(complex(x)) exactly.
+        prime_vals = np.abs(checked_values(G.at_primes(primes), len(primes), f"{G.label}: at_primes(P)")).astype(np.float64)
+    else:
+        prime_vals = np.array([abs(complex(G.rule(int(p), 1))) for p in primes], dtype=np.float64)
     cum = np.cumsum(prime_vals)
 
     def prime_sum_upto(bound: int) -> float:

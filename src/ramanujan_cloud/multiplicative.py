@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
-from .core import factorize, is_prime, sieve_primes
+import numpy as np
+
+from .core import checked_values, factorize, is_prime, sieve_primes
 from .sums import FormulaInconsistencyError
 
 Number = Union[int, Fraction, float, complex]
@@ -45,6 +47,16 @@ class MultiplicativeFunction:
     ``squarefree_cap``, when set, clamps |G(n)| to cap/n on squarefree n --
     used by catalog families whose hypotheses bound squarefree values.
 
+    ``at_primes``, when set, is a numpy form of the rule at e = 1: given an
+    ascending int64 array P of primes it returns G(p) for each, as a numeric
+    array of shape ``(len(P),)``.  Value tables use it in place of one rule
+    call per prime, so it must be bit-identical to ``float(rule(p, 1))``
+    (``complex`` for complex values); only forms whose values are correctly
+    rounded divisions (1/p, 1/(p-1), constants) meet that.  Powers such as
+    p ** x are not: numpy and Python round them differently in the last
+    place.  The constructor compares the form with the rule on the primes
+    <= 100 and raises ``ValueError`` on any mismatch.
+
     Evaluation memoizes into ``_memo``; entries are deterministic, so a
     concurrent duplicate write is benign.
     """
@@ -55,6 +67,7 @@ class MultiplicativeFunction:
     declared_transparent: Optional[frozenset[int]] = None
     declared_invisible: Optional[frozenset[int]] = None
     squarefree_cap: Optional[float] = None
+    at_primes: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,6 +76,14 @@ class MultiplicativeFunction:
         if self.declared_transparent is not None:
             if not self.declared_invisible <= self.declared_transparent:
                 raise ValueError("invisible primes must be transparent")
+        if self.at_primes is not None:
+            P = sieve_primes(100)
+            form = checked_values(self.at_primes(P), len(P), f"{self.label}: at_primes(P)")
+            for p, got in zip(P.tolist(), form.tolist()):
+                want = self.rule(p, 1)
+                cast = complex if isinstance(want, complex) or isinstance(got, complex) else float
+                if cast(got) != cast(want):
+                    raise ValueError(f"{self.label}: at_primes gives {got!r} at p = {p}, rule gives {want!r}")
 
     @property
     def certified(self) -> bool:
@@ -101,12 +122,18 @@ class GeneralArithmeticFunction:
 
     ``invisible_prime`` records a prime p0 with G(p0^K * r) = G(r) for all K
     and all r coprime to p0, when the constructor guarantees one.
+
+    ``table``, when set, returns G(0..Q) (G(0) = 0) as a numeric array of
+    shape ``(Q + 1,)``; value tables use it in place of Q calls to ``fn``.
+    It must be bit-identical to the pointwise table: ``float(fn(n))``, or
+    ``complex(fn(n))`` throughout when some n <= Q has a complex value.
     """
 
     label: str
     fn: Callable[[int], Number]
     exact: bool = False
     invisible_prime: Optional[int] = None
+    table: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def eval(self, n: int) -> Number:
@@ -297,6 +324,7 @@ def _gr() -> MultiplicativeFunction:
         exact=True,
         declared_transparent=frozenset(),
         declared_invisible=frozenset(),
+        at_primes=lambda P: 1.0 / P,
     )
 
 
@@ -307,6 +335,7 @@ def _gh() -> MultiplicativeFunction:
         exact=True,
         declared_transparent=frozenset({2}),
         declared_invisible=frozenset(),
+        at_primes=lambda P: 1.0 / (P - 1),
     )
 
 
@@ -319,6 +348,7 @@ def _indicator_prime_powers(p0: int = 2) -> MultiplicativeFunction:
         exact=True,
         declared_transparent=frozenset({p0}),
         declared_invisible=frozenset({p0}),
+        at_primes=lambda P: (P == p0).astype(np.float64),
     )
 
 
@@ -344,6 +374,8 @@ def _g0(p0: int = 2, off_prime_powers: Optional[Callable[[int, int], Number]] = 
         exact=exact,
         declared_transparent=frozenset({p0}),
         declared_invisible=frozenset({p0}),
+        # off_prime_powers only enters at e >= 2.
+        at_primes=lambda P: np.where(P == p0, 1.0, 1.0 / P),
     )
 
 
@@ -458,11 +490,32 @@ def _weakly_exotic_sample(p0: int = 2, base: Optional[dict] = None) -> GeneralAr
             n //= p0
         return support.get(n, 0)
 
+    def table(Q: int) -> np.ndarray:
+        # G is zero off the p0-power multiples of the support.  As in the
+        # pointwise table, values are cast with float() unless one of those
+        # landing in [1, Q] needs complex().
+        where, values = [], []
+        for r, v in support.items():
+            n = r
+            while n <= Q:
+                where.append(n)
+                values.append(v)
+                n *= p0
+        try:
+            values, dtype = [float(v) for v in values], np.float64
+        except TypeError:
+            values, dtype = [complex(v) for v in values], np.complex128
+        vals = np.zeros(Q + 1, dtype=dtype)
+        for n, v in zip(where, values):
+            vals[n] = v
+        return vals
+
     return GeneralArithmeticFunction(
         label=f"weakly_exotic_sample(p0={p0})",
         fn=fn,
         exact=all(isinstance(v, (int, Fraction)) for v in support.values()),
         invisible_prime=p0,
+        table=table,
     )
 
 

@@ -219,3 +219,18 @@ class TestTables:
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError):
             phi_table(core.SIEVE_BUDGET + 1)
+
+    @pytest.mark.parametrize(
+        "at_primes",
+        [
+            lambda P: 0.5,  # a scalar would broadcast over every large prime
+            lambda P: np.full(len(P) + 1, 0.5),  # too long
+            lambda P: np.full(len(P) - 1, 0.5),  # too short
+            lambda P: np.full((len(P), 1), 0.5),
+            lambda P: np.array([None] * len(P)),
+            lambda P: [0.5] * len(P),
+        ],
+    )
+    def test_sieve_rejects_malformed_prime_values(self, at_primes):
+        with pytest.raises(ValueError, match="at_primes"):
+            core.multiplicative_sieve(1000, lambda p, E: np.full(E, 0.5), at_primes, np.float64)

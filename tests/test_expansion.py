@@ -3,6 +3,8 @@ the finite/cofinite factorizations, peel identities, convergence verdicts,
 and the zero-cloud decision procedure."""
 
 import cmath
+import dataclasses
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -32,9 +34,11 @@ from ramanujan_cloud import (
     mobius,
     radical,
     restricted_mobius_partial_sums,
+    sieve_primes,
     zero_cloud_verdict,
 )
 from ramanujan_cloud.expansion import _strike_non_coprime, _value_table
+from test_multiplicative import FORM_ENTRIES
 
 FAST_CFG = EngineConfig(Q=20_000, sample_a=tuple(range(1, 9)))
 
@@ -224,6 +228,44 @@ class TestValueTable:
         ):
             with pytest.raises(TypeError):
                 _value_table(G, 100)
+
+    @pytest.mark.parametrize("name, kw", FORM_ENTRIES)
+    def test_prime_form_table_equals_scalar_path(self, name, kw):
+        G = catalog(name, **kw)
+        # A fresh _memo, so the copy does not read the original's cached tables.
+        scalar = dataclasses.replace(G, at_primes=None, _memo={})
+        for Q in (1, 2, 3, 4, 10, 97, 1000, 10**6 + 7):
+            got, want = _value_table(G, Q), _value_table(scalar, Q)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
+
+    def test_prime_form_replaces_rule_above_sqrt(self):
+        # Equal tables alone would not notice a fall back to the scalar path.
+        GH = catalog("GH")
+        called = []
+
+        def rule(p, e):
+            called.append(p)
+            return GH.rule(p, e)
+
+        G = dataclasses.replace(GH, rule=rule, _memo={})
+        called.clear()  # the constructor checks the form against the rule
+        Q = 10**5
+        _value_table(G, Q)
+        assert set(called) == set(sieve_primes(math.isqrt(Q)).tolist())
+
+    def test_weakly_exotic_table_promotes_like_pointwise(self):
+        # The complex value sits at n = 7 * 2^K: Q = 5 stays real, Q >= 7 is complex.
+        G = catalog("weakly_exotic_sample", p0=2, base={1: Fraction(1, 2), 3: 0.25, 7: 0.5j})
+        for Q in (5, 7, 100, 5000):
+            pointwise = dataclasses.replace(G, table=None, _memo={})
+            got, want = _value_table(G, Q), _value_table(pointwise, Q)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
+        assert _value_table(G, 5).dtype == np.float64 and _value_table(G, 7).dtype == np.complex128
+
+    def test_malformed_general_table_rejected(self):
+        G = GeneralArithmeticFunction("short table", fn=lambda n: 0, table=lambda Q: np.zeros(Q))
+        with pytest.raises(ValueError, match="table"):
+            _value_table(G, 100)
 
     @pytest.mark.parametrize("cap", [10.0, 1.2])
     def test_squarefree_cap_matches_eval(self, cap):
@@ -438,6 +480,15 @@ class TestAbsoluteConvergenceReport:
         rep = absolute_convergence_report(catalog("G0", p0=2), 10_000, 3, 2000)
         assert rep.prime_abs_verdict == "diverging"
         assert rep.verdict == "negative"
+
+    @pytest.mark.parametrize("name, kw", [("GR", {}), ("GH", {}), ("G0", {"p0": 2}), ("indicator_prime_powers", {"p0": 3})])
+    def test_prime_form_gives_the_scalar_prime_series(self, name, kw):
+        G = catalog(name, **kw)
+        scalar = dataclasses.replace(G, at_primes=None, _memo={})
+        fast = absolute_convergence_report(G, 10**5, 6, 1000)
+        slow = absolute_convergence_report(scalar, 10**5, 6, 1000)
+        assert fast.prime_abs_series == slow.prime_abs_series
+        assert fast.prime_abs_last_decade_increase == slow.prime_abs_last_decade_increase
 
 
 class TestZeroCloudVerdict:

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +17,21 @@ from ramanujan_cloud import (
     catalog,
     catalog_names,
     is_weakly_exotic,
+    sieve_primes,
     spectrum,
     transparency_valuation,
     valuation,
 )
 from ramanujan_cloud.multiplicative import INFINITE
+
+# Every catalog entry that carries a numpy ``at_primes`` form.
+FORM_ENTRIES = [
+    pytest.param("GR", {}, id="GR"),
+    pytest.param("GH", {}, id="GH"),
+    *[pytest.param("G0", {"p0": p0}, id=f"G0-{p0}") for p0 in (2, 3, 5, 7)],
+    *[pytest.param("indicator_prime_powers", {"p0": p0}, id=f"indicator-{p0}") for p0 in (2, 3, 5, 7)],
+    pytest.param("G0", {"p0": 3, "off_prime_powers": lambda p, e: Fraction(1, p ** (2 * e))}, id="G0-3-off"),
+]
 
 
 def all_multiplicative_entries():
@@ -299,9 +310,58 @@ class TestCatalog:
             )
 
 
+class TestPrimeForms:
+    @pytest.mark.parametrize("name, kw", FORM_ENTRIES)
+    def test_form_is_bit_identical_to_rule(self, name, kw):
+        G = catalog(name, **kw)
+        P = sieve_primes(10**6)
+        got = G.at_primes(P)
+        want = np.array([float(G.rule(p, 1)) for p in P.tolist()])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_forms_only_on_division_entries(self):
+        for G in (catalog("prop1"), catalog("lemma7_h", s=0.6), catalog("prop5")):
+            assert G.at_primes is None
+
+    def test_matching_custom_forms_accepted(self):
+        G = MultiplicativeFunction("inverse squares", rule=lambda p, e: Fraction(1, p ** (2 * e)), at_primes=lambda P: 1.0 / (P * P))
+        assert G.at_primes is not None
+        MultiplicativeFunction("constant 2i", rule=lambda p, e: 2j, at_primes=lambda P: np.full(len(P), 2j))
+
+    @pytest.mark.parametrize(
+        "rule, at_primes",
+        [
+            (lambda p, e: Fraction(1, p**e), lambda P: 1.0 / (P + 1)),
+            (lambda p, e: Fraction(1, p**e), lambda P: np.where(P == 97, 0.0, 1.0 / P)),  # wrong only at 97
+            (lambda p, e: 1j, lambda P: np.ones(len(P))),  # complex rule, real form
+            (lambda p, e: 1, lambda P: np.full(len(P), 1 + 1e-9j)),
+            (lambda p, e: Fraction(1, p**e), lambda P: 0.5),
+            (lambda p, e: Fraction(1, p**e), lambda P: (1.0 / P)[:-1]),
+        ],
+    )
+    def test_mismatched_custom_forms_rejected(self, rule, at_primes):
+        with pytest.raises(ValueError, match="at_primes"):
+            MultiplicativeFunction("custom", rule=rule, at_primes=at_primes)
+
+
 class TestGeneralFunction:
     def test_eval_and_guards(self):
         g = GeneralArithmeticFunction("sample", fn=lambda n: n % 3, exact=True)
         assert g.eval(5) == 2
         with pytest.raises(ValueError):
             g.eval(0)
+
+    @pytest.mark.parametrize(
+        "p0, base",
+        [
+            (2, None),
+            (5, None),
+            (3, {1: Fraction(1), 2: 0.5, 5: Fraction(-1, 3), 7: 3, 11: -0.1}),
+        ],
+    )
+    def test_weakly_exotic_table_matches_eval(self, p0, base):
+        G = catalog("weakly_exotic_sample", p0=p0, base=base)
+        for Q in (1, 2, 3, 4, 10, 97, 1000, 20_000):
+            want = np.array([0.0] + [float(G.eval(n)) for n in range(1, Q + 1)])
+            got = G.table(Q)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), Q
