@@ -3,7 +3,8 @@
 Subcommands: csum, classify, expand, verdict, absconv, sfcount, lemma7,
 reproduce-all.  JSON goes to stdout (schemas ship under schemas/); series
 exports are CSV with columns x, re, im.  Exit codes: 0 success, 1 input
-error, 2 inconclusive verdict under --strict.
+error or a size over the resource budget, 2 inconclusive verdict under
+--strict.
 
 Bounds and tolerances come from an EngineConfig: --config FILE, else the
 RAMANUJAN_CLOUD_CONFIG environment variable, else the documented defaults;
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import EngineConfig
+from .core import ResourceLimitError
 from .expansion import (
     absolute_convergence_report,
     expansion_partial_sums,
@@ -245,7 +247,7 @@ def run(argv: list[str]) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

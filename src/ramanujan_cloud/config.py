@@ -23,7 +23,6 @@ class EngineConfig:
 
     # Series truncation
     Q: int = 1_000_000            # truncation for floating partial sums
-    exact_limit: int = 10_000     # largest x for exact-rational series
 
     # Convergence verdicts
     window: int = 32              # final-window size for spread measurement

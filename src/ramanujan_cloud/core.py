@@ -96,8 +96,11 @@ def multiplicative_sieve(
     gather multiplies ``table[m * P] *= g(P)`` over the primes P <= limit / m.
     Every entry is multiplied in the order of a prime-by-prime sweep (its
     small primes ascending, then its large prime), so real tables are
-    bit-identical to one.
+    bit-identical to one.  A limit above ``SIEVE_BUDGET`` raises
+    ``ResourceLimitError`` before anything is allocated.
     """
+    if limit > SIEVE_BUDGET:
+        raise ResourceLimitError(f"table of size {limit} exceeds budget {SIEVE_BUDGET}")
     table = np.ones(limit + 1, dtype=dtype)
     table[0] = 0
     primes = sieve_primes(limit)
@@ -139,8 +142,6 @@ def mobius_table(limit: int) -> np.ndarray:
     p <= isqrt(limit), then -1 for every prime above it, in
     O(pi(sqrt limit) + sqrt limit) numpy calls.
     """
-    if limit > SIEVE_BUDGET:
-        raise ResourceLimitError(f"mobius table of size {limit} exceeds budget")
     mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
     mu.setflags(write=False)
     return mu

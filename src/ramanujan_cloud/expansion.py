@@ -1,11 +1,14 @@
 """Truncated expansions over Ramanujan sums, restricted Mobius series,
 finite/cofinite factorizations, and convergence diagnostics.
 
-Every series here is a ``PartialSumSeries``: checkpointed partial sums of a
-single term sequence.  Exact-rational mode is used automatically for exact
-rules up to ``EXACT_LIMIT`` (denominators explode beyond that); larger
-truncations run in floating point over numpy tables with compensated
-(Neumaier) accumulation across checkpoint segments.
+Every series here is a ``PartialSumSeries``: checkpointed partial sums of
+G(n) w(n), optionally over n coprime to a modulus or in absolute value.  One
+kernel, ``_series``, computes them; the weight w is c_n(a) for
+``expansion_partial_sums`` and mu(n) for ``restricted_mobius_partial_sums``.
+Exact rules up to ``EXACT_LIMIT`` (denominators explode beyond that) run in
+exact-rational mode over the scalar weights, an oracle independent of the
+numpy tables; otherwise the floating mode multiplies the value and weight
+tables and accumulates checkpoint segments with Neumaier compensation.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -22,6 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import core as _core
 from .config import EngineConfig
 from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes, squarefree_table
 from .multiplicative import (
@@ -38,8 +42,11 @@ Number = Union[int, Fraction, float, complex]
 # Largest truncation for exact-rational series.
 EXACT_LIMIT = 10_000
 
+# Keyword defaults below are the EngineConfig field defaults.
+_DEFAULTS = EngineConfig()
 
-def checkpoint_schedule(Q: int, window: int = 32) -> list[int]:
+
+def checkpoint_schedule(Q: int, window: int = _DEFAULTS.window) -> list[int]:
     """Geometric decades up to Q plus ``window`` points over [Q/2, Q].
 
     The dense final stretch is what spread-based convergence verdicts look
@@ -158,12 +165,15 @@ def _value_table(G, Q: int) -> np.ndarray:
     are bit-identical to the scalar paths they replace (see the field
     docstrings), so the table does not depend on which path ran.  The table
     is float64 unless a value is complex, then complex128.  Cached on the
-    function object.
+    function object.  A Q above ``SIEVE_BUDGET`` raises
+    ``ResourceLimitError`` before any path allocates.
     """
     memo = getattr(G, "_memo", None)
     key = ("values", Q)
     if memo is not None and key in memo:
         return memo[key]
+    if Q > _core.SIEVE_BUDGET:
+        raise ResourceLimitError(f"value table of size {Q} exceeds budget {_core.SIEVE_BUDGET}")
 
     if isinstance(G, MultiplicativeFunction):
         vals = multiplicative_sieve(
@@ -202,6 +212,40 @@ def _strike_non_coprime(terms: np.ndarray, b: int) -> None:
         terms[::p] = 0
 
 
+def _series(G, Q: int, checkpoints, desc: str, weights, weight_table, coprime_to: int, absolute: bool, exact) -> PartialSumSeries:
+    """Partial sums of G(n) w(n), or |G(n) w(n)|, over n <= x coprime to ``coprime_to``.
+
+    Exact mode loops over the checkpoint segments with ``weights(ns)``, the
+    scalar w(n) for the n of one segment; it never reads ``weight_table``, so
+    the Fraction oracle stays independent of the tables it checks.  Floating
+    mode sums ``_value_table(G, Q) * weight_table(Q)`` with the non-coprime n
+    struck out.
+    """
+    cps = _validate_checkpoints(checkpoints, Q)
+    if _use_exact(G, Q, exact):
+        sums = []
+        total: Number = 0
+        lo = 1
+        for x in cps:
+            ns = range(lo, x + 1)
+            if coprime_to > 1:
+                ns = [n for n in ns if gcd(n, coprime_to) == 1]
+            for n, w in zip(ns, weights(ns)):
+                if w:
+                    term = G.eval(n) * w
+                    total = total + (abs(term) if absolute else term)
+            sums.append(total)
+            lo = x + 1
+        return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
+
+    terms = _value_table(G, Q) * weight_table(Q)
+    _strike_non_coprime(terms, coprime_to)
+    if absolute:
+        terms = np.abs(terms)
+    sums = _neumaier_segments(terms, cps)
+    return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
+
+
 def expansion_partial_sums(
     G,
     a: int,
@@ -215,42 +259,16 @@ def expansion_partial_sums(
     """Partial sums of sum_{q <= x} G(q) c_q(a) at the given checkpoints.
 
     ``coprime_to`` restricts the sum to q coprime to it; ``absolute`` sums
-    |G(q) c_q(a)| instead.  Ramanujan sums go through the closed form.
+    |G(q) c_q(a)| instead.  Exact mode takes c_q(a) from the closed form
+    ``c_holder``, floating mode from ``c_table``.
     """
-    if a < 1 or Q < 1:
-        raise ValueError("a and Q must be >= 1")
-    cps = _validate_checkpoints(checkpoints, Q)
-    use_exact = _use_exact(G, Q, exact)
+    if a < 1 or Q < 1 or coprime_to < 1:
+        raise ValueError("a, Q and coprime_to must be >= 1")
     what = f"|G(q) c_q({a})|" if absolute else f"G(q) c_q({a})"
     cop = f", q coprime to {coprime_to}" if coprime_to > 1 else ""
     desc = f"sum over q <= x of {what}, G = {G.label}{cop}"
-
-    if use_exact:
-        sums = []
-        total: Number = 0
-        it = iter(cps)
-        nxt = next(it)
-        for q in range(1, Q + 1):
-            if coprime_to == 1 or gcd(q, coprime_to) == 1:
-                c = c_holder(q, a)
-                if c:
-                    term = G.eval(q) * c
-                    total = total + (abs(term) if absolute else term)
-            while q == nxt:
-                sums.append(total)
-                nxt = next(it, None)
-                if nxt is None:
-                    break
-            if nxt is None:
-                break
-        return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
-
-    terms = _value_table(G, Q) * c_table(a, Q)
-    _strike_non_coprime(terms, coprime_to)
-    if absolute:
-        terms = np.abs(terms)
-    sums = _neumaier_segments(terms, cps)
-    return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
+    weights = lambda ns: map(c_holder, ns, repeat(a))  # one call per segment, not per term
+    return _series(G, Q, checkpoints, desc, weights, lambda n: c_table(a, n), coprime_to, absolute, exact)
 
 
 def restricted_mobius_partial_sums(
@@ -269,38 +287,10 @@ def restricted_mobius_partial_sums(
     """
     if b < 1 or x < 1:
         raise ValueError("b and x must be >= 1")
-    cps = _validate_checkpoints(checkpoints, x)
-    use_exact = _use_exact(G, x, exact)
     rad = radical(b)
     what = "|G(r) mu(r)|" if absolute else "G(r) mu(r)"
     desc = f"sum over r <= t, (r, {rad}) = 1 of {what}, G = {G.label}"
-
-    if use_exact:
-        sums = []
-        total: Number = 0
-        it = iter(cps)
-        nxt = next(it)
-        for r in range(1, x + 1):
-            if gcd(r, rad) == 1:
-                mu = mobius(r)
-                if mu:
-                    term = G.eval(r) * mu
-                    total = total + (abs(term) if absolute else term)
-            while r == nxt:
-                sums.append(total)
-                nxt = next(it, None)
-                if nxt is None:
-                    break
-            if nxt is None:
-                break
-        return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
-
-    terms = _value_table(G, x) * mobius_table(x)
-    _strike_non_coprime(terms, rad)
-    if absolute:
-        terms = np.abs(terms)
-    sums = _neumaier_segments(terms, cps)
-    return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
+    return _series(G, x, checkpoints, desc, lambda ns: map(mobius, ns), mobius_table, rad, absolute, exact)
 
 
 def finite_factor(G, a: int) -> Number:
@@ -331,9 +321,9 @@ def finite_factor_star(
     G: MultiplicativeFunction,
     report: Optional[SpectrumReport] = None,
     *,
-    scan_bound: int = 1000,
-    k_max: int = 16,
-    tol: float = 1e-12,
+    scan_bound: int = _DEFAULTS.scan_bound,
+    k_max: int = _DEFAULTS.k_max,
+    tol: float = _DEFAULTS.one_tol,
 ) -> Number:
     """a_G times the product of (1 - G(p^(v_{p,G}+1))) over transparent p.
 
@@ -449,9 +439,6 @@ def _growth_exponent(series: PartialSumSeries) -> Optional[float]:
     return float(slope)
 
 
-_DEFAULTS = EngineConfig()
-
-
 def detect_convergence(
     series: PartialSumSeries,
     target: Optional[complex] = None,
@@ -519,10 +506,10 @@ def absolute_convergence_report(
     a: int,
     Q: int,
     *,
-    scan_bound: int = 1000,
-    k_max: int = 16,
-    tol: float = 1e-12,
-    slow_growth_tol: float = 0.05,
+    scan_bound: int = _DEFAULTS.scan_bound,
+    k_max: int = _DEFAULTS.k_max,
+    tol: float = _DEFAULTS.one_tol,
+    slow_growth_tol: float = _DEFAULTS.slow_growth_tol,
 ) -> AbsoluteConvergenceReport:
     if prime_bound < 2 or a < 1 or Q < 1:
         raise ValueError("bounds must be >= 1 (prime_bound >= 2)")

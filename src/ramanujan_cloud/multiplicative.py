@@ -23,13 +23,17 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from .config import EngineConfig
 from .core import checked_values, factorize, is_prime, sieve_primes
 from .sums import FormulaInconsistencyError
 
 Number = Union[int, Fraction, float, complex]
 
+# Keyword defaults below are the EngineConfig field defaults.
+_DEFAULTS = EngineConfig()
+
 # Floating-mode proxy for "equals 1"; exact mode compares exactly.
-DEFAULT_ONE_TOL = 1e-12
+DEFAULT_ONE_TOL = _DEFAULTS.one_tol
 
 INFINITE = math.inf
 
@@ -204,8 +208,8 @@ class SpectrumReport:
 
 def spectrum(
     G: MultiplicativeFunction,
-    scan_bound: int = 1000,
-    k_max: int = 16,
+    scan_bound: int = _DEFAULTS.scan_bound,
+    k_max: int = _DEFAULTS.k_max,
     tol: float = DEFAULT_ONE_TOL,
 ) -> SpectrumReport:
     """Scan primes <= scan_bound and classify G as normal/sporadic/exotic.
@@ -285,7 +289,7 @@ def spectrum(
 
 
 def is_weakly_exotic(
-    G, p0: int, r_bound: int = 100, k_bound: int = 6, tol: float = 0.0
+    G, p0: int, r_bound: int = _DEFAULTS.we_r_bound, k_bound: int = _DEFAULTS.we_k_bound, tol: float = 0.0
 ) -> bool:
     """Bounded certificate that G(p0^K * r) = G(r) for r coprime to p0.
 

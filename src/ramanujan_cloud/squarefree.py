@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import factorize, squarefree_table
-from .expansion import ConvergenceVerdict, PartialSumSeries, checkpoint_schedule, detect_convergence
+from .expansion import ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, detect_convergence
 
 Scalar = Union[float, complex]
 
@@ -135,33 +135,23 @@ def balanced_series_demo(
     sigma = s.real if isinstance(s, complex) else float(s)
     if not 0.5 < sigma < 1.0:
         raise ValueError("need 1/2 < Re s < 1")
-    cps = list(checkpoints) if checkpoints is not None else checkpoint_schedule(x_max)
-    vals = balanced_values(s, x_max)
-    cum = np.cumsum(vals)
-
-    full = PartialSumSeries(
-        f"sum over q <= x of h(q), s = {s}",
-        tuple((x, complex(cum[x]) if isinstance(s, complex) else float(cum[x])) for x in cps),
-        "floating",
-    )
-    odd_vals = vals.copy()
-    odd_vals[2::2] = 0
-    odd_cum = np.cumsum(odd_vals)
-    odd = PartialSumSeries(
-        f"sum over odd q <= x of h(q), s = {s}",
-        tuple((x, complex(odd_cum[x]) if isinstance(s, complex) else float(odd_cum[x])) for x in cps),
-        "floating",
-    )
-
+    cps = _validate_checkpoints(checkpoints, x_max)
     if window_ys is None:
         ys, y = [], max(1, x_max // 10)
         while 2 * y <= x_max:
             ys.append(y)
             y = 2 * y
         window_ys = ys or [max(1, x_max // 2)]
-    window_sums = tuple(
-        (int(y), float(abs(cum[min(2 * y, x_max)] - cum[y]))) for y in window_ys
-    )
+    if any(not 1 <= y <= x_max for y in window_ys):
+        raise ValueError(f"window_ys must lie within [1, {x_max}]")
+    # One compensated pass per series gives the checkpoints and the window ends.
+    points = sorted(set(cps).union(*((y, min(2 * y, x_max)) for y in window_ys)))
+    vals = balanced_values(s, x_max)
+    cum = dict(zip(points, _neumaier_segments(vals, points)))
+    full = PartialSumSeries(f"sum over q <= x of h(q), s = {s}", tuple((x, cum[x]) for x in cps), "floating")
+    vals[2::2] = 0  # the odd restriction; vals is this call's own array
+    odd = PartialSumSeries(f"sum over odd q <= x of h(q), s = {s}", tuple(zip(cps, _neumaier_segments(vals, cps))), "floating")
+    window_sums = tuple((int(y), float(abs(cum[min(2 * y, x_max)] - cum[y]))) for y in window_ys)
     shrink = all(w <= window_threshold for _, w in window_sums)
     odd_verdict = detect_convergence(odd, window=min(32, len(cps)), tol=window_threshold)
     return BalancedSeriesDemo(

@@ -2,11 +2,13 @@
 shape, config plumbing, and artifact determinism."""
 
 import json
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import ramanujan_cloud.core as core
 from ramanujan_cloud.cli import run
 from ramanujan_cloud.config import EngineConfig
 from ramanujan_cloud.reproduce import check_abel_forms, check_column_cancellation
@@ -98,6 +100,10 @@ class TestExpand:
     def test_unwritable_path(self, capsys):
         assert run(["expand", "GR", "--a", "1", "--Q", "10", "--csv", "/nonexistent/dir/x.csv"]) == 1
 
+    def test_exact_over_limit_is_input_error(self, capsys):
+        assert run(["expand", "GR", "--a", "1", "--Q", "20000", "--exact"]) == 1
+        assert capsys.readouterr().err.startswith("error: exact mode is capped")
+
 
 class TestVerdict:
     def test_member_verdict(self, tmp_path, capsys):
@@ -128,6 +134,27 @@ class TestVerdict:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quux": 1}))
         assert run(["classify", "GR", "--config", str(cfg)]) == 1
+
+    def test_removed_exact_limit_key_fails_loudly(self, tmp_path, capsys):
+        # The exact-mode cap is expansion.EXACT_LIMIT; the config never had a say.
+        with pytest.raises(ValueError, match="unknown config keys: \\['exact_limit'\\]"):
+            EngineConfig.from_dict({"exact_limit": 5})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"Q": 20000, "exact_limit": 10000}))
+        assert run(["verdict", "GR", "--config", str(cfg)]) == 1
+        assert "exact_limit" in capsys.readouterr().err
+
+    def test_over_budget_is_input_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
+        tracemalloc.start()
+        try:
+            code = run(["verdict", "GR", "--Q", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert peak < 2**20
 
 
 class TestAbsconv:

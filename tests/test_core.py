@@ -2,6 +2,7 @@
 mu/phi by definition, divisor-sum identities by direct enumeration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,17 @@ class TestTables:
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError):
             phi_table(core.SIEVE_BUDGET + 1)
+
+    def test_sieve_checks_budget_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                core.multiplicative_sieve(2 * 10**6, lambda p, E: np.full(E, 0.5), lambda P: np.full(len(P), 0.5), np.float64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "at_primes",

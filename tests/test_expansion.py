@@ -4,8 +4,10 @@ and the zero-cloud decision procedure."""
 
 import cmath
 import dataclasses
+import inspect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -37,7 +39,10 @@ from ramanujan_cloud import (
     sieve_primes,
     zero_cloud_verdict,
 )
+import ramanujan_cloud.core as core
+from ramanujan_cloud import multiplicative
 from ramanujan_cloud.expansion import _strike_non_coprime, _value_table
+from ramanujan_cloud.multiplicative import is_weakly_exotic, spectrum, transparency_valuation
 from test_multiplicative import FORM_ENTRIES
 
 FAST_CFG = EngineConfig(Q=20_000, sample_a=tuple(range(1, 9)))
@@ -155,6 +160,68 @@ class TestExpansionSums:
             expansion_partial_sums(catalog("GR"), 1, 10, checkpoints=[5, 3])
         with pytest.raises(ValueError):
             expansion_partial_sums(catalog("GR"), 1, 10, checkpoints=[0, 3])
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_coprime_to_must_be_positive(self, exact):
+        with pytest.raises(ValueError):
+            expansion_partial_sums(catalog("GR"), 1, 10, coprime_to=0, exact=exact)
+
+
+def _random_exact_rule(values, seed):
+    return MultiplicativeFunction(
+        "random", rule=lambda p, e: values[hash((seed, p, e)) % len(values)], exact=True
+    )
+
+
+class TestFloatingAgainstFractionOracle:
+    # Error bound, with u = 2^-53 the unit roundoff and gamma_k = k u / (1 - k u)
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4).  For
+    # n <= Q <= 10^4:
+    # * term: the table entry float(G(n)) is a product of k = omega(n) <= 5
+    #   correctly rounded factors float(G(p^e)), multiplied into 1.0 (k - 1
+    #   inexact products); the integer weight (|w| < 2^53, exact in float64)
+    #   adds one more rounding; strike and abs are exact.  |t^ - t| <= gamma_10 |t|.
+    # * segment: numpy's pairwise sum works on blocks of at most 128 with 8
+    #   accumulators (at most 14 + 3 roundings, plus 7 for a tail that is not
+    #   a multiple of 8, so 24), halves above 128 (at most ceil(log2 m) - 6
+    #   levels for m terms), and the reduction starts from the first term
+    #   (1 more): each term passes <= ceil(log2 Q) + 19 roundings, so the error
+    #   is <= gamma_{ceil(log2 Q) + 19} times the sum of |t^| over the segment.
+    # * across segments, Neumaier's compensated sum of N segment sums is off
+    #   by <= 2u |S| + O(N u^2) sum |s_j| (Neumaier, ZAMM 54, 1974).
+    # First order that is (ceil(log2 Q) + 31) u times sum |t|; the second-order
+    # terms, below (ceil(log2 Q) + 31)^2 u^2 < 10^-28 relative, fit in one
+    # more u.  Dropping the strike or the abs moves a sum by whole terms,
+    # far beyond this bound.
+    @staticmethod
+    def bound(Q):
+        return (math.ceil(math.log2(Q)) + 32) * 2.0**-53
+
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=6).map(
+            lambda vs: vs + [Fraction(0), Fraction(-1, 2)]
+        ),
+        st.integers(min_value=0, max_value=2**32),
+        st.one_of(st.integers(min_value=1, max_value=300), st.integers(min_value=301, max_value=10**4)),
+        st.sampled_from([1, 2, 6, 35]),
+        st.booleans(),
+        st.sampled_from([None, 1, 6, 12, 35]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_within_neumaier_bound(self, values, seed, Q, b, absolute, a):
+        # a = None is the restricted Mobius series over (r, b) = 1; otherwise
+        # the expansion at a restricted to q coprime to b.
+        G = _random_exact_rule(values, seed)
+        if a is None:
+            series = lambda **kw: restricted_mobius_partial_sums(G, b, Q, **kw)
+        else:
+            series = lambda **kw: expansion_partial_sums(G, a, Q, coprime_to=b, **kw)
+        got = series(absolute=absolute, exact=False)
+        want = series(absolute=absolute, exact=True)
+        mass = want if absolute else series(absolute=True, exact=True)
+        assert got.xs() == want.xs() == mass.xs()
+        for (x, f), (_, e), (_, m) in zip(got.checkpoints, want.checkpoints, mass.checkpoints):
+            assert abs(Fraction(f) - e) <= Fraction(self.bound(Q)) * m, x
 
 
 class TestCoprimeMask:
@@ -274,6 +341,31 @@ class TestValueTable:
         vals = _value_table(G, 5000)
         want = np.array([0.0] + [float(G.eval(n)) for n in range(1, 5001)])
         assert np.allclose(vals, want, rtol=1e-12, atol=0)
+
+
+class TestResourceBudget:
+    # With the budget patched down, an over-budget Q must raise before any
+    # table of that size exists (2 * 10^6 float64 entries would be 16 MB).
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _value_table(catalog("GH"), 2 * 10**6),
+            lambda: _value_table(catalog("weakly_exotic_sample"), 2 * 10**6),
+            lambda: restricted_mobius_partial_sums(catalog("GR"), 1, 2 * 10**6),
+            lambda: expansion_partial_sums(catalog("GH"), 6, 2 * 10**6, coprime_to=2),
+        ],
+        ids=["value_table", "general_table", "restricted_series", "expansion"],
+    )
+    def test_over_budget_raises_before_allocating(self, monkeypatch, build):
+        monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestRestrictedMobius:
@@ -456,6 +548,31 @@ class TestDetectConvergence:
         verdict = detect_convergence(series, target=0)
         assert verdict.outcome == "converges_to"
         assert (verdict.window, verdict.tol) == (cfg.window, cfg.conv_tol)
+
+    @pytest.mark.parametrize(
+        "func,param,field",
+        [
+            (spectrum, "scan_bound", "scan_bound"),
+            (spectrum, "k_max", "k_max"),
+            (spectrum, "tol", "one_tol"),
+            (transparency_valuation, "tol", "one_tol"),
+            (finite_factor_star, "scan_bound", "scan_bound"),
+            (finite_factor_star, "k_max", "k_max"),
+            (finite_factor_star, "tol", "one_tol"),
+            (absolute_convergence_report, "scan_bound", "scan_bound"),
+            (absolute_convergence_report, "k_max", "k_max"),
+            (absolute_convergence_report, "tol", "one_tol"),
+            (absolute_convergence_report, "slow_growth_tol", "slow_growth_tol"),
+            (is_weakly_exotic, "r_bound", "we_r_bound"),
+            (is_weakly_exotic, "k_bound", "we_k_bound"),
+            (checkpoint_schedule, "window", "window"),
+        ],
+    )
+    def test_keyword_defaults_are_engine_config_defaults(self, func, param, field):
+        assert inspect.signature(func).parameters[param].default == getattr(EngineConfig(), field)
+
+    def test_one_tol_default_is_engine_config_default(self):
+        assert multiplicative.DEFAULT_ONE_TOL == EngineConfig().one_tol
 
     def test_needs_enough_checkpoints(self):
         series = PartialSumSeries("short", ((1, 0.0), (2, 0.0)), "floating")

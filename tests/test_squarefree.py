@@ -179,6 +179,30 @@ class TestBalancedSeries:
         with pytest.raises(ValueError):
             balanced_series_demo(1.0, 1000)
 
+    @pytest.mark.parametrize("checkpoints", [[2000], [0, 10], [500, 400], []])
+    def test_rejects_bad_checkpoints(self, checkpoints):
+        with pytest.raises(ValueError):
+            balanced_series_demo(0.6, 1000, checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("window_ys", [[5000], [0], [100, 1001]])
+    def test_rejects_windows_outside_range(self, window_ys):
+        with pytest.raises(ValueError, match="window_ys"):
+            balanced_series_demo(0.6, 1000, window_ys=window_ys)
+
+    def test_sums_are_compensated(self):
+        # Within 4 units of roundoff of the correctly rounded sums of the same
+        # values; a plain running sum left the odd final off by about 350.
+        s, x_max, ys = 0.6, 1_000_000, (100_000, 300_000, 500_000)
+        demo = balanced_series_demo(s, x_max, window_ys=ys)
+        vals = balanced_values(s, x_max).tolist()
+        odd = vals[1::2]
+        u = 2.0**-53
+        assert abs(demo.full.final - math.fsum(vals)) <= 4 * u * math.fsum(map(abs, vals))
+        assert abs(demo.odd.final - math.fsum(odd)) <= 4 * u * math.fsum(odd)
+        for y, w in demo.window_sums:
+            window = vals[y + 1 : min(2 * y, x_max) + 1]
+            assert abs(w - abs(math.fsum(window))) <= 4 * u * math.fsum(map(abs, window))
+
 
 class TestPropositionFiveDemo:
     def test_restricted_series_diverge_when_expected(self):
