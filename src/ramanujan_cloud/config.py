@@ -38,6 +38,14 @@ class EngineConfig:
 
     seed: int = 0                 # seed for randomized sweeps
 
+    def __post_init__(self) -> None:
+        if self.Q < 1:
+            raise ValueError(f"Q must be >= 1, got {self.Q}")
+        if self.window < 2:
+            raise ValueError(f"window must be >= 2, got {self.window}: one point has no spread")
+        if not self.sample_a or min(self.sample_a) < 1:
+            raise ValueError(f"sample_a must be a nonempty set of a >= 1, got {self.sample_a}")
+
     def replace(self, **kwargs) -> "EngineConfig":
         return dataclasses.replace(self, **kwargs)
 

@@ -8,7 +8,7 @@ only ``mobius_table`` and ``squarefree_table`` feed them now, while
 marked read-only, and shared, so everything here is safe to call from
 concurrent workers.
 
-Tables of multiplicative functions (mu here, G(q) in the expansion engine)
+Tables of multiplicative functions (mu and phi here, G(q) in the expansion engine)
 come from one two-phase sieve, ``multiplicative_sieve``: one strided multiply
 per prime p <= isqrt(Q), then one gather per cofactor m < sqrt(Q) for all the
 primes above isqrt(Q) at once.  That is O(pi(sqrt Q) + sqrt Q) numpy calls
@@ -46,18 +46,6 @@ def sieve_primes(limit: int) -> np.ndarray:
         if is_p[p]:
             is_p[p * p :: p] = False
     return np.flatnonzero(is_p).astype(np.int64)
-
-
-@lru_cache(maxsize=4)
-def phi_table(limit: int) -> np.ndarray:
-    """phi(n) for n = 0..limit (phi[0] = 0), read-only int64 array."""
-    if limit > SIEVE_BUDGET:
-        raise ResourceLimitError(f"phi table of size {limit} exceeds budget")
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in sieve_primes(limit):
-        phi[p::p] -= phi[p::p] // p
-    phi.setflags(write=False)
-    return phi
 
 
 def checked_values(values, count: int, what: str) -> np.ndarray:
@@ -99,6 +87,8 @@ def multiplicative_sieve(
     bit-identical to one.  A limit above ``SIEVE_BUDGET`` raises
     ``ResourceLimitError`` before anything is allocated.
     """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     if limit > SIEVE_BUDGET:
         raise ResourceLimitError(f"table of size {limit} exceeds budget {SIEVE_BUDGET}")
     table = np.ones(limit + 1, dtype=dtype)
@@ -145,6 +135,21 @@ def mobius_table(limit: int) -> np.ndarray:
     mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
     mu.setflags(write=False)
     return mu
+
+
+def _phi_powers(p: int, E: int) -> np.ndarray:
+    return (p - 1) * p ** np.arange(E, dtype=np.int64)
+
+
+@lru_cache(maxsize=4)
+def phi_table(limit: int) -> np.ndarray:
+    """phi(n) for n = 0..limit (phi[0] = 0), read-only int64 array.
+
+    Built by ``multiplicative_sieve`` from phi(p^e) = (p - 1) p^(e - 1).
+    """
+    phi = multiplicative_sieve(limit, _phi_powers, lambda P: P - 1, np.int64)
+    phi.setflags(write=False)
+    return phi
 
 
 @lru_cache(maxsize=4)

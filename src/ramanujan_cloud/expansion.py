@@ -54,6 +54,8 @@ def checkpoint_schedule(Q: int, window: int = _DEFAULTS.window) -> list[int]:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
     if Q <= 4 * window:
         return list(range(1, Q + 1))
     pts = {Q}
@@ -246,6 +248,15 @@ def _series(G, Q: int, checkpoints, desc: str, weights, weight_table, coprime_to
     return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
 
 
+def _coprime_part(a: int, b: int) -> int:
+    """a with every prime of b divided out: gcd(q, a) and so c_q(a) are the
+    same for both at every q coprime to b."""
+    for p in factorize(b).primes():
+        while a % p == 0:
+            a //= p
+    return a
+
+
 def expansion_partial_sums(
     G,
     a: int,
@@ -260,13 +271,15 @@ def expansion_partial_sums(
 
     ``coprime_to`` restricts the sum to q coprime to it; ``absolute`` sums
     |G(q) c_q(a)| instead.  Exact mode takes c_q(a) from the closed form
-    ``c_holder``, floating mode from ``c_table``.
+    ``c_holder``, floating mode from ``c_table``; both at the part of a
+    coprime to ``coprime_to``, which has the same c_q on every q summed.
     """
     if a < 1 or Q < 1 or coprime_to < 1:
         raise ValueError("a, Q and coprime_to must be >= 1")
     what = f"|G(q) c_q({a})|" if absolute else f"G(q) c_q({a})"
     cop = f", q coprime to {coprime_to}" if coprime_to > 1 else ""
     desc = f"sum over q <= x of {what}, G = {G.label}{cop}"
+    a = _coprime_part(a, coprime_to)
     weights = lambda ns: map(c_holder, ns, repeat(a))  # one call per segment, not per term
     return _series(G, Q, checkpoints, desc, weights, lambda n: c_table(a, n), coprime_to, absolute, exact)
 
@@ -451,6 +464,8 @@ def detect_convergence(
     diverging to infinity, or inconclusive.
 
     The keyword defaults are the ``EngineConfig`` field defaults."""
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}: one point has no spread")
     if len(series.checkpoints) < window:
         raise ValueError(f"need at least {window} checkpoints, have {len(series.checkpoints)}")
     tail = [complex(v) for _, v in series.checkpoints[-window:]]
@@ -603,29 +618,15 @@ class ZeroCloudVerdict:
     conclusion: str  # "in_zero_cloud" | "not_in_zero_cloud" | "inconclusive"
 
 
-def _case_c_samples(p0: int, cfg: EngineConfig) -> list[int]:
-    # Sampled a for the invisible-prime case: the configured set plus
-    # p0-power multiples, so both p0 | a and p0 coprime to a are exercised.
-    out = set(cfg.sample_a)
-    for k in (1, 2, 3):
-        for m in (1, 3, 5, 7, 15):
-            if gcd(m, p0) == 1:
-                out.add(p0**k * m)
-    return sorted(out)
-
-
-def _convergence_status(verdicts: list[ConvergenceVerdict]) -> str:
-    if any(v.outcome == "diverges_to_infinity" for v in verdicts):
-        return "fail"
-    if all(v.outcome == "converges_to" for v in verdicts):
-        return "pass"
-    return "inconclusive"
-
-
 def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVerdict:
     """Dispatch on the classification of G and test the matching membership
-    condition numerically.  Every hypothesis check is recorded."""
+    condition numerically.  Every hypothesis check is recorded.
+
+    Every series runs on ``checkpoint_schedule(cfg.Q, cfg.window)``, once per
+    distinct input: one per radical in the classical cases, one per p0-free
+    part of a in the invisible-prime cases."""
     cfg = config if config is not None else EngineConfig()
+    cps = checkpoint_schedule(cfg.Q, cfg.window)
     checks: list[tuple[str, str]] = []
 
     def detect(series, target=None):
@@ -637,6 +638,26 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
             divergence_threshold=cfg.divergence_threshold,
             growth_exponent_min=cfg.growth_exponent_min,
         )
+
+    def check_hypothesis(text: str, series: Iterable[PartialSumSeries]) -> str:
+        # Fails on any divergence, passes only if every series converges.
+        outcomes = {detect(s).outcome for s in series}
+        status = (
+            "fail" if "diverges_to_infinity" in outcomes else "pass" if outcomes <= {"converges_to"} else "inconclusive"
+        )
+        checks.append((text, status))
+        return status
+
+    def invisible_prime_case(classification: str, p0: int, certified: bool) -> ZeroCloudVerdict:
+        # a and a / p0^k give one series over q coprime to p0; the extra
+        # 1, 3, 5, 7, 15 keep small cofactors in every sample set.
+        samples = sorted({_coprime_part(a, p0) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
+        status = check_hypothesis(
+            f"sum over (q, {p0}) = 1 of G(q) c_q(a) converges for sampled a ({len(samples)} distinct p0-free parts)",
+            (expansion_partial_sums(G, a, cfg.Q, cps, coprime_to=p0, exact=False) for a in samples),
+        )
+        conclusion = "in_zero_cloud" if status == "pass" and certified else "inconclusive"
+        return ZeroCloudVerdict(G.label, classification, tuple(checks), conclusion)
 
     if isinstance(G, GeneralArithmeticFunction):
         classification = "weakly_exotic"
@@ -654,36 +675,26 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
         )
         if not ok:
             return ZeroCloudVerdict(G.label, classification, tuple(checks), "inconclusive")
-        status = _coprime_expansion_status(G, p0, cfg, checks, detect)
-        conclusion = "in_zero_cloud" if status == "pass" else "inconclusive"
-        return ZeroCloudVerdict(G.label, classification, tuple(checks), conclusion)
+        return invisible_prime_case(classification, p0, True)
 
     rep = spectrum(G, cfg.scan_bound, cfg.k_max, cfg.one_tol)
     classification = rep.classification
     checks.append(("spectra certified by the constructor", "pass" if rep.certified else "fail"))
 
     if classification == "exotic":
-        p0 = min(rep.invisible_primes)
-        status = _coprime_expansion_status(G, p0, cfg, checks, detect)
-        conclusion = "in_zero_cloud" if status == "pass" and rep.certified else "inconclusive"
-        return ZeroCloudVerdict(G.label, classification, tuple(checks), conclusion)
+        return invisible_prime_case(classification, min(rep.invisible_primes), rep.certified)
 
     # Normal / sporadic: the Mobius series restricted to (r, a) = 1 must
     # converge for sampled a, and the characterizing sum must vanish.
     radicals = sorted({radical(x) for x in cfg.sample_a})
-    verdicts = [
-        detect(restricted_mobius_partial_sums(G, b, cfg.Q, exact=False)) for b in radicals
-    ]
-    hyp = _convergence_status(verdicts)
-    checks.append(
-        (
-            f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}...)",
-            hyp,
-        )
+    b0 = 1 if classification == "normal" else rep.PG
+    restricted = {b: restricted_mobius_partial_sums(G, b, cfg.Q, cps, exact=False) for b in sorted({*radicals, b0})}
+    hyp = check_hypothesis(
+        f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}...)",
+        (restricted[b] for b in radicals),
     )
 
-    b0 = 1 if classification == "normal" else rep.PG
-    series = restricted_mobius_partial_sums(G, b0, cfg.Q, exact=False)
+    series = restricted[b0]
     what = "sum of G(q) mu(q)" if b0 == 1 else f"sum over (q, {b0}) = 1 of G(q) mu(q)"
     v_zero = detect(series, target=0)
     if v_zero.outcome == "converges_to":
@@ -707,19 +718,3 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
     else:
         conclusion = "inconclusive"
     return ZeroCloudVerdict(G.label, classification, tuple(checks), conclusion)
-
-
-def _coprime_expansion_status(G, p0: int, cfg: EngineConfig, checks: list, detect) -> str:
-    samples = _case_c_samples(p0, cfg)
-    verdicts = [
-        detect(expansion_partial_sums(G, a, cfg.Q, coprime_to=p0, exact=False))
-        for a in samples
-    ]
-    status = _convergence_status(verdicts)
-    checks.append(
-        (
-            f"sum over (q, {p0}) = 1 of G(q) c_q(a) converges for sampled a ({len(samples)} values)",
-            status,
-        )
-    )
-    return status

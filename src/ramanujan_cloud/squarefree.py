@@ -136,6 +136,8 @@ def balanced_series_demo(
     if not 0.5 < sigma < 1.0:
         raise ValueError("need 1/2 < Re s < 1")
     cps = _validate_checkpoints(checkpoints, x_max)
+    if len(cps) < 2:
+        raise ValueError("need at least 2 checkpoints: the odd-series verdict measures a spread")
     if window_ys is None:
         ys, y = [], max(1, x_max // 10)
         while 2 * y <= x_max:

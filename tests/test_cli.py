@@ -144,6 +144,16 @@ class TestVerdict:
         assert run(["verdict", "GR", "--config", str(cfg)]) == 1
         assert "exact_limit" in capsys.readouterr().err
 
+    def test_wide_window_is_honoured(self, capsys):
+        # Every verdict series is built on the configured window.
+        code, payload = run_json(capsys, ["verdict", "GR", "--Q", "20000", "--window", "64"])
+        assert code == 0
+        assert payload["conclusion"] == "in_zero_cloud"
+
+    def test_window_of_one_is_input_error(self, capsys):
+        assert run(["verdict", "GR", "--Q", "20000", "--window", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: window must be >= 2")
+
     def test_over_budget_is_input_error(self, monkeypatch, capsys):
         monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
         tracemalloc.start()

@@ -201,6 +201,18 @@ class TestTables:
         assert tab.dtype == np.int8 and len(tab) == limit + 1 and tab[0] == 0
         assert tab[1:].tolist() == [mobius(n) for n in range(1, limit + 1)]
 
+    @given(st.one_of(st.sampled_from([0, 1, 2, 3, 4]), _SPLIT_EDGES, st.integers(min_value=0, max_value=5000)))
+    @settings(max_examples=80, deadline=None)
+    def test_phi_table_property(self, limit):
+        tab = phi_table(limit)
+        assert tab.dtype == np.int64 and len(tab) == limit + 1 and tab[0] == 0
+        assert tab[1:].tolist() == [euler_phi(n) for n in range(1, limit + 1)]
+
+    @pytest.mark.parametrize("table", [mobius_table, phi_table])
+    def test_negative_limit_is_rejected(self, table):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            table(-1)
+
     @pytest.mark.parametrize("limit, mertens, squarefree", [(10**6, 212, 607926), (10**7, 1037, 6079291)])
     def test_mobius_table_published_values(self, limit, mertens, squarefree):
         # Mertens function M(10^k) is OEIS A084237; squarefree counts A071172.

@@ -3,12 +3,14 @@ the finite/cofinite factorizations, peel identities, convergence verdicts,
 and the zero-cloud decision procedure."""
 
 import cmath
+import collections
 import dataclasses
 import inspect
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 import numpy as np
@@ -40,9 +42,11 @@ from ramanujan_cloud import (
     zero_cloud_verdict,
 )
 import ramanujan_cloud.core as core
+import ramanujan_cloud.expansion as expansion
 from ramanujan_cloud import multiplicative
-from ramanujan_cloud.expansion import _strike_non_coprime, _value_table
+from ramanujan_cloud.expansion import _coprime_part, _series, _strike_non_coprime, _value_table
 from ramanujan_cloud.multiplicative import is_weakly_exotic, spectrum, transparency_valuation
+from ramanujan_cloud.sums import c_holder, c_table
 from test_multiplicative import FORM_ENTRIES
 
 FAST_CFG = EngineConfig(Q=20_000, sample_a=tuple(range(1, 9)))
@@ -98,6 +102,11 @@ class TestCheckpointSchedule:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             checkpoint_schedule(0)
+
+    @pytest.mark.parametrize("window", [1, 0, -3])
+    def test_rejects_window_below_two(self, window):
+        with pytest.raises(ValueError, match="window must be >= 2"):
+            checkpoint_schedule(10**6, window)
 
 
 class TestExpansionSums:
@@ -222,6 +231,50 @@ class TestFloatingAgainstFractionOracle:
         assert got.xs() == want.xs() == mass.xs()
         for (x, f), (_, e), (_, m) in zip(got.checkpoints, want.checkpoints, mass.checkpoints):
             assert abs(Fraction(f) - e) <= Fraction(self.bound(Q)) * m, x
+
+
+class TestCoprimePart:
+    def test_divides_out_every_prime_of_b(self):
+        assert _coprime_part(720, 6) == 5
+        assert _coprime_part(720, 10) == 9
+        assert _coprime_part(35, 6) == 35
+        assert _coprime_part(64, 2) == 1
+        assert _coprime_part(12, 1) == 12
+
+    @staticmethod
+    def same(s, t):
+        # Bit-identical checkpoints: raw float bytes, or == on exact values.
+        if s.mode != t.mode or s.xs() != t.xs():
+            return False
+        if s.mode == "floating":
+            return np.array(s.values()).tobytes() == np.array(t.values()).tobytes()
+        return s.values() == t.values()
+
+    # values = None draws the complex entry lemma7_h(s = 0.6 + 0.3i).
+    @given(
+        st.one_of(
+            st.none(),
+            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=6).map(
+                lambda vs: vs + [Fraction(0), Fraction(-1, 2)]
+            ),
+        ),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=5000),
+        st.one_of(st.integers(min_value=1, max_value=720), st.sampled_from([64, 96, 360, 720])),
+        st.sampled_from([2, 3, 6, 10, 35]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_series_depends_only_on_the_coprime_part(self, values, seed, Q, a, b, absolute, exact):
+        G = catalog("lemma7_h", s=0.6 + 0.3j) if values is None else _random_exact_rule(values, seed)
+        exact = exact and G.exact
+        got = expansion_partial_sums(G, a, Q, coprime_to=b, absolute=absolute, exact=exact)
+        # The series weighted by c_q at the caller's own a.
+        at_a = _series(G, Q, None, "", lambda ns: map(c_holder, ns, repeat(a)), lambda n: c_table(a, n), b, absolute, exact)
+        part = expansion_partial_sums(G, _coprime_part(a, b), Q, coprime_to=b, absolute=absolute, exact=exact)
+        assert self.same(got, at_a) and self.same(got, part)
+        assert f"c_q({a})" in got.description
 
 
 class TestCoprimeMask:
@@ -574,6 +627,13 @@ class TestDetectConvergence:
     def test_one_tol_default_is_engine_config_default(self):
         assert multiplicative.DEFAULT_ONE_TOL == EngineConfig().one_tol
 
+    @pytest.mark.parametrize("window", [1, 0])
+    def test_window_below_two_is_rejected(self, window):
+        # A one-point window has spread 0, so even x -> x would "converge".
+        series = PartialSumSeries("linear", tuple((x, float(x)) for x in range(1, 41)), "floating")
+        with pytest.raises(ValueError, match="window must be >= 2"):
+            detect_convergence(series, window=window)
+
     def test_needs_enough_checkpoints(self):
         series = PartialSumSeries("short", ((1, 0.0), (2, 0.0)), "floating")
         with pytest.raises(ValueError):
@@ -608,7 +668,42 @@ class TestAbsoluteConvergenceReport:
         assert fast.prime_abs_last_decade_increase == slow.prime_abs_last_decade_increase
 
 
+class TestEngineConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("Q", 0), ("window", 1), ("window", 0), ("sample_a", ()), ("sample_a", (1, 0)), ("sample_a", (-2,))],
+    )
+    def test_degenerate_fields_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            EngineConfig().replace(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            EngineConfig.from_dict({field: list(value) if isinstance(value, tuple) else value})
+
+
 class TestZeroCloudVerdict:
+    def test_each_distinct_series_runs_once(self, monkeypatch):
+        # a and a / p0^k give one series over q coprime to p0, and the main
+        # classical series is the restricted series of its own radical.
+        counts = collections.Counter()
+        for name in ("expansion_partial_sums", "restricted_mobius_partial_sums"):
+            def counted(*args, _fn=getattr(expansion, name), _name=name, **kw):
+                counts[_name] += 1
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(expansion, name, counted)
+        cfg = EngineConfig()
+        for G, want in (
+            (catalog("indicator_prime_powers", p0=2), {"expansion_partial_sums": 25}),
+            (catalog("GR"), {"restricted_mobius_partial_sums": 31}),
+            (catalog("GH"), {"restricted_mobius_partial_sums": 31}),
+        ):
+            counts.clear()
+            verdict = zero_cloud_verdict(G, cfg)
+            assert verdict.conclusion == "in_zero_cloud"
+            assert counts == want, G.label
+
     def test_classical_members(self):
         for name, expected in (("GR", "normal"), ("GH", "sporadic")):
             verdict = zero_cloud_verdict(catalog(name), FAST_CFG)

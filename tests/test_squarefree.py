@@ -184,6 +184,12 @@ class TestBalancedSeries:
         with pytest.raises(ValueError):
             balanced_series_demo(0.6, 1000, checkpoints=checkpoints)
 
+    def test_rejects_a_single_checkpoint(self):
+        # One point has no spread: the diverging odd series would read as
+        # converging to its one value.
+        with pytest.raises(ValueError, match="at least 2 checkpoints"):
+            balanced_series_demo(0.6, 1000, checkpoints=[1000])
+
     @pytest.mark.parametrize("window_ys", [[5000], [0], [100, 1001]])
     def test_rejects_windows_outside_range(self, window_ys):
         with pytest.raises(ValueError, match="window_ys"):
