@@ -155,6 +155,8 @@ def phi_table(limit: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def squarefree_table(limit: int) -> np.ndarray:
     """Boolean mask of squarefree n for n = 0..limit (index 0 False)."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     if limit > SIEVE_BUDGET:
         raise ResourceLimitError(f"squarefree table of size {limit} exceeds budget")
     sf = np.ones(limit + 1, dtype=bool)

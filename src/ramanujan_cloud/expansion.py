@@ -9,6 +9,10 @@ Exact rules up to ``EXACT_LIMIT`` (denominators explode beyond that) run in
 exact-rational mode over the scalar weights, an oracle independent of the
 numpy tables; otherwise the floating mode multiplies the value and weight
 tables and accumulates checkpoint segments with Neumaier compensation.
+Signed floating expansions skip the weight table: ``_kluyver_sums`` writes
+them as sum over d | a of d T_d(x // d), where T_d sums G(dm) mu(m) and is
+shared by every a with the divisor d.  ``c_table`` weights only the
+absolute expansion, where |sum| is not sum |.|.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -257,6 +261,36 @@ def _coprime_part(a: int, b: int) -> int:
     return a
 
 
+def _kluyver_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
+    """Floating sum_{q <= x, (q, b) = 1} G(q) c_q(a) at each checkpoint x,
+    for a coprime to b.
+
+    Kluyver's c_q(a) = sum over d | (q, a) of d mu(q/d) gives
+    S(x) = sum over d | a of d T_d(x // d), with
+    T_d(y) = sum_{m <= y, (m, b) = 1} G(dm) mu(m): the terms
+    ``V[::d] * mu`` (exact, mu is -1, 0 or 1) indexed by m, struck on m and
+    Neumaier-summed at the points x // d.  T_d does not depend on a, so its
+    checkpoint vector is memoized on G for every a of the same (Q, b, cps).
+    The d T_d are added in ascending d.
+    """
+    memo = getattr(G, "_memo", None)
+    cps_key = tuple(cps)
+    totals = [0.0] * len(cps)
+    for d in divisors(a):
+        if d > Q:
+            break
+        key = ("kluyver", Q, b, d, cps_key)
+        T = memo.get(key) if memo is not None else None
+        if T is None:
+            u = _value_table(G, Q)[::d] * mobius_table(Q)[: Q // d + 1]
+            _strike_non_coprime(u, b)
+            T = tuple(_neumaier_segments(u, [x // d for x in cps]))
+            if memo is not None:
+                memo[key] = T
+        totals = [s + d * t for s, t in zip(totals, T)]
+    return totals
+
+
 def expansion_partial_sums(
     G,
     a: int,
@@ -270,9 +304,11 @@ def expansion_partial_sums(
     """Partial sums of sum_{q <= x} G(q) c_q(a) at the given checkpoints.
 
     ``coprime_to`` restricts the sum to q coprime to it; ``absolute`` sums
-    |G(q) c_q(a)| instead.  Exact mode takes c_q(a) from the closed form
-    ``c_holder``, floating mode from ``c_table``; both at the part of a
-    coprime to ``coprime_to``, which has the same c_q on every q summed.
+    |G(q) c_q(a)| instead.  Every mode works at the part of a coprime to
+    ``coprime_to``, which has the same c_q on every q summed.  Exact mode
+    takes c_q(a) from the closed form ``c_holder``; the signed floating sum
+    is the Kluyver recombination of ``_kluyver_sums``; the absolute floating
+    sum weights the value table by ``c_table``.
     """
     if a < 1 or Q < 1 or coprime_to < 1:
         raise ValueError("a, Q and coprime_to must be >= 1")
@@ -280,8 +316,11 @@ def expansion_partial_sums(
     cop = f", q coprime to {coprime_to}" if coprime_to > 1 else ""
     desc = f"sum over q <= x of {what}, G = {G.label}{cop}"
     a = _coprime_part(a, coprime_to)
+    cps = _validate_checkpoints(checkpoints, Q)
+    if not absolute and not _use_exact(G, Q, exact):
+        return PartialSumSeries(desc, tuple(zip(cps, _kluyver_sums(G, a, Q, cps, coprime_to))), "floating")
     weights = lambda ns: map(c_holder, ns, repeat(a))  # one call per segment, not per term
-    return _series(G, Q, checkpoints, desc, weights, lambda n: c_table(a, n), coprime_to, absolute, exact)
+    return _series(G, Q, cps, desc, weights, lambda n: c_table(a, n), coprime_to, absolute, exact)
 
 
 def restricted_mobius_partial_sums(

@@ -5,9 +5,11 @@ formula: O(log) work after factorization, exact integer arithmetic.
 ``c_direct`` (root-of-unity sum, floating) and ``c_kluyver`` (divisor sum
 over gcd(q, a)) remain the independent scalar checkers.
 
-``c_table``, the kernel of the big summation loops, is the vectorized
-divisor-sieve (Kluyver) form over the shared Mobius table; the tests check
-it against ``c_holder``.
+``c_table`` is the vectorized divisor-sieve (Kluyver) form over the shared
+Mobius table, a public table that the tests check against ``c_holder``.
+Among the big summation loops only the absolute expansion reads it: signed
+floating expansions apply the same divisor sum to G instead, one strided
+series T_d per divisor (see ``expansion._kluyver_sums``).
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ def c_table(a: int, Q: int) -> np.ndarray:
 
     Divisor sieve c_q(a) = sum over d | gcd(q, a) of mu(q/d) * d: each
     divisor d <= Q of a adds d * mu(k) at q = d*k, so the cost is
-    sum over d | a of Q/d strided adds.  This is the kernel the
-    million-term expansion loops consume.
+    sum over d | a of Q/d strided adds.  The absolute floating
+    expansion weights its terms with it.
     """
     if a < 1 or Q < 1:
         raise ValueError("a and Q must be >= 1")

@@ -208,7 +208,7 @@ class TestTables:
         assert tab.dtype == np.int64 and len(tab) == limit + 1 and tab[0] == 0
         assert tab[1:].tolist() == [euler_phi(n) for n in range(1, limit + 1)]
 
-    @pytest.mark.parametrize("table", [mobius_table, phi_table])
+    @pytest.mark.parametrize("table", [mobius_table, phi_table, squarefree_table])
     def test_negative_limit_is_rejected(self, table):
         with pytest.raises(ValueError, match="limit must be >= 0"):
             table(-1)
