@@ -2,17 +2,16 @@
 finite/cofinite factorizations, and convergence diagnostics.
 
 Every series here is a ``PartialSumSeries``: checkpointed partial sums of
-G(n) w(n), optionally over n coprime to a modulus or in absolute value.  One
-kernel, ``_series``, computes them; the weight w is c_n(a) for
-``expansion_partial_sums`` and mu(n) for ``restricted_mobius_partial_sums``.
-Exact rules up to ``EXACT_LIMIT`` (denominators explode beyond that) run in
-exact-rational mode over the scalar weights, an oracle independent of the
-numpy tables; otherwise the floating mode multiplies the value and weight
-tables and accumulates checkpoint segments with Neumaier compensation.
-Signed floating expansions skip the weight table: ``_kluyver_sums`` writes
+G(n) c_n(a), optionally over n coprime to a modulus or in absolute value.
+One kernel, ``_series``, computes them.  The restricted Mobius series is the
+expansion at a = 1, since c_n(1) = mu(n) (Ramanujan 1918).  Exact rules up
+to ``EXACT_LIMIT`` (denominators explode beyond that) run in exact-rational
+mode over the scalar ``c_holder``, an oracle independent of the numpy
+tables.  Signed floating series go through ``_kluyver_sums``, which writes
 them as sum over d | a of d T_d(x // d), where T_d sums G(dm) mu(m) and is
-shared by every a with the divisor d.  ``c_table`` weights only the
-absolute expansion, where |sum| is not sum |.|.
+shared by every a with the divisor d.  The absolute floating series weights
+the value table by ``c_table``, since |sum| is not sum |.|.  Both floating
+paths accumulate checkpoint segments with Neumaier compensation.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import core as _core
 from .config import EngineConfig
-from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes, squarefree_table
+from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius_table, multiplicative_sieve, radical, sieve_primes, squarefree_table
 from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
@@ -218,25 +217,25 @@ def _strike_non_coprime(terms: np.ndarray, b: int) -> None:
         terms[::p] = 0
 
 
-def _series(G, Q: int, checkpoints, desc: str, weights, weight_table, coprime_to: int, absolute: bool, exact) -> PartialSumSeries:
-    """Partial sums of G(n) w(n), or |G(n) w(n)|, over n <= x coprime to ``coprime_to``.
+def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) -> PartialSumSeries:
+    """Partial sums of G(q) c_q(a), or |G(q) c_q(a)|, over q <= x coprime to b.
 
-    Exact mode loops over the checkpoint segments with ``weights(ns)``, the
-    scalar w(n) for the n of one segment; it never reads ``weight_table``, so
-    the Fraction oracle stays independent of the tables it checks.  Floating
-    mode sums ``_value_table(G, Q) * weight_table(Q)`` with the non-coprime n
-    struck out.
+    ``a`` must already be coprime to ``b`` (the Kluyver sum needs it).  Exact
+    mode calls the scalar ``c_holder`` and never reads a table, so the
+    Fraction oracle stays independent of the tables it checks.  The signed
+    floating sum is ``_kluyver_sums``; the absolute one weights the value
+    table by ``c_table``.
     """
-    cps = _validate_checkpoints(checkpoints, Q)
+    cps = _validate_checkpoints(cps, Q)
     if _use_exact(G, Q, exact):
         sums = []
         total: Number = 0
         lo = 1
         for x in cps:
             ns = range(lo, x + 1)
-            if coprime_to > 1:
-                ns = [n for n in ns if gcd(n, coprime_to) == 1]
-            for n, w in zip(ns, weights(ns)):
+            if b > 1:
+                ns = [n for n in ns if gcd(n, b) == 1]
+            for n, w in zip(ns, map(c_holder, ns, repeat(a))):
                 if w:
                     term = G.eval(n) * w
                     total = total + (abs(term) if absolute else term)
@@ -244,11 +243,12 @@ def _series(G, Q: int, checkpoints, desc: str, weights, weight_table, coprime_to
             lo = x + 1
         return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
 
-    terms = _value_table(G, Q) * weight_table(Q)
-    _strike_non_coprime(terms, coprime_to)
     if absolute:
-        terms = np.abs(terms)
-    sums = _neumaier_segments(terms, cps)
+        terms = np.abs(_value_table(G, Q) * c_table(a, Q))
+        _strike_non_coprime(terms, b)
+        sums = _neumaier_segments(terms, cps)
+    else:
+        sums = _kluyver_sums(G, a, Q, cps, b)
     return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
 
 
@@ -270,8 +270,9 @@ def _kluyver_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
     T_d(y) = sum_{m <= y, (m, b) = 1} G(dm) mu(m): the terms
     ``V[::d] * mu`` (exact, mu is -1, 0 or 1) indexed by m, struck on m and
     Neumaier-summed at the points x // d.  T_d does not depend on a, so its
-    checkpoint vector is memoized on G for every a of the same (Q, b, cps).
-    The d T_d are added in ascending d.
+    checkpoint vector is memoized on G for every a of the same (Q, b, cps);
+    b is a radical.  a = 1 gives T_1, the restricted Mobius series.  The
+    d T_d are added in ascending d.
     """
     memo = getattr(G, "_memo", None)
     cps_key = tuple(cps)
@@ -305,22 +306,16 @@ def expansion_partial_sums(
 
     ``coprime_to`` restricts the sum to q coprime to it; ``absolute`` sums
     |G(q) c_q(a)| instead.  Every mode works at the part of a coprime to
-    ``coprime_to``, which has the same c_q on every q summed.  Exact mode
-    takes c_q(a) from the closed form ``c_holder``; the signed floating sum
-    is the Kluyver recombination of ``_kluyver_sums``; the absolute floating
-    sum weights the value table by ``c_table``.
+    ``coprime_to``, which has the same c_q on every q summed; ``_series``
+    says how each mode sums.
     """
     if a < 1 or Q < 1 or coprime_to < 1:
         raise ValueError("a, Q and coprime_to must be >= 1")
     what = f"|G(q) c_q({a})|" if absolute else f"G(q) c_q({a})"
     cop = f", q coprime to {coprime_to}" if coprime_to > 1 else ""
     desc = f"sum over q <= x of {what}, G = {G.label}{cop}"
-    a = _coprime_part(a, coprime_to)
-    cps = _validate_checkpoints(checkpoints, Q)
-    if not absolute and not _use_exact(G, Q, exact):
-        return PartialSumSeries(desc, tuple(zip(cps, _kluyver_sums(G, a, Q, cps, coprime_to))), "floating")
-    weights = lambda ns: map(c_holder, ns, repeat(a))  # one call per segment, not per term
-    return _series(G, Q, cps, desc, weights, lambda n: c_table(a, n), coprime_to, absolute, exact)
+    rad = radical(coprime_to)
+    return _series(G, _coprime_part(a, rad), Q, checkpoints, desc, rad, absolute, exact)
 
 
 def restricted_mobius_partial_sums(
@@ -332,7 +327,8 @@ def restricted_mobius_partial_sums(
     absolute: bool = False,
     exact: Optional[bool] = None,
 ) -> PartialSumSeries:
-    """Partial sums of sum_{r <= t, (r, b) = 1} G(r) mu(r).
+    """Partial sums of sum_{r <= t, (r, b) = 1} G(r) mu(r): the expansion at
+    a = 1, since c_r(1) = mu(r).
 
     Only the radical of b matters, so b and radical(b) give identical series
     checkpoint by checkpoint.
@@ -342,7 +338,7 @@ def restricted_mobius_partial_sums(
     rad = radical(b)
     what = "|G(r) mu(r)|" if absolute else "G(r) mu(r)"
     desc = f"sum over r <= t, (r, {rad}) = 1 of {what}, G = {G.label}"
-    return _series(G, x, checkpoints, desc, lambda ns: map(mobius, ns), mobius_table, rad, absolute, exact)
+    return _series(G, 1, x, checkpoints, desc, rad, absolute, exact)
 
 
 def finite_factor(G, a: int) -> Number:

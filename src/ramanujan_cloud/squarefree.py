@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import factorize, squarefree_table
-from .expansion import ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, detect_convergence
+from .expansion import _DEFAULTS, ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, detect_convergence
 
 Scalar = Union[float, complex]
 
@@ -155,7 +155,7 @@ def balanced_series_demo(
     odd = PartialSumSeries(f"sum over odd q <= x of h(q), s = {s}", tuple(zip(cps, _neumaier_segments(vals, cps))), "floating")
     window_sums = tuple((int(y), float(abs(cum[min(2 * y, x_max)] - cum[y]))) for y in window_ys)
     shrink = all(w <= window_threshold for _, w in window_sums)
-    odd_verdict = detect_convergence(odd, window=min(32, len(cps)), tol=window_threshold)
+    odd_verdict = detect_convergence(odd, window=min(_DEFAULTS.window, len(cps)), tol=window_threshold)
     return BalancedSeriesDemo(
         s=s,
         full=full,

@@ -7,9 +7,9 @@ over gcd(q, a)) remain the independent scalar checkers.
 
 ``c_table`` is the vectorized divisor-sieve (Kluyver) form over the shared
 Mobius table, a public table that the tests check against ``c_holder``.
-Among the big summation loops only the absolute expansion reads it: signed
-floating expansions apply the same divisor sum to G instead, one strided
-series T_d per divisor (see ``expansion._kluyver_sums``).
+Among the big summation loops only absolute series read it (a restricted
+Mobius series is the expansion at a = 1); signed floating series apply the
+divisor sum to G instead, one strided T_d per divisor (``_kluyver_sums``).
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Acceptance battery: every headline requirement at its pinned tolerance.
 
-Each test drives one check from ramanujan_cloud.reproduce (the same code
-behind `reproduce-all`) and prints a PASS/FAIL line; run with `pytest -s`
-to see them.  The final test executes the full driver end to end and
-inspects its artifacts.
+The module runs the full `reproduce-all` driver once; each test then reads
+the artifact of its own check and prints the driver's PASS/FAIL line for it
+(run with `pytest -s` to see them).  A check with a time budget folds
+elapsed < budget into its artifact's ``pass``.
 """
 
 import json
+
+import pytest
 
 from ramanujan_cloud.config import EngineConfig
 from ramanujan_cloud import reproduce
@@ -14,39 +16,50 @@ from ramanujan_cloud import reproduce
 CFG = EngineConfig()
 
 
-def report(result: dict, detail: str = "") -> None:
-    status = "PASS" if result["pass"] else "FAIL"
-    elapsed = result.get("elapsed_s", 0.0)
-    suffix = f"  [{detail}]" if detail else ""
-    print(f"{status}  {result['name']}  ({elapsed:.1f}s){suffix}")
+@pytest.fixture(scope="module")
+def battery(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    lines = []
+    code = reproduce.run_all(out, CFG, echo=lines.append)
+    return code, out, lines
 
 
-def test_01_formula_agreement_on_full_grid():
-    result = reproduce.check_formula_agreement(CFG)
-    report(result, f"{result['triples_checked']} triples, exact equality, < {result['time_budget_s']}s")
+def artifact(battery, number: int) -> tuple[dict, str]:
+    """Artifact ``number`` (1-based) of the battery and the driver's line for it."""
+    _, out, lines = battery
+    slug = reproduce.CHECKS[number - 1][0]
+    line = next(line for line in lines if line.split()[1] == slug)
+    return json.loads((out / f"{number:02d}_{slug}.json").read_text()), line
+
+
+def report(line: str, detail: str = "") -> None:
+    print(f"{line}  [{detail}]" if detail else line)
+
+
+def test_01_formula_agreement_on_full_grid(battery):
+    result, line = artifact(battery, 1)
+    report(line, f"{result['triples_checked']} triples, exact equality, < {result['time_budget_s']}s")
     assert result["mismatches"] == []
-    assert result["elapsed_s"] < result["time_budget_s"]
     assert result["pass"]
 
 
-def test_02_prime_power_columns_cancel_exactly():
-    result = reproduce.check_column_cancellation(CFG)
-    report(result, "p <= 50, a <= 200, exact zeros")
+def test_02_prime_power_columns_cancel_exactly(battery):
+    result, line = artifact(battery, 2)
+    report(line, "p <= 50, a <= 200, exact zeros")
     assert result["failures"] == []
     assert result["pass"]
 
 
-def test_03_exotic_expansions_vanish_exactly():
-    result = reproduce.check_exotic_exact_zero(CFG)
-    report(result, "p0 in {2,3,5}, a <= 1000, exact zero at Q = p0^(v+1)")
+def test_03_exotic_expansions_vanish_exactly(battery):
+    result, line = artifact(battery, 3)
+    report(line, "p0 in {2,3,5}, a <= 1000, exact zero at Q = p0^(v+1)")
     assert result["failures"] == []
-    assert result["elapsed_s"] < result["time_budget_s"]
     assert result["pass"]
 
 
-def test_04_classification_fixtures_exact():
-    result = reproduce.check_classification_fixtures(CFG)
-    report(result, "GR normal, GH sporadic F={2} PG=2 aG=2, G2 exotic F0={2}")
+def test_04_classification_fixtures_exact(battery):
+    result, line = artifact(battery, 4)
+    report(line, "GR normal, GH sporadic F={2} PG=2 aG=2, G2 exotic F0={2}")
     assert result["reports"]["GR"]["classification"] == "normal"
     assert result["reports"]["GH"]["classification"] == "sporadic"
     assert result["reports"]["GH"]["PG"] == 2
@@ -55,60 +68,58 @@ def test_04_classification_fixtures_exact():
     assert result["pass"]
 
 
-def test_05_peel_identities_exhaustive():
-    result = reproduce.check_peel_identities(CFG)
-    report(result, f"{result['identities_checked']} identities, exact, < {result['time_budget_s']}s")
+def test_05_peel_identities_exhaustive(battery):
+    result, line = artifact(battery, 5)
+    report(line, f"{result['identities_checked']} identities, exact, < {result['time_budget_s']}s")
     assert result["failures"] == []
-    assert result["elapsed_s"] < result["time_budget_s"]
     assert result["pass"]
 
 
-def test_06_abel_summed_forms_agree_on_random_rules():
-    result = reproduce.check_abel_forms(CFG)
-    report(result, "500 randomized exact rational rules, a <= 500")
+def test_06_abel_summed_forms_agree_on_random_rules(battery):
+    result, line = artifact(battery, 6)
+    report(line, "500 randomized exact rational rules, a <= 500")
     assert result["trials"] == 500
     assert result["failures"] == []
     assert result["pass"]
 
 
-def test_07_absolute_series_factorization_within_tail():
-    result = reproduce.check_absolute_split(CFG)
-    report(result, "finite factor x cofactor vs direct, a <= 100, Q = 10^4")
+def test_07_absolute_series_factorization_within_tail(battery):
+    result, line = artifact(battery, 7)
+    report(line, "finite factor x cofactor vs direct, a <= 100, Q = 10^4")
     assert result["failures"] == []
     assert result["pass"]
 
 
-def test_08_classical_expansions_converge_to_zero():
-    result = reproduce.check_pointwise_zero(CFG)
+def test_08_classical_expansions_converge_to_zero(battery):
+    result, line = artifact(battery, 8)
     worst = max(row["window_spread"] for row in result["rows"])
-    report(result, f"Q = 10^6, tol 0.02, worst window spread {worst:.4f}")
+    report(line, f"Q = 10^6, tol 0.02, worst window spread {worst:.4f}")
     assert all(row["outcome"] == "converges_to" for row in result["rows"])
     assert worst <= 0.02
     assert result["pass"]
 
 
-def test_09_prime_abs_sums_keep_growing():
-    result = reproduce.check_slow_divergence(CFG)
-    report(result, "last-decade increase > 0.05 at 10^6 for GR, GH, G0")
+def test_09_prime_abs_sums_keep_growing(battery):
+    result, line = artifact(battery, 9)
+    report(line, "last-decade increase > 0.05 at 10^6 for GR, GH, G0")
     for row in result["rows"]:
         assert row["last_decade_increase"] > 0.05
         assert row["prime_abs_verdict"] == "diverging"
     assert result["pass"]
 
 
-def test_10_squarefree_densities_within_one_percent():
-    result = reproduce.check_squarefree_densities(CFG)
+def test_10_squarefree_densities_within_one_percent(battery):
+    result, line = artifact(battery, 10)
     worst = max(row["rel_error"] for row in result["rows"])
-    report(result, f"x = 10^6, worst relative error {worst:.2e}")
+    report(line, f"x = 10^6, worst relative error {worst:.2e}")
     assert all(row["rel_error"] < 0.01 for row in result["rows"])
-    assert result["elapsed_s"] < result["time_budget_s"]
     assert result["pass"]
 
 
-def test_11_balanced_counterexample_behaviors():
-    result = reproduce.check_balanced_counterexample(CFG)
+def test_11_balanced_counterexample_behaviors(battery):
+    result, line = artifact(battery, 11)
     report(
-        result,
+        line,
         f"windows < 0.05 for y >= 1e5; odd final {result['odd_final']:.1f} > 10; "
         f"exponent {result['odd_growth_exponent']:.3f} in 0.4 +- 0.1",
     )
@@ -118,23 +129,18 @@ def test_11_balanced_counterexample_behaviors():
     assert result["pass"]
 
 
-def test_12_reproduce_all_zero_cloud_verdicts(tmp_path):
-    # Runs the full driver end to end: every artifact must pass, and the
-    # membership battery must put all five entries in the zero cloud with
-    # every hypothesis check recorded as passed.
-    lines = []
-    code = reproduce.run_all(tmp_path, CFG, echo=lines.append)
-    print()
-    for line in lines:
-        print("   ", line)
+def test_12_reproduce_all_zero_cloud_verdicts(battery):
+    # The full driver: every artifact must pass, and the membership battery
+    # must put all five entries in the zero cloud with every hypothesis
+    # check recorded as passed.
+    code, out, _ = battery
     assert code == 0
-    artifacts = sorted(p.name for p in tmp_path.glob("*.json"))
+    artifacts = sorted(p.name for p in out.glob("*.json"))
     assert len(artifacts) == len(reproduce.CHECKS)
 
-    battery = json.loads((tmp_path / "12_zero_cloud_battery.json").read_text())
-    result = {"name": "zero_cloud_battery", "pass": battery["pass"], "elapsed_s": 0.0}
-    report(result, "GR, GH, G2, G0, weakly exotic sample all in the zero cloud")
-    assert battery["pass"]
+    result, line = artifact(battery, 12)
+    report(line, "GR, GH, G2, G0, weakly exotic sample all in the zero cloud")
+    assert result["pass"]
     expected = {
         "GR": ("normal", "in_zero_cloud"),
         "GH": ("sporadic", "in_zero_cloud"),
@@ -142,7 +148,7 @@ def test_12_reproduce_all_zero_cloud_verdicts(tmp_path):
         "G0(p0=2)": ("exotic", "in_zero_cloud"),
         "weakly_exotic_sample(p0=2)": ("weakly_exotic", "in_zero_cloud"),
     }
-    seen = {v["label"]: (v["classification"], v["conclusion"]) for v in battery["verdicts"]}
+    seen = {v["label"]: (v["classification"], v["conclusion"]) for v in result["verdicts"]}
     assert seen == expected
-    for verdict in battery["verdicts"]:
+    for verdict in result["verdicts"]:
         assert all(status == "pass" for _, status in verdict["hypothesis_checks"])

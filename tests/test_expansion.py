@@ -10,7 +10,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 
 import numpy as np
@@ -45,7 +44,7 @@ import ramanujan_cloud.core as core
 import ramanujan_cloud.expansion as expansion
 import ramanujan_cloud.sums as sums
 from ramanujan_cloud import multiplicative
-from ramanujan_cloud.expansion import _coprime_part, _series, _strike_non_coprime, _value_table
+from ramanujan_cloud.expansion import _coprime_part, _neumaier_segments, _series, _strike_non_coprime, _value_table
 from ramanujan_cloud.core import divisors
 from ramanujan_cloud.multiplicative import is_weakly_exotic, spectrum, transparency_valuation
 from ramanujan_cloud.sums import c_holder, c_table
@@ -342,12 +341,12 @@ class TestCoprimePart:
 
     @staticmethod
     def same(s, t):
-        # Bit-identical checkpoints: raw float bytes, or == on exact values.
+        # Bit-identical checkpoints: raw float bytes, or == and type on exact values.
         if s.mode != t.mode or s.xs() != t.xs():
             return False
         if s.mode == "floating":
             return np.array(s.values()).tobytes() == np.array(t.values()).tobytes()
-        return s.values() == t.values()
+        return s.values() == t.values() and list(map(type, s.values())) == list(map(type, t.values()))
 
     # values = None draws the complex entry lemma7_h(s = 0.6 + 0.3i).
     @given(
@@ -364,22 +363,25 @@ class TestCoprimePart:
         G = catalog("lemma7_h", s=0.6 + 0.3j) if values is None else _random_exact_rule(values, seed)
         exact = exact and G.exact
         got = expansion_partial_sums(G, a, Q, coprime_to=b, absolute=absolute, exact=exact)
-        # The series weighted by c_q at the caller's own a.
-        at_a = _series(G, Q, None, "", lambda ns: map(c_holder, ns, repeat(a)), lambda n: c_table(a, n), b, absolute, exact)
         part = expansion_partial_sums(G, _coprime_part(a, b), Q, coprime_to=b, absolute=absolute, exact=exact)
         assert self.same(got, part)
         assert f"c_q({a})" in got.description
         if absolute or exact:
-            assert self.same(got, at_a)
+            # The exact and absolute kernels hold for any a: weight by c_q
+            # at the caller's own a.
+            assert self.same(got, _series(G, a, Q, None, "", b, absolute, exact))
             return
-        # Signed floating series sum T_d instead of the c_table-weighted
-        # terms; both lie within their bounds of the same exact value.
-        oracle = TestFloatingAgainstFractionOracle
+        # Signed floating series sum T_d, which needs a coprime to b; the
+        # c_table-weighted terms at the caller's own a lie within their
+        # bounds of the same exact value.
         xs = got.xs()
+        terms = _value_table(G, Q) * c_table(a, Q)
+        _strike_non_coprime(terms, b)
+        at_a = _neumaier_segments(terms, xs)
+        oracle = TestFloatingAgainstFractionOracle
         mass = _kluyver_mass(G, _coprime_part(a, b), b, Q, xs)
         bound = oracle.kluyver_bound(Q, _coprime_part(a, b)) + oracle.bound(Q)
-        assert at_a.xs() == xs
-        assert _within(got.values(), [(Fraction(complex(v).real), Fraction(complex(v).imag)) for v in at_a.values()], bound, mass)
+        assert _within(got.values(), [(Fraction(complex(v).real), Fraction(complex(v).imag)) for v in at_a], bound, mass)
 
 
 class TestCoprimeMask:
@@ -548,6 +550,37 @@ class TestRestrictedMobius:
         for G in (catalog("GR"), catalog("GH")):
             got = restricted_mobius_partial_sums(G, b, x, checkpoints=[x], exact=True).final
             assert got == oracle_restricted(G, b, x)
+
+    # values = None draws the complex entry lemma7_h(s = 0.6 + 0.3i), which
+    # has no exact mode.
+    @given(
+        st.one_of(st.none(), _RULE_VALUES),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=3000),
+        st.one_of(st.integers(min_value=1, max_value=420), st.sampled_from([4, 12, 36, 210, 360])),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_is_the_expansion_at_one(self, values, seed, x, b):
+        # c_r(1) = mu(r): the restricted series over (r, b) = 1 is the
+        # expansion at a = 1 over q coprime to b, bit for bit, in every mode.
+        G = catalog("lemma7_h", s=0.6 + 0.3j) if values is None else _random_exact_rule(values, seed)
+        for absolute in (False, True):
+            for exact in (False, True) if G.exact else (False,):
+                want = expansion_partial_sums(G, 1, x, coprime_to=b, absolute=absolute, exact=exact)
+                assert want.mode == ("exact-rational" if exact else "floating")
+                for bb in (b, radical(b)):
+                    got = restricted_mobius_partial_sums(G, bb, x, absolute=absolute, exact=exact)
+                    assert TestCoprimePart.same(got, want), (bb, absolute, exact)
+
+    def test_kluyver_memo_is_keyed_by_the_radical(self):
+        cps = tuple(checkpoint_schedule(1000))
+        keys = []
+        for b in (4, 2):
+            G = dataclasses.replace(catalog("GR"), _memo={})
+            expansion_partial_sums(G, 6, 1000, coprime_to=b, exact=False)
+            restricted_mobius_partial_sums(G, b, 1000, exact=False)
+            keys.append(sorted(k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver"))
+        assert keys[0] == keys[1] == [("kluyver", 1000, 2, d, cps) for d in (1, 3)]
 
 
 class TestFiniteFactors:
