@@ -11,7 +11,6 @@ from .core import (
     is_prime,
     mobius,
     mobius_table,
-    phi_table,
     radical,
     sieve_primes,
     squarefree_table,

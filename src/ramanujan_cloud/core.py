@@ -2,13 +2,12 @@
 
 Scalar functions work by trial division against a cached prime list and are
 memoized, which is plenty for moduli up to ~10^9.  The million-term summation
-loops elsewhere in the package go through the numpy table builders instead:
-only ``mobius_table`` and ``squarefree_table`` feed them now, while
-``phi_table`` stays available as a public table.  Tables are built once,
-marked read-only, and shared, so everything here is safe to call from
-concurrent workers.
+loops elsewhere in the package go through the numpy table builders instead,
+``mobius_table`` and ``squarefree_table``.  Tables are built once, marked
+read-only, and shared, so everything here is safe to call from concurrent
+workers.
 
-Tables of multiplicative functions (mu and phi here, G(q) in the expansion engine)
+Tables of multiplicative functions (mu here, G(q) in the expansion engine)
 come from one two-phase sieve, ``multiplicative_sieve``: one strided multiply
 per prime p <= isqrt(Q), then one gather per cofactor m < sqrt(Q) for all the
 primes above isqrt(Q) at once.  That is O(pi(sqrt Q) + sqrt Q) numpy calls
@@ -24,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-# Hard ceiling on table length; a full int64 phi table at this size is ~1.6 GB.
+# Hard ceiling on table length; a float64 value table at this size is ~1.6 GB.
 SIEVE_BUDGET = 200_000_000
 
 
@@ -135,21 +134,6 @@ def mobius_table(limit: int) -> np.ndarray:
     mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
     mu.setflags(write=False)
     return mu
-
-
-def _phi_powers(p: int, E: int) -> np.ndarray:
-    return (p - 1) * p ** np.arange(E, dtype=np.int64)
-
-
-@lru_cache(maxsize=4)
-def phi_table(limit: int) -> np.ndarray:
-    """phi(n) for n = 0..limit (phi[0] = 0), read-only int64 array.
-
-    Built by ``multiplicative_sieve`` from phi(p^e) = (p - 1) p^(e - 1).
-    """
-    phi = multiplicative_sieve(limit, _phi_powers, lambda P: P - 1, np.int64)
-    phi.setflags(write=False)
-    return phi
 
 
 @lru_cache(maxsize=4)

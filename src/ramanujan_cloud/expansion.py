@@ -565,12 +565,8 @@ def absolute_convergence_report(
         raise ValueError("bounds must be >= 1 (prime_bound >= 2)")
 
     primes = sieve_primes(prime_bound)
-    if G.at_primes is not None:
-        # |x| of a real float equals abs(complex(x)) exactly.
-        prime_vals = np.abs(checked_values(G.at_primes(primes), len(primes), f"{G.label}: at_primes(P)")).astype(np.float64)
-    else:
-        prime_vals = np.array([abs(complex(G.rule(int(p), 1))) for p in primes], dtype=np.float64)
-    cum = np.cumsum(prime_vals)
+    # The value table applies ``squarefree_cap``, which G.rule alone skips.
+    cum = np.cumsum(np.abs(_value_table(G, prime_bound)[primes]))
 
     def prime_sum_upto(bound: int) -> float:
         k = int(np.searchsorted(primes, bound, side="right"))

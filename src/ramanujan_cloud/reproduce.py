@@ -2,10 +2,10 @@
 one place.
 
 Each ``check_*`` function runs one self-contained verification at its pinned
-tolerance and returns a JSON-ready dict with a ``pass`` flag (wall-clock
-lives only in the returned ``elapsed_s``, never in written artifacts, so
-artifact bytes are deterministic for a fixed config and seed).  ``run_all``
-executes the battery and writes one artifact per check.
+tolerance and returns only its evidence, a JSON-ready dict with a ``pass``
+flag.  ``run_all`` names, times and budgets every check and writes one
+artifact per check; wall-clock is echoed, never written, so artifact bytes
+are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ def _absolutely_convergent_exotic_instances() -> list[MultiplicativeFunction]:
 
 def check_formula_agreement(cfg: EngineConfig) -> dict:
     """All three Ramanujan-sum formulas agree on 1 <= q, a <= 200."""
-    t0 = time.perf_counter()
     bound = 200
     mismatches = []
     for q in range(1, bound + 1):
@@ -76,21 +75,16 @@ def check_formula_agreement(cfg: EngineConfig) -> dict:
             d, k, h = c_direct(q, a), c_kluyver(q, a), c_holder(q, a)
             if not d == k == h:
                 mismatches.append({"q": q, "a": a, "direct": d, "kluyver": k, "holder": h})
-    elapsed = time.perf_counter() - t0
     return {
-        "name": "formula_agreement",
-        "pass": not mismatches and elapsed < 10.0,
+        "pass": not mismatches,
         "bound": bound,
         "triples_checked": bound * bound,
         "mismatches": mismatches[:10],
-        "time_budget_s": 10.0,
-        "elapsed_s": elapsed,
     }
 
 
 def check_column_cancellation(cfg: EngineConfig) -> dict:
     """sum_{K=0}^{v_p(a)+1} c_{p^K}(a) = 0 for all p <= 50, a <= 200."""
-    t0 = time.perf_counter()
     bad = [
         {"p": int(p), "a": a, "sum": prime_power_column_sum(int(p), a)}
         for p in sieve_primes(50)
@@ -98,18 +92,15 @@ def check_column_cancellation(cfg: EngineConfig) -> dict:
         if prime_power_column_sum(int(p), a) != 0
     ]
     return {
-        "name": "column_cancellation",
         "pass": not bad,
         "prime_bound": 50,
         "a_bound": 200,
         "failures": bad[:10],
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
 def check_exotic_exact_zero(cfg: EngineConfig) -> dict:
     """Indicator-of-prime-powers expansions hit 0 exactly at Q = p0^(v+1)."""
-    t0 = time.perf_counter()
     failures = []
     for p0 in (2, 3, 5):
         G = catalog("indicator_prime_powers", p0=p0)
@@ -118,22 +109,17 @@ def check_exotic_exact_zero(cfg: EngineConfig) -> dict:
             total = expansion_partial_sums(G, a, Q, checkpoints=[Q], exact=True).final
             if total != 0:
                 failures.append({"p0": p0, "a": a, "Q": Q, "sum": to_jsonable(total)})
-    elapsed = time.perf_counter() - t0
     return {
-        "name": "exotic_exact_zero",
-        "pass": not failures and elapsed < 5.0,
+        "pass": not failures,
         "p0_values": [2, 3, 5],
         "a_bound": 1000,
         "failures": failures[:10],
-        "time_budget_s": 5.0,
-        "elapsed_s": elapsed,
     }
 
 
 def check_classification_fixtures(cfg: EngineConfig) -> dict:
     """GR is normal; GH is sporadic with F = {2}, P(G) = 2, a_G = 2; the
     indicator of the powers of 2 is exotic with F0 = {2}."""
-    t0 = time.perf_counter()
     gr = spectrum(catalog("GR"), cfg.scan_bound, cfg.k_max)
     gh = spectrum(catalog("GH"), cfg.scan_bound, cfg.k_max)
     g2 = spectrum(catalog("indicator_prime_powers", p0=2), cfg.scan_bound, cfg.k_max)
@@ -151,14 +137,12 @@ def check_classification_fixtures(cfg: EngineConfig) -> dict:
         and g2.certified
     )
     return {
-        "name": "classification_fixtures",
         "pass": ok,
         "reports": {
             "GR": to_jsonable(gr),
             "GH": to_jsonable(gh),
             "indicator_prime_powers(p0=2)": to_jsonable(g2),
         },
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
@@ -166,7 +150,6 @@ def check_peel_identities(cfg: EngineConfig) -> dict:
     """One-prime peel of restricted Mobius series, exhaustively for every
     x <= 2000, F inside {2,3,5,7}, p1 <= 13 outside F, on each exact
     multiplicative catalog entry."""
-    t0 = time.perf_counter()
     x_max = 2000
     F_pool = (2, 3, 5, 7)
     p1_pool = (2, 3, 5, 7, 11, 13)
@@ -202,16 +185,12 @@ def check_peel_identities(cfg: EngineConfig) -> dict:
                                 {"G": G.label, "F": sorted(F), "p1": p1, "x": x}
                             )
                             break
-    elapsed = time.perf_counter() - t0
     return {
-        "name": "peel_identities",
-        "pass": not failures and elapsed < 60.0,
+        "pass": not failures,
         "x_max": x_max,
         "entries": [G.label for G in _exact_multiplicative_entries()],
         "identities_checked": checked,
         "failures": failures[:10],
-        "time_budget_s": 60.0,
-        "elapsed_s": elapsed,
     }
 
 
@@ -230,7 +209,6 @@ def _random_rule(rng: random.Random) -> MultiplicativeFunction:
 def check_abel_forms(cfg: EngineConfig) -> dict:
     """The truncated expansion factor equals its Abel-summed form on 500
     randomized exact rational rules with a <= 500."""
-    t0 = time.perf_counter()
     rng = random.Random(cfg.seed)
     failures = []
     for trial in range(500):
@@ -239,19 +217,16 @@ def check_abel_forms(cfg: EngineConfig) -> dict:
         if not finite_factor_forms_equal(G, a):
             failures.append({"trial": trial, "a": a})
     return {
-        "name": "abel_forms",
         "pass": not failures,
         "trials": 500,
         "seed": cfg.seed,
         "failures": failures[:10],
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
 def check_absolute_split(cfg: EngineConfig) -> dict:
     """Truncated absolute expansion matches finite factor times truncated
     cofactor within the computed tail bound, for a <= 100."""
-    t0 = time.perf_counter()
     Q = 10_000
     entries = [catalog("indicator_prime_powers", p0=2)] + _absolutely_convergent_exotic_instances()
     worst = {"G": None, "a": None, "excess": -math.inf}
@@ -274,21 +249,18 @@ def check_absolute_split(cfg: EngineConfig) -> dict:
                     }
                 )
     return {
-        "name": "absolute_split",
         "pass": not failures,
         "Q": Q,
         "entries": [G.label for G in entries],
         "a_bound": 100,
         "worst_excess": worst,
         "failures": failures[:10],
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
 def check_pointwise_zero(cfg: EngineConfig) -> dict:
     """The classical expansions of the zero function converge to 0 within
     0.02 over the final window at Q = 10^6, for a = 1..8."""
-    t0 = time.perf_counter()
     Q = 1_000_000
     tol = 0.02
     rows = []
@@ -309,19 +281,16 @@ def check_pointwise_zero(cfg: EngineConfig) -> dict:
             )
             ok = ok and verdict.outcome == "converges_to"
     return {
-        "name": "pointwise_zero",
         "pass": ok,
         "Q": Q,
         "tol": tol,
         "rows": rows,
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
 def check_slow_divergence(cfg: EngineConfig) -> dict:
     """|G(p)| summed over the primes keeps growing (by more than 0.05 over
     the last decade below 10^6) for GR, GH, and G0: no absolute convergence."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for G in (catalog("GR"), catalog("GH"), catalog("G0", p0=2)):
@@ -336,19 +305,16 @@ def check_slow_divergence(cfg: EngineConfig) -> dict:
         )
         ok = ok and rep.prime_abs_last_decade_increase > 0.05 and rep.prime_abs_verdict == "diverging"
     return {
-        "name": "slow_divergence",
         "pass": ok,
         "prime_bound": 1_000_000,
         "threshold": 0.05,
         "rows": rows,
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
 def check_squarefree_densities(cfg: EngineConfig) -> dict:
     """Squarefree counts in reduced classes at 10^6 sit within 1% of the
     density constants."""
-    t0 = time.perf_counter()
     x = 1_000_000
     rows = []
     ok = True
@@ -358,15 +324,11 @@ def check_squarefree_densities(cfg: EngineConfig) -> dict:
         rel = abs(count / x - c) / c
         rows.append({"m": m, "r": r, "count": count, "density": count / x, "c_m": c, "rel_error": rel})
         ok = ok and rel < 0.01
-    elapsed = time.perf_counter() - t0
     return {
-        "name": "squarefree_densities",
-        "pass": ok and elapsed < 30.0,
+        "pass": ok,
         "x": x,
         "rel_tol": 0.01,
         "rows": rows,
-        "time_budget_s": 30.0,
-        "elapsed_s": elapsed,
     }
 
 
@@ -374,7 +336,6 @@ def check_balanced_counterexample(cfg: EngineConfig) -> dict:
     """At s = 0.6 the balanced squarefree series passes Cauchy windows below
     0.05 from y = 10^5 on, while its odd restriction exceeds 10 at 10^6 with
     fitted growth exponent 0.4 +- 0.1."""
-    t0 = time.perf_counter()
     demo = balanced_series_demo(0.6, 1_000_000, window_ys=(100_000, 150_000, 200_000, 300_000, 400_000, 500_000))
     odd_final = abs(complex(demo.odd.final))
     exponent = demo.odd_verdict.growth_exponent
@@ -386,7 +347,6 @@ def check_balanced_counterexample(cfg: EngineConfig) -> dict:
         and abs(exponent - 0.4) <= 0.1
     )
     return {
-        "name": "balanced_counterexample",
         "pass": ok,
         "s": 0.6,
         "x_max": 1_000_000,
@@ -394,7 +354,6 @@ def check_balanced_counterexample(cfg: EngineConfig) -> dict:
         "window_threshold": demo.window_threshold,
         "odd_final": odd_final,
         "odd_growth_exponent": exponent,
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
@@ -402,7 +361,6 @@ def check_zero_cloud_battery(cfg: EngineConfig) -> dict:
     """Membership verdicts: the classical pair, two invisible-prime entries,
     and a non-multiplicative sample all land in the zero cloud with every
     hypothesis check passing."""
-    t0 = time.perf_counter()
     entries = [
         ("GR", catalog("GR"), "normal"),
         ("GH", catalog("GH"), "sporadic"),
@@ -418,39 +376,45 @@ def check_zero_cloud_battery(cfg: EngineConfig) -> dict:
         rows.append(to_jsonable(verdict))
         ok = ok and verdict.conclusion == "in_zero_cloud" and verdict.classification == expected and all_pass
     return {
-        "name": "zero_cloud_battery",
         "pass": ok,
         "verdicts": rows,
-        "elapsed_s": time.perf_counter() - t0,
     }
 
 
+# (slug, check, time budget in seconds or None)
 CHECKS = (
-    ("formula_agreement", check_formula_agreement),
-    ("column_cancellation", check_column_cancellation),
-    ("exotic_exact_zero", check_exotic_exact_zero),
-    ("classification_fixtures", check_classification_fixtures),
-    ("peel_identities", check_peel_identities),
-    ("abel_forms", check_abel_forms),
-    ("absolute_split", check_absolute_split),
-    ("pointwise_zero", check_pointwise_zero),
-    ("slow_divergence", check_slow_divergence),
-    ("squarefree_densities", check_squarefree_densities),
-    ("balanced_counterexample", check_balanced_counterexample),
-    ("zero_cloud_battery", check_zero_cloud_battery),
+    ("formula_agreement", check_formula_agreement, 10.0),
+    ("column_cancellation", check_column_cancellation, None),
+    ("exotic_exact_zero", check_exotic_exact_zero, 5.0),
+    ("classification_fixtures", check_classification_fixtures, None),
+    ("peel_identities", check_peel_identities, 60.0),
+    ("abel_forms", check_abel_forms, None),
+    ("absolute_split", check_absolute_split, None),
+    ("pointwise_zero", check_pointwise_zero, None),
+    ("slow_divergence", check_slow_divergence, None),
+    ("squarefree_densities", check_squarefree_densities, 30.0),
+    ("balanced_counterexample", check_balanced_counterexample, None),
+    ("zero_cloud_battery", check_zero_cloud_battery, None),
 )
 
 
 def run_all(out_dir: str | Path, cfg: EngineConfig | None = None, echo=print) -> int:
     """Run the whole battery, write one JSON artifact per check into
-    ``out_dir``, and return 0 iff everything passed."""
+    ``out_dir``, and return 0 iff everything passed.
+
+    A budgeted check passes only if it also finishes within its budget,
+    which its artifact records as ``time_budget_s``."""
     cfg = cfg if cfg is not None else EngineConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_ok = True
-    for idx, (slug, fn) in enumerate(CHECKS, start=1):
-        result = fn(cfg)
-        elapsed = result.pop("elapsed_s", None)
+    for idx, (slug, fn, budget_s) in enumerate(CHECKS, start=1):
+        t0 = time.perf_counter()
+        result = {"name": slug, **fn(cfg)}
+        elapsed = time.perf_counter() - t0
+        if budget_s is not None:
+            result["time_budget_s"] = budget_s
+            result["pass"] = result["pass"] and elapsed < budget_s
         path = out / f"{idx:02d}_{slug}.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(to_jsonable(result), fh, indent=2, sort_keys=True)

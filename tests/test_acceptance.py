@@ -2,8 +2,8 @@
 
 The module runs the full `reproduce-all` driver once; each test then reads
 the artifact of its own check and prints the driver's PASS/FAIL line for it
-(run with `pytest -s` to see them).  A check with a time budget folds
-elapsed < budget into its artifact's ``pass``.
+(run with `pytest -s` to see them).  For a check with a time budget the
+driver folds elapsed < budget into its artifact's ``pass``.
 """
 
 import json

@@ -11,6 +11,7 @@ import pytest
 import ramanujan_cloud.core as core
 from ramanujan_cloud.cli import run
 from ramanujan_cloud.config import EngineConfig
+from ramanujan_cloud import reproduce
 from ramanujan_cloud.reproduce import check_abel_forms, check_column_cancellation
 from ramanujan_cloud._serialize import to_jsonable
 
@@ -230,7 +231,6 @@ class TestDeterminism:
         for fn in (check_column_cancellation, check_abel_forms):
             a = fn(cfg)
             b = fn(cfg)
-            a.pop("elapsed_s"), b.pop("elapsed_s")
             assert json.dumps(to_jsonable(a), sort_keys=True) == json.dumps(to_jsonable(b), sort_keys=True)
 
     def test_seed_changes_trials(self):
@@ -238,3 +238,31 @@ class TestDeterminism:
         b = check_abel_forms(EngineConfig(seed=1))
         assert a["pass"] and b["pass"]
         assert a["seed"] != b["seed"]
+
+
+class TestRunAll:
+    def test_driver_names_times_and_budgets_every_check(self, monkeypatch, tmp_path):
+        # A budget of 0 s cannot be met, so the first stub overruns it.
+        monkeypatch.setattr(
+            reproduce,
+            "CHECKS",
+            (
+                ("over_budget", lambda cfg: {"pass": True, "x": 1}, 0.0),
+                ("within_budget", lambda cfg: {"pass": True}, 60.0),
+                ("unbudgeted", lambda cfg: {"pass": True}, None),
+            ),
+        )
+        lines = []
+        assert reproduce.run_all(tmp_path, EngineConfig(), echo=lines.append) == 1
+        art = {
+            slug: json.loads((tmp_path / f"{i:02d}_{slug}.json").read_text())
+            for i, (slug, _, _) in enumerate(reproduce.CHECKS, start=1)
+        }
+        assert art["over_budget"] == {"name": "over_budget", "pass": False, "time_budget_s": 0.0, "x": 1}
+        assert art["within_budget"] == {"name": "within_budget", "pass": True, "time_budget_s": 60.0}
+        assert art["unbudgeted"] == {"name": "unbudgeted", "pass": True}
+        assert [line.split()[:2] for line in lines] == [
+            ["FAIL", "over_budget"],
+            ["PASS", "within_budget"],
+            ["PASS", "unbudgeted"],
+        ]

@@ -18,7 +18,6 @@ from ramanujan_cloud import (
     is_prime,
     mobius,
     mobius_table,
-    phi_table,
     radical,
     sieve_primes,
     squarefree_table,
@@ -179,11 +178,6 @@ class TestScalarFunctions:
 
 
 class TestTables:
-    def test_phi_table_matches_scalar(self):
-        tab = phi_table(2000)
-        assert all(tab[n] == euler_phi(n) for n in range(1, 2001))
-        assert tab[0] == 0
-
     def test_mobius_table_matches_scalar(self):
         tab = mobius_table(2000)
         assert all(tab[n] == mobius(n) for n in range(1, 2001))
@@ -201,14 +195,7 @@ class TestTables:
         assert tab.dtype == np.int8 and len(tab) == limit + 1 and tab[0] == 0
         assert tab[1:].tolist() == [mobius(n) for n in range(1, limit + 1)]
 
-    @given(st.one_of(st.sampled_from([0, 1, 2, 3, 4]), _SPLIT_EDGES, st.integers(min_value=0, max_value=5000)))
-    @settings(max_examples=80, deadline=None)
-    def test_phi_table_property(self, limit):
-        tab = phi_table(limit)
-        assert tab.dtype == np.int64 and len(tab) == limit + 1 and tab[0] == 0
-        assert tab[1:].tolist() == [euler_phi(n) for n in range(1, limit + 1)]
-
-    @pytest.mark.parametrize("table", [mobius_table, phi_table, squarefree_table])
+    @pytest.mark.parametrize("table", [mobius_table, squarefree_table])
     def test_negative_limit_is_rejected(self, table):
         with pytest.raises(ValueError, match="limit must be >= 0"):
             table(-1)
@@ -225,13 +212,13 @@ class TestTables:
         assert all(bool(tab[n]) == (mobius(n) != 0) for n in range(1, 2001))
 
     def test_tables_are_frozen(self):
-        tab = phi_table(100)
+        tab = mobius_table(100)
         with pytest.raises(ValueError):
             tab[3] = 99
 
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError):
-            phi_table(core.SIEVE_BUDGET + 1)
+            mobius_table(core.SIEVE_BUDGET + 1)
 
     def test_sieve_checks_budget_before_allocating(self, monkeypatch):
         monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)

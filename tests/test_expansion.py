@@ -805,6 +805,15 @@ class TestAbsoluteConvergenceReport:
         assert fast.prime_abs_series == slow.prime_abs_series
         assert fast.prime_abs_last_decade_increase == slow.prime_abs_last_decade_increase
 
+    @pytest.mark.parametrize("cap", [0.5, 1.2])
+    def test_prime_series_honours_the_squarefree_cap(self, cap):
+        # Below its default cap of 10, prop1's clamp |G(p)| <= cap/p binds on
+        # the small primes; the uncapped sum at 1000 is 2.650.
+        G = catalog("prop1", cap=cap)
+        rep = absolute_convergence_report(G, 1000, 1, 100)
+        exact = math.fsum(abs(G.eval(int(p))) for p in sieve_primes(1000))
+        assert abs(rep.prime_abs_series.final - exact) <= 8 * math.ulp(exact)
+
 
 class TestEngineConfigValidation:
     @pytest.mark.parametrize(

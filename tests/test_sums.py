@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramanujan_cloud import core
 from ramanujan_cloud import (
     c_direct,
     c_holder,
@@ -164,9 +163,3 @@ class TestDivisorSieveTable:
         assert table.shape == (Q + 1,)
         assert table[0] == 0
         assert table[1:].tolist() == [c_holder(q, a) for q in range(1, Q + 1)]
-
-    def test_phi_table_stays_off_the_path(self):
-        before = core.phi_table.cache_info()
-        c_table(720720, 5000)
-        after = core.phi_table.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
