@@ -239,30 +239,50 @@ class TestDeterminism:
         assert a["pass"] and b["pass"]
         assert a["seed"] != b["seed"]
 
+    @pytest.mark.parametrize("fn", [check_column_cancellation, check_abel_forms])
+    def test_checks_return_only_their_evidence(self, fn):
+        # Naming, timing and budgets belong to the driver, not to the checks.
+        assert not {"name", "elapsed_s", "time_budget_s"} & fn(EngineConfig()).keys()
+
+
+# A budget of 0 s cannot be met, so the first stub overruns it.
+_STUB_CHECKS = (
+    ("over_budget", lambda cfg: {"pass": True, "x": 1}, 0.0),
+    ("within_budget", lambda cfg: {"pass": True}, 60.0),
+    ("unbudgeted", lambda cfg: {"pass": True}, None),
+)
+
 
 class TestRunAll:
-    def test_driver_names_times_and_budgets_every_check(self, monkeypatch, tmp_path):
-        # A budget of 0 s cannot be met, so the first stub overruns it.
-        monkeypatch.setattr(
-            reproduce,
-            "CHECKS",
-            (
-                ("over_budget", lambda cfg: {"pass": True, "x": 1}, 0.0),
-                ("within_budget", lambda cfg: {"pass": True}, 60.0),
-                ("unbudgeted", lambda cfg: {"pass": True}, None),
-            ),
-        )
+    @pytest.fixture
+    def stub_run(self, monkeypatch, tmp_path):
+        """Run the driver over the stub checks: (exit code, artifacts by slug, echo lines)."""
+        monkeypatch.setattr(reproduce, "CHECKS", _STUB_CHECKS)
         lines = []
-        assert reproduce.run_all(tmp_path, EngineConfig(), echo=lines.append) == 1
+        code = reproduce.run_all(tmp_path, EngineConfig(), echo=lines.append)
         art = {
             slug: json.loads((tmp_path / f"{i:02d}_{slug}.json").read_text())
-            for i, (slug, _, _) in enumerate(reproduce.CHECKS, start=1)
+            for i, (slug, _, _) in enumerate(_STUB_CHECKS, start=1)
         }
+        return code, art, lines
+
+    def test_over_budget_check_fails_the_run(self, stub_run):
+        code, art, lines = stub_run
+        assert code == 1
         assert art["over_budget"] == {"name": "over_budget", "pass": False, "time_budget_s": 0.0, "x": 1}
         assert art["within_budget"] == {"name": "within_budget", "pass": True, "time_budget_s": 60.0}
-        assert art["unbudgeted"] == {"name": "unbudgeted", "pass": True}
         assert [line.split()[:2] for line in lines] == [
             ["FAIL", "over_budget"],
             ["PASS", "within_budget"],
             ["PASS", "unbudgeted"],
         ]
+
+    def test_unbudgeted_check_has_no_budget_key(self, stub_run):
+        _, art, _ = stub_run
+        assert art["unbudgeted"] == {"name": "unbudgeted", "pass": True}
+
+    def test_every_artifact_is_named_and_untimed(self, stub_run):
+        _, art, _ = stub_run
+        for slug, result in art.items():
+            assert result["name"] == slug
+            assert "elapsed_s" not in result
