@@ -45,7 +45,6 @@ from .multiplicative import (
 )
 from .squarefree import (
     balanced_series_demo,
-    balanced_values,
     count_squarefree_in_ap,
     hooley_constant,
     weighted_squarefree_sum,

@@ -26,7 +26,7 @@ from .expansion import (
     expansion_partial_sums,
     zero_cloud_verdict,
 )
-from .multiplicative import GeneralArithmeticFunction, catalog, catalog_names, spectrum
+from .multiplicative import catalog, catalog_names, spectrum
 from .reproduce import run_all
 from .squarefree import balanced_series_demo, count_squarefree_in_ap, hooley_constant
 from .sums import c_direct, c_holder, c_kluyver
@@ -177,10 +177,7 @@ def run(argv: list[str]) -> int:
 
         if args.command == "classify":
             cfg = _load_config(args)
-            G = _make_entry(args)
-            if isinstance(G, GeneralArithmeticFunction):
-                raise _CliError(f"{args.name} is not multiplicative; spectra are undefined")
-            _emit_json(spectrum(G, cfg.scan_bound, cfg.k_max, cfg.one_tol))
+            _emit_json(spectrum(_make_entry(args), cfg.scan_bound, cfg.k_max, cfg.one_tol))
             return 0
 
         if args.command == "expand":
@@ -199,11 +196,8 @@ def run(argv: list[str]) -> int:
 
         if args.command == "absconv":
             cfg = _load_config(args)
-            G = _make_entry(args)
-            if isinstance(G, GeneralArithmeticFunction):
-                raise _CliError(f"{args.name} is not multiplicative")
             _emit_json(absolute_convergence_report(
-                G, args.B, args.a, args.Q,
+                _make_entry(args), args.B, args.a, args.Q,
                 scan_bound=cfg.scan_bound, k_max=cfg.k_max, tol=cfg.one_tol,
                 slow_growth_tol=cfg.slow_growth_tol,
             ))

@@ -10,8 +10,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
+
+
+# Field kinds by annotation (a string under postponed evaluation), and the
+# lower bounds of the count fields; one point has no spread, so window >= 2.
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
+_MINIMA = {"scan_bound": 2, "k_max": 1, "Q": 1, "window": 2, "we_r_bound": 1, "we_k_bound": 1}
+
+
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,12 +50,15 @@ class EngineConfig:
     seed: int = 0                 # seed for randomized sweeps
 
     def __post_init__(self) -> None:
-        if self.Q < 1:
-            raise ValueError(f"Q must be >= 1, got {self.Q}")
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}: one point has no spread")
-        if not self.sample_a or min(self.sample_a) < 1:
-            raise ValueError(f"sample_a must be a nonempty set of a >= 1, got {self.sample_a}")
+        for f in dataclasses.fields(self):
+            if f.type in _KINDS and not _is_number(getattr(self, f.name), _KINDS[f.type][0]):
+                raise ValueError(f"{f.name} must be {_KINDS[f.type][1]}, got {getattr(self, f.name)!r}")
+        for name, least in _MINIMA.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        sample_ok = isinstance(self.sample_a, tuple) and self.sample_a and all(_is_number(a, numbers.Integral) and a >= 1 for a in self.sample_a)
+        if not sample_ok:
+            raise ValueError(f"sample_a must be a nonempty tuple of integers a >= 1, got {self.sample_a!r}")
 
     def replace(self, **kwargs) -> "EngineConfig":
         return dataclasses.replace(self, **kwargs)
@@ -60,9 +74,8 @@ class EngineConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "sample_a" in data:
-            data = dict(data)
-            data["sample_a"] = tuple(int(a) for a in data["sample_a"])
+        if isinstance(data.get("sample_a"), list):
+            data = {**data, "sample_a": tuple(data["sample_a"])}
         return cls(**data)
 
     @classmethod

@@ -189,14 +189,12 @@ def _value_table(G, Q: int) -> np.ndarray:
             np.float64,
         )
         if G.squarefree_cap is not None:
-            sf = squarefree_table(Q)
-            n = np.arange(Q + 1, dtype=np.float64)
-            n[0] = 1.0
-            mag = np.abs(vals)
+            # Only squarefree n are clamped; index 0 is not squarefree.
+            n = np.flatnonzero(squarefree_table(Q))
+            mag = np.abs(vals[n])
             bound = G.squarefree_cap / n
-            mask = sf & (mag > bound)
-            if mask.any():
-                vals[mask] *= bound[mask] / mag[mask]
+            over = mag > bound
+            vals[n[over]] *= bound[over] / mag[over]
     elif getattr(G, "table", None) is not None:
         vals = checked_values(G.table(Q), Q + 1, f"{G.label}: table(Q)")
     else:
@@ -563,6 +561,7 @@ def absolute_convergence_report(
 ) -> AbsoluteConvergenceReport:
     if prime_bound < 2 or a < 1 or Q < 1:
         raise ValueError("bounds must be >= 1 (prime_bound >= 2)")
+    rep = spectrum(G, scan_bound, k_max, tol)  # rejects a non-multiplicative G before any table
 
     primes = sieve_primes(prime_bound)
     # The value table applies ``squarefree_cap``, which G.rule alone skips.
@@ -600,7 +599,6 @@ def absolute_convergence_report(
         sum(t * (cofactor - float(cof_at.get(Q // d, 0.0))) for d, t in finite_terms.items())
     )
 
-    rep = spectrum(G, scan_bound, k_max, tol)
     if prime_verdict == "diverging":
         verdict = "negative"
     elif rep.certified:

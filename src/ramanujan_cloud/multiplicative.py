@@ -220,6 +220,8 @@ def spectrum(
     any disagreement raises (a catalog entry lying about its own spectra is a
     bug, not a report).
     """
+    if not isinstance(G, MultiplicativeFunction):
+        raise ValueError(f"{G.label} is not multiplicative; spectra are undefined")
     if scan_bound < 2:
         raise ValueError("scan_bound must be >= 2")
     declared = G.declared_transparent is not None

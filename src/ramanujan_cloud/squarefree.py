@@ -3,10 +3,10 @@ series built on their equidistribution.
 
 Squarefree q <= x in a reduced class r mod m have density c(m) (Hooley's
 theorem); in particular odd squarefree numbers outnumber even ones two to
-one.  The ``balanced_series_demo`` function exercises the multiplicative
-function h that exploits exactly this: q^(-s) on odd squarefree q and
--2 q^(-s) on even squarefree q, so the full series converges while its
-odd-only restriction grows like x^(1-s).
+one.  ``balanced_series_demo`` sums the ``lemma7_h`` catalog entry h that
+exploits exactly this: q^(-s) on odd squarefree q and -2 q^(-s) on even
+squarefree q, so the full series converges while its odd-only restriction
+grows like x^(1-s).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import factorize, squarefree_table
-from .expansion import _DEFAULTS, ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, detect_convergence
+from .expansion import _DEFAULTS, ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, _value_table, detect_convergence
+from .multiplicative import catalog
 
 Scalar = Union[float, complex]
 
@@ -71,6 +72,8 @@ def weighted_squarefree_sum(
     sigma = s.real if isinstance(s, complex) else float(s)
     if sigma <= 0.5:
         raise ValueError("need Re s > 1/2")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not coprime to m = {m}")
     if not 0 <= y <= x:
@@ -90,19 +93,6 @@ def weighted_squarefree_sum(
         computed = float(computed)
         predicted = float(predicted)
     return computed, predicted
-
-
-def balanced_values(s: Scalar, limit: int) -> np.ndarray:
-    """h(q) for q = 0..limit: mu^2(q) q^(-s), negated and doubled on even q."""
-    sf = squarefree_table(limit)
-    q = np.arange(limit + 1, dtype=np.int64)
-    q[0] = 1
-    vals = _power_neg_s(q, s)
-    vals = vals.astype(np.complex128) if isinstance(s, complex) else vals
-    vals[~sf] = 0
-    vals[2::4] *= -2  # even squarefree q are exactly 2 mod 4
-    vals[0] = 0
-    return vals
 
 
 @dataclass(frozen=True)
@@ -131,10 +121,8 @@ def balanced_series_demo(
     window_ys: Optional[Sequence[int]] = None,
     window_threshold: float = 0.05,
 ) -> BalancedSeriesDemo:
-    """Run the balanced squarefree series to x_max and report both behaviors."""
-    sigma = s.real if isinstance(s, complex) else float(s)
-    if not 0.5 < sigma < 1.0:
-        raise ValueError("need 1/2 < Re s < 1")
+    """Sum the ``lemma7_h`` entry's value table to x_max and report both behaviors."""
+    h = catalog("lemma7_h", s=s)
     cps = _validate_checkpoints(checkpoints, x_max)
     if len(cps) < 2:
         raise ValueError("need at least 2 checkpoints: the odd-series verdict measures a spread")
@@ -148,10 +136,11 @@ def balanced_series_demo(
         raise ValueError(f"window_ys must lie within [1, {x_max}]")
     # One compensated pass per series gives the checkpoints and the window ends.
     points = sorted(set(cps).union(*((y, min(2 * y, x_max)) for y in window_ys)))
-    vals = balanced_values(s, x_max)
+    vals = _value_table(h, x_max)
     cum = dict(zip(points, _neumaier_segments(vals, points)))
     full = PartialSumSeries(f"sum over q <= x of h(q), s = {s}", tuple((x, cum[x]) for x in cps), "floating")
-    vals[2::2] = 0  # the odd restriction; vals is this call's own array
+    vals = vals.copy()  # the table is read-only and memoized on h
+    vals[2::2] = 0  # the odd restriction
     odd = PartialSumSeries(f"sum over odd q <= x of h(q), s = {s}", tuple(zip(cps, _neumaier_segments(vals, cps))), "floating")
     window_sums = tuple((int(y), float(abs(cum[min(2 * y, x_max)] - cum[y]))) for y in window_ys)
     shrink = all(w <= window_threshold for _, w in window_sums)

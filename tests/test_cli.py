@@ -136,6 +136,26 @@ class TestVerdict:
         cfg.write_text(json.dumps({"quux": 1}))
         assert run(["classify", "GR", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"Q": 2000.0}, "Q"),
+            ({"Q": "2000"}, "Q"),
+            ({"window": 2.5, "Q": 2000}, "window"),
+            # int() used to truncate a = 1.5 to 1.
+            ({"sample_a": [1.5], "Q": 2000}, "sample_a"),
+            # An empty r grid used to certify weakly_exotic_sample vacuously.
+            ({"we_r_bound": 0, "Q": 2000}, "we_r_bound"),
+        ],
+    )
+    def test_malformed_config_file_is_input_error(self, tmp_path, capsys, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["verdict", "GR", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+
     def test_removed_exact_limit_key_fails_loudly(self, tmp_path, capsys):
         # The exact-mode cap is expansion.EXACT_LIMIT; the config never had a say.
         with pytest.raises(ValueError, match="unknown config keys: \\['exact_limit'\\]"):

@@ -502,6 +502,19 @@ class TestValueTable:
         want = np.array([0.0] + [float(G.eval(n)) for n in range(1, 5001)])
         assert np.allclose(vals, want, rtol=1e-12, atol=0)
 
+    def test_squarefree_cap_clamps_without_whole_range_temporaries(self):
+        # The clamp works on the squarefree indices only: the 8 MB table, the
+        # sieve's scratch and the squarefree indices peak near 22 MB, while
+        # whole-range n, |G(n)| and cap/n arrays would take it to 31.5 MB.
+        core.squarefree_table(10**6)
+        tracemalloc.start()
+        try:
+            _value_table(catalog("prop1"), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * 2**20
+
 
 class TestResourceBudget:
     # With the budget patched down, an over-budget Q must raise before any
@@ -615,6 +628,10 @@ class TestFiniteFactors:
     def test_star_values(self):
         assert finite_factor_star(catalog("GR")) == 1
         assert finite_factor_star(catalog("GH")) == 1  # 2 * (1 - 1/2)
+
+    def test_star_rejects_a_general_function(self):
+        with pytest.raises(ValueError, match="not multiplicative"):
+            finite_factor_star(catalog("weakly_exotic_sample"))
 
     def test_star_rejects_exotic(self):
         with pytest.raises(ValueError):
@@ -779,6 +796,15 @@ class TestDetectConvergence:
 
 
 class TestAbsoluteConvergenceReport:
+    def test_general_function_is_rejected_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("built a value table")
+
+        monkeypatch.setattr(expansion, "_value_table", no_table)
+        G = catalog("weakly_exotic_sample")
+        with pytest.raises(ValueError, match="weakly_exotic.*not multiplicative"):
+            absolute_convergence_report(G, 1000, 1, 100)
+
     def test_indicator_is_positive(self):
         rep = absolute_convergence_report(catalog("indicator_prime_powers", p0=2), 10_000, 6, 10_000)
         assert rep.prime_abs_series.final == 1.0  # only p = 2 contributes
@@ -818,7 +844,12 @@ class TestAbsoluteConvergenceReport:
 class TestEngineConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
-        [("Q", 0), ("window", 1), ("window", 0), ("sample_a", ()), ("sample_a", (1, 0)), ("sample_a", (-2,))],
+        [
+            ("Q", 0), ("window", 1), ("window", 0), ("sample_a", ()), ("sample_a", (1, 0)), ("sample_a", (-2,)),
+            ("scan_bound", 1), ("k_max", 0), ("we_r_bound", 0), ("we_k_bound", 0),
+            ("Q", 2000.0), ("Q", "2000"), ("window", 2.5), ("seed", True), ("sample_a", (1.5,)), ("sample_a", (True,)),
+            ("conv_tol", "0.02"), ("one_tol", None), ("divergence_threshold", False),
+        ],
     )
     def test_degenerate_fields_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -351,6 +351,11 @@ class TestGeneralFunction:
         with pytest.raises(ValueError):
             g.eval(0)
 
+    def test_spectrum_rejects_it_by_name(self):
+        g = GeneralArithmeticFunction("sample", fn=lambda n: n % 3, exact=True)
+        with pytest.raises(ValueError, match="sample is not multiplicative"):
+            spectrum(g)
+
     @pytest.mark.parametrize(
         "p0, base",
         [

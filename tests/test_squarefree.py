@@ -8,7 +8,6 @@ import pytest
 
 from ramanujan_cloud import (
     balanced_series_demo,
-    balanced_values,
     catalog,
     count_squarefree_in_ap,
     factorize,
@@ -16,6 +15,12 @@ from ramanujan_cloud import (
     mobius,
     weighted_squarefree_sum,
 )
+from ramanujan_cloud.expansion import _value_table
+
+
+def balanced_table(s, limit):
+    """h(0..limit) of the lemma7_h entry, the table the balanced demo sums."""
+    return _value_table(catalog("lemma7_h", s=s), limit)
 
 
 def brute_count(x: int, m: int, r: int) -> int:
@@ -119,19 +124,26 @@ class TestWeightedSum:
         with pytest.raises(ValueError):
             weighted_squarefree_sum(0.6, 2, 1, 10, 5)
 
+    def test_zero_modulus_is_rejected(self):
+        # gcd(1, 0) = 1 lets m = 0 past the coprimality check; it must not
+        # reach q % m.
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            weighted_squarefree_sum(0.6, 0, 1, 0, 10)
+
 
 class TestBalancedSeries:
     def test_values_match_prime_power_rule(self):
-        # Two constructions: the sieved table versus the multiplicative
-        # extension of h(2) = -2*2^(-s), h(p) = p^(-s), h(p^k) = 0.
+        # Two constructions: the sieved table versus the pointwise
+        # multiplicative extension of h(2) = -2*2^(-s), h(p) = p^(-s),
+        # h(p^k) = 0.
         s = 0.6
-        vals = balanced_values(s, 10_000)
+        vals = balanced_table(s, 10_000)
         h = catalog("lemma7_h", s=s)
         for q in range(1, 10_001):
             assert vals[q] == pytest.approx(h.eval(q), abs=1e-12)
 
     def test_supported_on_squarefree(self):
-        vals = balanced_values(0.6, 2000)
+        vals = balanced_table(0.6, 2000)
         for q in range(1, 2001):
             if mobius(q) == 0:
                 assert vals[q] == 0
@@ -140,7 +152,7 @@ class TestBalancedSeries:
         # h(2r) = -2^(1-s) h(r) for every odd squarefree r <= 10^4 (i.e.
         # h(2r) = -2 (2r)^(-s) mu^2(2r)); h(4r) = 0 always.
         s = 0.6
-        vals = balanced_values(s, 20_000)
+        vals = balanced_table(s, 20_000)
         for r in range(1, 10_001, 2):
             if mobius(r) == 0:
                 continue
@@ -151,7 +163,7 @@ class TestBalancedSeries:
 
     def test_even_values_negated_and_doubled(self):
         s = 0.6
-        vals = balanced_values(s, 1000)
+        vals = balanced_table(s, 1000)
         for q in range(1, 1001):
             mu2 = mobius(q) ** 2
             expected = mu2 * q**-s * (-2 if q % 2 == 0 else 1)
@@ -200,7 +212,7 @@ class TestBalancedSeries:
         # values; a plain running sum left the odd final off by about 350.
         s, x_max, ys = 0.6, 1_000_000, (100_000, 300_000, 500_000)
         demo = balanced_series_demo(s, x_max, window_ys=ys)
-        vals = balanced_values(s, x_max).tolist()
+        vals = balanced_table(s, x_max).tolist()
         odd = vals[1::2]
         u = 2.0**-53
         assert abs(demo.full.final - math.fsum(vals)) <= 4 * u * math.fsum(map(abs, vals))
