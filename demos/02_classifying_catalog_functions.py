@@ -9,7 +9,14 @@ test applies to the expansion of the zero function.  The classical pair:
 but phi(4) = 2 breaks invisibility).
 """
 
-from ramanujan_cloud import catalog, is_weakly_exotic, spectrum, transparency_valuation
+from ramanujan_cloud import (
+    EngineConfig,
+    MultiplicativeFunction,
+    catalog,
+    is_weakly_exotic,
+    spectrum,
+    transparency_valuation,
+)
 
 
 def show_reports() -> None:
@@ -38,11 +45,16 @@ def show_valuations() -> None:
     print("--- Transparency valuations at p = 2 ---")
     for name in ("GR", "GH"):
         G = catalog(name)
-        v = transparency_valuation(G, 2, 16)
+        v = transparency_valuation(G, 2)
         print(f"  {name}: v = {v.value}  (G(2^(v+1)) is the first value leaving 1)")
     G2 = catalog("indicator_prime_powers", p0=2)
-    v = transparency_valuation(G2, 2, 16)
-    print(f"  indicator of powers of 2: v = {v.value}  (2 stays invisible forever)\n")
+    v = transparency_valuation(G2, 2)
+    print(f"  indicator of powers of 2: v = {v.value}  (2 stays invisible forever)")
+    # Without declared spectra a scan cannot certify invisibility: it stops
+    # at the configured exponent bound and says so.
+    undeclared = MultiplicativeFunction("undeclared", rule=G2.rule, exact=True)
+    v = transparency_valuation(undeclared, 2, config=EngineConfig(k_max=8))
+    print(f"  same rule, spectra undeclared, k_max = 8: v = {v.value}, censored = {v.censored}\n")
 
 
 def show_weakly_exotic() -> None:

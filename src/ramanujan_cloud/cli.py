@@ -177,7 +177,7 @@ def run(argv: list[str]) -> int:
 
         if args.command == "classify":
             cfg = _load_config(args)
-            _emit_json(spectrum(_make_entry(args), cfg.scan_bound, cfg.k_max, cfg.one_tol))
+            _emit_json(spectrum(_make_entry(args), config=cfg))
             return 0
 
         if args.command == "expand":
@@ -196,11 +196,7 @@ def run(argv: list[str]) -> int:
 
         if args.command == "absconv":
             cfg = _load_config(args)
-            _emit_json(absolute_convergence_report(
-                _make_entry(args), args.B, args.a, args.Q,
-                scan_bound=cfg.scan_bound, k_max=cfg.k_max, tol=cfg.one_tol,
-                slow_growth_tol=cfg.slow_growth_tol,
-            ))
+            _emit_json(absolute_convergence_report(_make_entry(args), args.B, args.a, args.Q, config=cfg))
             return 0
 
         if args.command == "sfcount":

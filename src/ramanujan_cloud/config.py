@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 
-# Field kinds by annotation (a string under postponed evaluation), and the
-# lower bounds of the count fields; one point has no spread, so window >= 2.
+# Field kinds by annotation (a string under postponed evaluation), the lower
+# bounds of the count fields (one point has no spread, so window >= 2), and
+# the tolerances and thresholds that must be positive: no spread is <= a
+# negative or NaN tolerance, so those would silently read "inconclusive".
 _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
 _MINIMA = {"scan_bound": 2, "k_max": 1, "Q": 1, "window": 2, "we_r_bound": 1, "we_k_bound": 1}
+_POSITIVE = ("one_tol", "conv_tol", "divergence_threshold", "slow_growth_tol")
 
 
 def _is_number(value, kind) -> bool:
@@ -53,9 +57,14 @@ class EngineConfig:
         for f in dataclasses.fields(self):
             if f.type in _KINDS and not _is_number(getattr(self, f.name), _KINDS[f.type][0]):
                 raise ValueError(f"{f.name} must be {_KINDS[f.type][1]}, got {getattr(self, f.name)!r}")
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name, least in _MINIMA.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         sample_ok = isinstance(self.sample_a, tuple) and self.sample_a and all(_is_number(a, numbers.Integral) and a >= 1 for a in self.sample_a)
         if not sample_ok:
             raise ValueError(f"sample_a must be a nonempty tuple of integers a >= 1, got {self.sample_a!r}")

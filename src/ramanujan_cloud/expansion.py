@@ -35,6 +35,7 @@ from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
     SpectrumReport,
+    _close,
     is_weakly_exotic,
     spectrum,
 )
@@ -45,11 +46,11 @@ Number = Union[int, Fraction, float, complex]
 # Largest truncation for exact-rational series.
 EXACT_LIMIT = 10_000
 
-# Keyword defaults below are the EngineConfig field defaults.
-_DEFAULTS = EngineConfig()
+# Floating tolerance of the Abel-form comparison in finite_factor_forms_equal.
+FORMS_TOL = 1e-10
 
 
-def checkpoint_schedule(Q: int, window: int = _DEFAULTS.window) -> list[int]:
+def checkpoint_schedule(Q: int, window: int = EngineConfig.window) -> list[int]:
     """Geometric decades up to Q plus ``window`` points over [Q/2, Q].
 
     The dense final stretch is what spread-based convergence verdicts look
@@ -364,19 +365,15 @@ def _local_factor(G, p: int, v: int, a: int) -> Number:
 
 
 def finite_factor_star(
-    G: MultiplicativeFunction,
-    report: Optional[SpectrumReport] = None,
-    *,
-    scan_bound: int = _DEFAULTS.scan_bound,
-    k_max: int = _DEFAULTS.k_max,
-    tol: float = _DEFAULTS.one_tol,
+    G: MultiplicativeFunction, report: Optional[SpectrumReport] = None, *, config: Optional[EngineConfig] = None
 ) -> Number:
     """a_G times the product of (1 - G(p^(v_{p,G}+1))) over transparent p.
 
     Defined only for normal or sporadic G (every valuation finite); the
-    empty product for normal G gives exactly 1.
+    empty product for normal G gives exactly 1.  Without a ``report`` the
+    spectrum is scanned under ``config``.
     """
-    rep = report if report is not None else spectrum(G, scan_bound, k_max, tol)
+    rep = report if report is not None else spectrum(G, config=config)
     if rep.classification == "exotic":
         raise ValueError(f"{G.label} is exotic; a_G is undefined")
     out: Number = rep.aG
@@ -386,9 +383,10 @@ def finite_factor_star(
     return out
 
 
-def finite_factor_forms_equal(G, a: int, tol: float = 1e-10) -> bool:
+def finite_factor_forms_equal(G, a: int) -> bool:
     """Check, prime by prime over p | a, that the truncated expansion factor
-    equals its Abel-summed form sum_{K<=v} p^K (G(p^K) - G(p^(K+1)))."""
+    equals its Abel-summed form sum_{K<=v} p^K (G(p^K) - G(p^(K+1))):
+    exactly for exact G, within ``FORMS_TOL`` otherwise."""
     if a < 1:
         raise ValueError("a must be >= 1")
     exact = getattr(G, "exact", False)
@@ -397,10 +395,7 @@ def finite_factor_forms_equal(G, a: int, tol: float = 1e-10) -> bool:
         rhs: Number = 0
         for K in range(v + 1):
             rhs = rhs + p**K * (G.at_prime_power(p, K) - G.at_prime_power(p, K + 1))
-        if exact:
-            if lhs != rhs:
-                return False
-        elif abs(complex(lhs) - complex(rhs)) > tol:
+        if not _close(lhs, rhs, exact, FORMS_TOL):
             return False
     return True
 
@@ -488,15 +483,16 @@ def _growth_exponent(series: PartialSumSeries) -> Optional[float]:
 def detect_convergence(
     series: PartialSumSeries,
     target: Optional[complex] = None,
-    window: int = _DEFAULTS.window,
-    tol: float = _DEFAULTS.conv_tol,
-    divergence_threshold: float = _DEFAULTS.divergence_threshold,
-    growth_exponent_min: float = _DEFAULTS.growth_exponent_min,
+    window: int = EngineConfig.window,
+    tol: float = EngineConfig.conv_tol,
+    divergence_threshold: float = EngineConfig.divergence_threshold,
+    growth_exponent_min: float = EngineConfig.growth_exponent_min,
 ) -> ConvergenceVerdict:
     """Classify a series as converging (to ``target`` or its windowed mean),
     diverging to infinity, or inconclusive.
 
-    The keyword defaults are the ``EngineConfig`` field defaults."""
+    The keyword defaults are the ``EngineConfig`` field defaults; window and
+    tol stay explicit because callers pin values that are not the config's."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}: one point has no spread")
     if len(series.checkpoints) < window:
@@ -554,14 +550,15 @@ def absolute_convergence_report(
     a: int,
     Q: int,
     *,
-    scan_bound: int = _DEFAULTS.scan_bound,
-    k_max: int = _DEFAULTS.k_max,
-    tol: float = _DEFAULTS.one_tol,
-    slow_growth_tol: float = _DEFAULTS.slow_growth_tol,
+    config: Optional[EngineConfig] = None,
 ) -> AbsoluteConvergenceReport:
+    """Absolute-convergence diagnostics of G at a; the spectrum is scanned
+    under ``config`` (``None`` means ``EngineConfig()``), and the prime sum
+    diverges when its last decade adds more than ``config.slow_growth_tol``."""
+    cfg = config if config is not None else EngineConfig()
     if prime_bound < 2 or a < 1 or Q < 1:
         raise ValueError("bounds must be >= 1 (prime_bound >= 2)")
-    rep = spectrum(G, scan_bound, k_max, tol)  # rejects a non-multiplicative G before any table
+    rep = spectrum(G, config=cfg)  # rejects a non-multiplicative G before any table
 
     primes = sieve_primes(prime_bound)
     # The value table applies ``squarefree_cap``, which G.rule alone skips.
@@ -578,7 +575,7 @@ def absolute_convergence_report(
         "floating",
     )
     increase = prime_sum_upto(prime_bound) - prime_sum_upto(prime_bound // 10)
-    prime_verdict = "diverging" if increase > slow_growth_tol else "bounded"
+    prime_verdict = "diverging" if increase > cfg.slow_growth_tol else "bounded"
 
     abs_series = expansion_partial_sums(G, a, Q, absolute=True, exact=False)
     lhs = float(abs_series.final)
@@ -695,18 +692,14 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
             checks.append(("an invisible prime p0 is declared", "fail"))
             return ZeroCloudVerdict(G.label, classification, tuple(checks), "inconclusive")
         checks.append(("an invisible prime p0 is declared", "pass"))
-        ok = is_weakly_exotic(G, p0, cfg.we_r_bound, cfg.we_k_bound, 0.0 if G.exact else cfg.one_tol)
-        checks.append(
-            (
-                f"G(p0^K r) = G(r) on the sampled grid (p0={p0}, r<={cfg.we_r_bound}, K<={cfg.we_k_bound})",
-                "pass" if ok else "fail",
-            )
-        )
+        ok = is_weakly_exotic(G, p0, config=cfg)
+        grid = f"G(p0^K r) = G(r) on the sampled grid (p0={p0}, r<={cfg.we_r_bound}, K<={cfg.we_k_bound})"
+        checks.append((grid, "pass" if ok else "fail"))
         if not ok:
             return ZeroCloudVerdict(G.label, classification, tuple(checks), "inconclusive")
         return invisible_prime_case(classification, p0, True)
 
-    rep = spectrum(G, cfg.scan_bound, cfg.k_max, cfg.one_tol)
+    rep = spectrum(G, config=cfg)
     classification = rep.classification
     checks.append(("spectra certified by the constructor", "pass" if rep.certified else "fail"))
 

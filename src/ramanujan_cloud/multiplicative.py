@@ -29,11 +29,10 @@ from .sums import FormulaInconsistencyError
 
 Number = Union[int, Fraction, float, complex]
 
-# Keyword defaults below are the EngineConfig field defaults.
-_DEFAULTS = EngineConfig()
-
-# Floating-mode proxy for "equals 1"; exact mode compares exactly.
-DEFAULT_ONE_TOL = _DEFAULTS.one_tol
+# Floating-mode proxy for "equals 1" in catalog constructors, which take no
+# config; bounded functions read ``config.one_tol``.  Exact mode compares
+# exactly.
+DEFAULT_ONE_TOL = EngineConfig.one_tol
 
 INFINITE = math.inf
 
@@ -62,7 +61,8 @@ class MultiplicativeFunction:
     <= 100 and raises ``ValueError`` on any mismatch.
 
     Evaluation memoizes into ``_memo``; entries are deterministic, so a
-    concurrent duplicate write is benign.
+    concurrent duplicate write is benign.  Every instance, a
+    ``dataclasses.replace`` copy included, starts with an empty memo.
     """
 
     label: str
@@ -72,7 +72,7 @@ class MultiplicativeFunction:
     declared_invisible: Optional[frozenset[int]] = None
     squarefree_cap: Optional[float] = None
     at_primes: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.declared_transparent is None) != (self.declared_invisible is None):
@@ -138,7 +138,7 @@ class GeneralArithmeticFunction:
     exact: bool = False
     invisible_prime: Optional[int] = None
     table: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, n: int) -> Number:
         if n < 1:
@@ -148,10 +148,9 @@ class GeneralArithmeticFunction:
     __call__ = eval
 
 
-def _is_one(value: Number, exact: bool, tol: float) -> bool:
-    if exact:
-        return value == 1
-    return abs(complex(value) - 1) <= tol
+def _close(x: Number, y: Number, exact: bool, tol: float) -> bool:
+    """x == y in exact mode, |x - y| <= tol in floating mode."""
+    return x == y if exact else abs(complex(x) - complex(y)) <= tol
 
 
 class ValuationResult(NamedTuple):
@@ -163,23 +162,24 @@ class ValuationResult(NamedTuple):
 
 
 def transparency_valuation(
-    G: MultiplicativeFunction, p: int, k_max: int, tol: float = DEFAULT_ONE_TOL
+    G: MultiplicativeFunction, p: int, *, config: Optional[EngineConfig] = None
 ) -> ValuationResult:
-    """Least K with G(p^(K+1)) != 1, scanning K = 0..k_max.
+    """Least K with G(p^(K+1)) != 1, scanning K = 0..config.k_max.
 
     Returns INFINITE (uncensored) when the catalog certifies p invisible;
     otherwise a scan that never leaves 1 comes back as (k_max, censored).
+    Floating values equal 1 within ``config.one_tol``; ``None`` means
+    ``EngineConfig()``.
     """
+    cfg = config if config is not None else EngineConfig()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    for K in range(k_max + 1):
-        if not _is_one(G.at_prime_power(p, K + 1), G.exact, tol):
+    for K in range(cfg.k_max + 1):
+        if not _close(G.at_prime_power(p, K + 1), 1, G.exact, cfg.one_tol):
             return ValuationResult(K, False)
     if G.declared_invisible is not None and p in G.declared_invisible:
         return ValuationResult(INFINITE, False)
-    return ValuationResult(k_max, True)
+    return ValuationResult(cfg.k_max, True)
 
 
 @dataclass(frozen=True)
@@ -206,24 +206,20 @@ class SpectrumReport:
     certified: bool
 
 
-def spectrum(
-    G: MultiplicativeFunction,
-    scan_bound: int = _DEFAULTS.scan_bound,
-    k_max: int = _DEFAULTS.k_max,
-    tol: float = DEFAULT_ONE_TOL,
-) -> SpectrumReport:
-    """Scan primes <= scan_bound and classify G as normal/sporadic/exotic.
+def spectrum(G: MultiplicativeFunction, *, config: Optional[EngineConfig] = None) -> SpectrumReport:
+    """Scan primes <= config.scan_bound (``None`` means ``EngineConfig()``)
+    and classify G as normal/sporadic/exotic.
 
     Without declared spectra the result is a bounded statement (certified
-    False): a prime whose valuation scan is censored at k_max is reported as
-    invisible.  With declarations, the scan is cross-checked against them and
-    any disagreement raises (a catalog entry lying about its own spectra is a
-    bug, not a report).
+    False): a prime whose valuation scan is censored at config.k_max is
+    reported as invisible.  With declarations, the scan is cross-checked
+    against them and any disagreement raises (a catalog entry lying about
+    its own spectra is a bug, not a report).
     """
     if not isinstance(G, MultiplicativeFunction):
         raise ValueError(f"{G.label} is not multiplicative; spectra are undefined")
-    if scan_bound < 2:
-        raise ValueError("scan_bound must be >= 2")
+    cfg = config if config is not None else EngineConfig()
+    scan_bound, k_max = cfg.scan_bound, cfg.k_max
     declared = G.declared_transparent is not None
     if declared:
         widest = max(G.declared_transparent, default=0)
@@ -235,10 +231,10 @@ def spectrum(
     transparent: list[int] = []
     valuations: dict[int, float] = {}
     for p in sieve_primes(scan_bound).tolist():
-        if not _is_one(G.at_prime_power(p, 1), G.exact, tol):
+        if not _close(G.at_prime_power(p, 1), 1, G.exact, cfg.one_tol):
             continue
         transparent.append(p)
-        val = transparency_valuation(G, p, k_max, tol)
+        val = transparency_valuation(G, p, config=cfg)
         if val.censored and declared:
             # A certified report must not carry a censored valuation.
             raise ValueError(
@@ -290,30 +286,27 @@ def spectrum(
     )
 
 
-def is_weakly_exotic(
-    G, p0: int, r_bound: int = _DEFAULTS.we_r_bound, k_bound: int = _DEFAULTS.we_k_bound, tol: float = 0.0
-) -> bool:
+def is_weakly_exotic(G, p0: int, *, config: Optional[EngineConfig] = None) -> bool:
     """Bounded certificate that G(p0^K * r) = G(r) for r coprime to p0.
 
-    Checks every r <= r_bound coprime to p0 and every K <= k_bound; a True
-    answer is evidence on that grid, not a proof.  Works for both function
-    types (anything with ``eval``).
+    Checks every r <= config.we_r_bound coprime to p0 and every
+    1 <= K <= config.we_k_bound, a grid the config keeps nonempty (``None``
+    means ``EngineConfig()``); a True answer is evidence on that grid, not a
+    proof.  Floating G compares within ``config.one_tol``.  Works for both
+    function types (anything with ``eval``).
     """
+    cfg = config if config is not None else EngineConfig()
     if not is_prime(p0):
         raise ValueError(f"{p0} is not prime")
     exact = getattr(G, "exact", False)
-    for r in range(1, r_bound + 1):
+    for r in range(1, cfg.we_r_bound + 1):
         if r % p0 == 0:
             continue
         base = G.eval(r)
         q = r
-        for _ in range(1, k_bound + 1):
+        for _ in range(cfg.we_k_bound):
             q *= p0
-            v = G.eval(q)
-            if exact:
-                if v != base:
-                    return False
-            elif abs(complex(v) - complex(base)) > tol:
+            if not _close(G.eval(q), base, exact, cfg.one_tol):
                 return False
     return True
 

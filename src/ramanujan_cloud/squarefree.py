@@ -18,11 +18,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .config import EngineConfig
 from .core import factorize, squarefree_table
-from .expansion import _DEFAULTS, ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, _value_table, detect_convergence
+from .expansion import ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, _value_table, detect_convergence
 from .multiplicative import catalog
 
 Scalar = Union[float, complex]
+
+# Largest |sum over (y, 2y]| of the full balanced series that counts as a
+# shrinking Cauchy window; also the spread tolerance of the odd verdict.
+WINDOW_THRESHOLD = 0.05
 
 
 def count_squarefree_in_ap(x: int, m: int, r: int) -> int:
@@ -119,9 +124,9 @@ def balanced_series_demo(
     checkpoints: Optional[Sequence[int]] = None,
     *,
     window_ys: Optional[Sequence[int]] = None,
-    window_threshold: float = 0.05,
 ) -> BalancedSeriesDemo:
-    """Sum the ``lemma7_h`` entry's value table to x_max and report both behaviors."""
+    """Sum the ``lemma7_h`` entry's value table to x_max and report both
+    behaviors; windows shrink when each is within ``WINDOW_THRESHOLD``."""
     h = catalog("lemma7_h", s=s)
     cps = _validate_checkpoints(checkpoints, x_max)
     if len(cps) < 2:
@@ -143,14 +148,14 @@ def balanced_series_demo(
     vals[2::2] = 0  # the odd restriction
     odd = PartialSumSeries(f"sum over odd q <= x of h(q), s = {s}", tuple(zip(cps, _neumaier_segments(vals, cps))), "floating")
     window_sums = tuple((int(y), float(abs(cum[min(2 * y, x_max)] - cum[y]))) for y in window_ys)
-    shrink = all(w <= window_threshold for _, w in window_sums)
-    odd_verdict = detect_convergence(odd, window=min(_DEFAULTS.window, len(cps)), tol=window_threshold)
+    shrink = all(w <= WINDOW_THRESHOLD for _, w in window_sums)
+    odd_verdict = detect_convergence(odd, window=min(EngineConfig.window, len(cps)), tol=WINDOW_THRESHOLD)
     return BalancedSeriesDemo(
         s=s,
         full=full,
         odd=odd,
         window_sums=window_sums,
         full_windows_shrink=shrink,
-        window_threshold=window_threshold,
+        window_threshold=WINDOW_THRESHOLD,
         odd_verdict=odd_verdict,
     )

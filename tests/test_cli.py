@@ -2,6 +2,7 @@
 shape, config plumbing, and artifact determinism."""
 
 import json
+import math
 import tracemalloc
 from importlib import resources
 
@@ -12,7 +13,13 @@ import ramanujan_cloud.core as core
 from ramanujan_cloud.cli import run
 from ramanujan_cloud.config import EngineConfig
 from ramanujan_cloud import reproduce
-from ramanujan_cloud.reproduce import check_abel_forms, check_column_cancellation
+from ramanujan_cloud.reproduce import (
+    check_abel_forms,
+    check_absolute_split,
+    check_classification_fixtures,
+    check_column_cancellation,
+    check_slow_divergence,
+)
 from ramanujan_cloud._serialize import to_jsonable
 
 
@@ -156,6 +163,21 @@ class TestVerdict:
         assert err.startswith("error:")
         assert field in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("conv_tol", math.nan), ("conv_tol", -1), ("one_tol", math.inf), ("one_tol", 0),
+            ("slow_growth_tol", -0.05), ("divergence_threshold", -math.inf), ("growth_exponent_min", math.nan),
+        ],
+    )
+    def test_non_finite_or_non_positive_tolerance_is_input_error(self, tmp_path, capsys, field, value):
+        # A NaN or negative tolerance used to read every verdict "inconclusive".
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value, "Q": 20000, "sample_a": [1, 2, 3]}))
+        assert run(["verdict", "GH", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_removed_exact_limit_key_fails_loudly(self, tmp_path, capsys):
         # The exact-mode cap is expansion.EXACT_LIMIT; the config never had a say.
         with pytest.raises(ValueError, match="unknown config keys: \\['exact_limit'\\]"):
@@ -263,6 +285,26 @@ class TestDeterminism:
     def test_checks_return_only_their_evidence(self, fn):
         # Naming, timing and budgets belong to the driver, not to the checks.
         assert not {"name", "elapsed_s", "time_budget_s"} & fn(EngineConfig()).keys()
+
+
+class TestChecksHonourTheConfig:
+    def test_slow_divergence_reads_slow_growth_tol(self):
+        # No prime sum grows by 10^9 over a decade, so none reads as diverging.
+        result = check_slow_divergence(EngineConfig(slow_growth_tol=1e9))
+        assert not result["pass"] and result["threshold"] == 1e9
+        assert {row["prime_abs_verdict"] for row in result["rows"]} == {"bounded"}
+
+    def test_absolute_split_reads_slow_growth_tol(self):
+        # At 1e-12 the inverse squares' prime sum reads as diverging, so the
+        # positive verdicts the check requires are gone.
+        result = check_absolute_split(EngineConfig(slow_growth_tol=1e-12))
+        assert not result["pass"]
+        assert {f["verdict"] for f in result["failures"]} == {"negative"}
+
+    def test_classification_fixtures_read_the_scan_bound(self):
+        result = check_classification_fixtures(EngineConfig(scan_bound=67, k_max=4))
+        assert result["pass"]
+        assert {(r["scan_bound"], r["exponent_bound"]) for r in result["reports"].values()} == {(67, 4)}
 
 
 # A budget of 0 s cannot be met, so the first stub overruns it.

@@ -5,8 +5,10 @@ and the zero-cloud decision procedure."""
 import cmath
 import collections
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 import random
 import tracemalloc
 from fractions import Fraction
@@ -40,17 +42,24 @@ from ramanujan_cloud import (
     sieve_primes,
     zero_cloud_verdict,
 )
+import ramanujan_cloud
 import ramanujan_cloud.core as core
 import ramanujan_cloud.expansion as expansion
 import ramanujan_cloud.sums as sums
 from ramanujan_cloud import multiplicative
 from ramanujan_cloud.expansion import _coprime_part, _neumaier_segments, _series, _strike_non_coprime, _value_table
 from ramanujan_cloud.core import divisors
-from ramanujan_cloud.multiplicative import is_weakly_exotic, spectrum, transparency_valuation
+from ramanujan_cloud.multiplicative import spectrum
 from ramanujan_cloud.sums import c_holder, c_table
 from test_multiplicative import FORM_ENTRIES
 
 FAST_CFG = EngineConfig(Q=20_000, sample_a=tuple(range(1, 9)))
+
+
+def ramanujan_cloud_modules() -> list[str]:
+    # __main__ is left out: importing it runs the CLI.
+    names = (m.name for m in pkgutil.iter_modules(ramanujan_cloud.__path__) if m.name != "__main__")
+    return ["ramanujan_cloud", *(f"ramanujan_cloud.{name}" for name in names)]
 
 
 def oracle_c(q: int, a: int) -> int:
@@ -459,8 +468,7 @@ class TestValueTable:
     @pytest.mark.parametrize("name, kw", FORM_ENTRIES)
     def test_prime_form_table_equals_scalar_path(self, name, kw):
         G = catalog(name, **kw)
-        # A fresh _memo, so the copy does not read the original's cached tables.
-        scalar = dataclasses.replace(G, at_primes=None, _memo={})
+        scalar = dataclasses.replace(G, at_primes=None)
         for Q in (1, 2, 3, 4, 10, 97, 1000, 10**6 + 7):
             got, want = _value_table(G, Q), _value_table(scalar, Q)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
@@ -474,7 +482,7 @@ class TestValueTable:
             called.append(p)
             return GH.rule(p, e)
 
-        G = dataclasses.replace(GH, rule=rule, _memo={})
+        G = dataclasses.replace(GH, rule=rule)
         called.clear()  # the constructor checks the form against the rule
         Q = 10**5
         _value_table(G, Q)
@@ -484,10 +492,36 @@ class TestValueTable:
         # The complex value sits at n = 7 * 2^K: Q = 5 stays real, Q >= 7 is complex.
         G = catalog("weakly_exotic_sample", p0=2, base={1: Fraction(1, 2), 3: 0.25, 7: 0.5j})
         for Q in (5, 7, 100, 5000):
-            pointwise = dataclasses.replace(G, table=None, _memo={})
+            pointwise = dataclasses.replace(G, table=None)
             got, want = _value_table(G, Q), _value_table(pointwise, Q)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
         assert _value_table(G, 5).dtype == np.float64 and _value_table(G, 7).dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "G, changes",
+        [
+            (catalog("GR"), {"rule": lambda p, e: Fraction(1, p ** (2 * e)), "at_primes": None}),
+            (catalog("weakly_exotic_sample"), {"fn": lambda n: 2 * catalog("weakly_exotic_sample").fn(n), "table": None}),
+        ],
+        ids=["multiplicative", "general"],
+    )
+    def test_replace_starts_with_an_empty_memo(self, G, changes):
+        # A copy with another rule must not read the values, tables or
+        # T_d sums memoized on the original (a shared memo summed GR's
+        # mu(q) / q^2 copy to 0.0044 at Q = 1000, not about 6 / pi^2).
+        Q = 1000
+        for n in range(1, 13):
+            G.eval(n)
+        _value_table(G, Q)
+        expansion_partial_sums(G, 1, Q, exact=False)
+        H = dataclasses.replace(G, **changes)
+        built = type(G)(**{f.name: getattr(H, f.name) for f in dataclasses.fields(H) if f.init})
+        assert H._memo == {} and H._memo is not G._memo
+        assert [H.eval(n) for n in range(1, 13)] == [built.eval(n) for n in range(1, 13)]
+        assert _value_table(H, Q).tobytes() == _value_table(built, Q).tobytes()
+        assert expansion_partial_sums(H, 1, Q, exact=False) == expansion_partial_sums(built, 1, Q, exact=False)
+        with pytest.raises(ValueError, match="_memo"):
+            dataclasses.replace(G, _memo={})
 
     def test_malformed_general_table_rejected(self):
         G = GeneralArithmeticFunction("short table", fn=lambda n: 0, table=lambda Q: np.zeros(Q))
@@ -589,7 +623,7 @@ class TestRestrictedMobius:
         cps = tuple(checkpoint_schedule(1000))
         keys = []
         for b in (4, 2):
-            G = dataclasses.replace(catalog("GR"), _memo={})
+            G = dataclasses.replace(catalog("GR"))
             expansion_partial_sums(G, 6, 1000, coprime_to=b, exact=False)
             restricted_mobius_partial_sums(G, b, 1000, exact=False)
             keys.append(sorted(k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver"))
@@ -760,24 +794,30 @@ class TestDetectConvergence:
     @pytest.mark.parametrize(
         "func,param,field",
         [
-            (spectrum, "scan_bound", "scan_bound"),
-            (spectrum, "k_max", "k_max"),
-            (spectrum, "tol", "one_tol"),
-            (transparency_valuation, "tol", "one_tol"),
-            (finite_factor_star, "scan_bound", "scan_bound"),
-            (finite_factor_star, "k_max", "k_max"),
-            (finite_factor_star, "tol", "one_tol"),
-            (absolute_convergence_report, "scan_bound", "scan_bound"),
-            (absolute_convergence_report, "k_max", "k_max"),
-            (absolute_convergence_report, "tol", "one_tol"),
-            (absolute_convergence_report, "slow_growth_tol", "slow_growth_tol"),
-            (is_weakly_exotic, "r_bound", "we_r_bound"),
-            (is_weakly_exotic, "k_bound", "we_k_bound"),
             (checkpoint_schedule, "window", "window"),
         ],
     )
     def test_keyword_defaults_are_engine_config_defaults(self, func, param, field):
         assert inspect.signature(func).parameters[param].default == getattr(EngineConfig(), field)
+
+    def test_no_function_copies_a_config_bound(self):
+        # Bounds and tolerances come from one EngineConfig; only the two
+        # functions whose callers pin their own window and tolerance take
+        # them loose.  Q is the truncation every series is asked for, not a
+        # copy of the verdict's Q.
+        knobs = {f.name for f in dataclasses.fields(EngineConfig)} - {"Q"}
+        knobs |= {"tol", "r_bound", "k_bound", "window_threshold"}
+        allowed = {"detect_convergence", "checkpoint_schedule"}
+        offenders = []
+        for module_name in ramanujan_cloud_modules():
+            module = importlib.import_module(module_name)
+            for name, fn in vars(module).items():
+                if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module_name:
+                    continue
+                if name not in allowed and knobs & set(inspect.signature(fn).parameters):
+                    offenders.append(f"{module_name}.{name}")
+        assert offenders == []
+        assert {"window", "tol"} <= set(inspect.signature(detect_convergence).parameters)
 
     def test_one_tol_default_is_engine_config_default(self):
         assert multiplicative.DEFAULT_ONE_TOL == EngineConfig().one_tol
@@ -825,7 +865,7 @@ class TestAbsoluteConvergenceReport:
     @pytest.mark.parametrize("name, kw", [("GR", {}), ("GH", {}), ("G0", {"p0": 2}), ("indicator_prime_powers", {"p0": 3})])
     def test_prime_form_gives_the_scalar_prime_series(self, name, kw):
         G = catalog(name, **kw)
-        scalar = dataclasses.replace(G, at_primes=None, _memo={})
+        scalar = dataclasses.replace(G, at_primes=None)
         fast = absolute_convergence_report(G, 10**5, 6, 1000)
         slow = absolute_convergence_report(scalar, 10**5, 6, 1000)
         assert fast.prime_abs_series == slow.prime_abs_series
@@ -858,6 +898,27 @@ class TestEngineConfigValidation:
             EngineConfig().replace(**{field: value})
         with pytest.raises(ValueError, match=field):
             EngineConfig.from_dict({field: list(value) if isinstance(value, tuple) else value})
+
+    FLOAT_FIELDS = ("one_tol", "conv_tol", "divergence_threshold", "growth_exponent_min", "slow_growth_tol")
+    POSITIVE_FIELDS = ("one_tol", "conv_tol", "divergence_threshold", "slow_growth_tol")
+
+    def test_float_fields_are_the_listed_ones(self):
+        assert {f.name for f in dataclasses.fields(EngineConfig) if f.type == "float"} == set(self.FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_fields_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EngineConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", POSITIVE_FIELDS)
+    @pytest.mark.parametrize("value", [0.0, -1.0, -1e-300])
+    def test_tolerances_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            EngineConfig(**{field: value})
+
+    def test_growth_exponent_min_may_be_negative(self):
+        assert EngineConfig(growth_exponent_min=-0.5).growth_exponent_min == -0.5
 
 
 class TestZeroCloudVerdict:
@@ -893,7 +954,7 @@ class TestZeroCloudVerdict:
 
             monkeypatch.setattr(module, "c_table", counted)
         cfg = EngineConfig()
-        G = dataclasses.replace(catalog("indicator_prime_powers", p0=2), _memo={})
+        G = dataclasses.replace(catalog("indicator_prime_powers", p0=2))
         parts = {_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)}
         assert len(parts) == 25
         divs = {d for a in parts for d in divisors(a) if d <= cfg.Q}

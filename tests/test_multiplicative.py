@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanujan_cloud import (
+    EngineConfig,
     FormulaInconsistencyError,
     GeneralArithmeticFunction,
     MultiplicativeFunction,
@@ -98,19 +99,19 @@ class TestEval:
 
 class TestValuation:
     def test_classical(self):
-        assert transparency_valuation(catalog("GH"), 2, 16).value == 1
-        assert transparency_valuation(catalog("GR"), 2, 16).value == 0
-        v = transparency_valuation(catalog("indicator_prime_powers", p0=2), 2, 16)
+        assert transparency_valuation(catalog("GH"), 2).value == 1
+        assert transparency_valuation(catalog("GR"), 2).value == 0
+        v = transparency_valuation(catalog("indicator_prime_powers", p0=2), 2)
         assert v.value == INFINITE and not v.censored
 
     def test_censoring_without_declaration(self):
         G = MultiplicativeFunction("all-ones-at-2", rule=lambda p, e: 1 if p == 2 else 0, exact=True)
-        v = transparency_valuation(G, 2, 8)
+        v = transparency_valuation(G, 2, config=EngineConfig(k_max=8))
         assert v.value == 8 and v.censored
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
-            transparency_valuation(catalog("GR"), 4, 8)
+            transparency_valuation(catalog("GR"), 4)
 
 
 class TestSpectrum:
@@ -177,13 +178,13 @@ class TestSpectrum:
             declared_invisible=frozenset({101}),
         )
         with pytest.raises(ValueError):
-            spectrum(G, scan_bound=50)
-        assert spectrum(G, scan_bound=200).classification == "exotic"
+            spectrum(G, config=EngineConfig(scan_bound=50))
+        assert spectrum(G, config=EngineConfig(scan_bound=200)).classification == "exotic"
 
     def test_uncensored_scan_of_plain_rule(self):
         # No declarations: invisibility at 2 is inferred (and flagged).
         G = MultiplicativeFunction("plain", rule=lambda p, e: 1 if p == 2 else 0, exact=True)
-        rep = spectrum(G, scan_bound=100, k_max=8)
+        rep = spectrum(G, config=EngineConfig(scan_bound=100, k_max=8))
         assert rep.classification == "exotic"
         assert not rep.certified
 
@@ -198,7 +199,7 @@ class TestSpectrum:
         def rule(p, e):
             return digits.get(p, Fraction(1, p)) if e == 1 else digits.get(p, Fraction(1, p)) ** e
 
-        rep = spectrum(MultiplicativeFunction("random", rule=rule, exact=True), scan_bound=50, k_max=6)
+        rep = spectrum(MultiplicativeFunction("random", rule=rule, exact=True), config=EngineConfig(scan_bound=50, k_max=6))
         assert set(rep.invisible_primes) <= set(rep.transparent_primes)
         trichotomy = {
             "normal": not rep.transparent_primes,
@@ -212,20 +213,41 @@ class TestSpectrum:
 
 class TestWeaklyExotic:
     def test_exotic_multiplicative_qualifies(self):
-        assert is_weakly_exotic(catalog("indicator_prime_powers", p0=2), 2, 100, 6)
+        assert is_weakly_exotic(catalog("indicator_prime_powers", p0=2), 2)
 
     def test_normal_fails(self):
-        assert not is_weakly_exotic(catalog("GR"), 2, 100, 6)
+        assert not is_weakly_exotic(catalog("GR"), 2)
 
     def test_sample_qualifies(self):
         w = catalog("weakly_exotic_sample")
         assert w.invisible_prime == 2
-        assert is_weakly_exotic(w, 2, 100, 6)
+        assert is_weakly_exotic(w, 2)
         assert w.eval(3) == w.eval(6) == w.eval(12) == w.eval(48)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
-            is_weakly_exotic(catalog("GR"), 6, 10, 2)
+            is_weakly_exotic(catalog("GR"), 6, config=EngineConfig(we_r_bound=10, we_k_bound=2))
+
+    def test_grid_is_the_configured_grid(self):
+        # G(2^K r) = G(r) breaks only at r = 3, K = 2: a grid must reach both.
+        G = GeneralArithmeticFunction("breaks at 12", fn=lambda n: int(n == 12))
+        assert not is_weakly_exotic(G, 2)
+        assert is_weakly_exotic(G, 2, config=EngineConfig(we_r_bound=2))
+        assert is_weakly_exotic(G, 2, config=EngineConfig(we_k_bound=1))
+
+    def test_floating_values_compare_within_one_tol(self):
+        G = GeneralArithmeticFunction("wobble", fn=lambda n: 1.0 + 1e-13 * (n % 2 == 0))
+        assert is_weakly_exotic(G, 2)
+        assert not is_weakly_exotic(G, 2, config=EngineConfig(one_tol=1e-14))
+
+    def test_old_positional_bounds_fail_at_the_call(self):
+        # The grid, scan and exponent bounds come only from a config.
+        with pytest.raises(TypeError):
+            is_weakly_exotic(catalog("GR"), 2, 0, 0)
+        with pytest.raises(TypeError):
+            spectrum(catalog("GR"), 1000, 16)
+        with pytest.raises(TypeError):
+            transparency_valuation(catalog("GR"), 2, 16)
 
 
 class TestCatalog:
