@@ -13,6 +13,13 @@ shared by every a with the divisor d.  The absolute floating series weights
 the value table by ``c_table``, since |sum| is not sum |.|.  Both floating
 paths accumulate checkpoint segments with Neumaier compensation.
 
+Classical verdicts need one restricted Mobius series per sampled radical b.
+``_peel_restricted_sums`` reads them all off one Mobius prefix
+M_G(y) = sum_{r <= y} G(r) mu(r), by the iterated coprime peel
+R_b(x) = sum over b-smooth n of G~(n) M_G(x // n).  It falls back to the
+direct kernel where the peel is unsafe: |G(p)| > 1 on a prime of b, or a
+value table that ``squarefree_cap`` clamped.
+
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
 """
@@ -106,20 +113,23 @@ class PartialSumSeries:
 def _neumaier_segments(terms: np.ndarray, checkpoints: Sequence[int]) -> list:
     """Partial sums at the checkpoints: numpy pairwise sums per segment,
     Neumaier-compensated accumulation across segments."""
-    complex_mode = np.iscomplexobj(terms)
-    total = 0j if complex_mode else 0.0
-    comp = 0j if complex_mode else 0.0
+    cast = complex if np.iscomplexobj(terms) else float
+    bounds = zip(chain((1,), (x + 1 for x in checkpoints)), checkpoints)
+    return _neumaier_accumulate(cast(terms[lo : x + 1].sum()) for lo, x in bounds)
+
+
+def _neumaier_accumulate(segments: Iterable[Number]) -> list:
+    """Running sums of the segment sums, Neumaier-compensated (Python
+    floats or complexes in, the same out)."""
+    total = comp = 0.0
     out = []
-    prev = 1
-    for x in checkpoints:
-        seg = complex(terms[prev : x + 1].sum()) if complex_mode else float(terms[prev : x + 1].sum())
+    for seg in segments:
         t = total + seg
         if abs(total) >= abs(seg):
             comp += (total - t) + seg
         else:
             comp += (seg - t) + total
         total = t
-        prev = x + 1
         out.append(total + comp)
     return out
 
@@ -171,7 +181,9 @@ def _value_table(G, Q: int) -> np.ndarray:
     are bit-identical to the scalar paths they replace (see the field
     docstrings), so the table does not depend on which path ran.  The table
     is float64 unless a value is complex, then complex128.  Cached on the
-    function object.  A Q above ``SIEVE_BUDGET`` raises
+    function object, next to a flag under ``("clamped", Q)`` that says
+    whether ``squarefree_cap`` changed an entry: a clamped table is no
+    longer multiplicative.  A Q above ``SIEVE_BUDGET`` raises
     ``ResourceLimitError`` before any path allocates.
     """
     memo = getattr(G, "_memo", None)
@@ -181,6 +193,7 @@ def _value_table(G, Q: int) -> np.ndarray:
     if Q > _core.SIEVE_BUDGET:
         raise ResourceLimitError(f"value table of size {Q} exceeds budget {_core.SIEVE_BUDGET}")
 
+    clamped = False
     if isinstance(G, MultiplicativeFunction):
         vals = multiplicative_sieve(
             Q,
@@ -196,6 +209,7 @@ def _value_table(G, Q: int) -> np.ndarray:
             bound = G.squarefree_cap / n
             over = mag > bound
             vals[n[over]] *= bound[over] / mag[over]
+            clamped = bool(over.any())
     elif getattr(G, "table", None) is not None:
         vals = checked_values(G.table(Q), Q + 1, f"{G.label}: table(Q)")
     else:
@@ -204,6 +218,7 @@ def _value_table(G, Q: int) -> np.ndarray:
     vals.setflags(write=False)
     if memo is not None:
         memo[key] = vals
+        memo[("clamped", Q)] = clamped
     return vals
 
 
@@ -335,9 +350,90 @@ def restricted_mobius_partial_sums(
     if b < 1 or x < 1:
         raise ValueError("b and x must be >= 1")
     rad = radical(b)
+    return _series(G, 1, x, checkpoints, _restricted_description(G, rad, absolute), rad, absolute, exact)
+
+
+def _restricted_description(G, rad: int, absolute: bool = False) -> str:
     what = "|G(r) mu(r)|" if absolute else "G(r) mu(r)"
-    desc = f"sum over r <= t, (r, {rad}) = 1 of {what}, G = {G.label}"
-    return _series(G, 1, x, checkpoints, desc, rad, absolute, exact)
+    return f"sum over r <= t, (r, {rad}) = 1 of {what}, G = {G.label}"
+
+
+def _peel_restricted_sums(G: MultiplicativeFunction, radicals: Iterable[int], Q: int, cps: list[int]) -> dict:
+    """Floating restricted Mobius series of each radical b on the
+    checkpoints ``cps``, as {b: PartialSumSeries}, all read off one Mobius
+    prefix M_G(y) = sum_{r <= y} G(r) mu(r).
+
+    Iterating the coprime peel R_b(x) = R_{bp}(x) - G(p) R_{bp}(x // p)
+    (``coprime_peel_identity``) over the primes of b gives
+    R_b(x) = sum over b-smooth n <= x of G~(n) M_G(x // n), where G~ is
+    completely multiplicative with G~(p) = G(p) on p | b.  So every b needs
+    M_G only at the points x // n.  Those are taken in one pass: segment
+    sums of u = V mu between consecutive points (``np.add.reduceat``, a
+    pairwise sum per segment) with Neumaier accumulation across segments.
+    u is a temporary, so nothing Q-long outlives the call but the value
+    table.  Each R_b(x) is then one pairwise sum over n.
+
+    Two cases keep the direct kernel, ``restricted_mobius_partial_sums``:
+    |G(p)| > 1 on a prime p of b, since the powers G(p)^k amplify the
+    roundoff of M_G; and a value table that ``squarefree_cap`` clamped,
+    which is no longer multiplicative.  The peel writes no memo entry, so a
+    later restricted series reads the same bytes whether or not it ran.
+    """
+    V = _value_table(G, Q)
+    clamped = G._memo[("clamped", Q)]
+    out, smooth = {}, {}
+    for b in radicals:
+        primes = [p for p in factorize(b).primes() if p <= Q]
+        if clamped or any(abs(V[p]) > 1 for p in primes):
+            out[b] = restricted_mobius_partial_sums(G, b, Q, cps, exact=False)
+        else:
+            smooth[b] = _smooth_weights(V, primes, Q)
+    if not smooth:
+        return out
+    xs = np.array(cps, dtype=np.int64)[:, None]
+    points = _sorted_distinct(xs // _sorted_distinct(np.concatenate([n for n, _ in smooth.values()])))
+    M = _mobius_prefix_at(V, Q, points)
+    for b, (n, w) in smooth.items():
+        sums = (M[np.searchsorted(points, xs // n)] * w).sum(axis=1)
+        out[b] = PartialSumSeries(_restricted_description(G, b), tuple(zip(cps, sums.tolist())), "floating")
+    return out
+
+
+def _smooth_weights(V: np.ndarray, primes: Sequence[int], Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every n <= Q whose primes all lie in ``primes``, with G~(n): one
+    product of table values V[p] per prime factor, counted with multiplicity."""
+    ns, ws = np.ones(1, dtype=np.int64), np.ones(1, dtype=V.dtype)
+    for p in primes:
+        parts_n, parts_w = [ns], [ws]
+        n, w = ns, ws
+        while True:
+            keep = n <= Q // p
+            if not keep.any():
+                break
+            n, w = n[keep] * p, w[keep] * V[p]
+            parts_n.append(n)
+            parts_w.append(w)
+        ns, ws = np.concatenate(parts_n), np.concatenate(parts_w)
+    return ns, ws
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``a``, ascending: ``np.unique`` without its
+    lazy import of ``numpy.ma``, which stays resident (about 0.8 MB)."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+def _mobius_prefix_at(V: np.ndarray, Q: int, points: np.ndarray) -> np.ndarray:
+    """M_G(y) = sum_{r <= y} V[r] mu(r) at the ascending distinct points
+    0 <= y <= Q, at least one of them positive (M_G(0) = 0)."""
+    M = np.zeros(len(points), dtype=V.dtype)
+    pos = points > 0
+    ys = points[pos]
+    u = V[: ys[-1] + 1] * mobius_table(Q)[: ys[-1] + 1]
+    segments = np.add.reduceat(u, np.concatenate(([1], ys[:-1] + 1)))
+    M[pos] = _neumaier_accumulate(segments.tolist())
+    return M
 
 
 def finite_factor(G, a: int) -> Number:
@@ -649,8 +745,9 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
     condition numerically.  Every hypothesis check is recorded.
 
     Every series runs on ``checkpoint_schedule(cfg.Q, cfg.window)``, once per
-    distinct input: one per radical in the classical cases, one per p0-free
-    part of a in the invisible-prime cases."""
+    distinct input: one per radical in the classical cases, all peeled off
+    one Mobius prefix by ``_peel_restricted_sums``, and one per p0-free part
+    of a in the invisible-prime cases."""
     cfg = config if config is not None else EngineConfig()
     cps = checkpoint_schedule(cfg.Q, cfg.window)
     checks: list[tuple[str, str]] = []
@@ -710,7 +807,7 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
     # converge for sampled a, and the characterizing sum must vanish.
     radicals = sorted({radical(x) for x in cfg.sample_a})
     b0 = 1 if classification == "normal" else rep.PG
-    restricted = {b: restricted_mobius_partial_sums(G, b, cfg.Q, cps, exact=False) for b in sorted({*radicals, b0})}
+    restricted = _peel_restricted_sums(G, sorted({*radicals, b0}), cfg.Q, cps)
     hyp = check_hypothesis(
         f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}...)",
         (restricted[b] for b in radicals),

@@ -1,6 +1,7 @@
 """Kernels against brute-force oracles: sieve counts by trial division,
 mu/phi by definition, divisor-sum identities by direct enumeration."""
 
+import bisect
 import math
 import tracemalloc
 
@@ -49,7 +50,25 @@ class TestSieve:
 
     def test_textbook(self):
         assert sieve_primes(10).tolist() == [2, 3, 5, 7]
-        assert sieve_primes(2).tolist() == [2]
+
+    @staticmethod
+    def reference(limit):
+        is_p = [False, False] + [True] * (limit - 1)
+        for p in range(2, math.isqrt(limit) + 1):
+            if is_p[p]:
+                is_p[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+        return [n for n in range(limit + 1) if is_p[n]]
+
+    def test_matches_plain_sieve(self):
+        # The odd-only sieve against every-integer trial striking: each limit
+        # through 5000 (every parity and every square edge) and one large one.
+        big = self.reference(10**6)
+        for limit in range(5001):
+            got = sieve_primes(limit)
+            assert got.dtype == np.int64
+            assert got.tolist() == big[: bisect.bisect_right(big, limit)], limit
+        got = sieve_primes(10**6)
+        assert got.dtype == np.int64 and got.tolist() == big
 
     def test_against_trial_division(self):
         primes = set(sieve_primes(2000).tolist())

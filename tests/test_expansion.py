@@ -192,9 +192,13 @@ def _random_exact_rule(values, seed):
     )
 
 
-_RULE_VALUES = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=6).map(
-    lambda vs: vs + [Fraction(0), Fraction(-1, 2)]
-)
+def _rule_values(bound):
+    return st.lists(st.fractions(min_value=-bound, max_value=bound, max_denominator=12), min_size=1, max_size=6).map(
+        lambda vs: vs + [Fraction(0), Fraction(-1, 2)]
+    )
+
+
+_RULE_VALUES = _rule_values(3)
 
 
 def _kluyver_mass(G, a, b, Q, xs):
@@ -433,6 +437,11 @@ class TestValueTable:
         assert vals[500] == 1j
         assert all(vals[n] == float(Fraction(1, n)) for n in range(1, 1001) if n != 500)
 
+    def test_records_whether_the_cap_clamped(self):
+        for G, clamped in ((catalog("GR"), False), (catalog("prop1"), False), (catalog("prop1", cap=1.0), True)):
+            _value_table(G, 20_000)
+            assert G._memo[("clamped", 20_000)] is clamped, G.label
+
     def test_real_rules_stay_real(self):
         for G in (catalog("GR"), catalog("GH"), catalog("prop5")):
             assert _value_table(G, 500).dtype == np.float64
@@ -628,6 +637,93 @@ class TestRestrictedMobius:
             restricted_mobius_partial_sums(G, b, 1000, exact=False)
             keys.append(sorted(k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver"))
         assert keys[0] == keys[1] == [("kluyver", 1000, 2, d, cps) for d in (1, 3)]
+
+
+def _kluyver_keys(G):
+    return [k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver"]
+
+
+class TestPeelRestrictedSums:
+    # The peel writes R_b(x) = sum over b-smooth n <= x of G~(n) M_G(x // n),
+    # with G~ completely multiplicative, G~(p) = G(p).  Error bound, in the
+    # terms of TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4):
+    # * M_G(y): table entries 9 roundings (the mu product is exact), one
+    #   reduceat segment (first term plus a pairwise sum of the rest)
+    #   ceil(log2 Q) + 19, Neumaier across segments 2; relative to
+    #   A(y) = sum_{r <= y} |G(r) mu(r)|.
+    # * G~(n): one rounding of each float G(p) it multiplies, then
+    #   Omega(n) - 1 products, so 2 Omega(n) - 1 <= 2 floor(log2 Q) - 1.
+    # * G~(n) M_G(x // n): 1; the pairwise sum over n: ceil(log2 Q) + 19.
+    # First order that is (4 ceil(log2 Q) + 49) u times the peel mass
+    # sum_n |G~(n)| A(x // n); one more u covers the second-order terms.
+    # With |G(p)| <= 1 the mass is at most the count of b-smooth n <= x times
+    # A(x); with |G(p)| > 1 it grows like |G(p)|^(log_p x), which is why the
+    # peel falls back there.  A wrong G~(n), or a point read off by one,
+    # moves a sum by whole terms.
+    @staticmethod
+    def peel_bound(Q):
+        return (4 * math.ceil(math.log2(Q)) + 50) * 2.0**-53
+
+    @staticmethod
+    def peel_mass(G, b, Q, xs):
+        A = [Fraction(0)]
+        for r in range(1, Q + 1):
+            A.append(A[-1] + (abs(G.eval(r)) if mobius(r) else 0))
+        smooth = {}
+        for n in range(1, Q + 1):
+            if b % radical(n) == 0:
+                smooth[n] = math.prod((abs(G.eval(p)) ** e for p, e in factorize(n).factors), start=Fraction(1))
+        return [sum(g * A[x // n] for n, g in smooth.items() if n <= x) for x in xs]
+
+    @given(
+        _rule_values(1),
+        st.integers(min_value=0, max_value=2**32),
+        st.one_of(st.integers(min_value=1, max_value=300), st.integers(min_value=301, max_value=10**4)),
+        st.sampled_from([1, 2, 6, 30, 210]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_within_peel_bound_of_the_fraction_oracle(self, values, seed, Q, b):
+        G = _random_exact_rule(values, seed)
+        xs = checkpoint_schedule(Q)
+        got = expansion._peel_restricted_sums(G, [b], Q, xs)[b]
+        assert not _kluyver_keys(G)  # the peel ran, not the direct kernel
+        want = restricted_mobius_partial_sums(G, b, Q, xs, exact=True)
+        direct = restricted_mobius_partial_sums(G, b, Q, xs, exact=False)
+        assert (got.description, got.mode, got.xs()) == (direct.description, direct.mode, direct.xs())
+        mass = self.peel_mass(G, b, Q, xs)
+        for x, f, e, m in zip(xs, got.values(), want.values(), mass):
+            assert type(f) is float
+            assert abs(Fraction(f) - e) <= Fraction(self.peel_bound(Q)) * m, x
+
+    @pytest.mark.parametrize(
+        "G, radicals",
+        [
+            # G(2) = 2^0.4 > 1: the powers of G(2) would amplify roundoff.
+            (catalog("prop5"), [2, 6, 10, 30, 42]),
+            # cap 1.0 clamps every squarefree n > 1: the table is not multiplicative.
+            (catalog("prop1", cap=1.0), [1, 2, 3, 6, 30]),
+        ],
+    )
+    def test_fallbacks_keep_the_direct_kernel(self, G, radicals):
+        Q = FAST_CFG.Q
+        cps = checkpoint_schedule(Q)
+        got = expansion._peel_restricted_sums(G, radicals, Q, cps)
+        fresh = dataclasses.replace(G)
+        for b in radicals:
+            want = restricted_mobius_partial_sums(fresh, b, Q, cps, exact=False)
+            assert TestCoprimePart.same(got[b], want) and got[b].description == want.description, b
+
+    @pytest.mark.parametrize("name", ["GR", "GH", "prop1"])
+    def test_verdict_leaves_restricted_series_unchanged(self, name):
+        # A restricted series read after a classical verdict on the same G
+        # has the bytes of one read on a fresh copy: the peel writes no memo.
+        G = catalog(name)
+        assert zero_cloud_verdict(G, FAST_CFG).conclusion == "in_zero_cloud"
+        fresh = dataclasses.replace(G)
+        for b in sorted({radical(a) for a in FAST_CFG.sample_a}):
+            after = restricted_mobius_partial_sums(G, b, FAST_CFG.Q, exact=False)
+            alone = restricted_mobius_partial_sums(fresh, b, FAST_CFG.Q, exact=False)
+            assert TestCoprimePart.same(after, alone), b
 
 
 class TestFiniteFactors:
@@ -923,25 +1019,33 @@ class TestEngineConfigValidation:
 
 class TestZeroCloudVerdict:
     def test_each_distinct_series_runs_once(self, monkeypatch):
-        # a and a / p0^k give one series over q coprime to p0, and the main
-        # classical series is the restricted series of its own radical.
+        # a and a / p0^k give one series over q coprime to p0.  The classical
+        # cases peel all 31 radicals (the main series among them) off one
+        # Mobius prefix in one batch, and build no direct T_1 for b > 1.
         counts = collections.Counter()
-        for name in ("expansion_partial_sums", "restricted_mobius_partial_sums"):
+        radicals = []
+        for name in ("expansion_partial_sums", "restricted_mobius_partial_sums", "_peel_restricted_sums"):
             def counted(*args, _fn=getattr(expansion, name), _name=name, **kw):
                 counts[_name] += 1
+                if _name == "_peel_restricted_sums":
+                    radicals.append(list(args[1]))
                 return _fn(*args, **kw)
 
             monkeypatch.setattr(expansion, name, counted)
         cfg = EngineConfig()
         for G, want in (
             (catalog("indicator_prime_powers", p0=2), {"expansion_partial_sums": 25}),
-            (catalog("GR"), {"restricted_mobius_partial_sums": 31}),
-            (catalog("GH"), {"restricted_mobius_partial_sums": 31}),
+            (catalog("GR"), {"_peel_restricted_sums": 1}),
+            (catalog("GH"), {"_peel_restricted_sums": 1}),
         ):
             counts.clear()
+            radicals.clear()
             verdict = zero_cloud_verdict(G, cfg)
             assert verdict.conclusion == "in_zero_cloud"
             assert counts == want, G.label
+            if radicals:
+                assert radicals == [sorted({radical(a) for a in cfg.sample_a})] and len(radicals[0]) == 31
+                assert not [k for k in _kluyver_keys(G) if k[2] > 1]
 
     def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
         # One T_d per distinct divisor of the sampled p0-free parts, kept on G
