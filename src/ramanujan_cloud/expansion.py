@@ -10,8 +10,10 @@ mode over the scalar ``c_holder``, an oracle independent of the numpy
 tables.  Signed floating series go through ``_kluyver_sums``, which writes
 them as sum over d | a of d T_d(x // d), where T_d sums G(dm) mu(m) and is
 shared by every a with the divisor d.  The absolute floating series weights
-the value table by ``c_table``, since |sum| is not sum |.|.  Both floating
-paths accumulate checkpoint segments with Neumaier compensation.
+the value table by ``c_table``, since |sum| is not sum |.|.  Every floating
+series is summed by one reduction, ``_neumaier_segments``: one numpy pass
+over the segments between the points wanted, Neumaier-compensated across
+segments; Kluyver's sum over d and the peel's sum over n combine its sums.
 
 Classical verdicts need one restricted Mobius series per sampled radical b.
 ``_peel_restricted_sums`` reads them all off one Mobius prefix
@@ -110,12 +112,29 @@ class PartialSumSeries:
         raise KeyError(f"no checkpoint at x = {x}")
 
 
-def _neumaier_segments(terms: np.ndarray, checkpoints: Sequence[int]) -> list:
-    """Partial sums at the checkpoints: numpy pairwise sums per segment,
-    Neumaier-compensated accumulation across segments."""
-    cast = complex if np.iscomplexobj(terms) else float
-    bounds = zip(chain((1,), (x + 1 for x in checkpoints)), checkpoints)
-    return _neumaier_accumulate(cast(terms[lo : x + 1].sum()) for lo, x in bounds)
+def _neumaier_segments(terms: np.ndarray, points: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
+    """The sums of ``terms[1..y]`` for each y in ``points`` (any order and
+    shape, 0 and repeats allowed), as an array of the terms' dtype.
+
+    One numpy pass sums the segments between consecutive distinct positive
+    points, each as its first term plus a pairwise sum of the rest, and
+    Neumaier-accumulates them.  The dedupe is needed: a start repeated for
+    an empty segment would read ``terms[start]``, not 0."""
+    points = np.asarray(points, dtype=np.int64)
+    ys = _sorted_distinct(points)
+    ys = ys[ys > 0]
+    sums = np.zeros(len(ys) + 1, dtype=terms.dtype)  # sums[0] = 0 for y = 0
+    if len(ys):
+        segments = np.add.reduceat(terms[: ys[-1] + 1], np.concatenate(([1], ys[:-1] + 1)))
+        sums[1:] = _neumaier_accumulate(segments.tolist())
+    return sums[np.searchsorted(ys, points, "right")]
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``a``, ascending: ``np.unique`` without its
+    lazy import of ``numpy.ma``, which stays resident (about 0.8 MB)."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _neumaier_accumulate(segments: Iterable[Number]) -> list:
@@ -260,7 +279,7 @@ def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) ->
     if absolute:
         terms = np.abs(_value_table(G, Q) * c_table(a, Q))
         _strike_non_coprime(terms, b)
-        sums = _neumaier_segments(terms, cps)
+        sums = _neumaier_segments(terms, cps).tolist()
     else:
         sums = _kluyver_sums(G, a, Q, cps, b)
     return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
@@ -299,7 +318,7 @@ def _kluyver_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
         if T is None:
             u = _value_table(G, Q)[::d] * mobius_table(Q)[: Q // d + 1]
             _strike_non_coprime(u, b)
-            T = tuple(_neumaier_segments(u, [x // d for x in cps]))
+            T = tuple(_neumaier_segments(u, [x // d for x in cps]).tolist())
             if memo is not None:
                 memo[key] = T
         totals = [s + d * t for s, t in zip(totals, T)]
@@ -367,11 +386,10 @@ def _peel_restricted_sums(G: MultiplicativeFunction, radicals: Iterable[int], Q:
     (``coprime_peel_identity``) over the primes of b gives
     R_b(x) = sum over b-smooth n <= x of G~(n) M_G(x // n), where G~ is
     completely multiplicative with G~(p) = G(p) on p | b.  So every b needs
-    M_G only at the points x // n.  Those are taken in one pass: segment
-    sums of u = V mu between consecutive points (``np.add.reduceat``, a
-    pairwise sum per segment) with Neumaier accumulation across segments.
-    u is a temporary, so nothing Q-long outlives the call but the value
-    table.  Each R_b(x) is then one pairwise sum over n.
+    M_G only at the points x // n, and ``_neumaier_segments`` takes them
+    all, for every b, in one pass over u = V mu.  u is a temporary, so
+    nothing Q-long outlives the call but the value table.  Each R_b(x) is
+    then one pairwise sum over n.
 
     Two cases keep the direct kernel, ``restricted_mobius_partial_sums``:
     |G(p)| > 1 on a prime p of b, since the powers G(p)^k amplify the
@@ -390,11 +408,12 @@ def _peel_restricted_sums(G: MultiplicativeFunction, radicals: Iterable[int], Q:
             smooth[b] = _smooth_weights(V, primes, Q)
     if not smooth:
         return out
-    xs = np.array(cps, dtype=np.int64)[:, None]
-    points = _sorted_distinct(xs // _sorted_distinct(np.concatenate([n for n, _ in smooth.values()])))
-    M = _mobius_prefix_at(V, Q, points)
+    # M[i, j] = M_G(x_i // ns[j]) over the distinct smooth n of every b.
+    ns = _sorted_distinct(np.concatenate([n for n, _ in smooth.values()]))
+    M = _neumaier_segments(V * mobius_table(Q), np.array(cps, dtype=np.int64)[:, None] // ns)
     for b, (n, w) in smooth.items():
-        sums = (M[np.searchsorted(points, xs // n)] * w).sum(axis=1)
+        # np.take keeps the rows C-contiguous, so each row is one pairwise sum.
+        sums = (np.take(M, np.searchsorted(ns, n), axis=1) * w).sum(axis=1)
         out[b] = PartialSumSeries(_restricted_description(G, b), tuple(zip(cps, sums.tolist())), "floating")
     return out
 
@@ -415,25 +434,6 @@ def _smooth_weights(V: np.ndarray, primes: Sequence[int], Q: int) -> tuple[np.nd
             parts_w.append(w)
         ns, ws = np.concatenate(parts_n), np.concatenate(parts_w)
     return ns, ws
-
-
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct entries of ``a``, ascending: ``np.unique`` without its
-    lazy import of ``numpy.ma``, which stays resident (about 0.8 MB)."""
-    a = np.sort(a, axis=None)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
-def _mobius_prefix_at(V: np.ndarray, Q: int, points: np.ndarray) -> np.ndarray:
-    """M_G(y) = sum_{r <= y} V[r] mu(r) at the ascending distinct points
-    0 <= y <= Q, at least one of them positive (M_G(0) = 0)."""
-    M = np.zeros(len(points), dtype=V.dtype)
-    pos = points > 0
-    ys = points[pos]
-    u = V[: ys[-1] + 1] * mobius_table(Q)[: ys[-1] + 1]
-    segments = np.add.reduceat(u, np.concatenate(([1], ys[:-1] + 1)))
-    M[pos] = _neumaier_accumulate(segments.tolist())
-    return M
 
 
 def finite_factor(G, a: int) -> Number:
@@ -657,20 +657,13 @@ def absolute_convergence_report(
     rep = spectrum(G, config=cfg)  # rejects a non-multiplicative G before any table
 
     primes = sieve_primes(prime_bound)
-    # The value table applies ``squarefree_cap``, which G.rule alone skips.
-    cum = np.cumsum(np.abs(_value_table(G, prime_bound)[primes]))
-
-    def prime_sum_upto(bound: int) -> float:
-        k = int(np.searchsorted(primes, bound, side="right"))
-        return float(cum[k - 1]) if k else 0.0
-
+    # Term k is |G(p_k)|, so the sum to x is the sum to pi(x).  The value
+    # table applies ``squarefree_cap``, which G.rule alone skips.
+    terms = np.abs(_value_table(G, prime_bound)[np.concatenate(([0], primes))])
     cps = checkpoint_schedule(prime_bound)
-    prime_series = PartialSumSeries(
-        f"sum over p <= x of |G(p)|, G = {G.label}",
-        tuple((x, prime_sum_upto(x)) for x in cps),
-        "floating",
-    )
-    increase = prime_sum_upto(prime_bound) - prime_sum_upto(prime_bound // 10)
+    sums = _neumaier_segments(terms, np.searchsorted(primes, [*cps, prime_bound // 10], "right")).tolist()
+    prime_series = PartialSumSeries(f"sum over p <= x of |G(p)|, G = {G.label}", tuple(zip(cps, sums)), "floating")
+    increase = sums[-2] - sums[-1]
     prime_verdict = "diverging" if increase > cfg.slow_growth_tol else "bounded"
 
     abs_series = expansion_partial_sums(G, a, Q, absolute=True, exact=False)

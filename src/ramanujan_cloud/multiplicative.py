@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .config import EngineConfig
-from .core import checked_values, factorize, is_prime, sieve_primes
+from .core import SIEVE_BUDGET, checked_values, factorize, is_prime, sieve_primes
 from .sums import FormulaInconsistencyError
 
 Number = Union[int, Fraction, float, complex]
@@ -396,9 +396,14 @@ def _prop1(
             return first
         return first**e if higher_power is None else higher_power(p, e)
 
-    for p in sieve_primes(1000).tolist():
-        if abs(rule(p, 1) - 1.0) <= DEFAULT_ONE_TOL:
-            raise ValueError(f"parameters make G({p}) = 1; entry must not be exotic")
+    # With c <= 0, G(p) <= 1/p <= 1/2.  With c > 0, G(p) decreases in p and
+    # 1/p <= 1/2, so G(p) >= 1 - tol needs p^(1+alpha) <= c / (1/2 - tol):
+    # check every such prime (a reach above the sieve budget raises there).
+    if c > 0:
+        reach = (c / (0.5 - DEFAULT_ONE_TOL)) ** (1.0 / (1.0 + alpha))
+        for p in sieve_primes(math.floor(min(reach, SIEVE_BUDGET)) + 1).tolist():
+            if abs(rule(p, 1) - 1.0) <= DEFAULT_ONE_TOL:
+                raise ValueError(f"parameters make G({p}) = 1; entry must not be exotic")
     return MultiplicativeFunction(
         label=f"prop1(alpha={alpha}, c={c})",
         rule=rule,

@@ -139,15 +139,15 @@ def balanced_series_demo(
         window_ys = ys or [max(1, x_max // 2)]
     if any(not 1 <= y <= x_max for y in window_ys):
         raise ValueError(f"window_ys must lie within [1, {x_max}]")
-    # One compensated pass per series gives the checkpoints and the window ends.
-    points = sorted(set(cps).union(*((y, min(2 * y, x_max)) for y in window_ys)))
+    # One pass per series; the full one also reads both ends of each window.
+    k, j = len(cps), len(cps) + len(window_ys)
     vals = _value_table(h, x_max)
-    cum = dict(zip(points, _neumaier_segments(vals, points)))
-    full = PartialSumSeries(f"sum over q <= x of h(q), s = {s}", tuple((x, cum[x]) for x in cps), "floating")
+    cum = _neumaier_segments(vals, [*cps, *window_ys, *(min(2 * y, x_max) for y in window_ys)]).tolist()
+    full = PartialSumSeries(f"sum over q <= x of h(q), s = {s}", tuple(zip(cps, cum[:k])), "floating")
     vals = vals.copy()  # the table is read-only and memoized on h
     vals[2::2] = 0  # the odd restriction
-    odd = PartialSumSeries(f"sum over odd q <= x of h(q), s = {s}", tuple(zip(cps, _neumaier_segments(vals, cps))), "floating")
-    window_sums = tuple((int(y), float(abs(cum[min(2 * y, x_max)] - cum[y]))) for y in window_ys)
+    odd = PartialSumSeries(f"sum over odd q <= x of h(q), s = {s}", tuple(zip(cps, _neumaier_segments(vals, cps).tolist())), "floating")
+    window_sums = tuple((int(y), float(abs(hi - lo))) for y, lo, hi in zip(window_ys, cum[k:j], cum[j:]))
     shrink = all(w <= WINDOW_THRESHOLD for _, w in window_sums)
     odd_verdict = detect_convergence(odd, window=min(EngineConfig.window, len(cps)), tol=WINDOW_THRESHOLD)
     return BalancedSeriesDemo(

@@ -73,6 +73,11 @@ class TestClassify:
         assert code == 0
         assert payload["classification"] == "normal" and payload["PG"] == 1
 
+    def test_prop1_with_a_transparent_prime_exits_one(self, capsys):
+        # G(1009) = 1 lies past any fixed scan of small primes.
+        assert run(["classify", "prop1", "--param", "c=1017072", "--scan-bound", "2000"]) == 1
+        assert capsys.readouterr().err == "error: parameters make G(1009) = 1; entry must not be exotic\n"
+
     def test_scan_bound_flag(self, capsys):
         code, payload = run_json(capsys, ["classify", "GR", "--scan-bound", "73"])
         assert code == 0

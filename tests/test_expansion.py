@@ -252,6 +252,64 @@ def _within(values, reference, bound, mass):
     return True
 
 
+class TestNeumaierSegments:
+    # _neumaier_segments(terms, points)[i] is the sum of terms[1..points[i]].
+    # Error bound for exact input terms, u = 2^-53, n = len(terms) - 1 <= 3000:
+    # each reduceat segment is off by at most gamma_{ceil(log2 n) + 19} times
+    # its sum of |t| (derivation in TestFloatingAgainstFractionOracle), and
+    # Neumaier's sum across segments adds 2u |S| + O(N u^2) sum |s_j|.  A
+    # complex sum is compared per component against |Re t| + |Im t|; choosing
+    # Neumaier's branch by modulus can cost each segment 2 more roundings.
+    # First order that is (ceil(log2 n) + 23) u times the mass of the terms
+    # summed; one more u covers the second-order terms.  Losing the dedupe, the
+    # skipped index 0 or a point's position moves a sum by whole terms.
+    @staticmethod
+    def bound(n):
+        return (math.ceil(math.log2(max(n, 2))) + 24) * 2.0**-53
+
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**32),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_within_bound_of_fraction_prefix_sums(self, n, seed, is_complex, data):
+        rng = np.random.default_rng(seed)
+        # Magnitudes over 16 decades make the segment sums cancel.
+        draw = lambda: rng.standard_normal(n + 1) * 10.0 ** rng.integers(-8, 9, n + 1)
+        terms = draw() + 1j * draw() if is_complex else draw()
+        points = data.draw(
+            st.lists(st.one_of(st.just(0), st.integers(min_value=0, max_value=n)), min_size=1, max_size=40)
+        )
+        points += data.draw(st.lists(st.sampled_from(points), max_size=10))  # repeats
+        points = data.draw(st.permutations(points))
+        got = _neumaier_segments(terms, points)
+        assert got.shape == (len(points),) and got.dtype == terms.dtype
+        # Index 0 is never summed: prefix[y] covers terms[1..y] only.
+        prefix, mass = [(Fraction(0), Fraction(0))], [Fraction(0)]
+        for t in terms[1:].astype(np.complex128).tolist():
+            re, im = prefix[-1]
+            prefix.append((re + Fraction(t.real), im + Fraction(t.imag)))
+            mass.append(mass[-1] + abs(Fraction(t.real)) + abs(Fraction(t.imag)))
+        assert _within(got, [prefix[y] for y in points], self.bound(n), [mass[y] for y in points])
+
+    def test_repeated_and_zero_points(self):
+        # Integer terms sum exactly; terms[0] is never read.  Without the
+        # dedupe the repeated 2 and 5 would start empty reduceat segments,
+        # which return terms[3] and terms[6] instead of 0; without dropping
+        # 0, y = 0 would get a segment of its own, terms[1], instead of 0.
+        terms = np.arange(10, dtype=np.float64) + 100 * (np.arange(10) == 0)
+        got = _neumaier_segments(terms, [5, 2, 2, 0, 7, 5, 0])
+        assert got.tolist() == [15.0, 3.0, 3.0, 0.0, 28.0, 15.0, 0.0]
+
+    def test_points_keep_their_shape(self):
+        terms = np.arange(10, dtype=np.complex128) * (1 + 1j)
+        got = _neumaier_segments(terms, np.array([[9, 1], [0, 4]]))
+        assert got.dtype == np.complex128
+        assert got.tolist() == [[45 + 45j, 1 + 1j], [0j, 10 + 10j]]
+
+
 class TestFloatingAgainstFractionOracle:
     # Error bound, with u = 2^-53 the unit roundoff and gamma_k = k u / (1 - k u)
     # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4).  For
@@ -260,12 +318,15 @@ class TestFloatingAgainstFractionOracle:
     #   correctly rounded factors float(G(p^e)), multiplied into 1.0 (k - 1
     #   inexact products); the integer weight (|w| < 2^53, exact in float64)
     #   adds one more rounding; strike and abs are exact.  |t^ - t| <= gamma_10 |t|.
-    # * segment: numpy's pairwise sum works on blocks of at most 128 with 8
-    #   accumulators (at most 14 + 3 roundings, plus 7 for a tail that is not
-    #   a multiple of 8, so 24), halves above 128 (at most ceil(log2 m) - 6
-    #   levels for m terms), and the reduction starts from the first term
-    #   (1 more): each term passes <= ceil(log2 Q) + 19 roundings, so the error
-    #   is <= gamma_{ceil(log2 Q) + 19} times the sum of |t^| over the segment.
+    # * segment: ``_neumaier_segments`` sums each segment with one
+    #   ``np.add.reduceat`` step, the first term plus a pairwise sum of the
+    #   rest.  That pairwise sum starts from an exact 0.0, works on blocks of
+    #   at most 128 with 8 accumulators (at most 14 + 3 roundings, plus 7 for
+    #   a tail that is not a multiple of 8, so 24) and halves above 128 (at
+    #   most ceil(log2 m) - 6 levels for m terms); adding the first term costs
+    #   1 more.  So each term passes <= ceil(log2 Q) + 19 roundings, and the
+    #   error is <= gamma_{ceil(log2 Q) + 19} times the sum of |t^| over the
+    #   segment.
     # * across segments, Neumaier's compensated sum of N segment sums is off
     #   by <= 2u |S| + O(N u^2) sum |s_j| (Neumaier, ZAMM 54, 1974).
     # First order that is (ceil(log2 Q) + 31) u times sum |t|; the second-order

@@ -15,6 +15,7 @@ from ramanujan_cloud import (
     FormulaInconsistencyError,
     GeneralArithmeticFunction,
     MultiplicativeFunction,
+    ResourceLimitError,
     catalog,
     catalog_names,
     is_weakly_exotic,
@@ -302,6 +303,20 @@ class TestCatalog:
         assert rep.classification == "normal"
         g = catalog("prop1", alpha=1.0, c=1.0)
         assert g.eval(5) == pytest.approx(1 / 5 + 5**-2.0)
+
+    def test_prop1_rejects_a_transparent_prime_above_1000(self):
+        # 1/1009 + 1017072 / 1009^2 = 1018081 / 1009^2 = 1 exactly.
+        with pytest.raises(ValueError, match=r"G\(1009\) = 1"):
+            catalog("prop1", alpha=1.0, c=1017072.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -1017072.0])
+    def test_prop1_without_a_positive_c_never_hits_one(self, c):
+        assert spectrum(catalog("prop1", alpha=1.0, c=c)).classification == "normal"
+
+    def test_prop1_beyond_the_sieve_budget(self):
+        # G(p) can reach 1 up to p^2 ~ 2e300: too many primes to rule out.
+        with pytest.raises(ResourceLimitError, match="exceeds budget"):
+            catalog("prop1", alpha=1.0, c=1e300)
 
     def test_prop1_higher_power_override(self):
         g = catalog("prop1", higher_power=lambda p, e: 0.0)
