@@ -13,7 +13,6 @@ from .core import (
     mobius_table,
     radical,
     sieve_primes,
-    squarefree_table,
     valuation,
 )
 from .expansion import (

@@ -1,11 +1,12 @@
 """Elementary number-theoretic kernels: sieve, factorization, mu, phi.
 
-Scalar functions work by trial division against a cached prime list and are
-memoized, which is plenty for moduli up to ~10^9.  The million-term summation
-loops elsewhere in the package go through the numpy table builders instead,
-``mobius_table`` and ``squarefree_table``.  Tables are built once, marked
-read-only, and shared, so everything here is safe to call from concurrent
-workers.
+The primes and mu each live in one module-level slot, the largest table
+built so far; ``sieve_primes`` and ``mobius_table`` hand out read-only
+prefixes and rebuild only for a larger limit.  n is squarefree exactly where
+mu(n) != 0.  Scalar functions, the oracles the tables are checked against,
+work by trial division against the prime slot and are memoized, which is
+plenty for moduli up to ~10^9.  Nothing handed out is writable, so everything
+here is safe to call from concurrent workers.
 
 Tables of multiplicative functions (mu here, G(q) in the expansion engine)
 come from one two-phase sieve, ``multiplicative_sieve``: one strided multiply
@@ -31,12 +32,16 @@ class ResourceLimitError(MemoryError):
     """A requested sieve or table would exceed ``SIEVE_BUDGET``."""
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array."""
+def _check_limit(limit: int) -> None:
+    """Raise unless 0 <= limit <= ``SIEVE_BUDGET``; called before any cache read."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > SIEVE_BUDGET:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {SIEVE_BUDGET}")
+        raise ResourceLimitError(f"table limit {limit} exceeds budget {SIEVE_BUDGET}")
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending int64, freshly sieved."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     # Odd numbers only: index i stands for 2i + 1, except index 0, which
@@ -51,6 +56,30 @@ def sieve_primes(limit: int) -> np.ndarray:
     primes += 1
     primes[0] = 2
     return primes
+
+
+# (limit built, read-only array); a larger request rebuilds at its limit.
+# The prime slot starts at 2^16, so trial division of n < 2^32 never rebuilds
+# it.  A race between two rebuilds only repeats work.
+_prime_slot = _mu_slot = (-1, None)
+
+
+def _primes_upto(limit: int) -> np.ndarray:
+    global _prime_slot
+    built, primes = _prime_slot
+    if limit > built:
+        _check_limit(limit)  # factorize reads the slot without sieve_primes' check
+        built = max(limit, 1 << 16)
+        primes = _sieve(built)
+        primes.setflags(write=False)
+        _prime_slot = (built, primes)
+    return primes[: int(np.searchsorted(primes, limit, "right"))]
+
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as a read-only int64 array."""
+    _check_limit(limit)
+    return _primes_upto(limit)
 
 
 def checked_values(values, count: int, what: str) -> np.ndarray:
@@ -89,16 +118,12 @@ def multiplicative_sieve(
     gather multiplies ``table[m * P] *= g(P)`` over the primes P <= limit / m.
     Every entry is multiplied in the order of a prime-by-prime sweep (its
     small primes ascending, then its large prime), so real tables are
-    bit-identical to one.  A limit above ``SIEVE_BUDGET`` raises
-    ``ResourceLimitError`` before anything is allocated.
+    bit-identical to one.  ``sieve_primes(limit)`` runs before the table is
+    allocated, so an over-budget limit raises ``ResourceLimitError`` first.
     """
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    if limit > SIEVE_BUDGET:
-        raise ResourceLimitError(f"table of size {limit} exceeds budget {SIEVE_BUDGET}")
+    primes = sieve_primes(limit)
     table = np.ones(limit + 1, dtype=dtype)
     table[0] = 0
-    primes = sieve_primes(limit)
     split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
     for p in primes[:split].tolist():
         E, pe = 1, p
@@ -129,45 +154,21 @@ def _mobius_powers(p: int, E: int) -> np.ndarray:
     return np.array([-1] + [0] * (E - 1), dtype=np.int8)
 
 
-@lru_cache(maxsize=4)
 def mobius_table(limit: int) -> np.ndarray:
     """mu(n) for n = 0..limit (mu[0] = 0), read-only int8 array.
 
-    Built by ``multiplicative_sieve``: -1 at p and 0 at p^2 for each prime
-    p <= isqrt(limit), then -1 for every prime above it, in
-    O(pi(sqrt limit) + sqrt limit) numpy calls.
+    A prefix of the mu slot, which a larger limit rebuilds by
+    ``multiplicative_sieve``: -1 at p and 0 at p^2 for each prime
+    p <= isqrt(limit), then -1 for every prime above it.
     """
-    mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
-    mu.setflags(write=False)
-    return mu
-
-
-@lru_cache(maxsize=4)
-def squarefree_table(limit: int) -> np.ndarray:
-    """Boolean mask of squarefree n for n = 0..limit (index 0 False)."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    if limit > SIEVE_BUDGET:
-        raise ResourceLimitError(f"squarefree table of size {limit} exceeds budget")
-    sf = np.ones(limit + 1, dtype=bool)
-    sf[0] = False
-    for p in sieve_primes(math.isqrt(limit)):
-        sf[p * p :: p * p] = False
-    sf.setflags(write=False)
-    return sf
-
-
-# Growing prime list for trial division.  Rebuilds are idempotent, so a
-# benign race between concurrent callers at worst repeats work.
-_trial_state: dict = {"limit": 0, "primes": []}
-
-
-def _trial_primes(bound: int) -> list[int]:
-    if bound > _trial_state["limit"]:
-        new_limit = max(bound, 1 << 10, 2 * _trial_state["limit"])
-        _trial_state["primes"] = sieve_primes(new_limit).tolist()
-        _trial_state["limit"] = new_limit
-    return _trial_state["primes"]
+    global _mu_slot
+    _check_limit(limit)
+    built, mu = _mu_slot
+    if limit > built:
+        mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
+        mu.setflags(write=False)
+        _mu_slot = (limit, mu)
+    return mu[: limit + 1]
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     m = n
     out = []
-    for p in _trial_primes(math.isqrt(n)):
+    for p in _primes_upto(math.isqrt(n)).tolist():
         if p * p > m:
             break
         if m % p == 0:
@@ -218,14 +219,7 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _trial_primes(math.isqrt(n)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return False
-    return True
+    return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
 @lru_cache(maxsize=1 << 16)

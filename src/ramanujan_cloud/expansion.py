@@ -39,7 +39,7 @@ import numpy as np
 
 from . import core as _core
 from .config import EngineConfig
-from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius_table, multiplicative_sieve, radical, sieve_primes, squarefree_table
+from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius_table, multiplicative_sieve, radical, sieve_primes
 from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
@@ -209,8 +209,7 @@ def _value_table(G, Q: int) -> np.ndarray:
     key = ("values", Q)
     if memo is not None and key in memo:
         return memo[key]
-    if Q > _core.SIEVE_BUDGET:
-        raise ResourceLimitError(f"value table of size {Q} exceeds budget {_core.SIEVE_BUDGET}")
+    _core._check_limit(Q)
 
     clamped = False
     if isinstance(G, MultiplicativeFunction):
@@ -222,8 +221,8 @@ def _value_table(G, Q: int) -> np.ndarray:
             np.float64,
         )
         if G.squarefree_cap is not None:
-            # Only squarefree n are clamped; index 0 is not squarefree.
-            n = np.flatnonzero(squarefree_table(Q))
+            # Only squarefree n > 1 are clamped (mu(n) != 0; G(1) = 1 always).
+            n = np.flatnonzero(mobius_table(Q))[1:]
             mag = np.abs(vals[n])
             bound = G.squarefree_cap / n
             over = mag > bound

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -47,8 +48,9 @@ class MultiplicativeFunction:
     ``declared_invisible`` certify the *complete* spectra when the
     constructor knows them (catalog entries do); both or neither must be set.
 
-    ``squarefree_cap``, when set, clamps |G(n)| to cap/n on squarefree n --
-    used by catalog families whose hypotheses bound squarefree values.
+    ``squarefree_cap``, when set, clamps |G(n)| to cap/n on squarefree
+    n > 1 -- used by catalog families whose hypotheses bound squarefree
+    values.  It must be a finite real > 0.
 
     ``at_primes``, when set, is a numpy form of the rule at e = 1: given an
     ascending int64 array P of primes it returns G(p) for each, as a numeric
@@ -80,6 +82,9 @@ class MultiplicativeFunction:
         if self.declared_transparent is not None:
             if not self.declared_invisible <= self.declared_transparent:
                 raise ValueError("invisible primes must be transparent")
+        cap = self.squarefree_cap
+        if cap is not None and not (isinstance(cap, Real) and math.isfinite(cap) and cap > 0):
+            raise ValueError(f"{self.label}: squarefree_cap must be a finite real > 0, got {cap!r}")
         if self.at_primes is not None:
             P = sieve_primes(100)
             form = checked_values(self.at_primes(P), len(P), f"{self.label}: at_primes(P)")
@@ -108,7 +113,7 @@ class MultiplicativeFunction:
         out: Number = 1
         for p, e in f.factors:
             out = out * self.rule(p, e)
-        if self.squarefree_cap is not None and out != 0:
+        if self.squarefree_cap is not None and out != 0 and n > 1:
             if all(e == 1 for _, e in f.factors):
                 bound = self.squarefree_cap / n
                 mag = abs(out)
@@ -387,6 +392,8 @@ def _prop1(
     # G(p) = 1/p + c * p^(-1-alpha); higher prime powers default to G(p)^e
     # (they are unconstrained by the hypotheses).  |G| is clamped to cap/n
     # on squarefree n so the O(1/q) bound holds with an explicit constant.
+    if not all(isinstance(v, Real) and math.isfinite(v) for v in (alpha, c)):
+        raise ValueError(f"alpha and c must be finite reals, got alpha={alpha!r}, c={c!r}")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
 

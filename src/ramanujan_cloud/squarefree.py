@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .config import EngineConfig
-from .core import factorize, squarefree_table
+from .core import factorize, mobius_table
 from .expansion import ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, _value_table, detect_convergence
 from .multiplicative import catalog
 
@@ -36,13 +36,11 @@ def count_squarefree_in_ap(x: int, m: int, r: int) -> int:
         raise ValueError("x and m must be >= 1")
     if gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not coprime to m = {m}")
-    sf = squarefree_table(x)
     start = r % m
     if start == 0:
         start = m  # only possible when m = 1
-    if start > x:
-        return 0
-    return int(np.count_nonzero(sf[start : x + 1 : m]))
+    # q is squarefree exactly where mu(q) != 0.
+    return int(np.count_nonzero(mobius_table(x)[start::m]))
 
 
 def hooley_constant(m: int) -> float:
@@ -85,9 +83,8 @@ def weighted_squarefree_sum(
         raise ValueError("need 0 <= y <= x")
     if y == x:
         return (0.0, 0.0)
-    sf = squarefree_table(x)
     q = np.arange(y + 1, x + 1, dtype=np.int64)
-    keep = sf[y + 1 : x + 1] & (q % m == r % m)
+    keep = (mobius_table(x)[y + 1 : x + 1] != 0) & (q % m == r % m)
     qs = q[keep]
     computed = _power_neg_s(qs, s).sum() if qs.size else 0.0
     one_minus = 1 - s

@@ -202,6 +202,10 @@ class TestVerdict:
         assert run(["verdict", "GR", "--Q", "20000", "--window", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: window must be >= 2")
 
+    def test_meaningless_squarefree_cap_is_input_error(self, capsys):
+        assert run(["verdict", "prop1", "--param", "cap=-1", "--Q", "20000"]) == 1
+        assert capsys.readouterr().err.startswith("error: prop1(alpha=1.0, c=1.0): squarefree_cap must be a finite real > 0")
+
     def test_over_budget_is_input_error(self, monkeypatch, capsys):
         monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
         tracemalloc.start()

@@ -3,7 +3,11 @@ mu/phi by definition, divisor-sum identities by direct enumeration."""
 
 import bisect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,6 @@ from ramanujan_cloud import (
     mobius_table,
     radical,
     sieve_primes,
-    squarefree_table,
     valuation,
 )
 import ramanujan_cloud.core as core
@@ -214,7 +217,7 @@ class TestTables:
         assert tab.dtype == np.int8 and len(tab) == limit + 1 and tab[0] == 0
         assert tab[1:].tolist() == [mobius(n) for n in range(1, limit + 1)]
 
-    @pytest.mark.parametrize("table", [mobius_table, squarefree_table])
+    @pytest.mark.parametrize("table", [mobius_table, sieve_primes])
     def test_negative_limit_is_rejected(self, table):
         with pytest.raises(ValueError, match="limit must be >= 0"):
             table(-1)
@@ -225,10 +228,6 @@ class TestTables:
         tab = mobius_table(limit)
         assert int(tab.sum(dtype=np.int64)) == mertens
         assert np.count_nonzero(tab) == squarefree
-
-    def test_squarefree_table_matches_mobius(self):
-        tab = squarefree_table(2000)
-        assert all(bool(tab[n]) == (mobius(n) != 0) for n in range(1, 2001))
 
     def test_tables_are_frozen(self):
         tab = mobius_table(100)
@@ -264,3 +263,104 @@ class TestTables:
     def test_sieve_rejects_malformed_prime_values(self, at_primes):
         with pytest.raises(ValueError, match="at_primes"):
             core.multiplicative_sieve(1000, lambda p, E: np.full(E, 0.5), at_primes, np.float64)
+
+
+# The prime and mu slots are process state that pytest's test order would
+# hide, so the growth order runs in a fresh interpreter.  The sieve counter
+# wraps the private sieve the slot rebuilds with.
+_SLOT_SCRIPT = """
+import ramanujan_cloud.core as core
+from ramanujan_cloud import catalog, mobius, mobius_table, sieve_primes
+from ramanujan_cloud.expansion import _value_table
+
+sieves = []
+_sieve = core._sieve
+core._sieve = lambda limit: sieves.append(limit) or _sieve(limit)
+
+
+def trial_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+for limit in (0, 1, 1000, 10, 200000, 4, 100000):
+    P, mu = sieve_primes(limit), mobius_table(limit)
+    assert not P.flags.writeable and not mu.flags.writeable, limit
+    assert len(mu) == limit + 1 and mu[0] == 0, limit
+    assert P.tolist()[-1:] <= [limit], limit
+    k = min(limit, 2000)
+    assert P[: int((P <= k).sum())].tolist() == [n for n in range(k + 1) if trial_is_prime(n)], limit
+    assert mu[1 : k + 1].tolist() == [mobius(n) for n in range(1, k + 1)], limit
+    if limit >= 10**5:
+        assert int((P <= 10**5).sum()) == 9592, limit
+        assert int(mu[: 10**5 + 1].sum(dtype="int64")) == -48, limit
+        assert int((mu[: 10**5 + 1] != 0).sum()) == 60794, limit
+assert len(sieve_primes(200000)) == 17984
+# One sieve at the 2^16 floor, one at 200000; every other request is a prefix.
+assert sieves == [1 << 16, 200000], sieves
+
+Q = 300000
+mobius_table(Q)
+assert sieves[2:] == [Q], sieves
+_value_table(catalog("GR"), Q)
+sieve_primes(Q // 2)
+assert sieves[2:] == [Q], sieves
+print("ok")
+"""
+
+# Threads that grow both slots at once: a rebuild race may repeat work, but
+# every answer must still be the right, read-only prefix.
+_RACE_SCRIPT = """
+import random, sys, threading
+import numpy as np
+from ramanujan_cloud import mobius_table, sieve_primes
+
+TOP = 60000
+is_p = np.ones(TOP + 1, dtype=bool)
+is_p[:2] = False
+mu = np.ones(TOP + 1, dtype=np.int64)
+mu[0] = 0
+for p in range(2, TOP + 1):
+    if is_p[p]:
+        is_p[2 * p :: p] = False
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+primes = np.flatnonzero(is_p)
+errors = []
+
+
+def work(seed):
+    rng = random.Random(seed)
+    for limit in sorted(rng.randrange(TOP + 1) for _ in range(40)):
+        P, M = sieve_primes(limit), mobius_table(limit)
+        if P.flags.writeable or M.flags.writeable:
+            errors.append(("writeable", limit))
+        if not (np.array_equal(P, primes[: np.searchsorted(primes, limit, "right")]) and np.array_equal(M, mu[: limit + 1])):
+            errors.append(("wrong", limit))
+
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+assert not errors, errors[:5]
+print("ok")
+"""
+
+
+def _run_fresh(script: str) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"
+
+
+class TestSlots:
+    def test_growth_order_in_a_fresh_interpreter(self):
+        _run_fresh(_SLOT_SCRIPT)
+
+    def test_concurrent_growth_in_a_fresh_interpreter(self):
+        _run_fresh(_RACE_SCRIPT)

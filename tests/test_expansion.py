@@ -606,11 +606,15 @@ class TestValueTable:
         want = np.array([0.0] + [float(G.eval(n)) for n in range(1, 5001)])
         assert np.allclose(vals, want, rtol=1e-12, atol=0)
 
+    def test_squarefree_cap_leaves_one_alone(self):
+        vals = _value_table(catalog("prop1", cap=0.5), 1000)
+        assert vals[1] == 1.0 and abs(vals[6]) == pytest.approx(0.5 / 6)
+
     def test_squarefree_cap_clamps_without_whole_range_temporaries(self):
         # The clamp works on the squarefree indices only: the 8 MB table, the
         # sieve's scratch and the squarefree indices peak near 22 MB, while
         # whole-range n, |G(n)| and cap/n arrays would take it to 31.5 MB.
-        core.squarefree_table(10**6)
+        core.mobius_table(10**6)
         tracemalloc.start()
         try:
             _value_table(catalog("prop1"), 10**6)
@@ -630,10 +634,14 @@ class TestResourceBudget:
             lambda: _value_table(catalog("weakly_exotic_sample"), 2 * 10**6),
             lambda: restricted_mobius_partial_sums(catalog("GR"), 1, 2 * 10**6),
             lambda: expansion_partial_sums(catalog("GH"), 6, 2 * 10**6, coprime_to=2),
+            # Both slots hold 10^6 already: the budget must win over the cache.
+            lambda: core.mobius_table(2 * 10**5),
+            lambda: core.sieve_primes(2 * 10**5),
         ],
-        ids=["value_table", "general_table", "restricted_series", "expansion"],
+        ids=["value_table", "general_table", "restricted_series", "expansion", "cached_mobius", "cached_primes"],
     )
     def test_over_budget_raises_before_allocating(self, monkeypatch, build):
+        core.mobius_table(10**6)
         monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
         tracemalloc.start()
         try:

@@ -97,6 +97,17 @@ class TestEval:
         p6 = loose.eval(2) * loose.eval(3)
         assert loose.eval(6) == pytest.approx(p6)
 
+    def test_squarefree_cap_leaves_one_alone(self):
+        # G(1) = 1 always, even when cap / 1 is below it.
+        assert catalog("prop1", cap=0.5).eval(1) == 1
+
+    @pytest.mark.parametrize("cap", [-1.0, 0.0, 0, math.nan, math.inf, -math.inf, "10", 1j])
+    def test_squarefree_cap_must_be_a_finite_positive_real(self, cap):
+        with pytest.raises(ValueError, match="squarefree_cap"):
+            MultiplicativeFunction("capped", rule=lambda p, e: Fraction(1, p**e), squarefree_cap=cap)
+        with pytest.raises(ValueError, match="squarefree_cap"):
+            catalog("prop1", cap=cap)
+
 
 class TestValuation:
     def test_classical(self):
@@ -308,6 +319,12 @@ class TestCatalog:
         # 1/1009 + 1017072 / 1009^2 = 1018081 / 1009^2 = 1 exactly.
         with pytest.raises(ValueError, match=r"G\(1009\) = 1"):
             catalog("prop1", alpha=1.0, c=1017072.0)
+
+    @pytest.mark.parametrize("param", ["alpha", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1j])
+    def test_prop1_rejects_non_finite_parameters(self, param, value):
+        with pytest.raises(ValueError, match="finite reals"):
+            catalog("prop1", **{param: value})
 
     @pytest.mark.parametrize("c", [0.0, -1.0, -1017072.0])
     def test_prop1_without_a_positive_c_never_hits_one(self, c):
