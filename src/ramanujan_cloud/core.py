@@ -100,6 +100,8 @@ def multiplicative_sieve(
     powers: Callable[[int, int], np.ndarray],
     at_primes: Callable[[np.ndarray], np.ndarray],
     dtype,
+    *,
+    signed_zeros: bool = True,
 ) -> np.ndarray:
     """g(n) for n = 0..limit (g(0) = 0) of a multiplicative g, writable.
 
@@ -113,13 +115,27 @@ def multiplicative_sieve(
 
     Phase 1, primes p <= isqrt(limit) in ascending order: a column over the
     multiples of p holds g(p^v_p(n)) and multiplies into ``table[p::p]``.
+    When every higher power is +0 (mu, or any g supported on squarefree n)
+    a real table takes one scalar multiply instead, and its multiples of p^2
+    get what the column would have made of them.
     Phase 2: each n <= limit has at most one prime factor p > isqrt(limit),
-    with exponent 1 and cofactor m = n / p < sqrt(limit), so for each m one
-    gather multiplies ``table[m * P] *= g(P)`` over the primes P <= limit / m.
-    Every entry is multiplied in the order of a prime-by-prime sweep (its
-    small primes ascending, then its large prime), so real tables are
-    bit-identical to one.  ``sieve_primes(limit)`` runs before the table is
-    allocated, so an over-budget limit raises ``ResourceLimitError`` first.
+    with exponent 1 and cofactor m = n / p < sqrt(limit).  After phase 1 a
+    real ``table[m * p]`` equals ``table[m]``, so for each m one scatter
+    writes ``table[m] * g(P)`` to ``table[m * P]`` over the primes
+    P <= limit / m.  A complex table keeps the column and gathers
+    ``table[m * P]``: numpy may round a complex product differently by the
+    layout and position of its operands, so equal factors need not give
+    equal entries.  Every entry is multiplied in the order of a
+    prime-by-prime sweep (its small primes ascending, then its large prime),
+    so real tables are bit-identical to one.
+
+    A cofactor m whose entry is 0 leaves every ``table[m * P]`` at that 0,
+    up to its sign; phase 2 skips it wherever no byte can change: integer
+    tables, or finite prime values with the sign bit clear.  With
+    ``signed_zeros=False`` (a table that is only ever summed) it always
+    skips, and phase 1 sets the multiples of p^2 to +0.
+    ``sieve_primes(limit)`` runs before the table is allocated, so an
+    over-budget limit raises ``ResourceLimitError`` first.
     """
     primes = sieve_primes(limit)
     table = np.ones(limit + 1, dtype=dtype)
@@ -132,6 +148,11 @@ def multiplicative_sieve(
         g = powers(p, E)
         if not np.can_cast(g.dtype, table.dtype):
             table = table.astype(np.result_type(table, g))
+        if table.dtype.kind != "c" and not any(g[1:].tobytes()):  # every higher power is +0
+            squares = table[p * p :: p * p] * g[1] if signed_zeros and table.dtype.kind == "f" else 0
+            table[p::p] *= g[0]
+            table[p * p :: p * p] = squares
+            continue
         col = np.full(limit // p, g[0], dtype=g.dtype)
         step = 1
         for value in g[1:]:
@@ -143,10 +164,22 @@ def multiplicative_sieve(
         g = checked_values(at_primes(large), len(large), "at_primes(P)")
         if not np.can_cast(g.dtype, table.dtype):
             table = table.astype(np.result_type(table, g))
+        cast = g.astype(table.dtype, copy=False)
+        skip_zeros = (
+            not signed_zeros
+            or table.dtype.kind in "iu"
+            or (table.dtype.kind == "f" and bool(np.isfinite(cast).all()) and not np.signbit(cast).any())
+        )
         cofactors = np.arange(1, limit // int(large[0]) + 1)
         counts = np.searchsorted(large, limit // cofactors, "right")
         for m, k in enumerate(counts.tolist(), start=1):
-            table[m * large[:k]] *= g[:k]
+            v = table[m]
+            if skip_zeros and v == 0:
+                continue
+            if table.dtype.kind == "c":
+                table[m * large[:k]] *= g[:k]
+            else:
+                table[m * large[:k]] = v * g[:k]
     return table
 
 

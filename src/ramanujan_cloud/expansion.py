@@ -7,20 +7,22 @@ One kernel, ``_series``, computes them.  The restricted Mobius series is the
 expansion at a = 1, since c_n(1) = mu(n) (Ramanujan 1918).  Exact rules up
 to ``EXACT_LIMIT`` (denominators explode beyond that) run in exact-rational
 mode over the scalar ``c_holder``, an oracle independent of the numpy
-tables.  Signed floating series go through ``_kluyver_sums``, which writes
-them as sum over d | a of d T_d(x // d), where T_d sums G(dm) mu(m) and is
-shared by every a with the divisor d.  The absolute floating series weights
-the value table by ``c_table``, since |sum| is not sum |.|.  Every floating
-series is summed by one reduction, ``_neumaier_segments``: one numpy pass
-over the segments between the points wanted, Neumaier-compensated across
-segments; Kluyver's sum over d and the peel's sum over n combine its sums.
+tables.  The absolute floating series weights the value table by
+``c_table``, since |sum| is not sum |.|.  Every floating series is summed by
+one reduction, ``_neumaier_segments``: one numpy pass over the segments
+between the points wanted, Neumaier-compensated across segments.
 
-Classical verdicts need one restricted Mobius series per sampled radical b.
-``_peel_restricted_sums`` reads them all off one Mobius prefix
-M_G(y) = sum_{r <= y} G(r) mu(r), by the iterated coprime peel
-R_b(x) = sum over b-smooth n of G~(n) M_G(x // n).  It falls back to the
-direct kernel where the peel is unsafe: |G(p)| > 1 on a prime of b, or a
-value table that ``squarefree_cap`` clamped.
+Signed floating series of a multiplicative G read one table, G mu, through
+the Mobius prefix M_G(y) = sum_{r <= y} G(r) mu(r).  Kluyver's
+c_q(a) = sum over d | (q, a) of d mu(q/d) and the multiplicativity of G
+write the series at a as a short combination of restricted Mobius series
+R_B at the points x // dm, and the iterated coprime peel reads each R_B off
+M_G at the points z // n for B-smooth n.  ``_peel_sums`` batches this: a
+verdict's samples or radicals, and a single expansion, all take one pass
+over G mu.  The direct kernel ``_kluyver_sums``, sum over d | a of
+d T_d(x // d) with T_d summing G(dm) mu(m) off the value and mu tables,
+serves where the peel is unsafe or undefined: a non-multiplicative G, a
+table that ``squarefree_cap`` clamped, or |G(p)| > 1 on a prime of ab.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import core as _core
 from .config import EngineConfig
-from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius_table, multiplicative_sieve, radical, sieve_primes
+from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes
 from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
@@ -134,7 +136,9 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     """The distinct entries of ``a``, ascending: ``np.unique`` without its
     lazy import of ``numpy.ma``, which stays resident (about 0.8 MB)."""
     a = np.sort(a, axis=None)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _neumaier_accumulate(segments: Iterable[Number]) -> list:
@@ -191,7 +195,7 @@ def _value_table(G, Q: int) -> np.ndarray:
     """G(n) for n = 0..Q as a float64/complex128 array (index 0 is 0).
 
     Multiplicative G goes through ``multiplicative_sieve``: one strided
-    multiply per prime p <= isqrt(Q), then one gather per cofactor
+    multiply per prime p <= isqrt(Q), then one scatter per cofactor
     m < sqrt(Q) for the primes above it, O(pi(sqrt Q) + sqrt Q) numpy calls
     in all.  The rule is called once per power of each prime p <= isqrt(Q);
     the values at the primes above come from ``G.at_primes`` when the entry
@@ -216,18 +220,12 @@ def _value_table(G, Q: int) -> np.ndarray:
         vals = multiplicative_sieve(
             Q,
             lambda p, E: _gather(lambda: map(G.rule, repeat(p, E), range(1, E + 1)), E),
-            # Above isqrt(Q) every exponent is exactly 1.
-            G.at_primes or (lambda P: _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P))),
+            lambda P: _prime_values(G, P),
             np.float64,
         )
         if G.squarefree_cap is not None:
             # Only squarefree n > 1 are clamped (mu(n) != 0; G(1) = 1 always).
-            n = np.flatnonzero(mobius_table(Q))[1:]
-            mag = np.abs(vals[n])
-            bound = G.squarefree_cap / n
-            over = mag > bound
-            vals[n[over]] *= bound[over] / mag[over]
-            clamped = bool(over.any())
+            clamped = _clamp(vals, np.flatnonzero(mobius_table(Q))[1:], G.squarefree_cap)
     elif getattr(G, "table", None) is not None:
         vals = checked_values(G.table(Q), Q + 1, f"{G.label}: table(Q)")
     else:
@@ -238,6 +236,56 @@ def _value_table(G, Q: int) -> np.ndarray:
         memo[key] = vals
         memo[("clamped", Q)] = clamped
     return vals
+
+
+def _prime_values(G: MultiplicativeFunction, P: np.ndarray) -> np.ndarray:
+    """G(p) for the ascending primes P above isqrt(Q), where every exponent
+    is exactly 1: ``G.at_primes`` when the entry carries it, else one rule
+    call per prime."""
+    if G.at_primes is not None:
+        return checked_values(G.at_primes(P), len(P), f"{G.label}: at_primes(P)")
+    return _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P))
+
+
+def _clamp(vals: np.ndarray, n: np.ndarray, cap: float) -> bool:
+    """Scale ``vals[n]`` down to |vals[n]| <= cap / n in place; whether an
+    entry changed."""
+    mag = np.abs(vals[n])
+    bound = cap / n
+    over = mag > bound
+    vals[n[over]] *= bound[over] / mag[over]
+    return bool(over.any())
+
+
+def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
+    """G(n) mu(n) for n = 0..Q, the terms of the Mobius prefix M_G.
+
+    One ``multiplicative_sieve`` from the powers (-G(p), 0, ..., 0) and
+    -``G.at_primes``, so no value table and no mu table is built; it equals
+    ``_value_table(G, Q) * mobius_table(Q)`` entry by entry (the signs of
+    its zeros may differ, since it is only summed).  Cached on G under
+    ``("gmu", Q)``; like ``_value_table`` it records under ``("clamped", Q)``
+    whether ``squarefree_cap`` changed an entry, which both tables decide
+    alike.
+    """
+    key = ("gmu", Q)
+    if key in G._memo:
+        return G._memo[key]
+    _core._check_limit(Q)
+
+    def powers(p, E):
+        g = _gather(lambda: (G.rule(p, 1),), 1)
+        return np.concatenate((-g, np.zeros(E - 1, g.dtype)))
+
+    gmu = multiplicative_sieve(Q, powers, lambda P: -_prime_values(G, P), np.float64, signed_zeros=False)
+    clamped = False
+    if G.squarefree_cap is not None:
+        # The nonzero entries are the squarefree n with G(n) != 0.
+        clamped = _clamp(gmu, np.flatnonzero(gmu)[1:], G.squarefree_cap)
+    gmu.setflags(write=False)
+    G._memo[key] = gmu
+    G._memo[("clamped", Q)] = clamped
+    return gmu
 
 
 def _strike_non_coprime(terms: np.ndarray, b: int) -> None:
@@ -255,8 +303,8 @@ def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) ->
     ``a`` must already be coprime to ``b`` (the Kluyver sum needs it).  Exact
     mode calls the scalar ``c_holder`` and never reads a table, so the
     Fraction oracle stays independent of the tables it checks.  The signed
-    floating sum is ``_kluyver_sums``; the absolute one weights the value
-    table by ``c_table``.
+    floating sum is ``_peel_sums`` of the one pair (a, b); the absolute one
+    weights the value table by ``c_table``.
     """
     cps = _validate_checkpoints(cps, Q)
     if _use_exact(G, Q, exact):
@@ -278,10 +326,8 @@ def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) ->
     if absolute:
         terms = np.abs(_value_table(G, Q) * c_table(a, Q))
         _strike_non_coprime(terms, b)
-        sums = _neumaier_segments(terms, cps).tolist()
-    else:
-        sums = _kluyver_sums(G, a, Q, cps, b)
-    return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
+        return _floating(desc, cps, _neumaier_segments(terms, cps).tolist())
+    return _floating(desc, cps, _peel_sums(G, [(a, b)], Q, cps)[(a, b)])
 
 
 def _coprime_part(a: int, b: int) -> int:
@@ -343,11 +389,15 @@ def expansion_partial_sums(
     """
     if a < 1 or Q < 1 or coprime_to < 1:
         raise ValueError("a, Q and coprime_to must be >= 1")
+    rad = radical(coprime_to)
+    desc = _expansion_description(G, a, coprime_to, absolute)
+    return _series(G, _coprime_part(a, rad), Q, checkpoints, desc, rad, absolute, exact)
+
+
+def _expansion_description(G, a: int, coprime_to: int, absolute: bool = False) -> str:
     what = f"|G(q) c_q({a})|" if absolute else f"G(q) c_q({a})"
     cop = f", q coprime to {coprime_to}" if coprime_to > 1 else ""
-    desc = f"sum over q <= x of {what}, G = {G.label}{cop}"
-    rad = radical(coprime_to)
-    return _series(G, _coprime_part(a, rad), Q, checkpoints, desc, rad, absolute, exact)
+    return f"sum over q <= x of {what}, G = {G.label}{cop}"
 
 
 def restricted_mobius_partial_sums(
@@ -376,59 +426,119 @@ def _restricted_description(G, rad: int, absolute: bool = False) -> str:
     return f"sum over r <= t, (r, {rad}) = 1 of {what}, G = {G.label}"
 
 
-def _peel_restricted_sums(G: MultiplicativeFunction, radicals: Iterable[int], Q: int, cps: list[int]) -> dict:
-    """Floating restricted Mobius series of each radical b on the
-    checkpoints ``cps``, as {b: PartialSumSeries}, all read off one Mobius
-    prefix M_G(y) = sum_{r <= y} G(r) mu(r).
+def _floating(desc: str, cps: list[int], sums: list) -> PartialSumSeries:
+    return PartialSumSeries(desc, tuple(zip(cps, sums)), "floating")
 
-    Iterating the coprime peel R_b(x) = R_{bp}(x) - G(p) R_{bp}(x // p)
-    (``coprime_peel_identity``) over the primes of b gives
-    R_b(x) = sum over b-smooth n <= x of G~(n) M_G(x // n), where G~ is
-    completely multiplicative with G~(p) = G(p) on p | b.  So every b needs
-    M_G only at the points x // n, and ``_neumaier_segments`` takes them
-    all, for every b, in one pass over u = V mu.  u is a temporary, so
-    nothing Q-long outlives the call but the value table.  Each R_b(x) is
-    then one pairwise sum over n.
 
-    Two cases keep the direct kernel, ``restricted_mobius_partial_sums``:
-    |G(p)| > 1 on a prime p of b, since the powers G(p)^k amplify the
-    roundoff of M_G; and a value table that ``squarefree_cap`` clamped,
-    which is no longer multiplicative.  The peel writes no memo entry, so a
-    later restricted series reads the same bytes whether or not it ran.
+def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> dict:
+    """Floating sum_{q <= x, (q, b) = 1} G(q) c_q(a) at the checkpoints
+    ``cps`` for each pair (a, b), b a radical and a coprime to b, as
+    {(a, b): list of sums}; a = 1 gives the restricted Mobius series of b.
+    Every pair of a batch is read off one Mobius prefix
+    M_G(y) = sum_{r <= y} G(r) mu(r).
+
+    Kluyver's c_q(a) = sum over d | (q, a) of d mu(q/d) gives
+    S(x) = sum over d | a of d sum_{m <= x/d, (m, b) = 1} G(dm) mu(m).  A
+    squarefree m coprime to b splits as m' r with m' | rad d and r coprime
+    to bd, and G(dm' r) = G(dm') G(r), so
+    S(x) = sum over d | a, m' | rad d of d mu(m') G(dm') R_B(x // dm'),
+    where B = b rad(d) and R_B(z) = sum_{r <= z, (r, B) = 1} G(r) mu(r).
+    Iterating the coprime peel R_B(z) = R_{Bp}(z) - G(p) R_{Bp}(z // p)
+    (``coprime_peel_identity``) over the primes of B gives
+    R_B(z) = sum over B-smooth n <= z of G~(n) M_G(z // n), where G~ is
+    completely multiplicative with G~(p) = G(p).  So the batch needs M_G
+    only at the points z // n, and ``_neumaier_segments`` takes them all in
+    one pass over the G mu table (``_gmu_table``).  The smooth n of each B
+    are enumerated once per batch; each R_B(z) is then one pairwise sum
+    over n, and each S(x) adds its terms d mu(m') G(dm') R_B in ascending
+    d, then m'.
+
+    Three cases keep the direct kernel ``_kluyver_sums``: a
+    ``GeneralArithmeticFunction``; a table that ``squarefree_cap`` clamped,
+    which is no longer multiplicative; and |G(p)| > 1 on a prime p of ab,
+    since the powers G(p)^k would amplify the roundoff of M_G.  The peel
+    stores nothing on G but the G mu table, so a series reads the same
+    bytes whatever ran before it.
     """
-    V = _value_table(G, Q)
-    clamped = G._memo[("clamped", Q)]
-    out, smooth = {}, {}
-    for b in radicals:
-        primes = [p for p in factorize(b).primes() if p <= Q]
-        if clamped or any(abs(V[p]) > 1 for p in primes):
-            out[b] = restricted_mobius_partial_sums(G, b, Q, cps, exact=False)
+    out, plans = {}, {}
+    gmu = clamped = None
+    if isinstance(G, MultiplicativeFunction):
+        gmu = _gmu_table(G, Q)
+        clamped = G._memo[("clamped", Q)]
+    for a, b in pairs:
+        if gmu is None or clamped or any(abs(gmu[p]) > 1 for p in factorize(a * b).primes() if p <= Q):
+            out[(a, b)] = _kluyver_sums(G, a, Q, cps, b)
         else:
-            smooth[b] = _smooth_weights(V, primes, Q)
-    if not smooth:
+            plans[(a, b)] = _kluyver_terms(G, a, b, Q)
+    if not plans:
         return out
-    # M[i, j] = M_G(x_i // ns[j]) over the distinct smooth n of every b.
-    ns = _sorted_distinct(np.concatenate([n for n, _ in smooth.values()]))
-    M = _neumaier_segments(V * mobius_table(Q), np.array(cps, dtype=np.int64)[:, None] // ns)
-    for b, (n, w) in smooth.items():
-        # np.take keeps the rows C-contiguous, so each row is one pairwise sum.
-        sums = (np.take(M, np.searchsorted(ns, n), axis=1) * w).sum(axis=1)
-        out[b] = PartialSumSeries(_restricted_description(G, b), tuple(zip(cps, sums.tolist())), "floating")
+
+    # For each radical B, the distinct z = x // k its terms read, and the
+    # B-smooth n <= max z with their weights G~(n).
+    xs = np.array(cps, dtype=np.int64)
+    ks: dict[int, set] = {}
+    for terms in plans.values():
+        for k, _, B in terms:
+            ks.setdefault(B, set()).add(k)
+    zs = {B: _sorted_distinct(xs[:, None] // np.array(sorted(kb), dtype=np.int64)) for B, kb in ks.items()}
+    smooth = {B: _smooth_weights(gmu, factorize(B).primes(), int(z[-1])) for B, z in zs.items()}
+    # M_G is needed at z // n for every z and every smooth n of each B.
+    # Nearly all of these points are small (z // n for large n), so M_G is
+    # taken at every y <= isqrt(Q) and read there by index; only the
+    # distinct larger points join them in the one ``_neumaier_segments``
+    # pass.  A B's points are built once to collect the larger ones and once
+    # to read M_G, so only one B's points are held at a time.
+    def points(B):
+        return zs[B][:, None] // smooth[B][0]
+
+    small = math.isqrt(Q)
+    large = _sorted_distinct(np.concatenate([p[p > small] for p in map(points, zs)]))
+    M = _neumaier_segments(gmu, np.concatenate((np.arange(small + 1), large)))
+    R = {}  # R[B][i] = R_B(zs[B][i]), one pairwise sum over n per row
+    for B in zs:
+        at = points(B)
+        big = at > small
+        at[big] = small + 1 + np.searchsorted(large, at[big])
+        R[B] = (M[at] * smooth[B][1]).sum(axis=1)
+    for pair, terms in plans.items():
+        total = 0.0
+        for k, coef, B in terms:
+            total = total + coef * R[B][np.searchsorted(zs[B], xs // k)]
+        out[pair] = total.tolist()
     return out
 
 
-def _smooth_weights(V: np.ndarray, primes: Sequence[int], Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every n <= Q whose primes all lie in ``primes``, with G~(n): one
-    product of table values V[p] per prime factor, counted with multiplicity."""
-    ns, ws = np.ones(1, dtype=np.int64), np.ones(1, dtype=V.dtype)
+def _kluyver_terms(G: MultiplicativeFunction, a: int, b: int, Q: int) -> list[tuple[int, Number, int]]:
+    """The terms (k, coefficient, B) of ``_peel_sums``'s S(x) for the pair
+    (a, b): k = dm' for d | a and m' | rad d, with k <= Q (the others read
+    R_B(0) = 0), coefficient d mu(m') G(k) and B = b rad(d); ascending in d,
+    then m'.  Each coefficient is ``d * mobius(m') * G.eval(k)`` cast once to
+    float (or complex), so an exact rule's is rounded once."""
+    terms = []
+    for d in divisors(a):
+        if d > Q:
+            break
+        rad = radical(d)
+        for m in divisors(rad):
+            if d * m <= Q:
+                terms.append((d * m, d * mobius(m) * G.eval(d * m), b * rad))
+    coefs = _gather(lambda: (c for _, c, _ in terms), len(terms)).tolist()
+    return [(k, c, B) for (k, _, B), c in zip(terms, coefs)]
+
+
+def _smooth_weights(gmu: np.ndarray, primes: Sequence[int], limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every n <= limit whose primes all lie in ``primes``, with G~(n): one
+    product of table values G(p) = -gmu[p] per prime factor, counted with
+    multiplicity."""
+    ns, ws = np.ones(1, dtype=np.int64), np.ones(1, dtype=gmu.dtype)
     for p in primes:
         parts_n, parts_w = [ns], [ws]
         n, w = ns, ws
         while True:
-            keep = n <= Q // p
+            keep = n <= limit // p
             if not keep.any():
                 break
-            n, w = n[keep] * p, w[keep] * V[p]
+            n, w = n[keep] * p, w[keep] * -gmu[p]
             parts_n.append(n)
             parts_w.append(w)
         ns, ws = np.concatenate(parts_n), np.concatenate(parts_w)
@@ -737,9 +847,9 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
     condition numerically.  Every hypothesis check is recorded.
 
     Every series runs on ``checkpoint_schedule(cfg.Q, cfg.window)``, once per
-    distinct input: one per radical in the classical cases, all peeled off
-    one Mobius prefix by ``_peel_restricted_sums``, and one per p0-free part
-    of a in the invisible-prime cases."""
+    distinct input: one per radical in the classical cases and one per
+    p0-free part of a in the invisible-prime cases, all from one batched
+    ``_peel_sums`` call."""
     cfg = config if config is not None else EngineConfig()
     cps = checkpoint_schedule(cfg.Q, cfg.window)
     checks: list[tuple[str, str]] = []
@@ -767,9 +877,10 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
         # a and a / p0^k give one series over q coprime to p0; the extra
         # 1, 3, 5, 7, 15 keep small cofactors in every sample set.
         samples = sorted({_coprime_part(a, p0) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
+        sums = _peel_sums(G, [(a, p0) for a in samples], cfg.Q, cps)
         status = check_hypothesis(
             f"sum over (q, {p0}) = 1 of G(q) c_q(a) converges for sampled a ({len(samples)} distinct p0-free parts)",
-            (expansion_partial_sums(G, a, cfg.Q, cps, coprime_to=p0, exact=False) for a in samples),
+            (_floating(_expansion_description(G, a, p0), cps, sums[(a, p0)]) for a in samples),
         )
         conclusion = "in_zero_cloud" if status == "pass" and certified else "inconclusive"
         return ZeroCloudVerdict(G.label, classification, tuple(checks), conclusion)
@@ -799,7 +910,8 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
     # converge for sampled a, and the characterizing sum must vanish.
     radicals = sorted({radical(x) for x in cfg.sample_a})
     b0 = 1 if classification == "normal" else rep.PG
-    restricted = _peel_restricted_sums(G, sorted({*radicals, b0}), cfg.Q, cps)
+    sums = _peel_sums(G, [(1, b) for b in sorted({*radicals, b0})], cfg.Q, cps)
+    restricted = {b: _floating(_restricted_description(G, b), cps, sums[(1, b)]) for b in {*radicals, b0}}
     hyp = check_hypothesis(
         f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}...)",
         (restricted[b] for b in radicals),

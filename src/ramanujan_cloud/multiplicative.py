@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import core
 from .config import EngineConfig
 from .core import SIEVE_BUDGET, checked_values, factorize, is_prime, sieve_primes
 from .sums import FormulaInconsistencyError
@@ -406,9 +407,12 @@ def _prop1(
     # With c <= 0, G(p) <= 1/p <= 1/2.  With c > 0, G(p) decreases in p and
     # 1/p <= 1/2, so G(p) >= 1 - tol needs p^(1+alpha) <= c / (1/2 - tol):
     # check every such prime (a reach above the sieve budget raises there).
+    # They are sieved once and not kept, so a large c leaves the prime slot
+    # at what the tables asked for.
     if c > 0:
-        reach = (c / (0.5 - DEFAULT_ONE_TOL)) ** (1.0 / (1.0 + alpha))
-        for p in sieve_primes(math.floor(min(reach, SIEVE_BUDGET)) + 1).tolist():
+        reach = math.floor(min((c / (0.5 - DEFAULT_ONE_TOL)) ** (1.0 / (1.0 + alpha)), SIEVE_BUDGET)) + 1
+        core._check_limit(reach)
+        for p in core._sieve(reach).tolist():
             if abs(rule(p, 1) - 1.0) <= DEFAULT_ONE_TOL:
                 raise ValueError(f"parameters make G({p}) = 1; entry must not be exotic")
     return MultiplicativeFunction(

@@ -9,7 +9,7 @@ over gcd(q, a)) remain the independent scalar checkers.
 Mobius table, a public table that the tests check against ``c_holder``.
 Among the big summation loops only absolute series read it (a restricted
 Mobius series is the expansion at a = 1); signed floating series apply the
-divisor sum to G instead, one strided T_d per divisor (``_kluyver_sums``).
+divisor sum to G instead (``expansion._peel_sums``).
 """
 
 from __future__ import annotations

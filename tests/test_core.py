@@ -350,6 +350,19 @@ print("ok")
 """
 
 
+# prop1's transparent-prime scan sieves up to (2c)^(1/2) = 1.4 * 10^6 for
+# c = 10^12 and must not leave that sieve in the prime slot.
+_PROP1_SCRIPT = """
+import ramanujan_cloud.core as core
+from ramanujan_cloud import catalog
+
+built = core._prime_slot[0]
+catalog("prop1", c=1e12)
+assert core._prime_slot[0] == built, (built, core._prime_slot[0])
+print("ok")
+"""
+
+
 def _run_fresh(script: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
@@ -364,3 +377,6 @@ class TestSlots:
 
     def test_concurrent_growth_in_a_fresh_interpreter(self):
         _run_fresh(_RACE_SCRIPT)
+
+    def test_prop1_scan_leaves_the_prime_slot_alone(self):
+        _run_fresh(_PROP1_SCRIPT)

@@ -27,6 +27,7 @@ from ramanujan_cloud import (
     ResourceLimitError,
     absolute_convergence_report,
     catalog,
+    catalog_names,
     checkpoint_schedule,
     coprime_peel_identity,
     detect_convergence,
@@ -350,8 +351,9 @@ class TestFloatingAgainstFractionOracle:
         # a = None is the restricted Mobius series over (r, b) = 1; otherwise
         # the expansion at a restricted to q coprime to b.  The derivation
         # above covers the signed expansion only against the larger Kluyver
-        # mass (next test); against sum |terms| it holds here with room, the
-        # largest error over 300 random draws being about a tenth of the bound.
+        # and peel masses (next test, TestPeelSums); against sum |terms| it
+        # holds here with room, the largest error over 1200 random draws
+        # being about a tenth of the bound on either path.
         G = _random_exact_rule(values, seed)
         if a is None:
             series = lambda **kw: restricted_mobius_partial_sums(G, b, Q, **kw)
@@ -364,8 +366,9 @@ class TestFloatingAgainstFractionOracle:
         for (x, f), (_, e), (_, m) in zip(got.checkpoints, want.checkpoints, mass.checkpoints):
             assert abs(Fraction(f) - e) <= Fraction(self.bound(Q)) * m, x
 
-    # The signed expansion at a' = a coprime to b is sum over d | a', d <= Q,
-    # of d T_d(x // d), with T_d summed like the series above from the terms
+    # The direct kernel ``_kluyver_sums`` (the fallback of ``_peel_sums``)
+    # writes the signed expansion at a' = a coprime to b as sum over d | a',
+    # d <= Q, of d T_d(x // d), with T_d summed like the series above from the terms
     # G(dm) mu(m).  Per d: the table entry costs 9 roundings (the mu product is
     # exact), the segment sums ceil(log2 Q) + 19 and Neumaier 2, relative to
     # sum |G(dm) mu(m)|; the multiply by d costs 1 more, and the recursive sum
@@ -399,10 +402,10 @@ class TestFloatingAgainstFractionOracle:
         # values = None draws the complex entry lemma7_h(s = 0.6 + 0.3i).  Small
         # Q makes x // d repeat or reach 0 and leaves divisors d > Q out.
         G = catalog("lemma7_h", s=0.6 + 0.3j) if values is None else _random_exact_rule(values, seed)
-        got = expansion_partial_sums(G, a, Q, coprime_to=b, exact=False)
-        xs = got.xs()
+        xs = checkpoint_schedule(Q)
         part = _coprime_part(a, b)
-        assert _within(got.values(), _signed_oracle(G, a, b, Q, xs), self.kluyver_bound(Q, part), _kluyver_mass(G, part, b, Q, xs))
+        got = expansion._kluyver_sums(G, part, Q, xs, radical(b))
+        assert _within(got, _signed_oracle(G, a, b, Q, xs), self.kluyver_bound(Q, part), _kluyver_mass(G, part, b, Q, xs))
 
 
 class TestCoprimePart:
@@ -445,16 +448,15 @@ class TestCoprimePart:
             # at the caller's own a.
             assert self.same(got, _series(G, a, Q, None, "", b, absolute, exact))
             return
-        # Signed floating series sum T_d, which needs a coprime to b; the
-        # c_table-weighted terms at the caller's own a lie within their
+        # Signed floating series need a coprime to b (Kluyver's divisor sum);
+        # the c_table-weighted terms at the caller's own a lie within their
         # bounds of the same exact value.
         xs = got.xs()
         terms = _value_table(G, Q) * c_table(a, Q)
         _strike_non_coprime(terms, b)
         at_a = _neumaier_segments(terms, xs)
-        oracle = TestFloatingAgainstFractionOracle
-        mass = _kluyver_mass(G, _coprime_part(a, b), b, Q, xs)
-        bound = oracle.kluyver_bound(Q, _coprime_part(a, b)) + oracle.bound(Q)
+        bound, mass = _signed_tolerance(G, _coprime_part(a, b), radical(b), Q, xs)
+        bound += TestFloatingAgainstFractionOracle.bound(Q)
         assert _within(got.values(), [(Fraction(complex(v).real), Fraction(complex(v).imag)) for v in at_a], bound, mass)
 
 
@@ -525,6 +527,29 @@ class TestValueTable:
             for p, e in factorize(n):
                 want *= float(G.rule(p, e))
             assert vals[n] == want, n
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            catalog("prop5"),  # G(3) = 0 and G(p) < 0 above
+            catalog("lemma7_h", s=0.6),
+            catalog("indicator_prime_powers", p0=3),
+            MultiplicativeFunction("signed zeros", rule=lambda p, e: -0.0 if e >= 2 else (0.0 if p == 5 else -1.0 / p)),
+        ],
+        ids=["prop5", "lemma7_h", "indicator", "signed_zeros"],
+    )
+    def test_zero_signs_match_the_pointwise_product(self, G):
+        # The sieve's shortcuts (one scalar multiply when every higher power
+        # is 0, skipped cofactors whose entry is 0) keep every byte of a
+        # value table, the sign of each zero included.
+        Q = 5000
+        want = [0.0]
+        for n in range(1, Q + 1):
+            w = 1.0
+            for p, e in factorize(n):
+                w *= float(G.rule(p, e))
+            want.append(w)
+        assert _value_table(G, Q).tobytes() == np.array(want).tobytes()
 
     def test_non_number_is_rejected_not_nan(self):
         for G in (
@@ -698,13 +723,15 @@ class TestRestrictedMobius:
                     assert TestCoprimePart.same(got, want), (bb, absolute, exact)
 
     def test_kluyver_memo_is_keyed_by_the_radical(self):
+        # prop5 has |G(2)| > 1, so every series over an even ab keeps the
+        # direct kernel, whose T_d are memoized by the radical of b.
         cps = tuple(checkpoint_schedule(1000))
         keys = []
         for b in (4, 2):
-            G = dataclasses.replace(catalog("GR"))
+            G = dataclasses.replace(catalog("prop5"))
             expansion_partial_sums(G, 6, 1000, coprime_to=b, exact=False)
             restricted_mobius_partial_sums(G, b, 1000, exact=False)
-            keys.append(sorted(k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver"))
+            keys.append(sorted(_kluyver_keys(G)))
         assert keys[0] == keys[1] == [("kluyver", 1000, 2, d, cps) for d in (1, 3)]
 
 
@@ -712,38 +739,116 @@ def _kluyver_keys(G):
     return [k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver"]
 
 
-class TestPeelRestrictedSums:
-    # The peel writes R_b(x) = sum over b-smooth n <= x of G~(n) M_G(x // n),
+def _peeled(G, a, b, Q):
+    """Whether ``_peel_sums`` takes the pair (a, b) through the peel."""
+    if not isinstance(G, MultiplicativeFunction):
+        return False
+    V = _value_table(G, Q)
+    return not G._memo[("clamped", Q)] and all(abs(V[p]) <= 1 for p in factorize(a * b).primes() if p <= Q)
+
+
+def _peel_mass(G, a, b, Q, xs):
+    """M_P(x) = sum over the terms k = dm' (d | a, m' | rad d, k <= Q) of
+    |d G(k)| sum over B-smooth n of |G~(n)| A(x // kn), with B = b rad(d)
+    and A(y) = sum_{r <= y} |G(r) mu(r)|; magnitudes are |Re| + |Im|, and a
+    non-exact G is read from its value table.  Summed in floats: every term
+    is >= 0, so no step cancels and each of the at most 2 * 10^4 roundings
+    in a chain costs at most u relative; (1 + 2^-30) times the float sum
+    bounds the exact mass."""
+    if G.exact:
+        mag = lambda n: abs(float(G.eval(n)))
+    else:
+        V = _value_table(G, Q)
+        mag = lambda n: abs(V[n].real) + abs(V[n].imag)
+    A = np.cumsum([0.0] + [mag(r) if mobius(r) else 0.0 for r in range(1, Q + 1)])
+    xs = np.array(xs, dtype=np.int64)
+    out = np.zeros(len(xs))
+    for d in divisors(a):
+        if d > Q:
+            break
+        ns, ws = [1], [1.0]
+        for p in factorize(b * radical(d)).primes():
+            for n, w in list(zip(ns, ws)):
+                while n * p <= Q:
+                    n, w = n * p, w * mag(p)
+                    ns.append(n)
+                    ws.append(w)
+        ns, ws = np.array(ns, dtype=np.int64), np.array(ws)
+        for m in divisors(radical(d)):
+            if d * m <= Q:
+                out += d * mag(d * m) * (A[xs[:, None] // (d * m * ns)] * ws).sum(axis=1)
+    return [Fraction(v) * (1 + Fraction(1, 2**30)) for v in out.tolist()]
+
+
+def _signed_tolerance(G, a, b, Q, xs):
+    """(bound, mass) of the signed floating expansion at a coprime to the
+    radical b, for the kernel ``_peel_sums`` takes."""
+    if _peeled(G, a, b, Q):
+        return TestPeelSums.bound(Q, a, G.exact), _peel_mass(G, a, b, Q, xs)
+    return TestFloatingAgainstFractionOracle.kluyver_bound(Q, a), _kluyver_mass(G, a, b, Q, xs)
+
+
+class TestPeelSums:
+    # The peel writes the signed expansion at a coprime to b as
+    # S(x) = sum over k = dm' (d | a, m' | rad d) of d mu(m') G(k) R_B(x // k),
+    # B = b rad(d), and R_B(z) = sum over B-smooth n <= z of G~(n) M_G(z // n),
     # with G~ completely multiplicative, G~(p) = G(p).  Error bound, in the
-    # terms of TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4):
-    # * M_G(y): table entries 9 roundings (the mu product is exact), one
-    #   reduceat segment (first term plus a pairwise sum of the rest)
-    #   ceil(log2 Q) + 19, Neumaier across segments 2; relative to
-    #   A(y) = sum_{r <= y} |G(r) mu(r)|.
+    # terms of TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4), for
+    # exact real rules:
+    # * M_G(y): G mu table entries 9 roundings, one reduceat segment (first
+    #   term plus a pairwise sum of the rest) ceil(log2 Q) + 19, Neumaier
+    #   across segments 2; relative to A(y) = sum_{r <= y} |G(r) mu(r)|.
     # * G~(n): one rounding of each float G(p) it multiplies, then
     #   Omega(n) - 1 products, so 2 Omega(n) - 1 <= 2 floor(log2 Q) - 1.
-    # * G~(n) M_G(x // n): 1; the pairwise sum over n: ceil(log2 Q) + 19.
-    # First order that is (4 ceil(log2 Q) + 49) u times the peel mass
-    # sum_n |G~(n)| A(x // n); one more u covers the second-order terms.
-    # With |G(p)| <= 1 the mass is at most the count of b-smooth n <= x times
-    # A(x); with |G(p)| > 1 it grows like |G(p)|^(log_p x), which is why the
-    # peel falls back there.  A wrong G~(n), or a point read off by one,
-    # moves a sum by whole terms.
+    # * G~(n) M_G(z // n): 1; the pairwise sum over n: ceil(log2 Q) + 19.
+    # So R_B(z) is off by (4 ceil(log2 Q) + 49) u times
+    # sum_n |G~(n)| A(z // n).  For a = 1 that is S itself.  For a > 1 the
+    # coefficient, one float of the exact d mu(m') G(k), costs 1 more, its
+    # product with R_B 1, and the running sum over the at most
+    # tau(a^2) = sum over d | a of 2^omega(d) terms tau(a^2) - 1 (the first
+    # add, to 0.0, is exact).  First order that is
+    # (4 ceil(log2 Q) + 49 + [a > 1] (tau(a^2) + 1)) u times the peel mass
+    # ``_peel_mass``; one more u covers the second-order terms.
+    # A non-exact G (here lemma7_h(s = 0.6 + 0.3i)) is compared against its
+    # own value table, per component.  A complex product rounds each
+    # component at most twice relative to the product of the |Re| + |Im|
+    # magnitudes, so every count doubles; and the table is multiplicative
+    # only up to its entries' own roundings (at most 4 products, 8 in these
+    # terms) on both sides of G(st) = G(s) G(t), 18 more relative to the
+    # same mass.
+    # With |G(p)| <= 1 the mass is at most the count of B-smooth n <= x times
+    # the mass of Kluyver's sum; with |G(p)| > 1 it grows like
+    # |G(p)|^(log_p x), which is why the peel falls back there.  A dropped or
+    # mis-signed m' term, a wrong G~(n), or a point read off by one moves a
+    # sum by whole terms.
     @staticmethod
-    def peel_bound(Q):
-        return (4 * math.ceil(math.log2(Q)) + 50) * 2.0**-53
+    def bound(Q, a=1, exact=True):
+        count = 4 * math.ceil(math.log2(Q)) + 49 + (len(divisors(a * a)) + 1 if a > 1 else 0)
+        return (count + 1 if exact else 2 * count + 18 + 1) * 2.0**-53
 
-    @staticmethod
-    def peel_mass(G, b, Q, xs):
-        A = [Fraction(0)]
-        for r in range(1, Q + 1):
-            A.append(A[-1] + (abs(G.eval(r)) if mobius(r) else 0))
-        smooth = {}
-        for n in range(1, Q + 1):
-            if b % radical(n) == 0:
-                smooth[n] = math.prod((abs(G.eval(p)) ** e for p, e in factorize(n).factors), start=Fraction(1))
-        return [sum(g * A[x // n] for n, g in smooth.items() if n <= x) for x in xs]
+    @given(
+        _rule_values(1),
+        st.integers(min_value=0, max_value=2**32),
+        st.one_of(st.integers(min_value=1, max_value=300), st.integers(min_value=301, max_value=10**4)),
+        st.sampled_from([6, 12, 35, 360, 720]),
+        st.sampled_from([1, 2, 6, 35]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_expansion_within_bound_of_the_fraction_oracle(self, values, seed, Q, a, b):
+        G = _random_exact_rule(values, seed)
+        got = expansion_partial_sums(G, a, Q, coprime_to=b, exact=False)
+        assert ("gmu", Q) in G._memo and not _kluyver_keys(G)  # the peel ran, not the direct kernel
+        xs = got.xs()
+        part = _coprime_part(a, b)
+        want = expansion_partial_sums(G, a, Q, xs, coprime_to=b, exact=True)
+        for x, f, e, m in zip(xs, got.values(), want.values(), _peel_mass(G, part, b, Q, xs)):
+            assert type(f) is float
+            assert abs(Fraction(f) - e) <= Fraction(self.bound(Q, part)) * m, x
 
+
+class TestPeelRestrictedSums:
+    # The restricted series is the peel at a = 1; its bound is
+    # TestPeelSums.bound(Q).
     @given(
         _rule_values(1),
         st.integers(min_value=0, max_value=2**32),
@@ -754,15 +859,13 @@ class TestPeelRestrictedSums:
     def test_within_peel_bound_of_the_fraction_oracle(self, values, seed, Q, b):
         G = _random_exact_rule(values, seed)
         xs = checkpoint_schedule(Q)
-        got = expansion._peel_restricted_sums(G, [b], Q, xs)[b]
-        assert not _kluyver_keys(G)  # the peel ran, not the direct kernel
+        got = expansion._peel_sums(G, [(1, b)], Q, xs)[(1, b)]
+        assert ("gmu", Q) in G._memo and not _kluyver_keys(G)  # the peel ran, not the direct kernel
         want = restricted_mobius_partial_sums(G, b, Q, xs, exact=True)
-        direct = restricted_mobius_partial_sums(G, b, Q, xs, exact=False)
-        assert (got.description, got.mode, got.xs()) == (direct.description, direct.mode, direct.xs())
-        mass = self.peel_mass(G, b, Q, xs)
-        for x, f, e, m in zip(xs, got.values(), want.values(), mass):
+        assert restricted_mobius_partial_sums(G, b, Q, xs, exact=False).values() == got
+        for x, f, e, m in zip(xs, got, want.values(), _peel_mass(G, 1, b, Q, xs)):
             assert type(f) is float
-            assert abs(Fraction(f) - e) <= Fraction(self.peel_bound(Q)) * m, x
+            assert abs(Fraction(f) - e) <= Fraction(TestPeelSums.bound(Q)) * m, x
 
     @pytest.mark.parametrize(
         "G, radicals",
@@ -771,21 +874,28 @@ class TestPeelRestrictedSums:
             (catalog("prop5"), [2, 6, 10, 30, 42]),
             # cap 1.0 clamps every squarefree n > 1: the table is not multiplicative.
             (catalog("prop1", cap=1.0), [1, 2, 3, 6, 30]),
+            # Not multiplicative at all.
+            (catalog("weakly_exotic_sample"), [1, 2]),
         ],
     )
     def test_fallbacks_keep_the_direct_kernel(self, G, radicals):
+        # Restricted series (a = 1) and expansions (a > 1) alike, bit for bit.
         Q = FAST_CFG.Q
         cps = checkpoint_schedule(Q)
-        got = expansion._peel_restricted_sums(G, radicals, Q, cps)
+        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 12, 45) for b in radicals})
+        got = expansion._peel_sums(G, pairs, Q, cps)
         fresh = dataclasses.replace(G)
-        for b in radicals:
-            want = restricted_mobius_partial_sums(fresh, b, Q, cps, exact=False)
-            assert TestCoprimePart.same(got[b], want) and got[b].description == want.description, b
+        for a, b in pairs:
+            want = expansion._kluyver_sums(fresh, a, Q, cps, b)
+            assert np.array(got[(a, b)]).tobytes() == np.array(want).tobytes(), (a, b)
+            series = expansion_partial_sums(dataclasses.replace(G), a, Q, coprime_to=b, exact=False)
+            assert np.array(series.values()).tobytes() == np.array(want).tobytes(), (a, b)
 
     @pytest.mark.parametrize("name", ["GR", "GH", "prop1"])
     def test_verdict_leaves_restricted_series_unchanged(self, name):
         # A restricted series read after a classical verdict on the same G
-        # has the bytes of one read on a fresh copy: the peel writes no memo.
+        # has the bytes of one read on a fresh copy: the peel stores nothing
+        # but the G mu table.
         G = catalog(name)
         assert zero_cloud_verdict(G, FAST_CFG).conclusion == "in_zero_cloud"
         fresh = dataclasses.replace(G)
@@ -793,6 +903,28 @@ class TestPeelRestrictedSums:
             after = restricted_mobius_partial_sums(G, b, FAST_CFG.Q, exact=False)
             alone = restricted_mobius_partial_sums(fresh, b, FAST_CFG.Q, exact=False)
             assert TestCoprimePart.same(after, alone), b
+
+
+_GMU_ENTRIES = [
+    *(catalog(name) for name in sorted(set(catalog_names()) - {"weakly_exotic_sample"})),
+    catalog("indicator_prime_powers", p0=3),
+    catalog("prop1", cap=1.0),
+    catalog("lemma7_h", s=0.6 + 0.3j),
+    catalog("prop5", s=0.7 + 0.1j, g2=2, p1_square_zero=True),
+]
+
+
+class TestGmuTable:
+    @pytest.mark.parametrize("Q", [1, 2, 3, 10, 97, 1000, 10**6 + 7])
+    def test_is_the_value_table_times_mu(self, Q):
+        # Entry by entry, and the same clamp flag as the value table's.
+        for G in _GMU_ENTRIES:
+            got = expansion._gmu_table(G, Q)
+            clamped = G._memo[("clamped", Q)]
+            fresh = dataclasses.replace(G)
+            assert np.array_equal(got, _value_table(fresh, Q) * core.mobius_table(Q)), G.label
+            assert clamped is fresh._memo[("clamped", Q)] and not got.flags.writeable, G.label
+            assert expansion._gmu_table(G, Q) is got
 
 
 class TestFiniteFactors:
@@ -1088,37 +1220,42 @@ class TestEngineConfigValidation:
 
 class TestZeroCloudVerdict:
     def test_each_distinct_series_runs_once(self, monkeypatch):
-        # a and a / p0^k give one series over q coprime to p0.  The classical
-        # cases peel all 31 radicals (the main series among them) off one
-        # Mobius prefix in one batch, and build no direct T_1 for b > 1.
+        # a and a / p0^k give one series over q coprime to p0.  Every verdict
+        # of a multiplicative G makes one batched peel: the 25 p0-free parts
+        # of the indicator, or the 31 radicals of a classical entry (the
+        # main series among them), all off one G mu table, with no direct
+        # T_d and no per-series call.
         counts = collections.Counter()
-        radicals = []
-        for name in ("expansion_partial_sums", "restricted_mobius_partial_sums", "_peel_restricted_sums"):
+        pairs = []
+        for name in ("expansion_partial_sums", "restricted_mobius_partial_sums", "_peel_sums"):
             def counted(*args, _fn=getattr(expansion, name), _name=name, **kw):
                 counts[_name] += 1
-                if _name == "_peel_restricted_sums":
-                    radicals.append(list(args[1]))
+                if _name == "_peel_sums":
+                    pairs.append(list(args[1]))
                 return _fn(*args, **kw)
 
             monkeypatch.setattr(expansion, name, counted)
         cfg = EngineConfig()
+        radicals = sorted({radical(a) for a in cfg.sample_a})
+        parts = sorted({_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
+        assert len(radicals) == 31 and len(parts) == 25
         for G, want in (
-            (catalog("indicator_prime_powers", p0=2), {"expansion_partial_sums": 25}),
-            (catalog("GR"), {"_peel_restricted_sums": 1}),
-            (catalog("GH"), {"_peel_restricted_sums": 1}),
+            (catalog("indicator_prime_powers", p0=2), [(a, 2) for a in parts]),
+            (catalog("GR"), [(1, b) for b in radicals]),
+            (catalog("GH"), [(1, b) for b in radicals]),
         ):
             counts.clear()
-            radicals.clear()
+            pairs.clear()
             verdict = zero_cloud_verdict(G, cfg)
             assert verdict.conclusion == "in_zero_cloud"
-            assert counts == want, G.label
-            if radicals:
-                assert radicals == [sorted({radical(a) for a in cfg.sample_a})] and len(radicals[0]) == 31
-                assert not [k for k in _kluyver_keys(G) if k[2] > 1]
+            assert counts == {"_peel_sums": 1} and pairs == [want], G.label
+            assert ("gmu", cfg.Q) in G._memo and not _kluyver_keys(G), G.label
 
     def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
-        # One T_d per distinct divisor of the sampled p0-free parts, kept on G
-        # and read again by a repeated verdict; c_table is never built.
+        # weakly_exotic_sample is not multiplicative, so its verdict keeps
+        # the direct kernel: one T_d per distinct divisor of the sampled
+        # p0-free parts, kept on G and read again by a repeated verdict;
+        # c_table is never built.
         calls = collections.Counter()
         for module in (expansion, sums):
             def counted(*args, _fn=module.c_table, **kw):
@@ -1127,21 +1264,18 @@ class TestZeroCloudVerdict:
 
             monkeypatch.setattr(module, "c_table", counted)
         cfg = EngineConfig()
-        G = dataclasses.replace(catalog("indicator_prime_powers", p0=2))
+        G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2))
         parts = {_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)}
         assert len(parts) == 25
         divs = {d for a in parts for d in divisors(a) if d <= cfg.Q}
         cps = tuple(checkpoint_schedule(cfg.Q, cfg.window))
 
-        def kluyver_keys():
-            return sorted(k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver")
-
         assert zero_cloud_verdict(G, cfg).conclusion == "in_zero_cloud"
-        keys = kluyver_keys()
+        keys = sorted(_kluyver_keys(G))
         assert keys == sorted(("kluyver", cfg.Q, 2, d, cps) for d in divs)
         memo_size = len(G._memo)
         assert zero_cloud_verdict(G, cfg).conclusion == "in_zero_cloud"
-        assert kluyver_keys() == keys and len(G._memo) == memo_size
+        assert sorted(_kluyver_keys(G)) == keys and len(G._memo) == memo_size
         assert calls["c_table"] == 0
 
     def test_classical_members(self):
