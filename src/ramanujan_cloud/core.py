@@ -10,9 +10,10 @@ here is safe to call from concurrent workers.
 
 Tables of multiplicative functions (mu here, G(q) in the expansion engine)
 come from one two-phase sieve, ``multiplicative_sieve``: one strided multiply
-per prime p <= isqrt(Q), then one gather per cofactor m < sqrt(Q) for all the
-primes above isqrt(Q) at once.  That is O(pi(sqrt Q) + sqrt Q) numpy calls
-instead of one per prime up to Q.
+per prime p <= isqrt(Q) and block of 2^18 entries, then one gather per
+cofactor m < sqrt(Q) for all the primes above isqrt(Q) at once.  That is
+O(pi(sqrt Q) * ceil(Q / 2^18) + sqrt Q) numpy calls instead of one per prime
+up to Q.
 """
 
 from __future__ import annotations
@@ -95,13 +96,35 @@ def checked_values(values, count: int, what: str) -> np.ndarray:
     return values
 
 
+# Entries per block of phase 1 of ``multiplicative_sieve`` (2 MB of float64).
+_BLOCK = 1 << 18
+
+
+def _sweep_block(table: np.ndarray, run: list, lo: int, hi: int) -> None:
+    """Multiply ``table[lo:hi]`` by g(p^v_p(n)) for each (p, g) of ``run``
+    in order, g = (g(p), g(p^2), ...), as phase 1 of
+    ``multiplicative_sieve`` does."""
+    for p, g in run:
+        first = max(p, -(-lo // p) * p)  # the first multiple of p in [lo, hi)
+        if table.dtype.kind != "c" and not any(g[1:].tobytes()):  # every higher power is +0
+            first_sq = max(p * p, -(-lo // (p * p)) * p * p)
+            squares = table[first_sq:hi : p * p] * g[1]
+            table[first:hi:p] *= g[0]
+            table[first_sq:hi : p * p] = squares
+            continue
+        col = np.full(len(range(first, hi, p)), g[0], dtype=g.dtype)
+        step = 1
+        for value in g[1:]:
+            step *= p
+            col[-(first // p) % step :: step] = value  # n = first + p * index divisible by p * step
+        table[first:hi:p] *= col
+
+
 def multiplicative_sieve(
     limit: int,
     powers: Callable[[int, int], np.ndarray],
     at_primes: Callable[[np.ndarray], np.ndarray],
     dtype,
-    *,
-    signed_zeros: bool = True,
 ) -> np.ndarray:
     """g(n) for n = 0..limit (g(0) = 0) of a multiplicative g, writable.
 
@@ -117,23 +140,19 @@ def multiplicative_sieve(
     multiples of p holds g(p^v_p(n)) and multiplies into ``table[p::p]``.
     When every higher power is +0 (mu, or any g supported on squarefree n)
     a real table takes one scalar multiply instead, and its multiples of p^2
-    get what the column would have made of them.
+    get what the column would have made of them.  A real table is swept one
+    block of ``_BLOCK`` entries at a time, every small prime over a block
+    before the next, so the block stays in cache; a promotion splits the
+    primes into runs, each swept in the dtype the table has by then.
     Phase 2: each n <= limit has at most one prime factor p > isqrt(limit),
-    with exponent 1 and cofactor m = n / p < sqrt(limit).  After phase 1 a
-    real ``table[m * p]`` equals ``table[m]``, so for each m one scatter
-    writes ``table[m] * g(P)`` to ``table[m * P]`` over the primes
-    P <= limit / m.  A complex table keeps the column and gathers
-    ``table[m * P]``: numpy may round a complex product differently by the
-    layout and position of its operands, so equal factors need not give
-    equal entries.  Every entry is multiplied in the order of a
-    prime-by-prime sweep (its small primes ascending, then its large prime),
-    so real tables are bit-identical to one.
-
-    A cofactor m whose entry is 0 leaves every ``table[m * P]`` at that 0,
-    up to its sign; phase 2 skips it wherever no byte can change: integer
-    tables, or finite prime values with the sign bit clear.  With
-    ``signed_zeros=False`` (a table that is only ever summed) it always
-    skips, and phase 1 sets the multiples of p^2 to +0.
+    with exponent 1 and cofactor m = n / p < sqrt(limit), so for each m one
+    gather multiplies ``table[m * P] *= g(P)`` over the primes P <= limit / m.
+    Every entry is multiplied in the order of a prime-by-prime sweep (its
+    small primes ascending, then its large prime), so real tables are
+    bit-identical to one.  After phase 1 ``table[m * P]`` equals
+    ``table[m]``, so a cofactor whose entry is 0 leaves them at that 0, up
+    to its sign; phase 2 skips it wherever no byte can change: integer
+    tables, or finite prime values with the sign bit clear.
     ``sieve_primes(limit)`` runs before the table is allocated, so an
     over-budget limit raises ``ResourceLimitError`` first.
     """
@@ -141,45 +160,37 @@ def multiplicative_sieve(
     table = np.ones(limit + 1, dtype=dtype)
     table[0] = 0
     split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
+    dtypes, runs = [table.dtype], [[]]  # a new run where the table is promoted
     for p in primes[:split].tolist():
         E, pe = 1, p
         while pe * p <= limit:
             E, pe = E + 1, pe * p
         g = powers(p, E)
-        if not np.can_cast(g.dtype, table.dtype):
-            table = table.astype(np.result_type(table, g))
-        if table.dtype.kind != "c" and not any(g[1:].tobytes()):  # every higher power is +0
-            squares = table[p * p :: p * p] * g[1] if signed_zeros and table.dtype.kind == "f" else 0
-            table[p::p] *= g[0]
-            table[p * p :: p * p] = squares
-            continue
-        col = np.full(limit // p, g[0], dtype=g.dtype)
-        step = 1
-        for value in g[1:]:
-            step *= p
-            col[step - 1 :: step] = value  # n = p * (index + 1) divisible by p * step
-        table[p::p] *= col
+        if not np.can_cast(g.dtype, dtypes[-1]):
+            dtypes.append(np.result_type(dtypes[-1], g))
+            runs.append([])
+        runs[-1].append((p, g))
+    for dt, run in zip(dtypes, runs):
+        table = table.astype(dt, copy=False)
+        # numpy may round a complex product by its position in a SIMD loop,
+        # so a complex table is swept whole, as one block.
+        block = limit + 1 if table.dtype.kind == "c" else _BLOCK
+        for lo in range(0, limit + 1, block):
+            _sweep_block(table, run, lo, min(lo + block, limit + 1))
     large = primes[split:]
     if len(large):
         g = checked_values(at_primes(large), len(large), "at_primes(P)")
         if not np.can_cast(g.dtype, table.dtype):
             table = table.astype(np.result_type(table, g))
-        cast = g.astype(table.dtype, copy=False)
-        skip_zeros = (
-            not signed_zeros
-            or table.dtype.kind in "iu"
-            or (table.dtype.kind == "f" and bool(np.isfinite(cast).all()) and not np.signbit(cast).any())
+        skip_zeros = table.dtype.kind in "iu" or (
+            table.dtype.kind == "f" and bool(np.isfinite(g).all()) and not np.signbit(g).any()
         )
         cofactors = np.arange(1, limit // int(large[0]) + 1)
         counts = np.searchsorted(large, limit // cofactors, "right")
         for m, k in enumerate(counts.tolist(), start=1):
-            v = table[m]
-            if skip_zeros and v == 0:
+            if skip_zeros and table[m] == 0:
                 continue
-            if table.dtype.kind == "c":
-                table[m * large[:k]] *= g[:k]
-            else:
-                table[m * large[:k]] = v * g[:k]
+            table[m * large[:k]] *= g[:k]
     return table
 
 

@@ -195,19 +195,19 @@ def _value_table(G, Q: int) -> np.ndarray:
     """G(n) for n = 0..Q as a float64/complex128 array (index 0 is 0).
 
     Multiplicative G goes through ``multiplicative_sieve``: one strided
-    multiply per prime p <= isqrt(Q), then one scatter per cofactor
-    m < sqrt(Q) for the primes above it, O(pi(sqrt Q) + sqrt Q) numpy calls
-    in all.  The rule is called once per power of each prime p <= isqrt(Q);
-    the values at the primes above come from ``G.at_primes`` when the entry
-    carries that numpy form, else from one rule call per prime.  A general
-    G uses ``G.table`` when set, else is evaluated pointwise.  Both forms
-    are bit-identical to the scalar paths they replace (see the field
-    docstrings), so the table does not depend on which path ran.  The table
-    is float64 unless a value is complex, then complex128.  Cached on the
-    function object, next to a flag under ``("clamped", Q)`` that says
-    whether ``squarefree_cap`` changed an entry: a clamped table is no
-    longer multiplicative.  A Q above ``SIEVE_BUDGET`` raises
-    ``ResourceLimitError`` before any path allocates.
+    multiply per prime p <= isqrt(Q) and block of the table, then one gather
+    per cofactor m < sqrt(Q) for the primes above it.  The rule is called
+    once per power of each prime p <= isqrt(Q); the values at the primes
+    above come from ``G.at_primes`` when the entry carries that numpy form,
+    else from one rule call per prime.  A general G uses ``G.table`` when
+    set, else is evaluated pointwise.  Both forms are bit-identical to the
+    scalar paths they replace (see the field docstrings), so the table does
+    not depend on which path ran.  The table is float64 unless a value is
+    complex, then complex128.  Cached on the function object, next to a
+    flag under ``("clamped", Q)`` that says whether ``squarefree_cap``
+    changed an entry: a clamped table is no longer multiplicative.  A Q
+    above ``SIEVE_BUDGET`` raises ``ResourceLimitError`` before any path
+    allocates.
     """
     memo = getattr(G, "_memo", None)
     key = ("values", Q)
@@ -261,7 +261,7 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     """G(n) mu(n) for n = 0..Q, the terms of the Mobius prefix M_G.
 
     One ``multiplicative_sieve`` from the powers (-G(p), 0, ..., 0) and
-    -``G.at_primes``, so no value table and no mu table is built; it equals
+    0 - ``G.at_primes``, so no value table and no mu table is built; it equals
     ``_value_table(G, Q) * mobius_table(Q)`` entry by entry (the signs of
     its zeros may differ, since it is only summed).  Cached on G under
     ``("gmu", Q)``; like ``_value_table`` it records under ``("clamped", Q)``
@@ -277,7 +277,9 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
         g = _gather(lambda: (G.rule(p, 1),), 1)
         return np.concatenate((-g, np.zeros(E - 1, g.dtype)))
 
-    gmu = multiplicative_sieve(Q, powers, lambda P: -_prime_values(G, P), np.float64, signed_zeros=False)
+    # 0 - G(p) rather than -G(p): a zero value stays +0, so the sieve can
+    # skip the zero cofactors of a G that vanishes at the large primes.
+    gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64)
     clamped = False
     if G.squarefree_cap is not None:
         # The nonzero entries are the squarefree n with G(n) != 0.
@@ -484,10 +486,11 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     smooth = {B: _smooth_weights(gmu, factorize(B).primes(), int(z[-1])) for B, z in zs.items()}
     # M_G is needed at z // n for every z and every smooth n of each B.
     # Nearly all of these points are small (z // n for large n), so M_G is
-    # taken at every y <= isqrt(Q) and read there by index; only the
-    # distinct larger points join them in the one ``_neumaier_segments``
-    # pass.  A B's points are built once to collect the larger ones and once
-    # to read M_G, so only one B's points are held at a time.
+    # taken at every y <= isqrt(Q) and read there by index, not by a binary
+    # search per point; only the distinct larger points join them in the
+    # one ``_neumaier_segments`` pass.  A B's points are built once to
+    # collect the larger ones and once to read M_G, so only one B's points
+    # are held at a time.
     def points(B):
         return zs[B][:, None] // smooth[B][0]
 

@@ -264,6 +264,31 @@ class TestTables:
         with pytest.raises(ValueError, match="at_primes"):
             core.multiplicative_sieve(1000, lambda p, E: np.full(E, 0.5), at_primes, np.float64)
 
+    @pytest.mark.parametrize("block", [2, 97, 1000])
+    def test_sieve_blocks_keep_every_byte(self, monkeypatch, block):
+        # Phase 1 sweeps a real table in blocks of core._BLOCK entries.  Any
+        # block size gives the bytes of one sweep over the whole table
+        # (limit < _BLOCK): mu, columns of higher powers with signed zeros, a
+        # promotion to complex at p = 7 after real multiplies, and complex
+        # powers p^(-e s), whose products numpy rounds by their position.
+        def dense(p, E):
+            return np.array([-0.0 if p == 5 else (-1.0) ** e / p**e for e in range(1, E + 1)])
+
+        def complex_at_7(p, E):
+            return np.array([1j if p == 7 else -1.0 / p] + [0.0] * (E - 1))
+
+        s = 0.6 + 0.3j
+        cases = [
+            (core._mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8),
+            (dense, lambda P: -1.0 / P, np.float64),
+            (complex_at_7, lambda P: 1.0 / P, np.float64),
+            (lambda p, E: float(p) ** (-s * np.arange(1, E + 1)), lambda P: P.astype(float) ** -s, np.float64),
+        ]
+        limit = 3000
+        want = [core.multiplicative_sieve(limit, *case).tobytes() for case in cases]
+        monkeypatch.setattr(core, "_BLOCK", block)
+        assert [core.multiplicative_sieve(limit, *case).tobytes() for case in cases] == want
+
 
 # The prime and mu slots are process state that pytest's test order would
 # hide, so the growth order runs in a fresh interpreter.  The sieve counter

@@ -535,13 +535,22 @@ class TestValueTable:
             catalog("lemma7_h", s=0.6),
             catalog("indicator_prime_powers", p0=3),
             MultiplicativeFunction("signed zeros", rule=lambda p, e: -0.0 if e >= 2 else (0.0 if p == 5 else -1.0 / p)),
+            # Dyadic prime values pass the form check in float32; the entries
+            # above sqrt(Q) must still be float64 products with the
+            # cofactor's non-dyadic value (1/3 on every square).
+            MultiplicativeFunction(
+                "float32 form",
+                rule=lambda p, e: Fraction(1, 3) if e >= 2 else Fraction(3 if p % 4 == 3 else 2, 4),
+                exact=True,
+                at_primes=lambda P: np.where(P % 4 == 3, 0.75, 0.5).astype(np.float32),
+            ),
         ],
-        ids=["prop5", "lemma7_h", "indicator", "signed_zeros"],
+        ids=["prop5", "lemma7_h", "indicator", "signed_zeros", "float32_form"],
     )
     def test_zero_signs_match_the_pointwise_product(self, G):
         # The sieve's shortcuts (one scalar multiply when every higher power
         # is 0, skipped cofactors whose entry is 0) keep every byte of a
-        # value table, the sign of each zero included.
+        # value table, the sign of each zero included, in float64.
         Q = 5000
         want = [0.0]
         for n in range(1, Q + 1):
