@@ -54,7 +54,6 @@ from .sums import (
     c_holder,
     c_kluyver,
     c_prime_power,
-    c_table,
     prime_power_column_sum,
 )
 

@@ -7,10 +7,15 @@ One kernel, ``_series``, computes them.  The restricted Mobius series is the
 expansion at a = 1, since c_n(1) = mu(n) (Ramanujan 1918).  Exact rules up
 to ``EXACT_LIMIT`` (denominators explode beyond that) run in exact-rational
 mode over the scalar ``c_holder``, an oracle independent of the numpy
-tables.  The absolute floating series weights the value table by
-``c_table``, since |sum| is not sum |.|.  Every floating series is summed by
-one reduction, ``_neumaier_segments``: one numpy pass over the segments
-between the points wanted, Neumaier-compensated across segments.
+tables.  Every floating series is summed by one reduction,
+``_neumaier_segments``: one numpy pass over the segments between the points
+wanted, Neumaier-compensated across segments.
+
+The absolute floating series, for any G, follows Hardy's split: c_q(a) is
+multiplicative in q, so q = d r with d on the primes of a and r coprime to
+a gives c_q(a) = c_d(a) mu(r), and c_d(a) = 0 unless d | a rad(a).
+``_absolute_sums`` adds |c_d(a)| times the sum of |G(dr) mu(r)| over r
+coprime to ab, one strided pass over the value and mu tables per d.
 
 Signed floating series of a multiplicative G read one table, G mu, through
 the Mobius prefix M_G(y) = sum_{r <= y} G(r) mu(r).  Kluyver's
@@ -50,7 +55,7 @@ from .multiplicative import (
     is_weakly_exotic,
     spectrum,
 )
-from .sums import c_holder, c_prime_power, c_table
+from .sums import c_holder, c_prime_power
 
 Number = Union[int, Fraction, float, complex]
 
@@ -302,11 +307,12 @@ def _strike_non_coprime(terms: np.ndarray, b: int) -> None:
 def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) -> PartialSumSeries:
     """Partial sums of G(q) c_q(a), or |G(q) c_q(a)|, over q <= x coprime to b.
 
-    ``a`` must already be coprime to ``b`` (the Kluyver sum needs it).  Exact
-    mode calls the scalar ``c_holder`` and never reads a table, so the
+    ``a`` must already be coprime to ``b`` (both floating kernels need it).
+    Exact mode calls the scalar ``c_holder`` and never reads a table, so the
     Fraction oracle stays independent of the tables it checks.  The signed
     floating sum is ``_peel_sums`` of the one pair (a, b); the absolute one
-    weights the value table by ``c_table``.
+    is ``_absolute_sums``, Hardy's split of q into its part on the primes of
+    a and a cofactor coprime to a.
     """
     cps = _validate_checkpoints(cps, Q)
     if _use_exact(G, Q, exact):
@@ -326,9 +332,7 @@ def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) ->
         return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
 
     if absolute:
-        terms = np.abs(_value_table(G, Q) * c_table(a, Q))
-        _strike_non_coprime(terms, b)
-        return _floating(desc, cps, _neumaier_segments(terms, cps).tolist())
+        return _floating(desc, cps, _absolute_sums(G, a, Q, cps, b))
     return _floating(desc, cps, _peel_sums(G, [(a, b)], Q, cps)[(a, b)])
 
 
@@ -369,6 +373,34 @@ def _kluyver_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
             if memo is not None:
                 memo[key] = T
         totals = [s + d * t for s, t in zip(totals, T)]
+    return totals
+
+
+def _absolute_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
+    """Floating sum_{q <= x, (q, b) = 1} |G(q) c_q(a)| at each checkpoint x,
+    for a coprime to b and any G, multiplicative or not.
+
+    Hardy: c_q(a) is multiplicative in q.  Write q = d r, d holding the
+    primes of a and r coprime to a; then c_q(a) = c_d(a) mu(r), and
+    c_d(a) != 0 exactly when d | a rad(a).  So the sum is
+    sum over d | a rad(a) of |c_d(a)| A_d(x // d), with
+    A_d(y) = sum_{r <= y, (r, ab) = 1} |G(dr) mu(r)|: the terms
+    ``|V[::d]|`` zeroed where mu(r) = 0 (so exact), indexed by r, struck on
+    the primes of b rad(a) and summed at the points x // d.  The weighted A_d
+    are added in ascending d; nothing is kept on G.
+    """
+    V, mu = _value_table(G, Q), mobius_table(Q)
+    rad = radical(a)
+    totals = [0.0] * len(cps)
+    for d in divisors(a * rad):
+        if d > Q:
+            break
+        u = np.abs(V[::d])
+        u *= mu[: Q // d + 1] != 0  # |G(dr) mu(r)| exactly, in one Q/d buffer
+        _strike_non_coprime(u, b * rad)
+        A = _neumaier_segments(u, [x // d for x in cps]).tolist()
+        w = abs(c_holder(d, a))
+        totals = [s + w * t for s, t in zip(totals, A)]
     return totals
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .config import EngineConfig
-from .core import sieve_primes, valuation
+from .core import divisors, radical, sieve_primes, valuation
 from .expansion import (
     absolute_convergence_report,
     detect_convergence,
@@ -224,12 +224,25 @@ def check_abel_forms(cfg: EngineConfig) -> dict:
     }
 
 
+def _absolute_rounding_bound(Q: int, a: int) -> float:
+    """Relative error bound of the floating absolute expansion at a of an
+    exact rule, n <= Q <= 10^4: (ceil(log2 Q) + 31 + tau(a rad a)) 2^-53
+    (derived in tests/test_expansion.py, TestFloatingAgainstFractionOracle)."""
+    return (math.ceil(math.log2(Q)) + 31 + len(divisors(a * radical(a)))) * 2.0**-53
+
+
 def check_absolute_split(cfg: EngineConfig) -> dict:
     """Truncated absolute expansion matches finite factor times truncated
-    cofactor within the computed tail bound, for a <= 100."""
+    cofactor within the computed tail bound, for a <= 100.
+
+    The series is itself computed by that split, so an independent leg
+    compares it at ``oracle_x`` with the Fraction oracle (``c_holder``, no
+    tables), within the derived rounding bound."""
     Q = 10_000
+    oracle_x = 1000  # a checkpoint of checkpoint_schedule(Q)
     entries = [catalog("indicator_prime_powers", p0=2)] + _absolutely_convergent_exotic_instances()
     worst = {"G": None, "a": None, "excess": -math.inf}
+    worst_oracle = {"G": None, "a": None, "error_over_bound": -math.inf}
     failures = []
     for G in entries:
         for a in range(1, 101):
@@ -238,13 +251,19 @@ def check_absolute_split(cfg: EngineConfig) -> dict:
             excess = rep.factor_discrepancy - (rep.factor_tail_bound + slack)
             if excess > worst["excess"]:
                 worst = {"G": G.label, "a": a, "excess": excess}
-            if excess > 0 or rep.verdict != "positive":
+            exact = expansion_partial_sums(G, a, oracle_x, checkpoints=[oracle_x], absolute=True, exact=True).final
+            error = abs(Fraction(rep.abs_expansion_series.value_at(oracle_x)) - exact)
+            ratio = float(error / (Fraction(_absolute_rounding_bound(Q, a)) * exact))
+            if ratio > worst_oracle["error_over_bound"]:
+                worst_oracle = {"G": G.label, "a": a, "error_over_bound": ratio}
+            if excess > 0 or ratio > 1 or rep.verdict != "positive":
                 failures.append(
                     {
                         "G": G.label,
                         "a": a,
                         "discrepancy": rep.factor_discrepancy,
                         "tail_bound": rep.factor_tail_bound,
+                        "oracle_error_over_bound": ratio,
                         "verdict": rep.verdict,
                     }
                 )
@@ -254,6 +273,8 @@ def check_absolute_split(cfg: EngineConfig) -> dict:
         "entries": [G.label for G in entries],
         "a_bound": 100,
         "worst_excess": worst,
+        "oracle_x": oracle_x,
+        "worst_oracle_error_over_bound": worst_oracle,
         "failures": failures[:10],
     }
 

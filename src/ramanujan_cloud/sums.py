@@ -3,13 +3,9 @@
 ``c_holder`` (von Sterneck / Hoelder closed form) is the production scalar
 formula: O(log) work after factorization, exact integer arithmetic.
 ``c_direct`` (root-of-unity sum, floating) and ``c_kluyver`` (divisor sum
-over gcd(q, a)) remain the independent scalar checkers.
-
-``c_table`` is the vectorized divisor-sieve (Kluyver) form over the shared
-Mobius table, a public table that the tests check against ``c_holder``.
-Among the big summation loops only absolute series read it (a restricted
-Mobius series is the expansion at a = 1); signed floating series apply the
-divisor sum to G instead (``expansion._peel_sums``).
+over gcd(q, a)) remain the independent scalar checkers.  No summation loop
+reads a table of c_q(a): the floating series apply Kluyver's divisor sum
+(signed) or Hardy's multiplicativity in q (absolute) to G instead.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import divisors, euler_phi, mobius, mobius_table, valuation
+from .core import divisors, euler_phi, mobius, valuation
 
 # c_direct must land within this distance of an integer (and on the real axis).
 DIRECT_TOL = 1e-6
@@ -106,22 +102,3 @@ def prime_power_column_sum(p: int, a: int) -> int:
     v = valuation(p, a)
     return sum(c_prime_power(p, K, a) for K in range(v + 2))
 
-
-def c_table(a: int, Q: int) -> np.ndarray:
-    """c_q(a) for q = 0..Q (index 0 unused, set to 0) as an int64 array.
-
-    Divisor sieve c_q(a) = sum over d | gcd(q, a) of mu(q/d) * d: each
-    divisor d <= Q of a adds d * mu(k) at q = d*k, so the cost is
-    sum over d | a of Q/d strided adds.  The absolute floating
-    expansion weights its terms with it.
-    """
-    if a < 1 or Q < 1:
-        raise ValueError("a and Q must be >= 1")
-    mu = mobius_table(Q)
-    c = mu.astype(np.int64)  # the d = 1 term; mu[0] = 0 keeps index 0 at 0
-    for d in divisors(a)[1:]:
-        if d > Q:
-            break
-        # Scale in int64: d * int8 overflows for d > 127 under numpy 2.
-        c[d::d] += np.multiply(mu[1 : Q // d + 1], d, dtype=np.int64)
-    return c

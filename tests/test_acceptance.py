@@ -7,26 +7,49 @@ driver folds elapsed < budget into its artifact's ``pass``.
 """
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from ramanujan_cloud.config import EngineConfig
-from ramanujan_cloud import reproduce
+from ramanujan_cloud import core, expansion, reproduce
 
 CFG = EngineConfig()
+
+# Every builder of a shared numeric table.  A complex table's last bits
+# depend on how numpy's SIMD multiply splits a strided slice, so the
+# artifacts must read none.
+TABLE_BUILDERS = (core.multiplicative_sieve, expansion._value_table, expansion._gmu_table)
 
 
 @pytest.fixture(scope="module")
 def battery(tmp_path_factory):
+    """Run the battery once, recording the dtype of every table built."""
     out = tmp_path_factory.mktemp("artifacts")
     lines = []
-    code = reproduce.run_all(out, CFG, echo=lines.append)
-    return code, out, lines
+    dtypes = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for original in TABLE_BUILDERS:
+            def recorded(*args, _fn=original, **kw):
+                table = _fn(*args, **kw)
+                dtypes.add((_fn.__name__, table.dtype))
+                return table
+
+            # Rebind every module name that holds the builder, including
+            # names imported with ``from ... import``.
+            for name, module in list(sys.modules.items()):
+                if name == "ramanujan_cloud" or name.startswith("ramanujan_cloud."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            mp.setattr(module, attr, recorded)
+        code = reproduce.run_all(out, CFG, echo=lines.append)
+    return code, out, lines, dtypes
 
 
 def artifact(battery, number: int) -> tuple[dict, str]:
     """Artifact ``number`` (1-based) of the battery and the driver's line for it."""
-    _, out, lines = battery
+    _, out, lines, _ = battery
     slug = reproduce.CHECKS[number - 1][0]
     line = next(line for line in lines if line.split()[1] == slug)
     return json.loads((out / f"{number:02d}_{slug}.json").read_text()), line
@@ -85,7 +108,10 @@ def test_06_abel_summed_forms_agree_on_random_rules(battery):
 
 def test_07_absolute_series_factorization_within_tail(battery):
     result, line = artifact(battery, 7)
-    report(line, "finite factor x cofactor vs direct, a <= 100, Q = 10^4")
+    worst = result["worst_oracle_error_over_bound"]["error_over_bound"]
+    report(line, f"finite factor x cofactor vs direct, a <= 100, Q = 10^4; Fraction oracle at x = 1000, {worst:.3f} of bound")
+    assert result["oracle_x"] == 1000
+    assert 0 <= worst <= 1
     assert result["failures"] == []
     assert result["pass"]
 
@@ -133,7 +159,7 @@ def test_12_reproduce_all_zero_cloud_verdicts(battery):
     # The full driver: every artifact must pass, and the membership battery
     # must put all five entries in the zero cloud with every hypothesis
     # check recorded as passed.
-    code, out, _ = battery
+    code, out, _, _ = battery
     assert code == 0
     artifacts = sorted(p.name for p in out.glob("*.json"))
     assert len(artifacts) == len(reproduce.CHECKS)
@@ -152,3 +178,11 @@ def test_12_reproduce_all_zero_cloud_verdicts(battery):
     assert seen == expected
     for verdict in result["verdicts"]:
         assert all(status == "pass" for _, status in verdict["hypothesis_checks"])
+
+
+def test_battery_builds_no_complex_table(battery):
+    # Artifact bytes depend only on config and seed; a complex table would
+    # make them depend on the machine.
+    dtypes = battery[3]
+    assert {name for name, _ in dtypes} == {fn.__name__ for fn in TABLE_BUILDERS}
+    assert not [entry for entry in dtypes if np.issubdtype(entry[1], np.complexfloating)]

@@ -46,12 +46,11 @@ from ramanujan_cloud import (
 import ramanujan_cloud
 import ramanujan_cloud.core as core
 import ramanujan_cloud.expansion as expansion
-import ramanujan_cloud.sums as sums
 from ramanujan_cloud import multiplicative
 from ramanujan_cloud.expansion import _coprime_part, _neumaier_segments, _series, _strike_non_coprime, _value_table
 from ramanujan_cloud.core import divisors
 from ramanujan_cloud.multiplicative import spectrum
-from ramanujan_cloud.sums import c_holder, c_table
+from ramanujan_cloud.sums import c_holder
 from test_multiplicative import FORM_ENTRIES
 
 FAST_CFG = EngineConfig(Q=20_000, sample_a=tuple(range(1, 9)))
@@ -244,6 +243,21 @@ def _signed_oracle(G, a, b, Q, xs):
     return out
 
 
+def _absolute_oracle(V, a, b, xs):
+    """sum_{q <= x, (q, b) = 1} |V[q] c_q(a)| exactly, at each x, for a real
+    value table V."""
+    total = Fraction(0)
+    out = []
+    lo = 1
+    for x in xs:
+        for q in range(lo, x + 1):
+            if gcd(q, b) == 1:
+                total += abs(Fraction(V[q]) * c_holder(q, a))
+        out.append(total)
+        lo = x + 1
+    return out
+
+
 def _within(values, reference, bound, mass):
     """Each component of each value lies within bound * mass of the reference."""
     for v, (re, im), m in zip(values, reference, mass):
@@ -332,11 +346,29 @@ class TestFloatingAgainstFractionOracle:
     #   by <= 2u |S| + O(N u^2) sum |s_j| (Neumaier, ZAMM 54, 1974).
     # First order that is (ceil(log2 Q) + 31) u times sum |t|; the second-order
     # terms, below (ceil(log2 Q) + 31)^2 u^2 < 10^-28 relative, fit in one
-    # more u.  Dropping the strike or the abs moves a sum by whole terms,
-    # far beyond this bound.
+    # more u.  That covers terms G(n) c_n(a) summed directly, as the tests
+    # below do for a reference.
     @staticmethod
     def bound(Q):
         return (math.ceil(math.log2(Q)) + 32) * 2.0**-53
+
+    # The absolute series goes through Hardy's split (``_absolute_sums``): for
+    # a' = a coprime to b, the sum over d | a' rad a', d <= Q, of
+    # |c_d(a')| A_d(x // d), with A_d summed like the series above from the
+    # terms |G(dr) mu(r)| over r coprime to a'b.  Per d: the table entry costs
+    # 9 roundings (mu and abs are exact), the segment ceil(log2 Q) + 19 and
+    # Neumaier 2, relative to sum |G(dr) mu(r)|; the weight |c_d(a')| costs 1
+    # more, and the running sum over the tau(a' rad a') divisors
+    # tau(a' rad a') - 1 (the first add, to 0.0, is exact).  Every term is
+    # >= 0, so the mass sum over d of |c_d(a')| sum |G(dr) mu(r)| is the series
+    # itself: the error is at most (ceil(log2 Q) + 30 + tau(a' rad a')) u times
+    # the series, plus one u for the second-order terms.  At a' = 1 that is
+    # ``bound(Q)``; for a' > 1 it is looser by tau(a' rad a') - 1 units.
+    # Dropping a divisor d, or striking the primes of b but not those of a',
+    # moves a sum by whole terms, far beyond this bound.
+    @staticmethod
+    def absolute_bound(Q, a):
+        return (math.ceil(math.log2(Q)) + 31 + len(divisors(a * radical(a)))) * 2.0**-53
 
     @given(
         _RULE_VALUES,
@@ -362,9 +394,45 @@ class TestFloatingAgainstFractionOracle:
         got = series(absolute=absolute, exact=False)
         want = series(absolute=absolute, exact=True)
         mass = want if absolute else series(absolute=True, exact=True)
+        bound = self.absolute_bound(Q, _coprime_part(a or 1, b)) if absolute else self.bound(Q)
         assert got.xs() == want.xs() == mass.xs()
         for (x, f), (_, e), (_, m) in zip(got.checkpoints, want.checkpoints, mass.checkpoints):
-            assert abs(Fraction(f) - e) <= Fraction(self.bound(Q)) * m, x
+            assert abs(Fraction(f) - e) <= Fraction(bound) * m, x
+
+    @given(
+        st.one_of(
+            st.tuples(st.just("general"), _RULE_VALUES),
+            st.tuples(st.just("weakly_exotic_sample"), st.sampled_from([2, 5])),
+            st.just(("prop1", None)),
+        ),
+        st.integers(min_value=0, max_value=2**32),
+        st.one_of(st.integers(min_value=1, max_value=300), st.integers(min_value=301, max_value=10**4)),
+        st.sampled_from([1, 2, 6, 35]),
+        st.sampled_from([1, 6, 12, 35, 360, 720]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_absolute_split_for_any_function(self, entry, seed, Q, b, a):
+        # Hardy's split needs no multiplicativity of G: a non-multiplicative
+        # exact rule, weakly_exotic_sample and the clamped prop1(cap = 1.0)
+        # all sum within absolute_bound of the exact series.  prop1 is not
+        # exact, so it is compared against its own value table.
+        kind, arg = entry
+        if kind == "general":
+            G = GeneralArithmeticFunction(
+                "random_general", fn=lambda n: arg[hash((seed, n)) % len(arg)], exact=True
+            )
+        elif kind == "weakly_exotic_sample":
+            G = catalog("weakly_exotic_sample", p0=arg)
+        else:
+            G = catalog("prop1", cap=1.0)
+        xs = checkpoint_schedule(Q)
+        got = expansion_partial_sums(G, a, Q, xs, coprime_to=b, absolute=True, exact=False)
+        if G.exact:
+            want = expansion_partial_sums(G, a, Q, xs, coprime_to=b, absolute=True, exact=True).values()
+        else:
+            want = _absolute_oracle(_value_table(G, Q), a, b, xs)
+        bound = self.absolute_bound(Q, _coprime_part(a, b))
+        assert _within(got.values(), [(w, 0) for w in want], bound, want)
 
     # The direct kernel ``_kluyver_sums`` (the fallback of ``_peel_sums``)
     # writes the signed expansion at a' = a coprime to b as sum over d | a',
@@ -443,19 +511,28 @@ class TestCoprimePart:
         part = expansion_partial_sums(G, _coprime_part(a, b), Q, coprime_to=b, absolute=absolute, exact=exact)
         assert self.same(got, part)
         assert f"c_q({a})" in got.description
-        if absolute or exact:
-            # The exact and absolute kernels hold for any a: weight by c_q
-            # at the caller's own a.
+        if exact:
+            # The exact kernel holds for any a: weight by c_q at the caller's
+            # own a.
             assert self.same(got, _series(G, a, Q, None, "", b, absolute, exact))
             return
-        # Signed floating series need a coprime to b (Kluyver's divisor sum);
-        # the c_table-weighted terms at the caller's own a lie within their
-        # bounds of the same exact value.
+        # The floating kernels need a coprime to b (Kluyver's divisor sum,
+        # Hardy's split); the terms weighted by c_q at the caller's own a,
+        # summed directly, lie within their bounds of the same exact value.
         xs = got.xs()
-        terms = _value_table(G, Q) * c_table(a, Q)
+        terms = _value_table(G, Q) * np.array([0] + [c_holder(q, a) for q in range(1, Q + 1)])
+        if absolute:
+            terms = np.abs(terms)
         _strike_non_coprime(terms, b)
         at_a = _neumaier_segments(terms, xs)
-        bound, mass = _signed_tolerance(G, _coprime_part(a, b), radical(b), Q, xs)
+        part = _coprime_part(a, b)
+        if absolute:
+            # All terms are >= 0, so the reference itself, inflated past its
+            # own roundoff, is the mass.
+            bound = TestFloatingAgainstFractionOracle.absolute_bound(Q, part)
+            mass = [Fraction(v) * (1 + Fraction(1, 2**30)) for v in at_a.tolist()]
+        else:
+            bound, mass = _signed_tolerance(G, part, radical(b), Q, xs)
         bound += TestFloatingAgainstFractionOracle.bound(Q)
         assert _within(got.values(), [(Fraction(complex(v).real), Fraction(complex(v).imag)) for v in at_a], bound, mass)
 
@@ -1260,18 +1337,10 @@ class TestZeroCloudVerdict:
             assert counts == {"_peel_sums": 1} and pairs == [want], G.label
             assert ("gmu", cfg.Q) in G._memo and not _kluyver_keys(G), G.label
 
-    def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
+    def test_kluyver_sums_are_shared_across_sampled_a(self):
         # weakly_exotic_sample is not multiplicative, so its verdict keeps
         # the direct kernel: one T_d per distinct divisor of the sampled
-        # p0-free parts, kept on G and read again by a repeated verdict;
-        # c_table is never built.
-        calls = collections.Counter()
-        for module in (expansion, sums):
-            def counted(*args, _fn=module.c_table, **kw):
-                calls["c_table"] += 1
-                return _fn(*args, **kw)
-
-            monkeypatch.setattr(module, "c_table", counted)
+        # p0-free parts, kept on G and read again by a repeated verdict.
         cfg = EngineConfig()
         G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2))
         parts = {_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)}
@@ -1285,7 +1354,6 @@ class TestZeroCloudVerdict:
         memo_size = len(G._memo)
         assert zero_cloud_verdict(G, cfg).conclusion == "in_zero_cloud"
         assert sorted(_kluyver_keys(G)) == keys and len(G._memo) == memo_size
-        assert calls["c_table"] == 0
 
     def test_classical_members(self):
         for name, expected in (("GR", "normal"), ("GH", "sporadic")):

@@ -5,9 +5,8 @@ expansion machinery leans on."""
 import cmath
 from math import gcd
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanujan_cloud import (
@@ -15,7 +14,6 @@ from ramanujan_cloud import (
     c_holder,
     c_kluyver,
     c_prime_power,
-    c_table,
     euler_phi,
     mobius,
     prime_power_column_sum,
@@ -127,39 +125,3 @@ class TestStructure:
         assert prime_power_column_sum(3, 9) == 0
         assert prime_power_column_sum(5, 7) == 0
 
-
-class TestVectorizedTable:
-    @pytest.mark.parametrize("a", [1, 2, 6, 12, 97, 720])
-    def test_matches_scalar(self, a):
-        table = c_table(a, 500)
-        assert table[0] == 0
-        for q in range(1, 501):
-            assert table[q] == c_holder(q, a)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            c_table(0, 10)
-        with pytest.raises(ValueError):
-            c_table(1, 0)
-
-
-# Highly composite, prime, prime-power and primorial arguments, on top of
-# uniform draws; every draw above 3000 exceeds the largest Q.
-SPECIAL_A = [1, 2, 720, 5040, 30030, 720720, 999983, 9999991, 2**23, 3**14]
-
-
-class TestDivisorSieveTable:
-    @given(
-        st.one_of(st.integers(min_value=1, max_value=10**7), st.sampled_from(SPECIAL_A)),
-        st.integers(min_value=1, max_value=3000),
-    )
-    @example(a=720720, Q=3000)  # divisors above 127 scale the int8 Mobius table
-    @example(a=999983, Q=1)
-    @example(a=2, Q=3000)
-    @settings(max_examples=60, deadline=None)
-    def test_matches_holder(self, a, Q):
-        table = c_table(a, Q)
-        assert table.dtype == np.int64
-        assert table.shape == (Q + 1,)
-        assert table[0] == 0
-        assert table[1:].tolist() == [c_holder(q, a) for q in range(1, Q + 1)]
