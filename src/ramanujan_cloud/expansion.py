@@ -21,12 +21,13 @@ Signed floating series of a multiplicative G read one table, G mu, through
 the Mobius prefix M_G(y) = sum_{r <= y} G(r) mu(r).  Kluyver's
 c_q(a) = sum over d | (q, a) of d mu(q/d) and the multiplicativity of G
 write the series at a as a short combination of restricted Mobius series
-R_B at the points x // dm, and the iterated coprime peel reads each R_B off
-M_G at the points z // n for B-smooth n.  ``_peel_sums`` batches this: a
-verdict's samples or radicals, and a single expansion, all take one pass
-over G mu.  The direct kernel ``_kluyver_sums``, sum over d | a of
-d T_d(x // d) with T_d summing G(dm) mu(m) off the value and mu tables,
-serves where the peel is unsafe or undefined: a non-multiplicative G, a
+R_B at the points x // dm, and the coprime peel
+R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_B from M_G over a
+trie of radicals.  ``_peel_sums`` batches this: a verdict's samples or
+radicals, and a single expansion, all read M_G at the trie root's distinct
+points in one pass over G mu.  The direct kernel ``_kluyver_sums``, sum
+over d | a of d T_d(x // d) with T_d summing G(dm) mu(m) off the value and
+mu tables, serves where the peel is unsafe or undefined: a non-multiplicative G, a
 table that ``squarefree_cap`` clamped, or |G(p)| > 1 on a prime of ab.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
@@ -230,7 +231,7 @@ def _value_table(G, Q: int) -> np.ndarray:
         )
         if G.squarefree_cap is not None:
             # Only squarefree n > 1 are clamped (mu(n) != 0; G(1) = 1 always).
-            clamped = _clamp(vals, np.flatnonzero(mobius_table(Q))[1:], G.squarefree_cap)
+            clamped = _clamp(vals, mobius_table(Q), G.squarefree_cap)
     elif getattr(G, "table", None) is not None:
         vals = checked_values(G.table(Q), Q + 1, f"{G.label}: table(Q)")
     else:
@@ -252,14 +253,19 @@ def _prime_values(G: MultiplicativeFunction, P: np.ndarray) -> np.ndarray:
     return _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P))
 
 
-def _clamp(vals: np.ndarray, n: np.ndarray, cap: float) -> bool:
-    """Scale ``vals[n]`` down to |vals[n]| <= cap / n in place; whether an
-    entry changed."""
-    mag = np.abs(vals[n])
-    bound = cap / n
-    over = mag > bound
-    vals[n[over]] *= bound[over] / mag[over]
-    return bool(over.any())
+def _clamp(vals: np.ndarray, support: np.ndarray, cap: float) -> bool:
+    """Scale ``vals[n]`` down to |vals[n]| <= cap / n in place at each n > 1
+    with ``support[n] != 0``, one block of ``_BLOCK`` entries at a time, so
+    the index and scratch arrays stay block-sized; whether an entry changed."""
+    changed = False
+    for lo in range(2, len(vals), _core._BLOCK):
+        n = lo + np.flatnonzero(support[lo : lo + _core._BLOCK])
+        mag = np.abs(vals[n])
+        bound = cap / n
+        over = mag > bound
+        vals[n[over]] *= bound[over] / mag[over]
+        changed |= bool(over.any())
+    return changed
 
 
 def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
@@ -288,7 +294,7 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     clamped = False
     if G.squarefree_cap is not None:
         # The nonzero entries are the squarefree n with G(n) != 0.
-        clamped = _clamp(gmu, np.flatnonzero(gmu)[1:], G.squarefree_cap)
+        clamped = _clamp(gmu, gmu, G.squarefree_cap)
     gmu.setflags(write=False)
     G._memo[key] = gmu
     G._memo[("clamped", Q)] = clamped
@@ -477,15 +483,14 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     to bd, and G(dm' r) = G(dm') G(r), so
     S(x) = sum over d | a, m' | rad d of d mu(m') G(dm') R_B(x // dm'),
     where B = b rad(d) and R_B(z) = sum_{r <= z, (r, B) = 1} G(r) mu(r).
-    Iterating the coprime peel R_B(z) = R_{Bp}(z) - G(p) R_{Bp}(z // p)
-    (``coprime_peel_identity``) over the primes of B gives
-    R_B(z) = sum over B-smooth n <= z of G~(n) M_G(z // n), where G~ is
-    completely multiplicative with G~(p) = G(p).  So the batch needs M_G
-    only at the points z // n, and ``_neumaier_segments`` takes them all in
-    one pass over the G mu table (``_gmu_table``).  The smooth n of each B
-    are enumerated once per batch; each R_B(z) is then one pairwise sum
-    over n, and each S(x) adds its terms d mu(m') G(dm') R_B in ascending
-    d, then m'.
+    The coprime peel (``coprime_peel_identity``) read the other way,
+    R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), is the weighted form of
+    Legendre's phi(x, a) recurrence.  ``_peel_points`` plans it over a trie
+    of radicals whose root () is M_G; one ``_neumaier_segments`` pass over
+    the G mu table (``_gmu_table``) takes M_G at the root's points, and the
+    climb from the root computes each node at its own points, one level
+    p^j <= z < p^(j+1) at a time, a Horner scheme in G(p) along each prime.
+    Each S(x) then adds its terms d mu(m') G(dm') R_B in ascending d, then m'.
 
     Three cases keep the direct kernel ``_kluyver_sums``: a
     ``GeneralArithmeticFunction``; a table that ``squarefree_cap`` clamped,
@@ -507,40 +512,59 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     if not plans:
         return out
 
-    # For each radical B, the distinct z = x // k its terms read, and the
-    # B-smooth n <= max z with their weights G~(n).
     xs = np.array(cps, dtype=np.int64)
-    ks: dict[int, set] = {}
+    node_of, reads = {}, {}  # the trie node of each B; the k each node is read at
     for terms in plans.values():
         for k, _, B in terms:
-            ks.setdefault(B, set()).add(k)
-    zs = {B: _sorted_distinct(xs[:, None] // np.array(sorted(kb), dtype=np.int64)) for B, kb in ks.items()}
-    smooth = {B: _smooth_weights(gmu, factorize(B).primes(), int(z[-1])) for B, z in zs.items()}
-    # M_G is needed at z // n for every z and every smooth n of each B.
-    # Nearly all of these points are small (z // n for large n), so M_G is
-    # taken at every y <= isqrt(Q) and read there by index, not by a binary
-    # search per point; only the distinct larger points join them in the
-    # one ``_neumaier_segments`` pass.  A B's points are built once to
-    # collect the larger ones and once to read M_G, so only one B's points
-    # are held at a time.
-    def points(B):
-        return zs[B][:, None] // smooth[B][0]
-
-    small = math.isqrt(Q)
-    large = _sorted_distinct(np.concatenate([p[p > small] for p in map(points, zs)]))
-    M = _neumaier_segments(gmu, np.concatenate((np.arange(small + 1), large)))
-    R = {}  # R[B][i] = R_B(zs[B][i]), one pairwise sum over n per row
-    for B in zs:
-        at = points(B)
-        big = at > small
-        at[big] = small + 1 + np.searchsorted(large, at[big])
-        R[B] = (M[at] * smooth[B][1]).sum(axis=1)
+            if B not in node_of:
+                node_of[B] = factorize(B).primes()
+            reads.setdefault(node_of[B], set()).add(k)
+    points = _peel_points(reads, xs)
+    R = {(): _neumaier_segments(gmu, points[()])}
+    for node in sorted(points, key=len)[1:]:  # parents before children
+        z, p = points[node], node[-1]
+        r = R[node[:-1]][np.searchsorted(points[node[:-1]], z)]
+        if p <= z[-1]:  # else R_{Fp} = R_F at every point, and p may exceed Q
+            g, below, tops = -gmu[p], np.searchsorted(z, z // p), [p]
+            while tops[-1] <= z[-1]:
+                tops.append(tops[-1] * p)
+            edges = np.searchsorted(z, tops).tolist()
+            for lo, hi in zip(edges, edges[1:]):  # the level p^j <= z < p^(j+1) reads the one below
+                r[lo:hi] += g * r[below[lo:hi]]
+        R[node] = r
     for pair, terms in plans.items():
         total = 0.0
         for k, coef, B in terms:
-            total = total + coef * R[B][np.searchsorted(zs[B], xs // k)]
+            node = node_of[B]
+            total = total + coef * R[node][np.searchsorted(points[node], xs // k)]
         out[pair] = total.tolist()
     return out
+
+
+def _peel_points(reads: dict, xs: np.ndarray) -> dict:
+    """The plan of ``_peel_sums``: each node of the trie of radicals (the
+    tuple of a radical's primes, ascending; its parent drops the largest)
+    with the sorted distinct points at which the node is read.
+    ``reads`` maps a node to the k of its own terms, read at x // k for x in
+    ``xs``.  A node's points are its own and its children's, closed under
+    z -> z // p for its largest prime p, and its parent reads them all; the
+    root () holds every point at which M_G is needed."""
+    need = {}
+    for node, ks in reads.items():
+        need.setdefault(node, []).append((xs[:, None] // np.array(sorted(ks), dtype=np.int64)).ravel())
+        for i in range(len(node)):
+            need.setdefault(node[:i], [])
+    points = {}
+    for node in sorted(need, key=len, reverse=True):  # children before parents
+        z = _sorted_distinct(np.concatenate(need[node]))
+        if node:
+            levels = [z]
+            while levels[-1][-1]:
+                levels.append(_sorted_distinct(levels[-1] // node[-1]))
+            z = _sorted_distinct(np.concatenate(levels))
+            need[node[:-1]].append(z)
+        points[node] = z
+    return points
 
 
 def _kluyver_terms(G: MultiplicativeFunction, a: int, b: int, Q: int) -> list[tuple[int, Number, int]]:
@@ -559,25 +583,6 @@ def _kluyver_terms(G: MultiplicativeFunction, a: int, b: int, Q: int) -> list[tu
                 terms.append((d * m, d * mobius(m) * G.eval(d * m), b * rad))
     coefs = _gather(lambda: (c for _, c, _ in terms), len(terms)).tolist()
     return [(k, c, B) for (k, _, B), c in zip(terms, coefs)]
-
-
-def _smooth_weights(gmu: np.ndarray, primes: Sequence[int], limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every n <= limit whose primes all lie in ``primes``, with G~(n): one
-    product of table values G(p) = -gmu[p] per prime factor, counted with
-    multiplicity."""
-    ns, ws = np.ones(1, dtype=np.int64), np.ones(1, dtype=gmu.dtype)
-    for p in primes:
-        parts_n, parts_w = [ns], [ws]
-        n, w = ns, ws
-        while True:
-            keep = n <= limit // p
-            if not keep.any():
-                break
-            n, w = n[keep] * p, w[keep] * -gmu[p]
-            parts_n.append(n)
-            parts_w.append(w)
-        ns, ws = np.concatenate(parts_n), np.concatenate(parts_w)
-    return ns, ws
 
 
 def finite_factor(G, a: int) -> Number:

@@ -722,17 +722,46 @@ class TestValueTable:
         assert vals[1] == 1.0 and abs(vals[6]) == pytest.approx(0.5 / 6)
 
     def test_squarefree_cap_clamps_without_whole_range_temporaries(self):
-        # The clamp works on the squarefree indices only: the 8 MB table, the
-        # sieve's scratch and the squarefree indices peak near 22 MB, while
-        # whole-range n, |G(n)| and cap/n arrays would take it to 31.5 MB.
+        # The clamp works one block of core._BLOCK entries at a time: the
+        # 8 MB table, the sieve's scratch and one block's squarefree indices
+        # and magnitudes peak near 14 MiB, while indices and magnitudes over
+        # the whole range took it to 22.1 MiB.
+        assert self._traced_peak(_value_table, 10.0) < 18 * 2**20
+
+    @pytest.mark.parametrize(
+        "build, cap",
+        [(_value_table, 1.0), (expansion._gmu_table, 10.0), (expansion._gmu_table, 1.0)],
+        ids=["values-cap1", "gmu-cap10", "gmu-cap1"],
+    )
+    def test_every_clamp_stays_block_sized(self, build, cap):
+        # Cap 1 clamps every squarefree n > 1; over the whole range that
+        # peaked at 40.7 MiB, in blocks it stays near 16.3 MiB.
+        assert self._traced_peak(build, cap) < 18 * 2**20
+
+    @staticmethod
+    def _traced_peak(build, cap):
         core.mobius_table(10**6)
         tracemalloc.start()
         try:
-            _value_table(catalog("prop1"), 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
+            build(catalog("prop1", cap=cap), 10**6)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 26 * 2**20
+
+    @pytest.mark.parametrize("Q", [10, 1000, 10**6 + 7])
+    def test_blocked_clamp_is_the_whole_range_clamp(self, Q):
+        # Byte for byte, with the same flag, against the clamp applied at
+        # once to the whole unclamped table.
+        for G in (catalog("prop1"), catalog("prop1", cap=1.0)):
+            for build, support in ((_value_table, lambda t: core.mobius_table(Q)), (expansion._gmu_table, lambda t: t)):
+                want = build(dataclasses.replace(G, squarefree_cap=None), Q).copy()
+                n = np.flatnonzero(support(want))[1:]
+                mag, bound = np.abs(want[n]), G.squarefree_cap / n
+                over = mag > bound
+                want[n[over]] *= bound[over] / mag[over]
+                H = dataclasses.replace(G)
+                assert build(H, Q).tobytes() == want.tobytes(), (G.label, build.__name__)
+                assert H._memo[("clamped", Q)] is bool(over.any()), (G.label, build.__name__)
 
 
 class TestResourceBudget:
@@ -833,6 +862,18 @@ def _peeled(G, a, b, Q):
     return not G._memo[("clamped", Q)] and all(abs(V[p]) <= 1 for p in factorize(a * b).primes() if p <= Q)
 
 
+def _smooth(primes, limit, g=lambda p: 1.0):
+    """Every n <= limit whose primes all lie in ``primes``, with the product
+    of g(p) over its prime factors counted with multiplicity, as (n, weight)."""
+    out = [(1, 1.0)]
+    for p in primes:
+        for n, w in list(out):
+            while n * p <= limit:
+                n, w = n * p, w * g(p)
+                out.append((n, w))
+    return out
+
+
 def _peel_mass(G, a, b, Q, xs):
     """M_P(x) = sum over the terms k = dm' (d | a, m' | rad d, k <= Q) of
     |d G(k)| sum over B-smooth n of |G~(n)| A(x // kn), with B = b rad(d)
@@ -852,14 +893,7 @@ def _peel_mass(G, a, b, Q, xs):
     for d in divisors(a):
         if d > Q:
             break
-        ns, ws = [1], [1.0]
-        for p in factorize(b * radical(d)).primes():
-            for n, w in list(zip(ns, ws)):
-                while n * p <= Q:
-                    n, w = n * p, w * mag(p)
-                    ns.append(n)
-                    ws.append(w)
-        ns, ws = np.array(ns, dtype=np.int64), np.array(ws)
+        ns, ws = map(np.array, zip(*_smooth(factorize(b * radical(d)).primes(), Q, mag)))
         for m in divisors(radical(d)):
             if d * m <= Q:
                 out += d * mag(d * m) * (A[xs[:, None] // (d * m * ns)] * ws).sum(axis=1)
@@ -870,31 +904,43 @@ def _signed_tolerance(G, a, b, Q, xs):
     """(bound, mass) of the signed floating expansion at a coprime to the
     radical b, for the kernel ``_peel_sums`` takes."""
     if _peeled(G, a, b, Q):
-        return TestPeelSums.bound(Q, a, G.exact), _peel_mass(G, a, b, Q, xs)
+        return TestPeelSums.bound(Q, a, b, G.exact), _peel_mass(G, a, b, Q, xs)
     return TestFloatingAgainstFractionOracle.kluyver_bound(Q, a), _kluyver_mass(G, a, b, Q, xs)
 
 
 class TestPeelSums:
     # The peel writes the signed expansion at a coprime to b as
     # S(x) = sum over k = dm' (d | a, m' | rad d) of d mu(m') G(k) R_B(x // k),
-    # B = b rad(d), and R_B(z) = sum over B-smooth n <= z of G~(n) M_G(z // n),
-    # with G~ completely multiplicative, G~(p) = G(p).  Error bound, in the
-    # terms of TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4), for
-    # exact real rules:
-    # * M_G(y): G mu table entries 9 roundings, one reduceat segment (first
-    #   term plus a pairwise sum of the rest) ceil(log2 Q) + 19, Neumaier
-    #   across segments 2; relative to A(y) = sum_{r <= y} |G(r) mu(r)|.
-    # * G~(n): one rounding of each float G(p) it multiplies, then
-    #   Omega(n) - 1 products, so 2 Omega(n) - 1 <= 2 floor(log2 Q) - 1.
-    # * G~(n) M_G(z // n): 1; the pairwise sum over n: ceil(log2 Q) + 19.
-    # So R_B(z) is off by (4 ceil(log2 Q) + 49) u times
-    # sum_n |G~(n)| A(z // n).  For a = 1 that is S itself.  For a > 1 the
-    # coefficient, one float of the exact d mu(m') G(k), costs 1 more, its
-    # product with R_B 1, and the running sum over the at most
-    # tau(a^2) = sum over d | a of 2^omega(d) terms tau(a^2) - 1 (the first
-    # add, to 0.0, is exact).  First order that is
-    # (4 ceil(log2 Q) + 49 + [a > 1] (tau(a^2) + 1)) u times the peel mass
-    # ``_peel_mass``; one more u covers the second-order terms.
+    # B = b rad(d), and climbs a trie of radicals from R_() = M_G by
+    # R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), so that
+    # R_B(z) = sum over B-smooth n <= z of G~(n) M_G(z // n), with G~
+    # completely multiplicative, G~(p) = G(p).  Error bound, in the terms of
+    # TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4), for exact
+    # real rules, per term G~(n) M_G(z // n) of R_B(z):
+    # * M_G(y), read at the root's points: G mu table entries 9 roundings,
+    #   one reduceat segment (first term plus a pairwise sum of the rest)
+    #   ceil(log2 Q) + 19, Neumaier across segments 2; relative to
+    #   A(y) = sum_{r <= y} |G(r) mu(r)|.  Reading R_F at a node's points
+    #   copies values, exactly.
+    # * Horner along each prime p of B, which meets the term with
+    #   n = ... p^j ...: j products by the float G(p), each 2 (the rounding of
+    #   G(p) and of the product), and at most j + 1 additions (its own level
+    #   and each level above; below p a node copies R_F, exactly).  A prime
+    #   above every point of its node copies too.  Over the primes of B that
+    #   is 3 Omega(n) + omega(B) <= 3 floor(log2 Q) + omega(ab), for n <= Q
+    #   and B = b rad(d) with d | a.
+    # Every rounding is relative to a partial sum of terms, each at most
+    # |G~(n)| A(z // n) to first order.  So R_B(z) is off by
+    # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab)) u times
+    # sum_n |G~(n)| A(z // n); that is below the pairwise order's
+    # 4 ceil(log2 Q) + 49 while omega(ab) <= 19.  For a = 1 that is S
+    # itself.  For a > 1 the coefficient, one float of the exact
+    # d mu(m') G(k), costs 1 more, its product with R_B 1, and the running
+    # sum over the at most tau(a^2) = sum over d | a of 2^omega(d) terms
+    # tau(a^2) - 1 (the first add, to 0.0, is exact).  First order that is
+    # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab) + [a > 1] (tau(a^2) + 1)) u
+    # times the peel mass ``_peel_mass``; one more u covers the second-order
+    # terms.
     # A non-exact G (here lemma7_h(s = 0.6 + 0.3i)) is compared against its
     # own value table, per component.  A complex product rounds each
     # component at most twice relative to the product of the |Re| + |Im|
@@ -905,11 +951,13 @@ class TestPeelSums:
     # With |G(p)| <= 1 the mass is at most the count of B-smooth n <= x times
     # the mass of Kluyver's sum; with |G(p)| > 1 it grows like
     # |G(p)|^(log_p x), which is why the peel falls back there.  A dropped or
-    # mis-signed m' term, a wrong G~(n), or a point read off by one moves a
-    # sum by whole terms.
+    # mis-signed m' term, a wrong G(p), a skipped level or a point read off
+    # by one moves a sum by whole terms.
     @staticmethod
-    def bound(Q, a=1, exact=True):
-        count = 4 * math.ceil(math.log2(Q)) + 49 + (len(divisors(a * a)) + 1 if a > 1 else 0)
+    def bound(Q, a=1, b=1, exact=True):
+        log_up, log_down = math.ceil(math.log2(Q)), Q.bit_length() - 1
+        count = log_up + 3 * log_down + 30 + len(factorize(a * b).primes())
+        count += len(divisors(a * a)) + 1 if a > 1 else 0
         return (count + 1 if exact else 2 * count + 18 + 1) * 2.0**-53
 
     @given(
@@ -929,12 +977,12 @@ class TestPeelSums:
         want = expansion_partial_sums(G, a, Q, xs, coprime_to=b, exact=True)
         for x, f, e, m in zip(xs, got.values(), want.values(), _peel_mass(G, part, b, Q, xs)):
             assert type(f) is float
-            assert abs(Fraction(f) - e) <= Fraction(self.bound(Q, part)) * m, x
+            assert abs(Fraction(f) - e) <= Fraction(self.bound(Q, part, b)) * m, x
 
 
 class TestPeelRestrictedSums:
     # The restricted series is the peel at a = 1; its bound is
-    # TestPeelSums.bound(Q).
+    # TestPeelSums.bound(Q, 1, b).
     @given(
         _rule_values(1),
         st.integers(min_value=0, max_value=2**32),
@@ -951,7 +999,7 @@ class TestPeelRestrictedSums:
         assert restricted_mobius_partial_sums(G, b, Q, xs, exact=False).values() == got
         for x, f, e, m in zip(xs, got, want.values(), _peel_mass(G, 1, b, Q, xs)):
             assert type(f) is float
-            assert abs(Fraction(f) - e) <= Fraction(TestPeelSums.bound(Q)) * m, x
+            assert abs(Fraction(f) - e) <= Fraction(TestPeelSums.bound(Q, 1, b)) * m, x
 
     @pytest.mark.parametrize(
         "G, radicals",
@@ -989,6 +1037,94 @@ class TestPeelRestrictedSums:
             after = restricted_mobius_partial_sums(G, b, FAST_CFG.Q, exact=False)
             alone = restricted_mobius_partial_sums(fresh, b, FAST_CFG.Q, exact=False)
             assert TestCoprimePart.same(after, alone), b
+
+
+class TestPeelPoints:
+    # The trie's root holds exactly the points of the rectangle the peel
+    # used to read: every positive x // (k n) over the B-smooth n of each
+    # term k.  Small Q puts primes of b above Q, and above every point.
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=2000), st.sampled_from([1, 2, 6, 35, 210])),
+            min_size=1,
+            max_size=5,
+        ),
+        st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=13, max_value=10**4)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_root_points_are_the_smooth_quotients(self, raw, Q):
+        G = catalog("GR")
+        xs = np.array(checkpoint_schedule(Q), dtype=np.int64)
+        reads, want = {}, set()
+        for a, b in {(_coprime_part(a, b), b) for a, b in raw}:
+            for k, _, B in expansion._kluyver_terms(G, a, b, Q):
+                primes = factorize(B).primes()
+                reads.setdefault(primes, set()).add(k)
+                ns = np.array([n for n, _ in _smooth(primes, Q)], dtype=np.int64)
+                want |= set((xs[:, None] // (k * ns)).ravel().tolist()) - {0}
+        points = expansion._peel_points(reads, xs)
+        assert set(points[()].tolist()) - {0} == want
+        for node, z in points.items():
+            assert z[0] >= 0 and np.all(z[1:] > z[:-1]), node
+            if node:
+                assert set(z.tolist()) <= set(points[node[:-1]].tolist()), node
+
+
+def _table_masses(G, pairs, Q, xs):
+    """{(a, b): (peel mass, Kluyver mass)} as ``_peel_mass`` and
+    ``_kluyver_mass`` define them, read from the value table V of a fresh
+    copy of G.  For an exact G each |V[n]| is within 10 u of |G(n)|, every
+    term is >= 0 and each cumulative sum or chain of products has at most
+    Q roundings of u relative each, so (1 + 2^-30) times the float masses
+    bounds the exact ones."""
+    V, squarefree = np.abs(_value_table(dataclasses.replace(G), Q)), core.mobius_table(Q) != 0
+    A = np.cumsum(V * squarefree)
+    xs = np.array(xs, dtype=np.int64)
+    out = {}
+    for a, b in pairs:
+        peel = kluyver = np.zeros(len(xs))
+        for d in divisors(a):
+            if d > Q:
+                break
+            u = V[::d] * squarefree[: Q // d + 1]  # |G(dm) mu(m)|
+            _strike_non_coprime(u, b)
+            kluyver = kluyver + d * np.cumsum(u)[xs // d]
+            ns, ws = map(np.array, zip(*_smooth(factorize(b * radical(d)).primes(), Q, lambda p: V[p])))
+            for m in divisors(radical(d)):
+                if d * m <= Q:
+                    peel = peel + d * V[d * m] * (A[xs[:, None] // (d * m * ns)] * ws).sum(axis=1)
+        out[(a, b)] = [Fraction(v) * (1 + Fraction(1, 2**30)) for v in peel.tolist()], [
+            Fraction(v) * (1 + Fraction(1, 2**30)) for v in kluyver.tolist()
+        ]
+    return out
+
+
+class TestPeelAgainstDirectKernel:
+    # Every pair a verdict batches under FAST_CFG, peeled off M_G and summed
+    # by the direct kernel on a fresh copy: the two share only the sieve and
+    # the reduction, so they agree within the sum of their derived bounds
+    # times their masses (TestPeelSums.bound, kluyver_bound).
+    @pytest.mark.parametrize(
+        "G",
+        [catalog("GR"), catalog("GH"), catalog("G0", p0=3), catalog("indicator_prime_powers", p0=2)],
+        ids=lambda G: G.label,
+    )
+    def test_verdict_pairs_agree_with_the_direct_kernel(self, G, monkeypatch):
+        batches = []
+        peel = expansion._peel_sums
+        record = lambda G, pairs, Q, cps: batches.append((list(pairs), Q, cps)) or peel(G, pairs, Q, cps)
+        monkeypatch.setattr(expansion, "_peel_sums", record)
+        assert zero_cloud_verdict(G, FAST_CFG).conclusion == "in_zero_cloud"
+        (pairs, Q, cps), = batches
+        assert ("gmu", Q) in G._memo and not _kluyver_keys(G)  # every pair was peeled
+        got = peel(G, pairs, Q, cps)
+        masses = _table_masses(G, pairs, Q, cps)
+        for a, b in pairs:
+            want = expansion._kluyver_sums(dataclasses.replace(G), a, Q, cps, b)
+            tol_peel = Fraction(TestPeelSums.bound(Q, a, b))
+            tol_direct = Fraction(TestFloatingAgainstFractionOracle.kluyver_bound(Q, a))
+            for f, w, mp, mk in zip(got[(a, b)], want, *masses[(a, b)]):
+                assert abs(Fraction(f) - Fraction(w)) <= tol_peel * mp + tol_direct * mk, (a, b)
 
 
 _GMU_ENTRIES = [
