@@ -8,12 +8,16 @@ work by trial division against the prime slot and are memoized, which is
 plenty for moduli up to ~10^9.  Nothing handed out is writable, so everything
 here is safe to call from concurrent workers.
 
-Tables of multiplicative functions (mu here, G(q) in the expansion engine)
-come from one two-phase sieve, ``multiplicative_sieve``: one strided multiply
-per prime p <= isqrt(Q) and block of 2^18 entries, then one gather per
-cofactor m < sqrt(Q) for all the primes above isqrt(Q) at once.  That is
-O(pi(sqrt Q) * ceil(Q / 2^18) + sqrt Q) numpy calls instead of one per prime
-up to Q.
+Tables of multiplicative functions (mu here, G(q) and G(q) mu(q) in the
+expansion engine) come from one sieve, ``multiplicative_sieve``, which
+finishes a real or integer table one block of 2^18 entries at a time, each
+block in one cache-resident pass: the block starts as a tiled period of the
+primes <= 7 when their higher powers vanish (mu, every G mu), takes one
+strided multiply per remaining prime p <= isqrt(Q), and then one scatter
+over every product m * P in it of a cofactor m and a prime P > isqrt(Q).
+That is O(pi(sqrt Q) * ceil(Q / 2^18)) numpy calls instead of one per prime
+up to Q, and each block is final before the next one starts.  A complex
+table is swept whole (see ``multiplicative_sieve``).
 """
 
 from __future__ import annotations
@@ -96,28 +100,65 @@ def checked_values(values, count: int, what: str) -> np.ndarray:
     return values
 
 
-# Entries per block of phase 1 of ``multiplicative_sieve`` (2 MB of float64).
+# Entries per block of ``multiplicative_sieve`` (2 MB of float64).
 _BLOCK = 1 << 18
 
 
-def _sweep_block(table: np.ndarray, run: list, lo: int, hi: int) -> None:
-    """Multiply ``table[lo:hi]`` by g(p^v_p(n)) for each (p, g) of ``run``
-    in order, g = (g(p), g(p^2), ...), as phase 1 of
-    ``multiplicative_sieve`` does."""
+def _sweep_block(block: np.ndarray, run: list, lo: int) -> None:
+    """Multiply ``block``, the entries n = lo, lo + 1, ... of a table, by
+    g(p^v_p(n)) for each (p, g) of ``run`` in order, g = (g(p), g(p^2), ...),
+    as phase 1 of ``multiplicative_sieve`` does."""
     for p, g in run:
-        first = max(p, -(-lo // p) * p)  # the first multiple of p in [lo, hi)
-        if table.dtype.kind != "c" and not any(g[1:].tobytes()):  # every higher power is +0
-            first_sq = max(p * p, -(-lo // (p * p)) * p * p)
-            squares = table[first_sq:hi : p * p] * g[1]
-            table[first:hi:p] *= g[0]
-            table[first_sq:hi : p * p] = squares
+        first = max(p, -(-lo // p) * p) - lo  # the first multiple of p in the block
+        if block.dtype.kind != "c" and not any(g[1:].tobytes()):  # every higher power is +0
+            first_sq = max(p * p, -(-lo // (p * p)) * p * p) - lo
+            if first_sq >= len(block):  # no multiple of p^2 in the block
+                block[first::p] *= g[0]
+                continue
+            squares = block[first_sq :: p * p] * g[1]
+            block[first::p] *= g[0]
+            block[first_sq :: p * p] = squares
             continue
-        col = np.full(len(range(first, hi, p)), g[0], dtype=g.dtype)
+        col = np.full(len(range(first, len(block), p)), g[0], dtype=g.dtype)
         step = 1
         for value in g[1:]:
             step *= p
-            col[-(first // p) % step :: step] = value  # n = first + p * index divisible by p * step
-        table[first:hi:p] *= col
+            col[-((lo + first) // p) % step :: step] = value  # n = lo + first + p * index divisible by p * step
+        block[first::p] *= col
+
+
+def _tile(block: np.ndarray, period: np.ndarray, lo: int) -> None:
+    """Fill ``block``, the entries n = lo, lo + 1, ..., with period[n % len(period)]."""
+    n, hi = lo, lo + len(block)
+    while n < hi:
+        r = n % len(period)
+        k = min(len(period) - r, hi - n)
+        block[n - lo : n - lo + k] = period[r : r + k]
+        n += k
+
+
+def _scatter_large(table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int, hi: int, skip_zeros: bool) -> None:
+    """Multiply ``table[m * P]`` by g(P) for every m * P in [lo, hi), P in
+    ``large`` (the primes above isqrt(limit)), as phase 2 of
+    ``multiplicative_sieve`` does; ``skip_zeros`` drops the cofactors m
+    whose entry is 0."""
+    cofactors = np.arange(1, (hi - 1) // int(large[0]) + 1)
+    start = np.searchsorted(large, -(-lo // cofactors))  # the first P with m * P >= lo
+    span = np.searchsorted(large, (hi - 1) // cofactors, "right") - start
+    if skip_zeros:
+        span[table[cofactors] == 0] = 0
+    total = int(span.sum())
+    if not total:
+        return
+    j = np.repeat(start - (np.cumsum(span) - span), span)  # the index of P in large
+    j += np.arange(total)
+    pos = np.repeat(cofactors, span)
+    pos *= large[j]
+    values = g[j]
+    del j
+    prod = table[pos]
+    prod *= values
+    table[pos] = prod
 
 
 def multiplicative_sieve(
@@ -136,20 +177,33 @@ def multiplicative_sieve(
     is promoted when a value array holds what it cannot (complex values in a
     float table).
 
-    Phase 1, primes p <= isqrt(limit) in ascending order: a column over the
-    multiples of p holds g(p^v_p(n)) and multiplies into ``table[p::p]``.
-    When every higher power is +0 (mu, or any g supported on squarefree n)
-    a real table takes one scalar multiply instead, and its multiples of p^2
-    get what the column would have made of them.  A real table is swept one
-    block of ``_BLOCK`` entries at a time, every small prime over a block
-    before the next, so the block stays in cache; a promotion splits the
-    primes into runs, each swept in the dtype the table has by then.
-    Phase 2: each n <= limit has at most one prime factor p > isqrt(limit),
-    with exponent 1 and cofactor m = n / p < sqrt(limit), so for each m one
-    gather multiplies ``table[m * P] *= g(P)`` over the primes P <= limit / m.
-    Every entry is multiplied in the order of a prime-by-prime sweep (its
-    small primes ascending, then its large prime), so real tables are
-    bit-identical to one.  After phase 1 ``table[m * P]`` equals
+    Every entry is multiplied in the order of a prime-by-prime sweep: its
+    primes p <= isqrt(limit) ascending (phase 1), each by g(p^v_p(n)), then
+    its one prime P above isqrt(limit), with exponent 1 and cofactor
+    m = n / P < sqrt(limit) (phase 2).  So real tables are bit-identical to
+    such a sweep.  A real or integer table is finished one block of
+    ``_BLOCK`` entries at a time, each block before the next, so it stays in
+    cache:
+
+    - it starts as a tiled period: the leading primes p <= 7 whose higher
+      powers are all +0 (mu, any g supported on squarefree n) act on n only
+      through n mod p^2, so one period of prod p^2 entries (44,100 for
+      2, 3, 5, 7) is swept once, at n = period .. 2 period - 1, unless the
+      table is shorter than two periods;
+    - phase 1 multiplies each remaining small prime's column over the
+      block's multiples of p.  When every higher power is +0, one scalar
+      multiply does instead, and the block's multiples of p^2, if any, get
+      what the column would have made of them;
+    - phase 2 takes, in each quarter of the block, every pair (m, P) with
+      m * P in it (two ``searchsorted`` calls over the cofactors m) and
+      makes one scatter ``table[m * P] *= g(P)``.  An entry has one pair at
+      most, so the pair arrays stay within a quarter block.
+
+    A promotion between real dtypes splits the small primes into runs, each
+    swept over a block in the dtype the table has by then.  numpy may round
+    a complex product by its position in a SIMD loop, so a complex table is
+    swept whole, prime by prime, and phase 2 is one gather per cofactor,
+    which is one fixed layout.  After phase 1 ``table[m * P]`` equals
     ``table[m]``, so a cofactor whose entry is 0 leaves them at that 0, up
     to its sign; phase 2 skips it wherever no byte can change: integer
     tables, or finite prime values with the sign bit clear.
@@ -157,10 +211,8 @@ def multiplicative_sieve(
     over-budget limit raises ``ResourceLimitError`` first.
     """
     primes = sieve_primes(limit)
-    table = np.ones(limit + 1, dtype=dtype)
-    table[0] = 0
     split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
-    dtypes, runs = [table.dtype], [[]]  # a new run where the table is promoted
+    dtypes, runs = [np.dtype(dtype)], [[]]  # a new run where the table is promoted
     for p in primes[:split].tolist():
         E, pe = 1, p
         while pe * p <= limit:
@@ -170,27 +222,59 @@ def multiplicative_sieve(
             dtypes.append(np.result_type(dtypes[-1], g))
             runs.append([])
         runs[-1].append((p, g))
-    for dt, run in zip(dtypes, runs):
-        table = table.astype(dt, copy=False)
-        # numpy may round a complex product by its position in a SIMD loop,
-        # so a complex table is swept whole, as one block.
-        block = limit + 1 if table.dtype.kind == "c" else _BLOCK
-        for lo in range(0, limit + 1, block):
-            _sweep_block(table, run, lo, min(lo + block, limit + 1))
     large = primes[split:]
+    final = dtypes[-1]
     if len(large):
-        g = checked_values(at_primes(large), len(large), "at_primes(P)")
-        if not np.can_cast(g.dtype, table.dtype):
-            table = table.astype(np.result_type(table, g))
-        skip_zeros = table.dtype.kind in "iu" or (
-            table.dtype.kind == "f" and bool(np.isfinite(g).all()) and not np.signbit(g).any()
+        gP = checked_values(at_primes(large), len(large), "at_primes(P)")
+        if not np.can_cast(gP.dtype, final):
+            final = np.result_type(final, gP)
+        skip_zeros = final.kind in "iu" or (
+            final.kind == "f" and bool(np.isfinite(gP).all()) and not np.signbit(gP).any()
         )
-        cofactors = np.arange(1, limit // int(large[0]) + 1)
-        counts = np.searchsorted(large, limit // cofactors, "right")
-        for m, k in enumerate(counts.tolist(), start=1):
-            if skip_zeros and table[m] == 0:
-                continue
-            table[m * large[:k]] *= g[:k]
+
+    if final.kind == "c":
+        table = np.ones(limit + 1, dtype=dtypes[0])
+        table[0] = 0
+        for dt, run in zip(dtypes, runs):
+            table = table.astype(dt, copy=False)
+            _sweep_block(table, run, 0)
+        table = table.astype(final, copy=False)
+        if len(large):
+            counts = np.searchsorted(large, limit // np.arange(1, limit // int(large[0]) + 1), "right")
+            for m, k in enumerate(counts.tolist(), start=1):
+                table[m * large[:k]] *= gP[:k]
+        return table
+
+    lead = []  # the primes p <= 7 of the presieved period
+    for p, g in runs[0]:
+        if p > 7 or any(g[1:].tobytes()):
+            break
+        lead.append((p, g))
+    period = math.prod(p * p for p, _ in lead)
+    pattern = None
+    if lead and limit + 1 >= 2 * period:
+        pattern = np.ones(period, dtype=dtypes[0])
+        _sweep_block(pattern, lead, period)
+        runs[0] = runs[0][len(lead) :]
+    table = np.empty(limit + 1, dtype=final)
+    for lo in range(0, limit + 1, _BLOCK):
+        block = table[lo : lo + _BLOCK]
+        work = block if dtypes == [final] else np.empty(len(block), dtype=dtypes[0])
+        if pattern is None:
+            work[...] = 1
+        else:
+            _tile(work, pattern, lo)
+        if lo == 0:
+            work[0] = 0
+        for dt, run in zip(dtypes, runs):
+            work = work.astype(dt, copy=False)
+            _sweep_block(work, run, lo)
+        if work is not block:
+            block[...] = work
+        if len(large):
+            step = -(-len(block) // 4)
+            for mid in range(lo, lo + len(block), step):
+                _scatter_large(table, large, gP, mid, min(mid + step, lo + len(block)), skip_zeros)
     return table
 
 

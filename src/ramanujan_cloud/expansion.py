@@ -572,7 +572,10 @@ def _kluyver_terms(G: MultiplicativeFunction, a: int, b: int, Q: int) -> list[tu
     (a, b): k = dm' for d | a and m' | rad d, with k <= Q (the others read
     R_B(0) = 0), coefficient d mu(m') G(k) and B = b rad(d); ascending in d,
     then m'.  Each coefficient is ``d * mobius(m') * G.eval(k)`` cast once to
-    float (or complex), so an exact rule's is rounded once."""
+    float (or complex), so an exact rule's is rounded once: for a Fraction
+    value v it is the int true division (d mu(m') v.numerator) /
+    v.denominator, which rounds correctly, as ``float`` of the Fraction
+    product does, without building one."""
     terms = []
     for d in divisors(a):
         if d > Q:
@@ -580,7 +583,8 @@ def _kluyver_terms(G: MultiplicativeFunction, a: int, b: int, Q: int) -> list[tu
         rad = radical(d)
         for m in divisors(rad):
             if d * m <= Q:
-                terms.append((d * m, d * mobius(m) * G.eval(d * m), b * rad))
+                c, v = d * mobius(m), G.eval(d * m)
+                terms.append((d * m, c * v.numerator / v.denominator if isinstance(v, Fraction) else c * v, b * rad))
     coefs = _gather(lambda: (c for _, c, _ in terms), len(terms)).tolist()
     return [(k, c, B) for (k, _, B), c in zip(terms, coefs)]
 

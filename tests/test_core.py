@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ramanujan_cloud import (
     Factorization,
     ResourceLimitError,
+    catalog,
     divisors,
     euler_phi,
     factorize,
@@ -39,6 +40,15 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _gmu_case(G):
+    """The powers and prime values of G mu, as expansion._gmu_table builds them."""
+    return (
+        lambda p, E: np.array([-float(G.rule(p, 1))] + [0.0] * (E - 1)),
+        lambda P: 0.0 - G.at_primes(P),
+        np.float64,
+    )
 
 
 def brute_divisors(n: int) -> list[int]:
@@ -288,6 +298,59 @@ class TestTables:
         want = [core.multiplicative_sieve(limit, *case).tobytes() for case in cases]
         monkeypatch.setattr(core, "_BLOCK", block)
         assert [core.multiplicative_sieve(limit, *case).tobytes() for case in cases] == want
+
+    @staticmethod
+    def _reference_sieve(limit, powers, at_primes, dtype):
+        # Prime by prime, ascending: every multiple n of a prime p <= isqrt
+        # is multiplied by g(p^v_p(n)), then every multiple of a larger
+        # prime by g(P).  One strided multiply per prime, no blocks.
+        table = np.ones(limit + 1, dtype=dtype)
+        table[0] = 0
+        primes = sieve_primes(limit)
+        small = primes[primes <= math.isqrt(limit)].tolist()
+        for p in small:
+            n = np.arange(p, limit + 1, p)
+            v = np.zeros(len(n), dtype=np.int64)
+            while len(q := np.flatnonzero(n % p**(v + 1) == 0)):
+                v[q] += 1
+            col = powers(p, int(v.max()))[v - 1]
+            table = table.astype(np.result_type(table, col), copy=False)
+            table[p::p] *= col
+        large = primes[len(small) :]
+        if len(large):
+            values = at_primes(large)
+            table = table.astype(np.result_type(table, values), copy=False)
+            for P, g in zip(large.tolist(), values):
+                table[P::P] *= g
+        return table
+
+    _REFERENCE_CASES = {
+        "mu": (core._mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8),
+        "GH mu": _gmu_case(catalog("GH")),
+        "G0(3) mu": _gmu_case(catalog("G0", p0=3)),  # negative prime values, zero cofactors
+        "indicator(2) mu": _gmu_case(catalog("indicator_prime_powers", p0=2)),  # +0 prime values
+        "dense": (lambda p, E: np.array([-0.0 if p == 5 else (-1.0) ** e / p**e for e in range(1, E + 1)]), lambda P: -1.0 / P, np.float64),
+        "float32 primes": (core._mobius_powers, lambda P: (1.0 / P).astype(np.float32), np.float64),
+        # int8 through p = 7, float64 from p = 11: the table is promoted
+        "mu, float from 11": (
+            lambda p, E: np.array([-1] + [0] * (E - 1), dtype=np.int8 if p <= 7 else np.float64),
+            lambda P: -1.0 / P,
+            np.int8,
+        ),
+    }
+
+    @pytest.mark.parametrize("limit", [1, 2, 48, 49, 88199, 88200, 88201, 3 * 4096 + 7, 200003])
+    @pytest.mark.parametrize("name", list(_REFERENCE_CASES))
+    def test_sieve_is_the_prime_by_prime_sweep(self, monkeypatch, name, limit):
+        # Byte for byte, over block sizes below, at and across the presieved
+        # period of 2^2 3^2 5^2 7^2 = 44,100 entries (used from limit 88,199,
+        # a table of two periods) and its phase-2 quarters.
+        case = self._REFERENCE_CASES[name]
+        want = self._reference_sieve(limit, *case)
+        for block in (97, 1000, 4096):
+            monkeypatch.setattr(core, "_BLOCK", block)
+            got = core.multiplicative_sieve(limit, *case)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, block)
 
 
 # The prime and mu slots are process state that pytest's test order would

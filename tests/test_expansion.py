@@ -1039,6 +1039,28 @@ class TestPeelRestrictedSums:
             assert TestCoprimePart.same(after, alone), b
 
 
+class TestKluyverTerms:
+    @pytest.mark.parametrize(
+        "G",
+        [catalog("GR"), catalog("GH"), catalog("G0", p0=3), catalog("indicator_prime_powers", p0=2), catalog("prop1")],
+        ids=lambda G: G.label,
+    )
+    def test_coefficients_are_the_rounded_products(self, G):
+        # Byte for byte against float(d * mu(m') * G(k)), the product formed
+        # in the exact type of G.eval; Q = 40 drops the terms with k > Q.
+        for Q in (40, 10**6):
+            for a in range(1, 301):
+                for b in (1, 2, 3, 6):
+                    want = [
+                        (d * m, float(d * mobius(m) * G.eval(d * m)).hex(), b * radical(d))
+                        for d in divisors(a)
+                        for m in divisors(radical(d))
+                        if d * m <= Q
+                    ]
+                    got = [(k, float(c).hex(), B) for k, c, B in expansion._kluyver_terms(G, a, b, Q)]
+                    assert got == want, (G.label, a, b, Q)
+
+
 class TestPeelPoints:
     # The trie's root holds exactly the points of the rectangle the peel
     # used to read: every positive x // (k n) over the B-smooth n of each
@@ -1147,6 +1169,20 @@ class TestGmuTable:
             assert np.array_equal(got, _value_table(fresh, Q) * core.mobius_table(Q)), G.label
             assert clamped is fresh._memo[("clamped", Q)] and not got.flags.writeable, G.label
             assert expansion._gmu_table(G, Q) is got
+
+    def test_sieve_scratch_stays_block_sized(self):
+        # Phase 2 scatters the (m, P) pairs of a quarter block at a time, at
+        # most one pair per entry: the 7.6 MiB table, the prime values and
+        # three pair arrays peak near 9.7 MiB.  All pairs of a block at once
+        # took it to 12.8 MiB.
+        core.sieve_primes(10**6)
+        tracemalloc.start()
+        try:
+            expansion._gmu_table(catalog("GH"), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestFiniteFactors:
