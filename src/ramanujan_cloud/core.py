@@ -9,15 +9,16 @@ plenty for moduli up to ~10^9.  Nothing handed out is writable, so everything
 here is safe to call from concurrent workers.
 
 Tables of multiplicative functions (mu here, G(q) and G(q) mu(q) in the
-expansion engine) come from one sieve, ``multiplicative_sieve``, which
-finishes a real or integer table one block of 2^18 entries at a time, each
-block in one cache-resident pass: the block starts as a tiled period of the
-primes <= 7 when their higher powers vanish (mu, every G mu), takes one
-strided multiply per remaining prime p <= isqrt(Q), and then one scatter
-over every product m * P in it of a cofactor m and a prime P > isqrt(Q).
-That is O(pi(sqrt Q) * ceil(Q / 2^18)) numpy calls instead of one per prime
-up to Q, and each block is final before the next one starts.  A complex
-table is swept whole (see ``multiplicative_sieve``).
+expansion engine) come from one sieve, ``multiplicative_sieve``, which fixes
+the table's dtype from every value before it allocates and then finishes the
+table one block of 2^18 entries at a time, each block in one cache-resident
+pass: the block starts as a tiled period of the primes <= 7 when their
+higher powers vanish (mu, every G mu), takes one strided multiply per
+remaining prime p <= isqrt(Q), and then one scatter over every product m * P
+in it of a cofactor m and a prime P > isqrt(Q).  That is
+O(pi(sqrt Q) * ceil(Q / 2^18)) numpy calls instead of one per prime up to Q.
+Complex entries are multiplied on their float planes, so a table's bytes do
+not depend on where a slice starts, for every dtype.
 """
 
 from __future__ import annotations
@@ -104,19 +105,41 @@ def checked_values(values, count: int, what: str) -> np.ndarray:
 _BLOCK = 1 << 18
 
 
-def _sweep_block(block: np.ndarray, run: list, lo: int) -> None:
+def _mul(target: np.ndarray, values) -> None:
+    """``target *= values`` in place; a complex a + bi becomes (ac - bd, ad + bc)
+    on its float planes, or (ac, bc) for real c, one elementwise IEEE step at
+    a time, so it rounds the same wherever it sits (numpy's SIMD need not)."""
+    if target.dtype.kind != "c":
+        target *= values
+        return
+    re, im = target.real, target.imag
+    if np.iscomplexobj(values):
+        c, d = values.real, values.imag
+        a = re.copy()
+        re *= c
+        re -= im * d
+        im *= c
+        im += a * d
+    else:
+        re *= values
+        im *= values
+
+
+def _sweep_block(block: np.ndarray, small: list, lo: int) -> None:
     """Multiply ``block``, the entries n = lo, lo + 1, ... of a table, by
-    g(p^v_p(n)) for each (p, g) of ``run`` in order, g = (g(p), g(p^2), ...),
-    as phase 1 of ``multiplicative_sieve`` does."""
-    for p, g in run:
+    g(p^v_p(n)) for each (p, g, squarefree) of ``small`` in order,
+    g = (g(p), g(p^2), ...), ``squarefree`` true when every higher power is
+    +0, as phase 1 of ``multiplicative_sieve`` does."""
+    for p, g, squarefree in small:
         first = max(p, -(-lo // p) * p) - lo  # the first multiple of p in the block
-        if block.dtype.kind != "c" and not any(g[1:].tobytes()):  # every higher power is +0
+        if squarefree:
             first_sq = max(p * p, -(-lo // (p * p)) * p * p) - lo
             if first_sq >= len(block):  # no multiple of p^2 in the block
-                block[first::p] *= g[0]
+                _mul(block[first::p], g[0])
                 continue
-            squares = block[first_sq :: p * p] * g[1]
-            block[first::p] *= g[0]
+            squares = block[first_sq :: p * p].copy()
+            _mul(squares, g[1])
+            _mul(block[first::p], g[0])
             block[first_sq :: p * p] = squares
             continue
         col = np.full(len(range(first, len(block), p)), g[0], dtype=g.dtype)
@@ -124,7 +147,7 @@ def _sweep_block(block: np.ndarray, run: list, lo: int) -> None:
         for value in g[1:]:
             step *= p
             col[-((lo + first) // p) % step :: step] = value  # n = lo + first + p * index divisible by p * step
-        block[first::p] *= col
+        _mul(block[first::p], col)
 
 
 def _tile(block: np.ndarray, period: np.ndarray, lo: int) -> None:
@@ -157,7 +180,7 @@ def _scatter_large(table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int,
     values = g[j]
     del j
     prod = table[pos]
-    prod *= values
+    _mul(prod, values)
     table[pos] = prod
 
 
@@ -173,15 +196,16 @@ def multiplicative_sieve(
     p <= isqrt(limit), where p^E <= limit < p^(E+1); ``at_primes(P)`` returns
     g(p) for each prime p in the ascending array P of all primes in
     (isqrt(limit), limit], as a numeric array of shape ``(len(P),)``
-    (anything else raises ``ValueError``).  The table starts as ``dtype`` and
-    is promoted when a value array holds what it cannot (complex values in a
-    float table).
+    (anything else raises ``ValueError``).  Every value array is gathered
+    before the table is allocated, in the dtype ``dtype`` promoted with the
+    dtypes of all of them (complex values make a float table complex).
 
     Every entry is multiplied in the order of a prime-by-prime sweep: its
     primes p <= isqrt(limit) ascending (phase 1), each by g(p^v_p(n)), then
     its one prime P above isqrt(limit), with exponent 1 and cofactor
-    m = n / P < sqrt(limit) (phase 2).  So real tables are bit-identical to
-    such a sweep.  A real or integer table is finished one block of
+    m = n / P < sqrt(limit) (phase 2).  A complex entry is multiplied on its
+    float planes (see ``_mul``), so every table, complex ones included, is
+    bit-identical to such a sweep.  The table is finished one block of
     ``_BLOCK`` entries at a time, each block before the next, so it stays in
     cache:
 
@@ -199,78 +223,52 @@ def multiplicative_sieve(
       makes one scatter ``table[m * P] *= g(P)``.  An entry has one pair at
       most, so the pair arrays stay within a quarter block.
 
-    A promotion between real dtypes splits the small primes into runs, each
-    swept over a block in the dtype the table has by then.  numpy may round
-    a complex product by its position in a SIMD loop, so a complex table is
-    swept whole, prime by prime, and phase 2 is one gather per cofactor,
-    which is one fixed layout.  After phase 1 ``table[m * P]`` equals
-    ``table[m]``, so a cofactor whose entry is 0 leaves them at that 0, up
-    to its sign; phase 2 skips it wherever no byte can change: integer
-    tables, or finite prime values with the sign bit clear.
-    ``sieve_primes(limit)`` runs before the table is allocated, so an
-    over-budget limit raises ``ResourceLimitError`` first.
+    After phase 1 ``table[m * P]`` equals ``table[m]``, so a cofactor whose
+    entry is 0 leaves them at that 0, up to its sign; phase 2 skips it
+    wherever no byte can change: integer tables, or real finite prime values
+    with the sign bit clear.  ``sieve_primes(limit)`` runs before the table
+    is allocated, so an over-budget limit raises ``ResourceLimitError``
+    first.
     """
     primes = sieve_primes(limit)
     split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
-    dtypes, runs = [np.dtype(dtype)], [[]]  # a new run where the table is promoted
+    small = []  # (p, g, every higher power is +0)
     for p in primes[:split].tolist():
         E, pe = 1, p
         while pe * p <= limit:
             E, pe = E + 1, pe * p
         g = powers(p, E)
-        if not np.can_cast(g.dtype, dtypes[-1]):
-            dtypes.append(np.result_type(dtypes[-1], g))
-            runs.append([])
-        runs[-1].append((p, g))
+        small.append((p, g, not any(g[1:].tobytes())))
     large = primes[split:]
-    final = dtypes[-1]
+    value_dtypes = {g.dtype for _, g, _ in small}
     if len(large):
         gP = checked_values(at_primes(large), len(large), "at_primes(P)")
-        if not np.can_cast(gP.dtype, final):
-            final = np.result_type(final, gP)
+        value_dtypes.add(gP.dtype)
+    final = np.result_type(dtype, *value_dtypes)
+    if len(large):
         skip_zeros = final.kind in "iu" or (
             final.kind == "f" and bool(np.isfinite(gP).all()) and not np.signbit(gP).any()
         )
 
-    if final.kind == "c":
-        table = np.ones(limit + 1, dtype=dtypes[0])
-        table[0] = 0
-        for dt, run in zip(dtypes, runs):
-            table = table.astype(dt, copy=False)
-            _sweep_block(table, run, 0)
-        table = table.astype(final, copy=False)
-        if len(large):
-            counts = np.searchsorted(large, limit // np.arange(1, limit // int(large[0]) + 1), "right")
-            for m, k in enumerate(counts.tolist(), start=1):
-                table[m * large[:k]] *= gP[:k]
-        return table
-
-    lead = []  # the primes p <= 7 of the presieved period
-    for p, g in runs[0]:
-        if p > 7 or any(g[1:].tobytes()):
-            break
-        lead.append((p, g))
-    period = math.prod(p * p for p, _ in lead)
+    lead = 0  # the primes p <= 7 of the presieved period: small[:lead]
+    while lead < len(small) and small[lead][0] <= 7 and small[lead][2]:
+        lead += 1
+    period = math.prod(p * p for p, _, _ in small[:lead])
     pattern = None
     if lead and limit + 1 >= 2 * period:
-        pattern = np.ones(period, dtype=dtypes[0])
-        _sweep_block(pattern, lead, period)
-        runs[0] = runs[0][len(lead) :]
+        pattern = np.ones(period, dtype=final)
+        _sweep_block(pattern, small[:lead], period)
+        small = small[lead:]
     table = np.empty(limit + 1, dtype=final)
     for lo in range(0, limit + 1, _BLOCK):
         block = table[lo : lo + _BLOCK]
-        work = block if dtypes == [final] else np.empty(len(block), dtype=dtypes[0])
         if pattern is None:
-            work[...] = 1
+            block[...] = 1
         else:
-            _tile(work, pattern, lo)
+            _tile(block, pattern, lo)
         if lo == 0:
-            work[0] = 0
-        for dt, run in zip(dtypes, runs):
-            work = work.astype(dt, copy=False)
-            _sweep_block(work, run, lo)
-        if work is not block:
-            block[...] = work
+            block[0] = 0
+        _sweep_block(block, small, lo)
         if len(large):
             step = -(-len(block) // 4)
             for mid in range(lo, lo + len(block), step):

@@ -201,8 +201,8 @@ def _value_table(G, Q: int) -> np.ndarray:
     """G(n) for n = 0..Q as a float64/complex128 array (index 0 is 0).
 
     Multiplicative G goes through ``multiplicative_sieve``: one strided
-    multiply per prime p <= isqrt(Q) and block of the table, then one gather
-    per cofactor m < sqrt(Q) for the primes above it.  The rule is called
+    multiply per prime p <= isqrt(Q) and block of the table, then one scatter
+    per quarter block for the primes above it.  The rule is called
     once per power of each prime p <= isqrt(Q); the values at the primes
     above come from ``G.at_primes`` when the entry carries that numpy form,
     else from one rule call per prime.  A general G uses ``G.table`` when

@@ -17,9 +17,10 @@ from ramanujan_cloud import core, expansion, reproduce
 
 CFG = EngineConfig()
 
-# Every builder of a shared numeric table.  A complex table's last bits
-# depend on how numpy's SIMD multiply splits a strided slice, so the
-# artifacts must read none.
+# Every builder of a shared numeric table.  Complex tables are multiplied on
+# their float planes, but a complex series built on one goes through numpy's
+# SIMD complex multiply, whose last bits depend on where it splits a slice,
+# so the artifacts must read none.
 TABLE_BUILDERS = (core.multiplicative_sieve, expansion._value_table, expansion._gmu_table)
 
 

@@ -276,11 +276,12 @@ class TestTables:
 
     @pytest.mark.parametrize("block", [2, 97, 1000])
     def test_sieve_blocks_keep_every_byte(self, monkeypatch, block):
-        # Phase 1 sweeps a real table in blocks of core._BLOCK entries.  Any
-        # block size gives the bytes of one sweep over the whole table
+        # Every table is finished in blocks of core._BLOCK entries.  Any
+        # block size gives the bytes of one block over the whole table
         # (limit < _BLOCK): mu, columns of higher powers with signed zeros, a
-        # promotion to complex at p = 7 after real multiplies, and complex
-        # powers p^(-e s), whose products numpy rounds by their position.
+        # complex value at p = 7 among real ones, and complex powers
+        # p^(-e s).  Complex entries are multiplied on their float planes, so
+        # no product depends on where it sits in a slice.
         def dense(p, E):
             return np.array([-0.0 if p == 5 else (-1.0) ** e / p**e for e in range(1, E + 1)])
 
@@ -303,25 +304,35 @@ class TestTables:
     def _reference_sieve(limit, powers, at_primes, dtype):
         # Prime by prime, ascending: every multiple n of a prime p <= isqrt
         # is multiplied by g(p^v_p(n)), then every multiple of a larger
-        # prime by g(P).  One strided multiply per prime, no blocks.
-        table = np.ones(limit + 1, dtype=dtype)
-        table[0] = 0
+        # prime by g(P).  One strided multiply per prime, no blocks.  The
+        # table has its final dtype before the first multiply, and a complex
+        # entry a + bi is multiplied on its float planes: by c + di it
+        # becomes (ac - bd, ad + bc), by a real c it becomes (ac, bc).
         primes = sieve_primes(limit)
         small = primes[primes <= math.isqrt(limit)].tolist()
+        steps = []
         for p in small:
             n = np.arange(p, limit + 1, p)
             v = np.zeros(len(n), dtype=np.int64)
             while len(q := np.flatnonzero(n % p**(v + 1) == 0)):
                 v[q] += 1
-            col = powers(p, int(v.max()))[v - 1]
-            table = table.astype(np.result_type(table, col), copy=False)
-            table[p::p] *= col
+            steps.append((p, powers(p, int(v.max()))[v - 1]))
         large = primes[len(small) :]
         if len(large):
-            values = at_primes(large)
-            table = table.astype(np.result_type(table, values), copy=False)
-            for P, g in zip(large.tolist(), values):
-                table[P::P] *= g
+            steps += zip(large.tolist(), at_primes(large))
+        table = np.ones(limit + 1, dtype=np.result_type(dtype, *{np.asarray(g).dtype for _, g in steps}))
+        table[0] = 0
+        for p, g in steps:
+            view = table[p::p]
+            if table.dtype.kind != "c":
+                view *= g
+            elif np.iscomplexobj(g):
+                a, b = view.real.copy(), view.imag.copy()
+                view.real = a * g.real - b * g.imag
+                view.imag = a * g.imag + b * g.real
+            else:
+                view.real *= g
+                view.imag *= g
         return table
 
     _REFERENCE_CASES = {
@@ -331,11 +342,25 @@ class TestTables:
         "indicator(2) mu": _gmu_case(catalog("indicator_prime_powers", p0=2)),  # +0 prime values
         "dense": (lambda p, E: np.array([-0.0 if p == 5 else (-1.0) ** e / p**e for e in range(1, E + 1)]), lambda P: -1.0 / P, np.float64),
         "float32 primes": (core._mobius_powers, lambda P: (1.0 / P).astype(np.float32), np.float64),
-        # int8 through p = 7, float64 from p = 11: the table is promoted
+        # int8 through p = 7, float64 from p = 11: the table is float64 from
+        # the start, so an int8 zero that later meets a negative value is -0.0
         "mu, float from 11": (
             lambda p, E: np.array([-1] + [0] * (E - 1), dtype=np.int8 if p <= 7 else np.float64),
             lambda P: -1.0 / P,
             np.int8,
+        ),
+        # A complex value inside the presieved period (from limit 88,199).
+        "complex_at_7": (lambda p, E: np.array([1j if p == 7 else -1.0 / p] + [0.0] * (E - 1)), lambda P: 1.0 / P, np.float64),
+        # p^(-e s) and the G mu of p^(-s), s = 0.6 + 0.3i.
+        "complex dense": (
+            lambda p, E: float(p) ** (-(0.6 + 0.3j) * np.arange(1, E + 1)),
+            lambda P: P.astype(float) ** -(0.6 + 0.3j),
+            np.float64,
+        ),
+        "complex squarefree": (
+            lambda p, E: np.array([-(float(p) ** -(0.6 + 0.3j))] + [0j] * (E - 1)),
+            lambda P: 0.0 - P.astype(float) ** -(0.6 + 0.3j),
+            np.float64,
         ),
     }
 

@@ -1184,6 +1184,21 @@ class TestGmuTable:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    @pytest.mark.parametrize("build, name", [(expansion._gmu_table, "lemma7_h"), (_value_table, "prop5")])
+    def test_complex_sieve_scratch_stays_block_sized(self, build, name):
+        # A complex table (15.3 MiB) goes through the same blocks, multiplied
+        # on its float planes, and peaks near 20 MiB.  Swept whole, with one
+        # gather per cofactor, it peaked at 26.7-29.2 MiB.
+        G = catalog(name, s=0.6 + 0.3j)
+        core.sieve_primes(10**6)
+        tracemalloc.start()
+        try:
+            build(G, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 * 2**20
+
 
 class TestFiniteFactors:
     def test_empty_product(self):
