@@ -25,10 +25,10 @@ R_B at the points x // dm, and the coprime peel
 R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_B from M_G over a
 trie of radicals.  ``_peel_sums`` batches this: a verdict's samples or
 radicals, and a single expansion, all read M_G at the trie root's distinct
-points in one pass over G mu.  The direct kernel ``_kluyver_sums``, sum
-over d | a of d T_d(x // d) with T_d summing G(dm) mu(m) off the value and
-mu tables, serves where the peel is unsafe or undefined: a non-multiplicative G, a
-table that ``squarefree_cap`` clamped, or |G(p)| > 1 on a prime of ab.
+points in one pass over G mu.  It picks each pair's kernel from G before
+any table is built: the direct kernel ``_kluyver_sums``, sum over d | a of
+d T_d(x // d) with T_d shared by the batch, takes a non-multiplicative G,
+|G(p)| > 1 on a prime of ab, or a table that ``squarefree_cap`` clamped.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -215,10 +215,9 @@ def _value_table(G, Q: int) -> np.ndarray:
     above ``SIEVE_BUDGET`` raises ``ResourceLimitError`` before any path
     allocates.
     """
-    memo = getattr(G, "_memo", None)
     key = ("values", Q)
-    if memo is not None and key in memo:
-        return memo[key]
+    if key in G._memo:
+        return G._memo[key]
     _core._check_limit(Q)
 
     clamped = False
@@ -238,9 +237,8 @@ def _value_table(G, Q: int) -> np.ndarray:
         vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
 
     vals.setflags(write=False)
-    if memo is not None:
-        memo[key] = vals
-        memo[("clamped", Q)] = clamped
+    G._memo[key] = vals
+    G._memo[("clamped", Q)] = clamped
     return vals
 
 
@@ -351,35 +349,33 @@ def _coprime_part(a: int, b: int) -> int:
     return a
 
 
-def _kluyver_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
-    """Floating sum_{q <= x, (q, b) = 1} G(q) c_q(a) at each checkpoint x,
-    for a coprime to b.
+def _kluyver_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> dict:
+    """Floating sum_{q <= x, (q, b) = 1} G(q) c_q(a) at each checkpoint x
+    for each pair (a, b), b a radical and a coprime to b, as {(a, b): sums}.
 
     Kluyver's c_q(a) = sum over d | (q, a) of d mu(q/d) gives
     S(x) = sum over d | a of d T_d(x // d), with
     T_d(y) = sum_{m <= y, (m, b) = 1} G(dm) mu(m): the terms
     ``V[::d] * mu`` (exact, mu is -1, 0 or 1) indexed by m, struck on m and
-    Neumaier-summed at the points x // d.  T_d does not depend on a, so its
-    checkpoint vector is memoized on G for every a of the same (Q, b, cps);
-    b is a radical.  a = 1 gives T_1, the restricted Mobius series.  The
+    Neumaier-summed at the points x // d.  T_d does not depend on a, so the
+    batch computes each distinct (d, b) once, one Q/d buffer at a time, and
+    keeps nothing on G.  a = 1 gives T_1, the restricted Mobius series.  The
     d T_d are added in ascending d.
     """
-    memo = getattr(G, "_memo", None)
-    cps_key = tuple(cps)
-    totals = [0.0] * len(cps)
-    for d in divisors(a):
-        if d > Q:
-            break
-        key = ("kluyver", Q, b, d, cps_key)
-        T = memo.get(key) if memo is not None else None
-        if T is None:
-            u = _value_table(G, Q)[::d] * mobius_table(Q)[: Q // d + 1]
-            _strike_non_coprime(u, b)
-            T = tuple(_neumaier_segments(u, [x // d for x in cps]).tolist())
-            if memo is not None:
-                memo[key] = T
-        totals = [s + d * t for s, t in zip(totals, T)]
-    return totals
+    T, out = {}, {}
+    for a, b in pairs:
+        totals = [0.0] * len(cps)
+        for d in divisors(a):
+            if d > Q:
+                break
+            if (d, b) not in T:
+                u = _value_table(G, Q)[::d] * mobius_table(Q)[: Q // d + 1]
+                _strike_non_coprime(u, b)
+                T[(d, b)] = _neumaier_segments(u, [x // d for x in cps]).tolist()
+                del u  # before the next T_d allocates its buffer
+            totals = [s + d * t for s, t in zip(totals, T[(d, b)])]
+        out[(a, b)] = totals
+    return out
 
 
 def _absolute_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
@@ -492,25 +488,28 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     p^j <= z < p^(j+1) at a time, a Horner scheme in G(p) along each prime.
     Each S(x) then adds its terms d mu(m') G(dm') R_B in ascending d, then m'.
 
-    Three cases keep the direct kernel ``_kluyver_sums``: a
-    ``GeneralArithmeticFunction``; a table that ``squarefree_cap`` clamped,
-    which is no longer multiplicative; and |G(p)| > 1 on a prime p of ab,
-    since the powers G(p)^k would amplify the roundoff of M_G.  The peel
-    stores nothing on G but the G mu table, so a series reads the same
-    bytes whatever ran before it.
+    Each pair's kernel is chosen before any table is built.  Three cases go,
+    as one batch, to the direct kernel ``_kluyver_sums``: a
+    ``GeneralArithmeticFunction``; |G(p)| > 1 on a prime p <= Q of ab, G(p)
+    read as ``G.rule(p, 1)`` like the table, since the powers G(p)^k would
+    amplify the roundoff of M_G; and every pair if the G mu table, built
+    only when some pair can be peeled, was clamped by ``squarefree_cap``.
+    Neither kernel stores anything on G but tables, so a series reads the
+    same bytes whatever ran before it.
     """
-    out, plans = {}, {}
-    gmu = clamped = None
+    pairs = list(pairs)
+    peel = set()
     if isinstance(G, MultiplicativeFunction):
+        bounded = lambda n: all(abs(complex(G.rule(p, 1))) <= 1 for p in factorize(n).primes() if p <= Q)
+        peel = {(a, b) for a, b in pairs if bounded(a * b)}
+    if peel:
         gmu = _gmu_table(G, Q)
-        clamped = G._memo[("clamped", Q)]
-    for a, b in pairs:
-        if gmu is None or clamped or any(abs(gmu[p]) > 1 for p in factorize(a * b).primes() if p <= Q):
-            out[(a, b)] = _kluyver_sums(G, a, Q, cps, b)
-        else:
-            plans[(a, b)] = _kluyver_terms(G, a, b, Q)
-    if not plans:
+        if G._memo[("clamped", Q)]:
+            peel = set()
+    out = _kluyver_sums(G, [pair for pair in pairs if pair not in peel], Q, cps)
+    if not peel:
         return out
+    plans = {(a, b): _kluyver_terms(G, a, b, Q) for a, b in pairs if (a, b) in peel}
 
     xs = np.array(cps, dtype=np.int64)
     node_of, reads = {}, {}  # the trie node of each B; the k each node is read at
@@ -703,8 +702,8 @@ class ConvergenceVerdict:
 
     ``converges_to`` demands every checkpoint in the final window lie within
     ``tol`` of ``limit``; ``diverges_to_infinity`` demands both a large final
-    magnitude and a positive fitted growth exponent.  Everything else is
-    ``inconclusive``.
+    magnitude and a positive growth exponent, fitted only when the spread
+    exceeds ``tol`` (else ``None``).  Everything else is ``inconclusive``.
     """
 
     outcome: str  # "converges_to" | "diverges_to_infinity" | "inconclusive"
@@ -749,9 +748,9 @@ def detect_convergence(
     tail = [complex(v) for _, v in series.checkpoints[-window:]]
     L = complex(target) if target is not None else sum(tail) / len(tail)
     spread = max(abs(v - L) for v in tail)
-    exponent = _growth_exponent(series)
     if spread <= tol:
-        return ConvergenceVerdict("converges_to", L, window, tol, spread, exponent)
+        return ConvergenceVerdict("converges_to", L, window, tol, spread, None)
+    exponent = _growth_exponent(series)
     final_mag = abs(complex(series.checkpoints[-1][1]))
     if final_mag > divergence_threshold and exponent is not None and exponent > growth_exponent_min:
         return ConvergenceVerdict("diverges_to_infinity", None, window, tol, spread, exponent)

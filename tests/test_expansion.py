@@ -472,7 +472,7 @@ class TestFloatingAgainstFractionOracle:
         G = catalog("lemma7_h", s=0.6 + 0.3j) if values is None else _random_exact_rule(values, seed)
         xs = checkpoint_schedule(Q)
         part = _coprime_part(a, b)
-        got = expansion._kluyver_sums(G, part, Q, xs, radical(b))
+        got = expansion._kluyver_sums(G, [(part, radical(b))], Q, xs)[(part, radical(b))]
         assert _within(got, _signed_oracle(G, a, b, Q, xs), self.kluyver_bound(Q, part), _kluyver_mass(G, part, b, Q, xs))
 
 
@@ -837,21 +837,10 @@ class TestRestrictedMobius:
                     got = restricted_mobius_partial_sums(G, bb, x, absolute=absolute, exact=exact)
                     assert TestCoprimePart.same(got, want), (bb, absolute, exact)
 
-    def test_kluyver_memo_is_keyed_by_the_radical(self):
-        # prop5 has |G(2)| > 1, so every series over an even ab keeps the
-        # direct kernel, whose T_d are memoized by the radical of b.
-        cps = tuple(checkpoint_schedule(1000))
-        keys = []
-        for b in (4, 2):
-            G = dataclasses.replace(catalog("prop5"))
-            expansion_partial_sums(G, 6, 1000, coprime_to=b, exact=False)
-            restricted_mobius_partial_sums(G, b, 1000, exact=False)
-            keys.append(sorted(_kluyver_keys(G)))
-        assert keys[0] == keys[1] == [("kluyver", 1000, 2, d, cps) for d in (1, 3)]
 
-
-def _kluyver_keys(G):
-    return [k for k in G._memo if isinstance(k, tuple) and k[0] == "kluyver"]
+def _tuple_keys(G):
+    """The table keys a series left on G (``eval`` memoizes under ints)."""
+    return {k for k in G._memo if isinstance(k, tuple)}
 
 
 def _peeled(G, a, b, Q):
@@ -971,7 +960,7 @@ class TestPeelSums:
     def test_expansion_within_bound_of_the_fraction_oracle(self, values, seed, Q, a, b):
         G = _random_exact_rule(values, seed)
         got = expansion_partial_sums(G, a, Q, coprime_to=b, exact=False)
-        assert ("gmu", Q) in G._memo and not _kluyver_keys(G)  # the peel ran, not the direct kernel
+        assert _tuple_keys(G) == {("gmu", Q), ("clamped", Q)}  # the peel ran, not the direct kernel
         xs = got.xs()
         part = _coprime_part(a, b)
         want = expansion_partial_sums(G, a, Q, xs, coprime_to=b, exact=True)
@@ -994,7 +983,7 @@ class TestPeelRestrictedSums:
         G = _random_exact_rule(values, seed)
         xs = checkpoint_schedule(Q)
         got = expansion._peel_sums(G, [(1, b)], Q, xs)[(1, b)]
-        assert ("gmu", Q) in G._memo and not _kluyver_keys(G)  # the peel ran, not the direct kernel
+        assert _tuple_keys(G) == {("gmu", Q), ("clamped", Q)}  # the peel ran, not the direct kernel
         want = restricted_mobius_partial_sums(G, b, Q, xs, exact=True)
         assert restricted_mobius_partial_sums(G, b, Q, xs, exact=False).values() == got
         for x, f, e, m in zip(xs, got, want.values(), _peel_mass(G, 1, b, Q, xs)):
@@ -1018,9 +1007,9 @@ class TestPeelRestrictedSums:
         cps = checkpoint_schedule(Q)
         pairs = sorted({(_coprime_part(a, b), b) for a in (1, 12, 45) for b in radicals})
         got = expansion._peel_sums(G, pairs, Q, cps)
-        fresh = dataclasses.replace(G)
+        direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
         for a, b in pairs:
-            want = expansion._kluyver_sums(fresh, a, Q, cps, b)
+            want = direct[(a, b)]
             assert np.array(got[(a, b)]).tobytes() == np.array(want).tobytes(), (a, b)
             series = expansion_partial_sums(dataclasses.replace(G), a, Q, coprime_to=b, exact=False)
             assert np.array(series.values()).tobytes() == np.array(want).tobytes(), (a, b)
@@ -1138,15 +1127,55 @@ class TestPeelAgainstDirectKernel:
         monkeypatch.setattr(expansion, "_peel_sums", record)
         assert zero_cloud_verdict(G, FAST_CFG).conclusion == "in_zero_cloud"
         (pairs, Q, cps), = batches
-        assert ("gmu", Q) in G._memo and not _kluyver_keys(G)  # every pair was peeled
+        assert _tuple_keys(G) == {("gmu", Q), ("clamped", Q)}  # every pair was peeled
         got = peel(G, pairs, Q, cps)
         masses = _table_masses(G, pairs, Q, cps)
+        direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
         for a, b in pairs:
-            want = expansion._kluyver_sums(dataclasses.replace(G), a, Q, cps, b)
+            want = direct[(a, b)]
             tol_peel = Fraction(TestPeelSums.bound(Q, a, b))
             tol_direct = Fraction(TestFloatingAgainstFractionOracle.kluyver_bound(Q, a))
             for f, w, mp, mk in zip(got[(a, b)], want, *masses[(a, b)]):
                 assert abs(Fraction(f) - Fraction(w)) <= tol_peel * mp + tol_direct * mk, (a, b)
+
+
+class TestKernelChoice:
+    # ``_peel_sums`` picks each pair's kernel from G(p) before any table is
+    # built, and the direct kernel holds one Q/d buffer at a time.
+    def test_direct_only_pairs_build_no_gmu_table(self):
+        # lemma7_h(s = 0.6 + 0.3i) has |G(2)| = 1.32, so a = 2 takes the
+        # direct kernel: the value table (15.3 MiB complex), then one T_d
+        # buffer at a time.  Building the unread complex G mu table first
+        # peaked at 53.5 MiB.
+        G = dataclasses.replace(catalog("lemma7_h", s=0.6 + 0.3j))
+        core.sieve_primes(10**6)
+        core.mobius_table(10**6)
+        tracemalloc.start()
+        try:
+            expansion_partial_sums(G, 2, 10**6, exact=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _tuple_keys(G) == {("values", 10**6), ("clamped", 10**6)}
+        assert peak < 45 * 2**20
+
+    def test_direct_kernel_holds_one_buffer_at_a_time(self):
+        # With the tables warm, the batch of a weakly exotic verdict peaks
+        # at its d = 1 buffer (7.6 MiB) plus the points; keeping that buffer
+        # alive while the next T_d is built took it to 10.2 MiB.
+        G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2))
+        cfg = EngineConfig()
+        parts = sorted({_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
+        cps = checkpoint_schedule(10**6)
+        _value_table(G, 10**6)
+        core.mobius_table(10**6)
+        tracemalloc.start()
+        try:
+            expansion._peel_sums(G, [(a, 2) for a in parts], 10**6, cps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2**20
 
 
 _GMU_ENTRIES = [
@@ -1330,6 +1359,18 @@ class TestDetectConvergence:
         series = PartialSumSeries("zeros", tuple((x, 0.0) for x in range(1, 41)), "floating")
         verdict = detect_convergence(series, window=32, tol=0.01)
         assert verdict.outcome == "converges_to" and verdict.limit == 0
+
+    def test_converging_series_fits_no_exponent(self, monkeypatch):
+        # The growth exponent only tells divergence apart, so a spread
+        # within tol returns before the fit.
+        fits = []
+        fit = expansion._growth_exponent
+        monkeypatch.setattr(expansion, "_growth_exponent", lambda series: fits.append(series) or fit(series))
+        assert zero_cloud_verdict(catalog("GR"), FAST_CFG).conclusion == "in_zero_cloud"
+        series = PartialSumSeries("ones", tuple((x, 1.0) for x in checkpoint_schedule(10**6)), "floating")
+        verdict = detect_convergence(series, window=32, tol=0.01)
+        assert verdict.outcome == "converges_to" and verdict.growth_exponent is None
+        assert fits == []
 
     def test_linear_growth_diverges(self):
         cps = checkpoint_schedule(10**6)
@@ -1522,25 +1563,30 @@ class TestZeroCloudVerdict:
             verdict = zero_cloud_verdict(G, cfg)
             assert verdict.conclusion == "in_zero_cloud"
             assert counts == {"_peel_sums": 1} and pairs == [want], G.label
-            assert ("gmu", cfg.Q) in G._memo and not _kluyver_keys(G), G.label
+            assert _tuple_keys(G) == {("gmu", cfg.Q), ("clamped", cfg.Q)}, G.label
 
-    def test_kluyver_sums_are_shared_across_sampled_a(self):
+    def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
         # weakly_exotic_sample is not multiplicative, so its verdict keeps
-        # the direct kernel: one T_d per distinct divisor of the sampled
-        # p0-free parts, kept on G and read again by a repeated verdict.
+        # the direct kernel: one T_d (one strike) per distinct (d, 2) over
+        # the divisors of the sampled p0-free parts, shared by the batch.
+        # Nothing but the value table is kept on G, so a repeated verdict
+        # computes them again and gives the same verdict.
         cfg = EngineConfig()
         G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2))
         parts = {_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)}
         assert len(parts) == 25
-        divs = {d for a in parts for d in divisors(a) if d <= cfg.Q}
-        cps = tuple(checkpoint_schedule(cfg.Q, cfg.window))
+        distinct = {(d, 2) for a in parts for d in divisors(a) if d <= cfg.Q}
+        strikes = collections.Counter()
+        strike = expansion._strike_non_coprime
+        monkeypatch.setattr(expansion, "_strike_non_coprime", lambda u, b: strikes.update([b]) or strike(u, b))
 
-        assert zero_cloud_verdict(G, cfg).conclusion == "in_zero_cloud"
-        keys = sorted(_kluyver_keys(G))
-        assert keys == sorted(("kluyver", cfg.Q, 2, d, cps) for d in divs)
-        memo_size = len(G._memo)
-        assert zero_cloud_verdict(G, cfg).conclusion == "in_zero_cloud"
-        assert sorted(_kluyver_keys(G)) == keys and len(G._memo) == memo_size
+        first = zero_cloud_verdict(G, cfg)
+        assert first.conclusion == "in_zero_cloud"
+        assert strikes == {2: len(distinct)}
+        strikes.clear()
+        assert repr(zero_cloud_verdict(G, cfg)) == repr(first)
+        assert strikes == {2: len(distinct)}
+        assert _tuple_keys(G) == {("values", cfg.Q), ("clamped", cfg.Q)}
 
     def test_classical_members(self):
         for name, expected in (("GR", "normal"), ("GH", "sporadic")):
