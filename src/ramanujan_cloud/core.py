@@ -19,6 +19,13 @@ in it of a cofactor m and a prime P > isqrt(Q).  That is
 O(pi(sqrt Q) * ceil(Q / 2^18)) numpy calls instead of one per prime up to Q.
 Complex entries are multiplied on their float planes, so a table's bytes do
 not depend on where a slice starts, for every dtype.
+
+A table has one of two layouts: index i holds n = i (mu, value tables), or,
+in the odd layout, n = 2i - 1, with entry 0 still 0 (G mu, whose even
+entries follow from G(2) and the odd ones).  The odd layout never sweeps 2:
+its multiples of an odd p sit at (p + 1) // 2 with stride p, its cofactors
+m are odd, and its period of 3, 5, 7 has 11,025 entries.  The bytes at each
+odd n are those of the full layout.
 """
 
 from __future__ import annotations
@@ -125,15 +132,21 @@ def _mul(target: np.ndarray, values) -> None:
         im *= values
 
 
-def _sweep_block(block: np.ndarray, small: list, lo: int) -> None:
-    """Multiply ``block``, the entries n = lo, lo + 1, ... of a table, by
-    g(p^v_p(n)) for each (p, g, squarefree) of ``small`` in order,
-    g = (g(p), g(p^2), ...), ``squarefree`` true when every higher power is
-    +0, as phase 1 of ``multiplicative_sieve`` does."""
+def _sweep_block(block: np.ndarray, small: list, lo: int, s: int = 1) -> None:
+    """Multiply ``block``, the entries i = lo, lo + 1, ... of a table whose
+    index i holds n = s i - s + 1, by g(p^v_p(n)) for each (p, g, squarefree)
+    of ``small`` in order, g = (g(p), g(p^2), ...), ``squarefree`` true when
+    every higher power is +0, as phase 1 of ``multiplicative_sieve`` does."""
     for p, g, squarefree in small:
-        first = max(p, -(-lo // p) * p) - lo  # the first multiple of p in the block
+        # The multiples of p sit at index (p + s - 1) // s, stride p (p odd
+        # when s = 2), and of p^2 likewise; first is the first in the block.
+        first = (p + s - 1) // s - lo
+        first = max(first, first % p)
+        if first >= len(block):  # no multiple of p in the block
+            continue
         if squarefree:
-            first_sq = max(p * p, -(-lo // (p * p)) * p * p) - lo
+            first_sq = (p * p + s - 1) // s - lo
+            first_sq = max(first_sq, first_sq % (p * p))
             if first_sq >= len(block):  # no multiple of p^2 in the block
                 _mul(block[first::p], g[0])
                 continue
@@ -143,10 +156,14 @@ def _sweep_block(block: np.ndarray, small: list, lo: int) -> None:
             block[first_sq :: p * p] = squares
             continue
         col = np.full(len(range(first, len(block), p)), g[0], dtype=g.dtype)
+        c0 = (s * (lo + first) - s + 1) // p  # entry k of col holds n = p (c0 + s k)
         step = 1
         for value in g[1:]:
             step *= p
-            col[-((lo + first) // p) % step :: step] = value  # n = lo + first + p * index divisible by p * step
+            k = -c0 * pow(s, -1, step) % step  # the first k with step | c0 + s k
+            if k >= len(col):  # so no higher power of p either
+                break
+            col[k::step] = value
         _mul(block[first::p], col)
 
 
@@ -160,16 +177,20 @@ def _tile(block: np.ndarray, period: np.ndarray, lo: int) -> None:
         n += k
 
 
-def _scatter_large(table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int, hi: int, skip_zeros: bool) -> None:
-    """Multiply ``table[m * P]`` by g(P) for every m * P in [lo, hi), P in
-    ``large`` (the primes above isqrt(limit)), as phase 2 of
+def _scatter_large(
+    table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int, hi: int, skip_zeros: bool, s: int = 1
+) -> None:
+    """Multiply the entry of every n = m * P in the entries [lo, hi) of a
+    table whose index i holds n = s i - s + 1 by g(P), P in ``large`` (the
+    primes above isqrt(limit), odd when s = 2), as phase 2 of
     ``multiplicative_sieve`` does; ``skip_zeros`` drops the cofactors m
     whose entry is 0."""
-    cofactors = np.arange(1, (hi - 1) // int(large[0]) + 1)
-    start = np.searchsorted(large, -(-lo // cofactors))  # the first P with m * P >= lo
-    span = np.searchsorted(large, (hi - 1) // cofactors, "right") - start
+    n_lo, n_hi = s * lo - s + 1, s * hi - s + 1
+    cofactors = np.arange(1, (n_hi - 1) // int(large[0]) + 1, s)
+    start = np.searchsorted(large, -(-n_lo // cofactors))  # the first P with m * P >= n_lo
+    span = np.searchsorted(large, (n_hi - 1) // cofactors, "right") - start
     if skip_zeros:
-        span[table[cofactors] == 0] = 0
+        span[table[(cofactors + s - 1) // s] == 0] = 0
     total = int(span.sum())
     if not total:
         return
@@ -177,6 +198,9 @@ def _scatter_large(table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int,
     j += np.arange(total)
     pos = np.repeat(cofactors, span)
     pos *= large[j]
+    if s > 1:
+        pos += s - 1
+        pos //= s
     values = g[j]
     del j
     prod = table[pos]
@@ -189,51 +213,64 @@ def multiplicative_sieve(
     powers: Callable[[int, int], np.ndarray],
     at_primes: Callable[[np.ndarray], np.ndarray],
     dtype,
+    *,
+    _odd: bool = False,
 ) -> np.ndarray:
     """g(n) for n = 0..limit (g(0) = 0) of a multiplicative g, writable.
+
+    With ``_odd`` the table holds the odd n only: entry i is g(2i - 1) for
+    i = 1..(limit + 1) // 2, and entry 0 is 0.  Prime 2 is then never swept
+    and ``powers(2, E)`` never called; a g whose even values follow from
+    g(2) and its odd values needs only this half.
 
     ``powers(p, E)`` returns g(p), g(p^2), ..., g(p^E) for a prime
     p <= isqrt(limit), where p^E <= limit < p^(E+1); ``at_primes(P)`` returns
     g(p) for each prime p in the ascending array P of all primes in
-    (isqrt(limit), limit], as a numeric array of shape ``(len(P),)``
-    (anything else raises ``ValueError``).  Every value array is gathered
-    before the table is allocated, in the dtype ``dtype`` promoted with the
-    dtypes of all of them (complex values make a float table complex).
+    (isqrt(limit), limit], in both layouts, as a numeric array of shape
+    ``(len(P),)`` (anything else raises ``ValueError``).  Every value array
+    is gathered before the table is allocated, in the dtype ``dtype``
+    promoted with the dtypes of all of them (complex values make a float
+    table complex).
 
     Every entry is multiplied in the order of a prime-by-prime sweep: its
     primes p <= isqrt(limit) ascending (phase 1), each by g(p^v_p(n)), then
     its one prime P above isqrt(limit), with exponent 1 and cofactor
     m = n / P < sqrt(limit) (phase 2).  A complex entry is multiplied on its
     float planes (see ``_mul``), so every table, complex ones included, is
-    bit-identical to such a sweep.  The table is finished one block of
-    ``_BLOCK`` entries at a time, each block before the next, so it stays in
-    cache:
+    bit-identical to such a sweep, and the odd layout to the odd entries of
+    the full one.  The table is finished one block of ``_BLOCK`` entries at
+    a time, each block before the next, so it stays in cache:
 
     - it starts as a tiled period: the leading primes p <= 7 whose higher
       powers are all +0 (mu, any g supported on squarefree n) act on n only
       through n mod p^2, so one period of prod p^2 entries (44,100 for
-      2, 3, 5, 7) is swept once, at n = period .. 2 period - 1, unless the
-      table is shorter than two periods;
+      2, 3, 5, 7; 11,025 for 3, 5, 7 in the odd layout, where n = 2i - 1
+      moves by 2 prod p^2 over a period) is swept once, at entries
+      period .. 2 period - 1, unless the table is shorter than two periods;
     - phase 1 multiplies each remaining small prime's column over the
       block's multiples of p.  When every higher power is +0, one scalar
       multiply does instead, and the block's multiples of p^2, if any, get
       what the column would have made of them;
     - phase 2 takes, in each quarter of the block, every pair (m, P) with
-      m * P in it (two ``searchsorted`` calls over the cofactors m) and
-      makes one scatter ``table[m * P] *= g(P)``.  An entry has one pair at
-      most, so the pair arrays stay within a quarter block.
+      m * P in it (two ``searchsorted`` calls over the cofactors m, odd in
+      the odd layout) and makes one scatter ``table[m * P] *= g(P)``.  An
+      entry has one pair at most, so the pair arrays stay within a quarter
+      block.
 
-    After phase 1 ``table[m * P]`` equals ``table[m]``, so a cofactor whose
-    entry is 0 leaves them at that 0, up to its sign; phase 2 skips it
+    After phase 1 the entry of m * P equals the entry of m, so a cofactor
+    whose entry is 0 leaves them at that 0, up to its sign; phase 2 skips it
     wherever no byte can change: integer tables, or real finite prime values
     with the sign bit clear.  ``sieve_primes(limit)`` runs before the table
     is allocated, so an over-budget limit raises ``ResourceLimitError``
     first.
     """
+    s = 2 if _odd else 1  # entry i holds n = s i - s + 1
     primes = sieve_primes(limit)
     split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
     small = []  # (p, g, every higher power is +0)
     for p in primes[:split].tolist():
+        if _odd and p == 2:  # 2 divides no odd n
+            continue
         E, pe = 1, p
         while pe * p <= limit:
             E, pe = E + 1, pe * p
@@ -244,23 +281,26 @@ def multiplicative_sieve(
     if len(large):
         gP = checked_values(at_primes(large), len(large), "at_primes(P)")
         value_dtypes.add(gP.dtype)
+        if _odd and large[0] == 2:  # limit < 4 puts 2 above isqrt(limit)
+            large, gP = large[1:], gP[1:]
     final = np.result_type(dtype, *value_dtypes)
     if len(large):
         skip_zeros = final.kind in "iu" or (
             final.kind == "f" and bool(np.isfinite(gP).all()) and not np.signbit(gP).any()
         )
 
+    size = (limit + s - 1) // s + 1
     lead = 0  # the primes p <= 7 of the presieved period: small[:lead]
     while lead < len(small) and small[lead][0] <= 7 and small[lead][2]:
         lead += 1
     period = math.prod(p * p for p, _, _ in small[:lead])
     pattern = None
-    if lead and limit + 1 >= 2 * period:
+    if lead and size >= 2 * period:
         pattern = np.ones(period, dtype=final)
-        _sweep_block(pattern, small[:lead], period)
+        _sweep_block(pattern, small[:lead], period, s)
         small = small[lead:]
-    table = np.empty(limit + 1, dtype=final)
-    for lo in range(0, limit + 1, _BLOCK):
+    table = np.empty(size, dtype=final)
+    for lo in range(0, size, _BLOCK):
         block = table[lo : lo + _BLOCK]
         if pattern is None:
             block[...] = 1
@@ -268,11 +308,11 @@ def multiplicative_sieve(
             _tile(block, pattern, lo)
         if lo == 0:
             block[0] = 0
-        _sweep_block(block, small, lo)
+        _sweep_block(block, small, lo, s)
         if len(large):
             step = -(-len(block) // 4)
             for mid in range(lo, lo + len(block), step):
-                _scatter_large(table, large, gP, mid, min(mid + step, lo + len(block)), skip_zeros)
+                _scatter_large(table, large, gP, mid, min(mid + step, lo + len(block)), skip_zeros, s)
     return table
 
 

@@ -17,18 +17,22 @@ a gives c_q(a) = c_d(a) mu(r), and c_d(a) = 0 unless d | a rad(a).
 ``_absolute_sums`` adds |c_d(a)| times the sum of |G(dr) mu(r)| over r
 coprime to ab, one strided pass over the value and mu tables per d.
 
-Signed floating series of a multiplicative G read one table, G mu, through
-the Mobius prefix M_G(y) = sum_{r <= y} G(r) mu(r).  Kluyver's
-c_q(a) = sum over d | (q, a) of d mu(q/d) and the multiplicativity of G
-write the series at a as a short combination of restricted Mobius series
-R_B at the points x // dm, and the coprime peel
-R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_B from M_G over a
-trie of radicals.  ``_peel_sums`` batches this: a verdict's samples or
-radicals, and a single expansion, all read M_G at the trie root's distinct
-points in one pass over G mu.  It picks each pair's kernel from G before
-any table is built: the direct kernel ``_kluyver_sums``, sum over d | a of
-d T_d(x // d) with T_d shared by the batch, takes a non-multiplicative G,
-|G(p)| > 1 on a prime of ab, or a table that ``squarefree_cap`` clamped.
+Signed floating series of a multiplicative G read one table, G mu at the
+odd n (``_gmu_table``: G(2m) mu(2m) = -G(2) G(m) mu(m) for odd m, and 0
+when 4 | n), through its prefix R_2(z) = sum_{r <= z, r odd} G(r) mu(r).
+Kluyver's c_q(a) = sum over d | (q, a) of d mu(q/d) and the
+multiplicativity of G write the series at a as a short combination of
+restricted Mobius series R_B at the points x // dm, and the coprime peel
+R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_{2B} from R_2 over
+a trie of the odd primes of radicals; an odd B steps down once more, by
+R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), so the Mobius prefix M_G is
+R_2(z) - G(2) R_2(z // 2).  ``_peel_sums`` batches this: a verdict's
+samples or radicals, and a single expansion, all read R_2 at the trie
+root's distinct points in one pass over G mu.  It picks each pair's kernel
+from G before any table is built: the direct kernel ``_kluyver_sums``, sum
+over d | a of d T_d(x // d) with T_d shared by the batch, takes a
+non-multiplicative G, |G(p)| > 1 on a prime of ab, or a table that
+``squarefree_cap`` clamped.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -251,31 +255,51 @@ def _prime_values(G: MultiplicativeFunction, P: np.ndarray) -> np.ndarray:
     return _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P))
 
 
-def _clamp(vals: np.ndarray, support: np.ndarray, cap: float) -> bool:
-    """Scale ``vals[n]`` down to |vals[n]| <= cap / n in place at each n > 1
-    with ``support[n] != 0``, one block of ``_BLOCK`` entries at a time, so
-    the index and scratch arrays stay block-sized; whether an entry changed."""
+def _clamp(vals: np.ndarray, support: np.ndarray, cap: float, s: int = 1) -> bool:
+    """Scale ``vals[i]`` down to |vals[i]| <= cap / n in place at each n > 1
+    with ``support[i] != 0``, where index i holds n = s i - s + 1, one block
+    of ``_BLOCK`` entries at a time, so the index and scratch arrays stay
+    block-sized; whether an entry changed."""
     changed = False
     for lo in range(2, len(vals), _core._BLOCK):
-        n = lo + np.flatnonzero(support[lo : lo + _core._BLOCK])
-        mag = np.abs(vals[n])
-        bound = cap / n
+        i = lo + np.flatnonzero(support[lo : lo + _core._BLOCK])
+        mag = np.abs(vals[i])
+        bound = cap / (s * i - s + 1)
         over = mag > bound
-        vals[n[over]] *= bound[over] / mag[over]
+        vals[i[over]] *= bound[over] / mag[over]
         changed |= bool(over.any())
     return changed
 
 
-def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
-    """G(n) mu(n) for n = 0..Q, the terms of the Mobius prefix M_G.
+def _clamps_an_even(gmu: np.ndarray, g2: Number, Q: int, cap: float) -> bool:
+    """Whether ``squarefree_cap`` would change G mu at an even n = 2m <= Q,
+    read off the unclamped odd table ``gmu``: G(2m) mu(2m) = -G(2) G(m) mu(m)
+    for odd m, so whether |G(2)| |G(m) mu(m)| > cap / 2m for some odd
+    m <= Q // 2, one block at a time."""
+    top = (Q // 2 + 1) // 2 + 1  # the entries of the odd m <= Q // 2
+    for lo in range(1, top, _core._BLOCK):
+        i = lo + np.flatnonzero(gmu[lo : min(lo + _core._BLOCK, top)])
+        if (abs(g2) * np.abs(gmu[i]) > cap / (4 * i - 2)).any():
+            return True
+    return False
 
-    One ``multiplicative_sieve`` from the powers (-G(p), 0, ..., 0) and
-    0 - ``G.at_primes``, so no value table and no mu table is built; it equals
-    ``_value_table(G, Q) * mobius_table(Q)`` entry by entry (the signs of
-    its zeros may differ, since it is only summed).  Cached on G under
-    ``("gmu", Q)``; like ``_value_table`` it records under ``("clamped", Q)``
-    whether ``squarefree_cap`` changed an entry, which both tables decide
-    alike.
+
+def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
+    """G(n) mu(n) at the odd n <= Q: entry i holds it for n = 2i - 1, and
+    entry 0 is 0.
+
+    Hardy: G mu is multiplicative, so G(2m) mu(2m) = -G(2) G(m) mu(m) for
+    odd m and G(n) mu(n) = 0 when 4 | n.  The even half is redundant: M_G
+    comes from the odd sums R_2 by the coprime peel at p = 2,
+    M_G(z) = R_2(z) - G(2) R_2(z // 2), where R_2(z) sums the entries
+    1..(z + 1) // 2.  One odd-layout ``multiplicative_sieve`` from the powers
+    (-G(p), 0, ..., 0) and 0 - ``G.at_primes``, so no value table and no mu
+    table is built; entries 1.. equal ``(_value_table(G, Q) *
+    mobius_table(Q))[1::2]`` entry by entry (the signs of their zeros may
+    differ, since they are only summed).  Cached on G under ``("gmu", Q)``;
+    like ``_value_table`` it records under ``("clamped", Q)`` whether
+    ``squarefree_cap`` changed an entry of the whole G mu: the odd entries
+    are clamped, and the even ones tested through G(2).
     """
     key = ("gmu", Q)
     if key in G._memo:
@@ -283,20 +307,28 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     _core._check_limit(Q)
 
     def powers(p, E):
-        g = _gather(lambda: (G.rule(p, 1),), 1)
+        g = _rule_value(G, p)
         return np.concatenate((-g, np.zeros(E - 1, g.dtype)))
 
     # 0 - G(p) rather than -G(p): a zero value stays +0, so the sieve can
     # skip the zero cofactors of a G that vanishes at the large primes.
-    gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64)
+    gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64, _odd=True)
     clamped = False
     if G.squarefree_cap is not None:
-        # The nonzero entries are the squarefree n with G(n) != 0.
-        clamped = _clamp(gmu, gmu, G.squarefree_cap)
+        # The nonzero entries are the squarefree n with G(n) != 0.  The
+        # evens read the odd entries before they are clamped.
+        even = _clamps_an_even(gmu, _rule_value(G, 2)[0], Q, G.squarefree_cap)
+        clamped = _clamp(gmu, gmu, G.squarefree_cap, 2) or even
     gmu.setflags(write=False)
     G._memo[key] = gmu
     G._memo[("clamped", Q)] = clamped
     return gmu
+
+
+def _rule_value(G: MultiplicativeFunction, p: int) -> np.ndarray:
+    """G(p) = ``G.rule(p, 1)`` as a float64 or complex128 array of one entry:
+    the value whose negation a G mu table over every n holds at p."""
+    return _gather(lambda: (G.rule(p, 1),), 1)
 
 
 def _strike_non_coprime(terms: np.ndarray, b: int) -> None:
@@ -403,6 +435,7 @@ def _absolute_sums(G, a: int, Q: int, cps: list[int], b: int) -> list:
         A = _neumaier_segments(u, [x // d for x in cps]).tolist()
         w = abs(c_holder(d, a))
         totals = [s + w * t for s, t in zip(totals, A)]
+        del u  # before the next d allocates its buffer
     return totals
 
 
@@ -470,8 +503,8 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     """Floating sum_{q <= x, (q, b) = 1} G(q) c_q(a) at the checkpoints
     ``cps`` for each pair (a, b), b a radical and a coprime to b, as
     {(a, b): list of sums}; a = 1 gives the restricted Mobius series of b.
-    Every pair of a batch is read off one Mobius prefix
-    M_G(y) = sum_{r <= y} G(r) mu(r).
+    Every pair of a batch is read off one odd prefix
+    R_2(z) = sum_{r <= z, r odd} G(r) mu(r).
 
     Kluyver's c_q(a) = sum over d | (q, a) of d mu(q/d) gives
     S(x) = sum over d | a of d sum_{m <= x/d, (m, b) = 1} G(dm) mu(m).  A
@@ -482,18 +515,25 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     The coprime peel (``coprime_peel_identity``) read the other way,
     R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), is the weighted form of
     Legendre's phi(x, a) recurrence.  ``_peel_points`` plans it over a trie
-    of radicals whose root () is M_G; one ``_neumaier_segments`` pass over
-    the G mu table (``_gmu_table``) takes M_G at the root's points, and the
-    climb from the root computes each node at its own points, one level
-    p^j <= z < p^(j+1) at a time, a Horner scheme in G(p) along each prime.
-    Each S(x) then adds its terms d mu(m') G(dm') R_B in ascending d, then m'.
+    of the odd primes of radicals, whose node F holds R_{2F} and whose root
+    () is R_2; one ``_neumaier_segments`` pass over the odd G mu table
+    (``_gmu_table``) takes R_2(z) at the root's points, as the sum of its
+    entries 1..(z + 1) // 2, and the climb from the root computes each node
+    at its own points, one level p^j <= z < p^(j+1) at a time, a Horner
+    scheme in G(p) along each odd prime, G(p) read at entry (p + 1) // 2.
+    An even B reads its node.  An odd B reads its node, R_{2B}, also at
+    x // 2dm' and takes the peel at p = 2 as one step down,
+    R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), with G(2) gathered from
+    ``G.rule(2, 1)``, the value the full G mu table negated at 2.  Each S(x)
+    then adds its terms d mu(m') G(dm') R_B in ascending d, then m'.
 
     Each pair's kernel is chosen before any table is built.  Three cases go,
     as one batch, to the direct kernel ``_kluyver_sums``: a
     ``GeneralArithmeticFunction``; |G(p)| > 1 on a prime p <= Q of ab, G(p)
     read as ``G.rule(p, 1)`` like the table, since the powers G(p)^k would
-    amplify the roundoff of M_G; and every pair if the G mu table, built
-    only when some pair can be peeled, was clamped by ``squarefree_cap``.
+    amplify the roundoff of R_2 (the climb no longer takes G(2), but the
+    gate still reads it); and every pair if the G mu table, built only when
+    some pair can be peeled, was clamped by ``squarefree_cap``.
     Neither kernel stores anything on G but tables, so a series reads the
     same bytes whatever ran before it.
     """
@@ -516,26 +556,31 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     for terms in plans.values():
         for k, _, B in terms:
             if B not in node_of:
-                node_of[B] = factorize(B).primes()
-            reads.setdefault(node_of[B], set()).add(k)
+                node_of[B] = tuple(p for p in factorize(B).primes() if p != 2)
+            # An odd B reads its node, R_{2B}, at x // k and x // 2k.
+            reads.setdefault(node_of[B], set()).update((k, 2 * k) if B % 2 else (k,))
     points = _peel_points(reads, xs)
-    R = {(): _neumaier_segments(gmu, points[()])}
+    R = {(): _neumaier_segments(gmu, (points[()] + 1) // 2)}  # R_2, over odd n <= z
     for node in sorted(points, key=len)[1:]:  # parents before children
         z, p = points[node], node[-1]
         r = R[node[:-1]][np.searchsorted(points[node[:-1]], z)]
         if p <= z[-1]:  # else R_{Fp} = R_F at every point, and p may exceed Q
-            g, below, tops = -gmu[p], np.searchsorted(z, z // p), [p]
+            g, below, tops = -gmu[(p + 1) // 2], np.searchsorted(z, z // p), [p]
             while tops[-1] <= z[-1]:
                 tops.append(tops[-1] * p)
             edges = np.searchsorted(z, tops).tolist()
             for lo, hi in zip(edges, edges[1:]):  # the level p^j <= z < p^(j+1) reads the one below
                 r[lo:hi] += g * r[below[lo:hi]]
         R[node] = r
+    g2 = _rule_value(G, 2)[0] if any(B % 2 for B in node_of) else None
     for pair, terms in plans.items():
         total = 0.0
         for k, coef, B in terms:
             node = node_of[B]
-            total = total + coef * R[node][np.searchsorted(points[node], xs // k)]
+            r = R[node][np.searchsorted(points[node], xs // k)]
+            if B % 2:  # the peel at p = 2: R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2)
+                r = r - g2 * R[node][np.searchsorted(points[node], xs // (2 * k))]
+            total = total + coef * r
         out[pair] = total.tolist()
     return out
 

@@ -219,6 +219,102 @@ class TestVerdict:
         assert peak < 2**20
 
 
+def last_partial_sum(capsys, argv: list[str]) -> list[float]:
+    """(re, im) of the last row of the CSV that ``expand`` prints."""
+    assert run(argv) == 0
+    return [float(v) for v in capsys.readouterr().out.split()[-1].split(",")[1:]]
+
+
+class TestSignedSeriesAtScale:
+    # The signed series at the default config and at Q up to 10^7.  Their
+    # index arithmetic mixes int64 arrays with Python ints, whose promotion
+    # differs between the numpy majors (NEP 50), so they run on both.
+
+    @pytest.mark.parametrize("entry", ["GR", "GH", "prop1"])
+    def test_classical_verdicts_at_the_default_config(self, capsys, entry):
+        """The peel behind these verdicts closes int64 point arrays under
+        z -> z // p for Python-int primes p, and reads its root, the odd G mu
+        table, at the int64 entries (z + 1) // 2."""
+        code, payload = run_json(capsys, ["verdict", entry])
+        assert code == 0 and payload["conclusion"] == "in_zero_cloud"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["indicator_prime_powers"],
+            ["G0"],
+            ["weakly_exotic_sample"],
+            ["indicator_prime_powers", "--param", "p0=3"],
+            ["G0", "--param", "p0=3"],
+        ],
+        ids=" ".join,
+    )
+    def test_invisible_prime_verdicts_at_the_default_config(self, capsys, argv):
+        """The multiplicative entries peel every sampled a off one G mu
+        table, through a trie of radicals whose int64 points are divided by
+        Python-int primes; only weakly_exotic_sample keeps the T_d kernel,
+        which sums its segments through np.add.reduceat index arrays built
+        from int64 points and Python ints.  With p0 = 3 the invisible prime
+        need not be the smallest prime of a radical, so some trie nodes do
+        not contain it."""
+        code, payload = run_json(capsys, ["verdict", *argv])
+        assert code == 0 and payload["conclusion"] == "in_zero_cloud"
+
+    @pytest.mark.parametrize(
+        "argv, statuses",
+        [
+            (["prop5"], ["pass", "fail", "fail", "inconclusive"]),
+            (["prop5", "--param", "s=0.6+0.3j"], ["pass", "fail", "fail", "inconclusive"]),
+            (["lemma7_h"], ["pass", "inconclusive", "inconclusive", "inconclusive"]),
+            (["lemma7_h", "--param", "s=0.6+0.3j"], ["pass", "inconclusive", "inconclusive", "inconclusive"]),
+        ],
+        ids=["prop5", "prop5 s=0.6+0.3j", "lemma7_h", "lemma7_h s=0.6+0.3j"],
+    )
+    def test_verdicts_that_batch_both_signed_kernels(self, capsys, argv, statuses):
+        """|G(2)| > 1 sends every even radical of prop5 and lemma7_h to the
+        direct T_d kernel, chosen from G(2) before any table is built, and
+        every odd one to the peel, whose odd B step down from R_2B by one
+        multiply by G(2), in one call.  Statuses are checked in order, the
+        conclusion last; both lemma7_h entries are inconclusive at the
+        default config."""
+        code, payload = run_json(capsys, ["verdict", *argv])
+        assert code == 0
+        assert [status for _, status in payload["hypothesis_checks"]] + [payload["conclusion"]] == statuses
+
+    def test_signed_expansion_through_the_peel(self, capsys):
+        """GR at a = 945 = 3^3 * 5 * 7 sums 63 Kluyver terms, each read off
+        a trie of radicals whose int64 points are divided by Python-int
+        primes.  The last partial sum is near 0 (-6.6e-4)."""
+        re, _ = last_partial_sum(capsys, ["expand", "GR", "--a", "945", "--Q", "1000000"])
+        assert abs(re) <= 2e-3
+
+    @pytest.mark.parametrize("argv", [["GH"], ["G0", "--param", "p0=3"]], ids=" ".join)
+    def test_signed_expansions_at_ten_million_through_the_block_fused_sieve(self, capsys, argv):
+        """The odd G mu table is built in 20 blocks of 2^18 entries; each
+        block's phase-2 pairs come from int64 odd-cofactor arrays divided
+        into Python-int block bounds and scattered at the int64 entries
+        (m * P + 1) // 2.  Both last partial sums are near 0 (1.6e-4 and
+        -2.6e-4)."""
+        re, _ = last_partial_sum(capsys, ["expand", *argv, "--a", "290", "--Q", "10000000"])
+        assert abs(re) <= 2e-3
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["prop5", "--param", "s=0.6+0.3j", "--a", "1"], [0.0493762569223733, 0.1301713665258145]),
+            (["lemma7_h", "--param", "s=0.6+0.3j", "--a", "2"], [-0.2838305307290378, -0.5643574055069320]),
+        ],
+        ids=["prop5", "lemma7_h"],
+    )
+    def test_complex_expansions_through_the_block_fused_sieve(self, capsys, argv, want):
+        """Complex tables are multiplied on their float64 planes, one block
+        at a time, so their bytes do not depend on how numpy splits a
+        slice.  prop5 at a = 1 reads a complex G mu table; lemma7_h at a = 2
+        also reads a complex value table.  Last partial sums within 1e-9."""
+        got = last_partial_sum(capsys, ["expand", *argv, "--Q", "1000000"])
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, got
+
+
 class TestAbsconv:
     def test_schema_and_verdict(self, capsys):
         code, payload = run_json(

@@ -364,18 +364,24 @@ class TestTables:
         ),
     }
 
-    @pytest.mark.parametrize("limit", [1, 2, 48, 49, 88199, 88200, 88201, 3 * 4096 + 7, 200003])
+    @pytest.mark.parametrize("limit", [1, 2, 48, 49, 44097, 88199, 88200, 88201, 3 * 4096 + 7, 200003])
     @pytest.mark.parametrize("name", list(_REFERENCE_CASES))
     def test_sieve_is_the_prime_by_prime_sweep(self, monkeypatch, name, limit):
         # Byte for byte, over block sizes below, at and across the presieved
         # period of 2^2 3^2 5^2 7^2 = 44,100 entries (used from limit 88,199,
-        # a table of two periods) and its phase-2 quarters.
+        # a table of two periods) and its phase-2 quarters.  The odd layout
+        # (entry i holds n = 2i - 1) is the reference at the odd n; its
+        # period of 3^2 5^2 7^2 = 11,025 entries is used from limit 44,097,
+        # the first whose odd table holds two periods.
         case = self._REFERENCE_CASES[name]
         want = self._reference_sieve(limit, *case)
         for block in (97, 1000, 4096):
             monkeypatch.setattr(core, "_BLOCK", block)
             got = core.multiplicative_sieve(limit, *case)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, block)
+            odd = core.multiplicative_sieve(limit, *case, _odd=True)
+            assert odd.dtype == want.dtype and odd[0] == 0, (name, block)
+            assert odd[1:].tobytes() == want[1::2].tobytes(), (name, block)
 
 
 # The prime and mu slots are process state that pytest's test order would

@@ -751,16 +751,27 @@ class TestValueTable:
     @pytest.mark.parametrize("Q", [10, 1000, 10**6 + 7])
     def test_blocked_clamp_is_the_whole_range_clamp(self, Q):
         # Byte for byte, with the same flag, against the clamp applied at
-        # once to the whole unclamped table.
-        for G in (catalog("prop1"), catalog("prop1", cap=1.0)):
-            for build, support in ((_value_table, lambda t: core.mobius_table(Q)), (expansion._gmu_table, lambda t: t)):
-                want = build(dataclasses.replace(G, squarefree_cap=None), Q).copy()
-                n = np.flatnonzero(support(want))[1:]
+        # once to the whole unclamped table: the value table over every n,
+        # and the G mu table over every n (``_full_gmu``), of which
+        # ``_gmu_table`` keeps the odd entries.  Cap 2.5 clamps only even n
+        # (n |G(n)| is the product of 1 + 1/p over the primes of n, under
+        # 2.3 for odd n <= 10^6 + 7), so only G(2) can raise the flag.
+        for G in (catalog("prop1"), catalog("prop1", cap=2.5), catalog("prop1", cap=1.0)):
+            uncapped = dataclasses.replace(G, squarefree_cap=None)
+            for build, want, support in (
+                (_value_table, _value_table(uncapped, Q).copy(), core.mobius_table(Q)),
+                (expansion._gmu_table, _full_gmu(uncapped, Q), None),
+            ):
+                n = np.flatnonzero(want if support is None else support)[1:]
                 mag, bound = np.abs(want[n]), G.squarefree_cap / n
                 over = mag > bound
                 want[n[over]] *= bound[over] / mag[over]
                 H = dataclasses.replace(G)
-                assert build(H, Q).tobytes() == want.tobytes(), (G.label, build.__name__)
+                got = build(H, Q)
+                if support is None:
+                    assert got[0] == 0
+                    got, want = got[1:], want[1::2]
+                assert got.tobytes() == want.tobytes(), (G.label, build.__name__)
                 assert H._memo[("clamped", Q)] is bool(over.any()), (G.label, build.__name__)
 
 
@@ -900,24 +911,33 @@ def _signed_tolerance(G, a, b, Q, xs):
 class TestPeelSums:
     # The peel writes the signed expansion at a coprime to b as
     # S(x) = sum over k = dm' (d | a, m' | rad d) of d mu(m') G(k) R_B(x // k),
-    # B = b rad(d), and climbs a trie of radicals from R_() = M_G by
-    # R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), so that
-    # R_B(z) = sum over B-smooth n <= z of G~(n) M_G(z // n), with G~
-    # completely multiplicative, G~(p) = G(p).  Error bound, in the terms of
+    # B = b rad(d).  It climbs a trie of odd primes from
+    # R_2(y) = sum_{r <= y, r odd} G(r) mu(r) by
+    # R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), so that the node of B holds
+    # R_{2B}(z) = sum over odd B-smooth n <= z of G~(n) R_2(z // n), with G~
+    # completely multiplicative, G~(p) = G(p); an odd B then steps down by
+    # R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2).  Error bound, in the terms of
     # TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4), for exact
-    # real rules, per term G~(n) M_G(z // n) of R_B(z):
-    # * M_G(y), read at the root's points: G mu table entries 9 roundings,
-    #   one reduceat segment (first term plus a pairwise sum of the rest)
-    #   ceil(log2 Q) + 19, Neumaier across segments 2; relative to
-    #   A(y) = sum_{r <= y} |G(r) mu(r)|.  Reading R_F at a node's points
-    #   copies values, exactly.
-    # * Horner along each prime p of B, which meets the term with
+    # real rules, per term G~(n) R_2(z // n) of R_B(z):
+    # * R_2(y), read at the root's points: odd G mu table entries 7
+    #   roundings (an odd squarefree n <= 10^4 has at most 4 primes), one
+    #   reduceat segment over at most ceil(Q / 2) entries (first term plus a
+    #   pairwise sum of the rest) ceil(log2 Q) + 18, Neumaier across
+    #   segments 2; relative to A_2(y) = sum_{r <= y, r odd} |G(r) mu(r)|.
+    #   Reading R_F at a node's points copies values, exactly.
+    # * Horner along each odd prime p of B, which meets the term with
     #   n = ... p^j ...: j products by the float G(p), each 2 (the rounding of
     #   G(p) and of the product), and at most j + 1 additions (its own level
     #   and each level above; below p a node copies R_F, exactly).  A prime
     #   above every point of its node copies too.  Over the primes of B that
     #   is 3 Omega(n) + omega(B) <= 3 floor(log2 Q) + omega(ab), for n <= Q
     #   and B = b rad(d) with d | a.
+    # * The step down of an odd B: one multiply by the float G(2), 2 (the
+    #   rounding of G(2) and of the product), and one subtraction, 1; so 3
+    #   more, which the 2 entry roundings and the 1 pairwise level that odd
+    #   entries save make up.  Relative to A(y) = sum_{r <= y} |G(r) mu(r)|,
+    #   since A(y) = A_2(y) + |G(2)| A_2(y // 2).  An even B reads its node,
+    #   with A_2 <= A.
     # Every rounding is relative to a partial sum of terms, each at most
     # |G~(n)| A(z // n) to first order.  So R_B(z) is off by
     # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab)) u times
@@ -1138,6 +1158,35 @@ class TestPeelAgainstDirectKernel:
             for f, w, mp, mk in zip(got[(a, b)], want, *masses[(a, b)]):
                 assert abs(Fraction(f) - Fraction(w)) <= tol_peel * mp + tol_direct * mk, (a, b)
 
+    @pytest.mark.parametrize(
+        "G",
+        [catalog("GR"), catalog("GH"), catalog("G0", p0=3), catalog("prop1"), catalog("prop5", s=0.6)],
+        ids=lambda G: G.label,
+    )
+    def test_down_step_agrees_with_the_direct_kernel(self, G, monkeypatch):
+        # An odd B reads its node R_{2B} and steps down by
+        # R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2); an even B reads its node
+        # as it is.  prop5 has |G(2)| = 2^0.4 > 1, which enters the odd B
+        # through that one multiply only: its pairs with ab even keep the
+        # direct kernel, as every pair of the other entries keeps the peel.
+        Q = FAST_CFG.Q
+        cps = checkpoint_schedule(Q)
+        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 9) for b in (1, 3, 15, 105, 2, 6, 30)})
+        direct_pairs = []
+        kluyver = expansion._kluyver_sums
+        record = lambda G, pairs, Q, cps: kluyver(G, direct_pairs.extend(pairs) or pairs, Q, cps)
+        monkeypatch.setattr(expansion, "_kluyver_sums", record)
+        got = expansion._peel_sums(G, pairs, Q, cps)
+        monkeypatch.undo()
+        assert direct_pairs == [(a, b) for a, b in pairs if G.label.startswith("prop5") and a * b % 2 == 0]
+        masses = _table_masses(G, pairs, Q, cps)
+        direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
+        for a, b in pairs:
+            tol_peel = Fraction(TestPeelSums.bound(Q, a, b, G.exact))
+            tol_direct = Fraction(TestFloatingAgainstFractionOracle.kluyver_bound(Q, a))
+            for f, w, mp, mk in zip(got[(a, b)], direct[(a, b)], *masses[(a, b)]):
+                assert abs(Fraction(f) - Fraction(w)) <= tol_peel * mp + tol_direct * mk, (a, b)
+
 
 class TestKernelChoice:
     # ``_peel_sums`` picks each pair's kernel from G(p) before any table is
@@ -1178,6 +1227,26 @@ class TestKernelChoice:
         assert peak < 8.5 * 2**20
 
 
+class TestAbsoluteSums:
+    def test_holds_one_buffer_at_a_time(self):
+        # With the tables warm, a = 360 sums 60 divisors d, one |V[::d]|
+        # buffer each, and peaks with its d = 1 buffer as a = 1 does (8.65
+        # MiB); keeping the previous d's buffer alive while the next was
+        # built took it to 11.45 MiB.
+        G = dataclasses.replace(catalog("GR"))
+        _value_table(G, 10**6)
+        core.mobius_table(10**6)
+        peaks = []
+        for a in (1, 360):
+            tracemalloc.start()
+            try:
+                expansion_partial_sums(G, a, 10**6, absolute=True, exact=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.5 * 2**20, peaks
+
+
 _GMU_ENTRIES = [
     *(catalog(name) for name in sorted(set(catalog_names()) - {"weakly_exotic_sample"})),
     catalog("indicator_prime_powers", p0=3),
@@ -1187,15 +1256,28 @@ _GMU_ENTRIES = [
 ]
 
 
+def _full_gmu(G, Q):
+    """G(n) mu(n) for every n = 0..Q, unclamped: the full-layout sieve of
+    the powers and prime values that ``_gmu_table`` gathers."""
+    return core.multiplicative_sieve(
+        Q,
+        lambda p, E: np.concatenate((-expansion._rule_value(G, p), np.zeros(E - 1))),
+        lambda P: 0.0 - expansion._prime_values(G, P),
+        np.float64,
+    )
+
+
 class TestGmuTable:
     @pytest.mark.parametrize("Q", [1, 2, 3, 10, 97, 1000, 10**6 + 7])
     def test_is_the_value_table_times_mu(self, Q):
-        # Entry by entry, and the same clamp flag as the value table's.
+        # Entry by entry at the odd n, and the same clamp flag as the value
+        # table's, which also sees the even n.
         for G in _GMU_ENTRIES:
             got = expansion._gmu_table(G, Q)
             clamped = G._memo[("clamped", Q)]
             fresh = dataclasses.replace(G)
-            assert np.array_equal(got, _value_table(fresh, Q) * core.mobius_table(Q)), G.label
+            assert len(got) == (Q + 1) // 2 + 1 and got[0] == 0, G.label
+            assert np.array_equal(got[1:], (_value_table(fresh, Q) * core.mobius_table(Q))[1::2]), G.label
             assert clamped is fresh._memo[("clamped", Q)] and not got.flags.writeable, G.label
             assert expansion._gmu_table(G, Q) is got
 
