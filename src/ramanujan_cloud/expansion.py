@@ -29,10 +29,10 @@ R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), so the Mobius prefix M_G is
 R_2(z) - G(2) R_2(z // 2).  ``_peel_sums`` batches this: a verdict's
 samples or radicals, and a single expansion, all read R_2 at the trie
 root's distinct points in one pass over G mu.  It picks each pair's kernel
-from G before any table is built: the direct kernel ``_kluyver_sums``, sum
+from what the climb multiplies by: the direct kernel ``_kluyver_sums``, sum
 over d | a of d T_d(x // d) with T_d shared by the batch, takes a
-non-multiplicative G, |G(p)| > 1 on a prime of ab, or a table that
-``squarefree_cap`` clamped.
+non-multiplicative G, |G(p)| > 1 on an odd prime of ab, or a G whose
+``squarefree_cap`` binds somewhere up to Q (``_cap_binds``).
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -213,18 +213,15 @@ def _value_table(G, Q: int) -> np.ndarray:
     set, else is evaluated pointwise.  Both forms are bit-identical to the
     scalar paths they replace (see the field docstrings), so the table does
     not depend on which path ran.  The table is float64 unless a value is
-    complex, then complex128.  Cached on the function object, next to a
-    flag under ``("clamped", Q)`` that says whether ``squarefree_cap``
-    changed an entry: a clamped table is no longer multiplicative.  A Q
-    above ``SIEVE_BUDGET`` raises ``ResourceLimitError`` before any path
-    allocates.
+    complex, then complex128, and ``squarefree_cap`` clamps it as it clamps
+    ``G.eval``.  Cached on the function object.  A Q above ``SIEVE_BUDGET``
+    raises ``ResourceLimitError`` before any path allocates.
     """
     key = ("values", Q)
     if key in G._memo:
         return G._memo[key]
     _core._check_limit(Q)
 
-    clamped = False
     if isinstance(G, MultiplicativeFunction):
         vals = multiplicative_sieve(
             Q,
@@ -234,7 +231,7 @@ def _value_table(G, Q: int) -> np.ndarray:
         )
         if G.squarefree_cap is not None:
             # Only squarefree n > 1 are clamped (mu(n) != 0; G(1) = 1 always).
-            clamped = _clamp(vals, mobius_table(Q), G.squarefree_cap)
+            _clamp(vals, mobius_table(Q), G.squarefree_cap)
     elif getattr(G, "table", None) is not None:
         vals = checked_values(G.table(Q), Q + 1, f"{G.label}: table(Q)")
     else:
@@ -242,7 +239,6 @@ def _value_table(G, Q: int) -> np.ndarray:
 
     vals.setflags(write=False)
     G._memo[key] = vals
-    G._memo[("clamped", Q)] = clamped
     return vals
 
 
@@ -255,38 +251,21 @@ def _prime_values(G: MultiplicativeFunction, P: np.ndarray) -> np.ndarray:
     return _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P))
 
 
-def _clamp(vals: np.ndarray, support: np.ndarray, cap: float, s: int = 1) -> bool:
-    """Scale ``vals[i]`` down to |vals[i]| <= cap / n in place at each n > 1
-    with ``support[i] != 0``, where index i holds n = s i - s + 1, one block
-    of ``_BLOCK`` entries at a time, so the index and scratch arrays stay
-    block-sized; whether an entry changed."""
-    changed = False
+def _clamp(vals: np.ndarray, support: np.ndarray, cap: float) -> None:
+    """Scale ``vals[n]`` down to |vals[n]| <= cap / n in place at each n > 1
+    with ``support[n] != 0``, one block of ``_BLOCK`` entries at a time, so
+    the index and scratch arrays stay block-sized."""
     for lo in range(2, len(vals), _core._BLOCK):
-        i = lo + np.flatnonzero(support[lo : lo + _core._BLOCK])
-        mag = np.abs(vals[i])
-        bound = cap / (s * i - s + 1)
+        n = lo + np.flatnonzero(support[lo : lo + _core._BLOCK])
+        mag = np.abs(vals[n])
+        bound = cap / n
         over = mag > bound
-        vals[i[over]] *= bound[over] / mag[over]
-        changed |= bool(over.any())
-    return changed
-
-
-def _clamps_an_even(gmu: np.ndarray, g2: Number, Q: int, cap: float) -> bool:
-    """Whether ``squarefree_cap`` would change G mu at an even n = 2m <= Q,
-    read off the unclamped odd table ``gmu``: G(2m) mu(2m) = -G(2) G(m) mu(m)
-    for odd m, so whether |G(2)| |G(m) mu(m)| > cap / 2m for some odd
-    m <= Q // 2, one block at a time."""
-    top = (Q // 2 + 1) // 2 + 1  # the entries of the odd m <= Q // 2
-    for lo in range(1, top, _core._BLOCK):
-        i = lo + np.flatnonzero(gmu[lo : min(lo + _core._BLOCK, top)])
-        if (abs(g2) * np.abs(gmu[i]) > cap / (4 * i - 2)).any():
-            return True
-    return False
+        vals[n[over]] *= bound[over] / mag[over]
 
 
 def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
-    """G(n) mu(n) at the odd n <= Q: entry i holds it for n = 2i - 1, and
-    entry 0 is 0.
+    """G(n) mu(n) at the odd n <= Q, as the rule gives it (no
+    ``squarefree_cap``): entry i holds it for n = 2i - 1, and entry 0 is 0.
 
     Hardy: G mu is multiplicative, so G(2m) mu(2m) = -G(2) G(m) mu(m) for
     odd m and G(n) mu(n) = 0 when 4 | n.  The even half is redundant: M_G
@@ -294,12 +273,10 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     M_G(z) = R_2(z) - G(2) R_2(z // 2), where R_2(z) sums the entries
     1..(z + 1) // 2.  One odd-layout ``multiplicative_sieve`` from the powers
     (-G(p), 0, ..., 0) and 0 - ``G.at_primes``, so no value table and no mu
-    table is built; entries 1.. equal ``(_value_table(G, Q) *
-    mobius_table(Q))[1::2]`` entry by entry (the signs of their zeros may
-    differ, since they are only summed).  Cached on G under ``("gmu", Q)``;
-    like ``_value_table`` it records under ``("clamped", Q)`` whether
-    ``squarefree_cap`` changed an entry of the whole G mu: the odd entries
-    are clamped, and the even ones tested through G(2).
+    table is built; for an uncapped G, entries 1.. equal
+    ``(_value_table(G, Q) * mobius_table(Q))[1::2]`` entry by entry (the
+    signs of their zeros may differ, since they are only summed).  Cached on
+    G under ``("gmu", Q)``; whether a cap binds is ``_cap_binds``'s to say.
     """
     key = ("gmu", Q)
     if key in G._memo:
@@ -313,16 +290,30 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     # 0 - G(p) rather than -G(p): a zero value stays +0, so the sieve can
     # skip the zero cofactors of a G that vanishes at the large primes.
     gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64, _odd=True)
-    clamped = False
-    if G.squarefree_cap is not None:
-        # The nonzero entries are the squarefree n with G(n) != 0.  The
-        # evens read the odd entries before they are clamped.
-        even = _clamps_an_even(gmu, _rule_value(G, 2)[0], Q, G.squarefree_cap)
-        clamped = _clamp(gmu, gmu, G.squarefree_cap, 2) or even
     gmu.setflags(write=False)
     G._memo[key] = gmu
-    G._memo[("clamped", Q)] = clamped
     return gmu
+
+
+def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
+    """Whether ``squarefree_cap`` would change G mu (making it no longer
+    multiplicative) at some n <= Q, read off ``gmu = _gmu_table(G, Q)`` a
+    quarter block at a time: |G mu(n)| > cap / n at an odd n > 1, or, as
+    G(2m) mu(2m) = -G(2) G(m) mu(m), |G(2)| |G mu(m)| > cap / 2m at an odd
+    m <= Q // 2.  Cached on G under ``("clamped", Q)``, its only writer."""
+    key = ("clamped", Q)
+    if key not in G._memo:
+        cap, g2 = G.squarefree_cap, abs(_rule_value(G, 2)[0])
+        top = (Q // 2 + 1) // 2 + 1  # the entries of the odd m <= Q // 2
+
+        def binds(lo):
+            mag = np.abs(gmu[lo : lo + _core._BLOCK // 4])  # a zero entry never binds
+            bound = cap / np.arange(2 * lo - 1, 2 * (lo + len(mag)) - 1, 2.0)  # cap / n; halved, cap / 2n
+            m = max(top - lo, 0)  # [int(lo == 1):] skips n = 1: G(1) = 1 is never clamped
+            return (mag > bound)[int(lo == 1) :].any() or (g2 * mag[:m] > bound[:m] / 2).any()
+
+        G._memo[key] = any(map(binds, range(1, len(gmu), _core._BLOCK // 4)))
+    return G._memo[key]
 
 
 def _rule_value(G: MultiplicativeFunction, p: int) -> np.ndarray:
@@ -525,30 +516,29 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     x // 2dm' and takes the peel at p = 2 as one step down,
     R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), with G(2) gathered from
     ``G.rule(2, 1)``, the value the full G mu table negated at 2.  Each S(x)
-    then adds its terms d mu(m') G(dm') R_B in ascending d, then m'.
+    then adds its terms d mu(m') G(dm') R_B in ascending d, then m'.  So G(2)
+    enters only the step down and the G(dm'), as in the direct kernel.  Every
+    product goes through ``_times``.
 
-    Each pair's kernel is chosen before any table is built.  Three cases go,
-    as one batch, to the direct kernel ``_kluyver_sums``: a
-    ``GeneralArithmeticFunction``; |G(p)| > 1 on a prime p <= Q of ab, G(p)
-    read as ``G.rule(p, 1)`` like the table, since the powers G(p)^k would
-    amplify the roundoff of R_2 (the climb no longer takes G(2), but the
-    gate still reads it); and every pair if the G mu table, built only when
-    some pair can be peeled, was clamped by ``squarefree_cap``.
-    Neither kernel stores anything on G but tables, so a series reads the
-    same bytes whatever ran before it.
+    Each pair's kernel is chosen before any table is built.  A pair is
+    peeled when G is multiplicative, |G(p)| <= 1 at every odd prime p <= Q
+    of ab (``G.rule(p, 1)``; the climb's powers G(p)^k would amplify the
+    roundoff of R_2 above 1), and no cap binds up to Q (``_cap_binds``).
+    The other pairs go, as one batch, to ``_kluyver_sums``.  Neither kernel
+    stores anything on G but tables and the guard's answer, so a series
+    reads the same bytes whatever ran before it.
     """
     pairs = list(pairs)
     peel = set()
     if isinstance(G, MultiplicativeFunction):
-        bounded = lambda n: all(abs(complex(G.rule(p, 1))) <= 1 for p in factorize(n).primes() if p <= Q)
+        bounded = lambda n: all(abs(complex(G.rule(p, 1))) <= 1 for p in factorize(n).primes() if 2 < p <= Q)
         peel = {(a, b) for a, b in pairs if bounded(a * b)}
-    if peel:
-        gmu = _gmu_table(G, Q)
-        if G._memo[("clamped", Q)]:
-            peel = set()
+    if peel and G.squarefree_cap is not None and _cap_binds(G, Q, _gmu_table(G, Q)):
+        peel = set()
     out = _kluyver_sums(G, [pair for pair in pairs if pair not in peel], Q, cps)
     if not peel:
         return out
+    gmu = _gmu_table(G, Q)
     plans = {(a, b): _kluyver_terms(G, a, b, Q) for a, b in pairs if (a, b) in peel}
 
     xs = np.array(cps, dtype=np.int64)
@@ -570,7 +560,7 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
                 tops.append(tops[-1] * p)
             edges = np.searchsorted(z, tops).tolist()
             for lo, hi in zip(edges, edges[1:]):  # the level p^j <= z < p^(j+1) reads the one below
-                r[lo:hi] += g * r[below[lo:hi]]
+                r[lo:hi] += _times(g, r[below[lo:hi]])
         R[node] = r
     g2 = _rule_value(G, 2)[0] if any(B % 2 for B in node_of) else None
     for pair, terms in plans.items():
@@ -579,9 +569,17 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
             node = node_of[B]
             r = R[node][np.searchsorted(points[node], xs // k)]
             if B % 2:  # the peel at p = 2: R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2)
-                r = r - g2 * R[node][np.searchsorted(points[node], xs // (2 * k))]
-            total = total + coef * r
+                r = r - _times(g2, R[node][np.searchsorted(points[node], xs // (2 * k))])
+            total = total + _times(coef, r)
         out[pair] = total.tolist()
+    return out
+
+
+def _times(c: Number, r: np.ndarray) -> np.ndarray:
+    """c r as a new array, a complex product on its float planes
+    (``core._mul``), so its bytes do not depend on numpy's SIMD split."""
+    out = r.astype(np.result_type(r, c))
+    _core._mul(out, c)
     return out
 
 

@@ -17,10 +17,10 @@ from ramanujan_cloud import core, expansion, reproduce
 
 CFG = EngineConfig()
 
-# Every builder of a shared numeric table.  Complex tables are multiplied on
-# their float planes, but a complex series built on one goes through numpy's
-# SIMD complex multiply, whose last bits depend on where it splits a slice,
-# so the artifacts must read none.
+# Every function that builds a shared numeric table.  Complex tables, and
+# the peel's complex products, are multiplied on their float planes, one IEEE
+# operation at a time, so their bytes do not depend on how numpy splits a
+# slice; the battery still reads real tables only.
 TABLE_BUILDERS = (core.multiplicative_sieve, expansion._value_table, expansion._gmu_table)
 
 
@@ -182,8 +182,8 @@ def test_12_reproduce_all_zero_cloud_verdicts(battery):
 
 
 def test_battery_builds_no_complex_table(battery):
-    # Artifact bytes depend only on config and seed; a complex table would
-    # make them depend on the machine.
+    # Artifact bytes depend only on config and seed, and every check reads
+    # real tables; a complex entry in the battery would be a new input.
     dtypes = battery[3]
     assert {name for name, _ in dtypes} == {fn.__name__ for fn in TABLE_BUILDERS}
     assert not [entry for entry in dtypes if np.issubdtype(entry[1], np.complexfloating)]

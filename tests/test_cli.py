@@ -271,12 +271,12 @@ class TestSignedSeriesAtScale:
         ids=["prop5", "prop5 s=0.6+0.3j", "lemma7_h", "lemma7_h s=0.6+0.3j"],
     )
     def test_verdicts_that_batch_both_signed_kernels(self, capsys, argv, statuses):
-        """|G(2)| > 1 sends every even radical of prop5 and lemma7_h to the
-        direct T_d kernel, chosen from G(2) before any table is built, and
-        every odd one to the peel, whose odd B step down from R_2B by one
-        multiply by G(2), in one call.  Statuses are checked in order, the
-        conclusion last; both lemma7_h entries are inconclusive at the
-        default config."""
+        """prop5 and lemma7_h have |G(2)| > 1 and |G(p)| <= 1 at every odd
+        prime, so the kernel rule, which reads the odd primes only, peels
+        every radical: an even one reads its trie node, and an odd B steps
+        down from R_2B by one multiply by G(2).  Statuses are checked in
+        order, the conclusion last; both lemma7_h entries are inconclusive
+        at the default config."""
         code, payload = run_json(capsys, ["verdict", *argv])
         assert code == 0
         assert [status for _, status in payload["hypothesis_checks"]] + [payload["conclusion"]] == statuses
@@ -309,8 +309,10 @@ class TestSignedSeriesAtScale:
     def test_complex_expansions_through_the_block_fused_sieve(self, capsys, argv, want):
         """Complex tables are multiplied on their float64 planes, one block
         at a time, so their bytes do not depend on how numpy splits a
-        slice.  prop5 at a = 1 reads a complex G mu table; lemma7_h at a = 2
-        also reads a complex value table.  Last partial sums within 1e-9."""
+        slice.  Both read a complex G mu table through the peel, whose
+        complex products go through the same plane rule; lemma7_h at a = 2
+        multiplies by G(2) in the step down.  Last partial sums within
+        1e-9."""
         got = last_partial_sum(capsys, ["expand", *argv, "--Q", "1000000"])
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, got
 
@@ -331,6 +333,15 @@ class TestAbsconv:
         assert code == 0
         assert payload["verdict"] == "negative"
 
+    def test_absolute_series_through_hardys_split(self, capsys):
+        """a = 360 sums 60 divisors d of a rad(a), each a strided pass over
+        the value and mu tables read at points built from int64 and Python
+        ints (NEP 50).  The split is exact, so the discrepancy from finite
+        times cofactor equals the tail bound up to roundoff."""
+        code, r = run_json(capsys, ["absconv", "GR", "--a", "360", "--B", "100000", "--Q", "100000"])
+        assert code == 0 and r["verdict"] == "negative", r["verdict"]
+        assert r["factor_discrepancy"] <= r["factor_tail_bound"] + 1e-9 * (1 + r["factor_lhs"]), r
+
 
 class TestSfcount:
     def test_schema_and_count(self, capsys):
@@ -341,6 +352,12 @@ class TestSfcount:
 
     def test_non_reduced_class(self, capsys):
         assert run(["sfcount", "--x", "10", "--m", "4", "--r", "2"]) == 1
+
+    def test_count_from_the_mobius_table(self, capsys):
+        """Squarefree counts read strided views of the int8 mu table
+        (mu != 0); run them on both numpy majors."""
+        code, payload = run_json(capsys, ["sfcount", "--x", "1000000", "--m", "1", "--r", "1"])
+        assert code == 0 and payload["count"] == 607926
 
 
 class TestLemma7:

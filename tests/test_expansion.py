@@ -537,7 +537,7 @@ class TestCoprimePart:
         assert _within(got.values(), [(Fraction(complex(v).real), Fraction(complex(v).imag)) for v in at_a], bound, mass)
 
 
-class TestCoprimeMask:
+class TestStrikeNonCoprime:
     @given(
         st.integers(min_value=1, max_value=3000),
         st.one_of(st.integers(min_value=2, max_value=10**7), st.sampled_from([2, 6, 30030, 999983, 2**20])),
@@ -556,6 +556,11 @@ class TestCoprimeMask:
         terms = np.arange(101, dtype=np.float64)
         _strike_non_coprime(terms, 1)
         assert terms.tobytes() == np.arange(101, dtype=np.float64).tobytes()
+
+
+def _cap_guard(G, Q):
+    """The peel's cap guard, on the G mu table it reads."""
+    return expansion._cap_binds(G, Q, expansion._gmu_table(G, Q))
 
 
 class TestValueTable:
@@ -578,9 +583,14 @@ class TestValueTable:
         assert all(vals[n] == float(Fraction(1, n)) for n in range(1, 1001) if n != 500)
 
     def test_records_whether_the_cap_clamped(self):
-        for G, clamped in ((catalog("GR"), False), (catalog("prop1"), False), (catalog("prop1", cap=1.0), True)):
+        # Neither table writes the flag; the peel's guard does, for a capped
+        # G only (None: no flag at all).
+        for G, clamped in ((catalog("GR"), None), (catalog("prop1"), False), (catalog("prop1", cap=1.0), True)):
             _value_table(G, 20_000)
-            assert G._memo[("clamped", 20_000)] is clamped, G.label
+            expansion._gmu_table(G, 20_000)
+            assert ("clamped", 20_000) not in G._memo, G.label
+            restricted_mobius_partial_sums(G, 1, 20_000, exact=False)
+            assert G._memo.get(("clamped", 20_000)) is clamped, G.label
 
     def test_real_rules_stay_real(self):
         for G in (catalog("GR"), catalog("GH"), catalog("prop5")):
@@ -730,12 +740,15 @@ class TestValueTable:
 
     @pytest.mark.parametrize(
         "build, cap",
-        [(_value_table, 1.0), (expansion._gmu_table, 10.0), (expansion._gmu_table, 1.0)],
+        [(_value_table, 1.0), (_cap_guard, 10.0), (_cap_guard, 1.0)],
         ids=["values-cap1", "gmu-cap10", "gmu-cap1"],
     )
     def test_every_clamp_stays_block_sized(self, build, cap):
-        # Cap 1 clamps every squarefree n > 1; over the whole range that
-        # peaked at 40.7 MiB, in blocks it stays near 16.3 MiB.
+        # Cap 1 clamps every squarefree n > 1 of the value table; over the
+        # whole range that peaked at 40.7 MiB, in blocks it stays near
+        # 16.3 MiB.  The guard on the G mu table (gmu) reads it a quarter
+        # block at a time, and scans every one at cap 10, where it never
+        # binds: the 3.8 MiB table plus about 2 MiB.
         assert self._traced_peak(build, cap) < 18 * 2**20
 
     @staticmethod
@@ -750,29 +763,28 @@ class TestValueTable:
 
     @pytest.mark.parametrize("Q", [10, 1000, 10**6 + 7])
     def test_blocked_clamp_is_the_whole_range_clamp(self, Q):
-        # Byte for byte, with the same flag, against the clamp applied at
-        # once to the whole unclamped table: the value table over every n,
-        # and the G mu table over every n (``_full_gmu``), of which
-        # ``_gmu_table`` keeps the odd entries.  Cap 2.5 clamps only even n
-        # (n |G(n)| is the product of 1 + 1/p over the primes of n, under
-        # 2.3 for odd n <= 10^6 + 7), so only G(2) can raise the flag.
+        # Against the clamp applied at once to the whole unclamped table:
+        # the value table over every n byte for byte, and the guard's flag
+        # is whether that clamp changes the G mu table over every n
+        # (``_full_gmu``), of which ``_gmu_table`` keeps the odd entries
+        # unclamped.  Cap 2.5 clamps only even n (n |G(n)| is the product of
+        # 1 + 1/p over the primes of n, under 2.3 for odd n <= 10^6 + 7), so
+        # only G(2) can raise the flag.
         for G in (catalog("prop1"), catalog("prop1", cap=2.5), catalog("prop1", cap=1.0)):
             uncapped = dataclasses.replace(G, squarefree_cap=None)
-            for build, want, support in (
-                (_value_table, _value_table(uncapped, Q).copy(), core.mobius_table(Q)),
-                (expansion._gmu_table, _full_gmu(uncapped, Q), None),
-            ):
-                n = np.flatnonzero(want if support is None else support)[1:]
+            full = _full_gmu(uncapped, Q)
+            for want, support in ((_value_table(uncapped, Q).copy(), core.mobius_table(Q)), (full.copy(), full)):
+                n = np.flatnonzero(support)[1:]
                 mag, bound = np.abs(want[n]), G.squarefree_cap / n
                 over = mag > bound
                 want[n[over]] *= bound[over] / mag[over]
                 H = dataclasses.replace(G)
-                got = build(H, Q)
-                if support is None:
-                    assert got[0] == 0
-                    got, want = got[1:], want[1::2]
-                assert got.tobytes() == want.tobytes(), (G.label, build.__name__)
-                assert H._memo[("clamped", Q)] is bool(over.any()), (G.label, build.__name__)
+                if support is full:
+                    got = expansion._gmu_table(H, Q)
+                    assert got[0] == 0 and got[1:].tobytes() == full[1::2].tobytes(), G.label
+                    assert expansion._cap_binds(H, Q, got) is bool(over.any()), G.label
+                else:
+                    assert _value_table(H, Q).tobytes() == want.tobytes(), G.label
 
 
 class TestResourceBudget:
@@ -855,11 +867,19 @@ def _tuple_keys(G):
 
 
 def _peeled(G, a, b, Q):
-    """Whether ``_peel_sums`` takes the pair (a, b) through the peel."""
+    """Whether ``_peel_sums`` takes the pair (a, b) through the peel: G is
+    multiplicative, |G(p)| <= 1 at every odd prime p <= Q of ab, and a cap
+    changes no entry of the G mu table over every n <= Q."""
     if not isinstance(G, MultiplicativeFunction):
         return False
-    V = _value_table(G, Q)
-    return not G._memo[("clamped", Q)] and all(abs(V[p]) <= 1 for p in factorize(a * b).primes() if p <= Q)
+    full = _full_gmu(G, Q)
+    n = np.flatnonzero(full)[1:]
+    binds = G.squarefree_cap is not None and bool((np.abs(full[n]) > G.squarefree_cap / n).any())
+    return not binds and all(abs(full[p]) <= 1 for p in factorize(a * b).primes() if 2 < p <= Q)
+
+
+def _odd_primes(n):
+    return [p for p in factorize(n).primes() if p != 2]
 
 
 def _smooth(primes, limit, g=lambda p: 1.0):
@@ -876,8 +896,10 @@ def _smooth(primes, limit, g=lambda p: 1.0):
 
 def _peel_mass(G, a, b, Q, xs):
     """M_P(x) = sum over the terms k = dm' (d | a, m' | rad d, k <= Q) of
-    |d G(k)| sum over B-smooth n of |G~(n)| A(x // kn), with B = b rad(d)
-    and A(y) = sum_{r <= y} |G(r) mu(r)|; magnitudes are |Re| + |Im|, and a
+    |d G(k)| sum over odd B-smooth n of |G~(n)| A(x // kn), with B = b rad(d)
+    and A(y) = sum_{r <= y} |G(r) mu(r)|: the climb multiplies by G(p) at the
+    odd p only, and A(y) = A_2(y) + |G(2)| A_2(y // 2) takes the step down
+    of an odd B, A_2 summing the odd r.  Magnitudes are |Re| + |Im|, and a
     non-exact G is read from its value table.  Summed in floats: every term
     is >= 0, so no step cancels and each of the at most 2 * 10^4 roundings
     in a chain costs at most u relative; (1 + 2^-30) times the float sum
@@ -893,7 +915,7 @@ def _peel_mass(G, a, b, Q, xs):
     for d in divisors(a):
         if d > Q:
             break
-        ns, ws = map(np.array, zip(*_smooth(factorize(b * radical(d)).primes(), Q, mag)))
+        ns, ws = map(np.array, zip(*_smooth(_odd_primes(b * radical(d)), Q, mag)))
         for m in divisors(radical(d)):
             if d * m <= Q:
                 out += d * mag(d * m) * (A[xs[:, None] // (d * m * ns)] * ws).sum(axis=1)
@@ -957,9 +979,11 @@ class TestPeelSums:
     # only up to its entries' own roundings (at most 4 products, 8 in these
     # terms) on both sides of G(st) = G(s) G(t), 18 more relative to the
     # same mass.
-    # With |G(p)| <= 1 the mass is at most the count of B-smooth n <= x times
-    # the mass of Kluyver's sum; with |G(p)| > 1 it grows like
-    # |G(p)|^(log_p x), which is why the peel falls back there.  A dropped or
+    # With |G(p)| <= 1 at the odd p the mass is at most the count of odd
+    # B-smooth n <= x times the mass of Kluyver's sum; with |G(p)| > 1 at an
+    # odd p it grows like |G(p)|^(log_p x), which is why the peel falls back
+    # there.  G(2) enters only the step down and the coefficients G(k), as it
+    # enters Kluyver's sum, so |G(2)| > 1 keeps the peel.  A dropped or
     # mis-signed m' term, a wrong G(p), a skipped level or a point read off
     # by one moves a sum by whole terms.
     @staticmethod
@@ -980,13 +1004,88 @@ class TestPeelSums:
     def test_expansion_within_bound_of_the_fraction_oracle(self, values, seed, Q, a, b):
         G = _random_exact_rule(values, seed)
         got = expansion_partial_sums(G, a, Q, coprime_to=b, exact=False)
-        assert _tuple_keys(G) == {("gmu", Q), ("clamped", Q)}  # the peel ran, not the direct kernel
+        assert _tuple_keys(G) == {("gmu", Q)}  # the peel ran, not the direct kernel
         xs = got.xs()
         part = _coprime_part(a, b)
         want = expansion_partial_sums(G, a, Q, xs, coprime_to=b, exact=True)
         for x, f, e, m in zip(xs, got.values(), want.values(), _peel_mass(G, part, b, Q, xs)):
             assert type(f) is float
             assert abs(Fraction(f) - e) <= Fraction(self.bound(Q, part, b)) * m, x
+
+    @pytest.mark.parametrize(
+        "G",
+        [catalog("prop5"), catalog("lemma7_h", s=0.6), catalog("lemma7_h", s=0.6 + 0.3j)],
+        ids=lambda G: G.label,
+    )
+    def test_even_ab_within_bound_of_the_table_oracle(self, G):
+        # |G(2)| = 2^0.4 = 1.32 and |G(p)| < 1 at every odd p, for all three:
+        # every pair is peeled, the pairs with ab even included, and each
+        # component lies within the non-exact bound times the peel mass of
+        # the exact sum over G's own value table.
+        Q = 3000
+        xs = checkpoint_schedule(Q)
+        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 9, 12, 45) for b in (1, 2, 3, 6, 30)})
+        got = expansion._peel_sums(G, pairs, Q, xs)
+        assert _tuple_keys(G) == {("gmu", Q)}  # the peel ran, not the direct kernel
+        assert any(a * b % 2 == 0 for a, b in pairs) and any(a * b % 2 for a, b in pairs)
+        for a, b in pairs:
+            want = _signed_oracle(G, a, b, Q, xs)
+            assert _within(got[(a, b)], want, self.bound(Q, a, b, exact=False), _peel_mass(G, a, b, Q, xs)), (a, b)
+
+    def test_complex_climb_is_the_plane_rule(self):
+        # Every complex product of the peel (G(p) in the climb, G(2) in the
+        # step down, the coefficients) rounds as ``core._mul`` does, one
+        # IEEE operation per plane, so its bytes do not depend on numpy's
+        # SIMD.  Checked byte for byte against the same plan carried out
+        # point by point in Python float arithmetic.
+        G = catalog("lemma7_h", s=0.6 + 0.3j)
+        Q = 5000
+        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 9, 12, 45) for b in (1, 2, 3, 6, 30)})
+        got = expansion._peel_sums(G, pairs, Q, checkpoint_schedule(Q))
+        want = _pointwise_peel(G, pairs, Q, checkpoint_schedule(Q))
+        for pair in pairs:
+            assert np.array(got[pair]).tobytes() == np.array(want[pair]).tobytes(), pair
+
+
+def _plane_product(c, x):
+    """c x for a Python complex x as ``core._mul`` forms it: (ac - bd, ad + bc)
+    for complex c, (ac, bc) for real c, one Python float operation at a time."""
+    if np.iscomplexobj(c):
+        c = complex(c)
+        return complex(x.real * c.real - x.imag * c.imag, x.imag * c.real + x.real * c.imag)
+    return complex(x.real * c, x.imag * c)
+
+
+def _pointwise_peel(G, pairs, Q, cps):
+    """``_peel_sums`` of a complex G, point by point: the same terms, plan
+    and root sums R_2, then R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) at each
+    point of each node ascending, the step down of an odd B and the sum of
+    the terms, every product by ``_plane_product``."""
+    gmu = expansion._gmu_table(G, Q)
+    xs = np.array(cps, dtype=np.int64)
+    plans = {(a, b): expansion._kluyver_terms(G, a, b, Q) for a, b in pairs}
+    reads = {}
+    for terms in plans.values():
+        for k, _, B in terms:
+            reads.setdefault(tuple(_odd_primes(B)), set()).update((k, 2 * k) if B % 2 else (k,))
+    points = expansion._peel_points(reads, xs)
+    R = {(): dict(zip(points[()].tolist(), _neumaier_segments(gmu, (points[()] + 1) // 2).tolist()))}
+    for node in sorted(points, key=len)[1:]:
+        p, parent, R[node] = node[-1], R[node[:-1]], {}
+        g = -gmu[(p + 1) // 2]
+        for z in points[node].tolist():
+            R[node][z] = parent[z] + _plane_product(g, R[node][z // p]) if z >= p else parent[z]
+    g2 = expansion._rule_value(G, 2)[0]
+    out = {}
+    for pair, terms in plans.items():
+        total = [complex(0.0, 0.0)] * len(cps)
+        for k, coef, B in terms:
+            r = R[tuple(_odd_primes(B))]
+            for j, x in enumerate(cps):
+                v = r[x // k] - _plane_product(g2, r[x // (2 * k)]) if B % 2 else r[x // k]
+                total[j] = total[j] + _plane_product(coef, v)
+        out[pair] = total
+    return out
 
 
 class TestPeelRestrictedSums:
@@ -1003,7 +1102,7 @@ class TestPeelRestrictedSums:
         G = _random_exact_rule(values, seed)
         xs = checkpoint_schedule(Q)
         got = expansion._peel_sums(G, [(1, b)], Q, xs)[(1, b)]
-        assert _tuple_keys(G) == {("gmu", Q), ("clamped", Q)}  # the peel ran, not the direct kernel
+        assert _tuple_keys(G) == {("gmu", Q)}  # the peel ran, not the direct kernel
         want = restricted_mobius_partial_sums(G, b, Q, xs, exact=True)
         assert restricted_mobius_partial_sums(G, b, Q, xs, exact=False).values() == got
         for x, f, e, m in zip(xs, got, want.values(), _peel_mass(G, 1, b, Q, xs)):
@@ -1013,8 +1112,9 @@ class TestPeelRestrictedSums:
     @pytest.mark.parametrize(
         "G, radicals",
         [
-            # G(2) = 2^0.4 > 1: the powers of G(2) would amplify roundoff.
-            (catalog("prop5"), [2, 6, 10, 30, 42]),
+            # G(3) = 2 at the odd prime 3 of every b: the powers of G(3)
+            # would amplify roundoff.
+            (catalog("prop5", g2=2), [3, 6, 15, 30, 42]),
             # cap 1.0 clamps every squarefree n > 1: the table is not multiplicative.
             (catalog("prop1", cap=1.0), [1, 2, 3, 6, 30]),
             # Not multiplicative at all.
@@ -1104,11 +1204,12 @@ class TestPeelPoints:
 def _table_masses(G, pairs, Q, xs):
     """{(a, b): (peel mass, Kluyver mass)} as ``_peel_mass`` and
     ``_kluyver_mass`` define them, read from the value table V of a fresh
-    copy of G.  For an exact G each |V[n]| is within 10 u of |G(n)|, every
-    term is >= 0 and each cumulative sum or chain of products has at most
-    Q roundings of u relative each, so (1 + 2^-30) times the float masses
-    bounds the exact ones."""
-    V, squarefree = np.abs(_value_table(dataclasses.replace(G), Q)), core.mobius_table(Q) != 0
+    copy of G, with magnitudes |Re| + |Im|.  For an exact G each |V[n]| is
+    within 10 u of |G(n)|, every term is >= 0 and each cumulative sum or
+    chain of products has at most Q roundings of u relative each, so
+    (1 + 2^-30) times the float masses bounds the exact ones."""
+    V = _value_table(dataclasses.replace(G), Q)
+    V, squarefree = np.abs(V.real) + np.abs(V.imag), core.mobius_table(Q) != 0
     A = np.cumsum(V * squarefree)
     xs = np.array(xs, dtype=np.int64)
     out = {}
@@ -1120,7 +1221,7 @@ def _table_masses(G, pairs, Q, xs):
             u = V[::d] * squarefree[: Q // d + 1]  # |G(dm) mu(m)|
             _strike_non_coprime(u, b)
             kluyver = kluyver + d * np.cumsum(u)[xs // d]
-            ns, ws = map(np.array, zip(*_smooth(factorize(b * radical(d)).primes(), Q, lambda p: V[p])))
+            ns, ws = map(np.array, zip(*_smooth(_odd_primes(b * radical(d)), Q, lambda p: V[p])))
             for m in divisors(radical(d)):
                 if d * m <= Q:
                     peel = peel + d * V[d * m] * (A[xs[:, None] // (d * m * ns)] * ws).sum(axis=1)
@@ -1147,7 +1248,7 @@ class TestPeelAgainstDirectKernel:
         monkeypatch.setattr(expansion, "_peel_sums", record)
         assert zero_cloud_verdict(G, FAST_CFG).conclusion == "in_zero_cloud"
         (pairs, Q, cps), = batches
-        assert _tuple_keys(G) == {("gmu", Q), ("clamped", Q)}  # every pair was peeled
+        assert _tuple_keys(G) == {("gmu", Q)}  # every pair was peeled
         got = peel(G, pairs, Q, cps)
         masses = _table_masses(G, pairs, Q, cps)
         direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
@@ -1160,42 +1261,101 @@ class TestPeelAgainstDirectKernel:
 
     @pytest.mark.parametrize(
         "G",
-        [catalog("GR"), catalog("GH"), catalog("G0", p0=3), catalog("prop1"), catalog("prop5", s=0.6)],
+        [
+            catalog("GR"),
+            catalog("GH"),
+            catalog("G0", p0=3),
+            catalog("prop1"),
+            catalog("prop5", s=0.6),
+            catalog("lemma7_h", s=0.6),
+            catalog("lemma7_h", s=0.6 + 0.3j),
+        ],
         ids=lambda G: G.label,
     )
     def test_down_step_agrees_with_the_direct_kernel(self, G, monkeypatch):
         # An odd B reads its node R_{2B} and steps down by
         # R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2); an even B reads its node
-        # as it is.  prop5 has |G(2)| = 2^0.4 > 1, which enters the odd B
-        # through that one multiply only: its pairs with ab even keep the
-        # direct kernel, as every pair of the other entries keeps the peel.
+        # as it is.  prop5 and lemma7_h have |G(2)| = 2^0.4 = 1.32 > 1,
+        # which enters the odd B through that one multiply and every pair
+        # through its coefficients G(k) only: every pair is peeled, and
+        # agrees with the direct kernel per component.
         Q = FAST_CFG.Q
         cps = checkpoint_schedule(Q)
-        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 9) for b in (1, 3, 15, 105, 2, 6, 30)})
+        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 9, 12) for b in (1, 3, 15, 105, 2, 6, 30)})
         direct_pairs = []
         kluyver = expansion._kluyver_sums
         record = lambda G, pairs, Q, cps: kluyver(G, direct_pairs.extend(pairs) or pairs, Q, cps)
         monkeypatch.setattr(expansion, "_kluyver_sums", record)
         got = expansion._peel_sums(G, pairs, Q, cps)
         monkeypatch.undo()
-        assert direct_pairs == [(a, b) for a, b in pairs if G.label.startswith("prop5") and a * b % 2 == 0]
+        assert direct_pairs == []
         masses = _table_masses(G, pairs, Q, cps)
         direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
         for a, b in pairs:
             tol_peel = Fraction(TestPeelSums.bound(Q, a, b, G.exact))
             tol_direct = Fraction(TestFloatingAgainstFractionOracle.kluyver_bound(Q, a))
-            for f, w, mp, mk in zip(got[(a, b)], direct[(a, b)], *masses[(a, b)]):
-                assert abs(Fraction(f) - Fraction(w)) <= tol_peel * mp + tol_direct * mk, (a, b)
+            want = [(Fraction(complex(w).real), Fraction(complex(w).imag)) for w in direct[(a, b)]]
+            assert _within(got[(a, b)], want, 1, [tol_peel * mp + tol_direct * mk for mp, mk in zip(*masses[(a, b)])]), (a, b)
 
 
 class TestKernelChoice:
-    # ``_peel_sums`` picks each pair's kernel from G(p) before any table is
-    # built, and the direct kernel holds one Q/d buffer at a time.
+    # ``_peel_sums`` picks each pair's kernel from G(p) at the odd primes of
+    # ab and from the cap before any table is built, and the direct kernel
+    # holds one Q/d buffer at a time.
+    @pytest.mark.parametrize(
+        "G, direct",
+        [
+            *((G, lambda a, b: False) for G in (
+                catalog("GR"),
+                catalog("GH"),
+                catalog("G0", p0=3),
+                catalog("indicator_prime_powers", p0=2),
+                catalog("prop1"),
+                catalog("prop5"),
+                catalog("lemma7_h", s=0.6),
+                catalog("lemma7_h", s=0.6 + 0.3j),
+            )),
+            # G(3) = 2: the pairs with 3 | ab, and only they.
+            (catalog("prop5", g2=2), lambda a, b: a * b % 3 == 0),
+            # Cap 1 binds (at n = 2 already): every pair.
+            (catalog("prop1", cap=1.0), lambda a, b: True),
+            # Not multiplicative: every pair.
+            (catalog("weakly_exotic_sample"), lambda a, b: True),
+        ],
+        ids=lambda v: v.label if hasattr(v, "label") else "direct",
+    )
+    def test_pins_the_kernel_of_every_pair(self, G, direct, monkeypatch):
+        Q = FAST_CFG.Q
+        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 3, 9, 12, 45, 360) for b in (1, 2, 3, 6, 30)})
+        direct_pairs = []
+        kluyver = expansion._kluyver_sums
+        record = lambda G, pairs, Q, cps: kluyver(G, direct_pairs.extend(pairs) or pairs, Q, cps)
+        monkeypatch.setattr(expansion, "_kluyver_sums", record)
+        expansion._peel_sums(G, pairs, Q, checkpoint_schedule(Q))
+        assert direct_pairs == [(a, b) for a, b in pairs if direct(a, b)]
+        assert [_peeled(G, a, b, Q) for a, b in pairs] == [not direct(a, b) for a, b in pairs]
+
     def test_direct_only_pairs_build_no_gmu_table(self):
-        # lemma7_h(s = 0.6 + 0.3i) has |G(2)| = 1.32, so a = 2 takes the
-        # direct kernel: the value table (15.3 MiB complex), then one T_d
-        # buffer at a time.  Building the unread complex G mu table first
-        # peaked at 53.5 MiB.
+        # prop5(g2 = 2) has G(3) = 2, so a = 3 takes the direct kernel: the
+        # value table (7.6 MiB), then one T_d buffer at a time, 15.3 MiB in
+        # all; the unread G mu table would add 3.8 MiB.
+        G = dataclasses.replace(catalog("prop5", g2=2))
+        core.sieve_primes(10**6)
+        core.mobius_table(10**6)
+        tracemalloc.start()
+        try:
+            expansion_partial_sums(G, 3, 10**6, exact=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _tuple_keys(G) == {("values", 10**6)}
+        assert peak < 17 * 2**20
+
+    def test_complex_even_pair_reads_only_the_gmu_table(self):
+        # lemma7_h(s = 0.6 + 0.3i) has |G(2)| = 1.32 but |G(p)| < 1 at every
+        # odd p, so a = 2 is peeled: the complex odd G mu table (7.6 MiB)
+        # and the climb.  The direct kernel, value table and one T_d buffer
+        # at a time, peaked at 30.6 MiB.
         G = dataclasses.replace(catalog("lemma7_h", s=0.6 + 0.3j))
         core.sieve_primes(10**6)
         core.mobius_table(10**6)
@@ -1205,8 +1365,8 @@ class TestKernelChoice:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _tuple_keys(G) == {("values", 10**6), ("clamped", 10**6)}
-        assert peak < 45 * 2**20
+        assert _tuple_keys(G) == {("gmu", 10**6)}
+        assert peak < 15 * 2**20
 
     def test_direct_kernel_holds_one_buffer_at_a_time(self):
         # With the tables warm, the batch of a weakly exotic verdict peaks
@@ -1270,15 +1430,15 @@ def _full_gmu(G, Q):
 class TestGmuTable:
     @pytest.mark.parametrize("Q", [1, 2, 3, 10, 97, 1000, 10**6 + 7])
     def test_is_the_value_table_times_mu(self, Q):
-        # Entry by entry at the odd n, and the same clamp flag as the value
-        # table's, which also sees the even n.
+        # Entry by entry at the odd n, against the value table without its
+        # cap: the G mu table is never clamped (``_cap_binds`` says whether
+        # a cap would change it).
         for G in _GMU_ENTRIES:
             got = expansion._gmu_table(G, Q)
-            clamped = G._memo[("clamped", Q)]
-            fresh = dataclasses.replace(G)
+            uncapped = dataclasses.replace(G, squarefree_cap=None)
             assert len(got) == (Q + 1) // 2 + 1 and got[0] == 0, G.label
-            assert np.array_equal(got[1:], (_value_table(fresh, Q) * core.mobius_table(Q))[1::2]), G.label
-            assert clamped is fresh._memo[("clamped", Q)] and not got.flags.writeable, G.label
+            assert np.array_equal(got[1:], (_value_table(uncapped, Q) * core.mobius_table(Q))[1::2]), G.label
+            assert ("clamped", Q) not in G._memo and not got.flags.writeable, G.label
             assert expansion._gmu_table(G, Q) is got
 
     def test_sieve_scratch_stays_block_sized(self):
@@ -1645,7 +1805,7 @@ class TestZeroCloudVerdict:
             verdict = zero_cloud_verdict(G, cfg)
             assert verdict.conclusion == "in_zero_cloud"
             assert counts == {"_peel_sums": 1} and pairs == [want], G.label
-            assert _tuple_keys(G) == {("gmu", cfg.Q), ("clamped", cfg.Q)}, G.label
+            assert _tuple_keys(G) == {("gmu", cfg.Q)}, G.label
 
     def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
         # weakly_exotic_sample is not multiplicative, so its verdict keeps
@@ -1668,7 +1828,7 @@ class TestZeroCloudVerdict:
         strikes.clear()
         assert repr(zero_cloud_verdict(G, cfg)) == repr(first)
         assert strikes == {2: len(distinct)}
-        assert _tuple_keys(G) == {("values", cfg.Q), ("clamped", cfg.Q)}
+        assert _tuple_keys(G) == {("values", cfg.Q)}
 
     def test_classical_members(self):
         for name, expected in (("GR", "normal"), ("GH", "sporadic")):
