@@ -252,7 +252,7 @@ class TestSignedSeriesAtScale:
     def test_invisible_prime_verdicts_at_the_default_config(self, capsys, argv):
         """The multiplicative entries peel every sampled a off one G mu
         table, through a trie of radicals whose int64 points are divided by
-        Python-int primes; only weakly_exotic_sample keeps the T_d kernel,
+        Python-int primes; only weakly_exotic_sample takes the strided kernel,
         which sums its segments through np.add.reduceat index arrays built
         from int64 points and Python ints.  With p0 = 3 the invisible prime
         need not be the smallest prime of a radical, so some trie nodes do
@@ -267,16 +267,19 @@ class TestSignedSeriesAtScale:
             (["prop5", "--param", "s=0.6+0.3j"], ["pass", "fail", "fail", "inconclusive"]),
             (["lemma7_h"], ["pass", "inconclusive", "inconclusive", "inconclusive"]),
             (["lemma7_h", "--param", "s=0.6+0.3j"], ["pass", "inconclusive", "inconclusive", "inconclusive"]),
+            (["prop5", "--param", "g2=2"], ["pass", "fail", "inconclusive", "inconclusive"]),
         ],
-        ids=["prop5", "prop5 s=0.6+0.3j", "lemma7_h", "lemma7_h s=0.6+0.3j"],
+        ids=["prop5", "prop5 s=0.6+0.3j", "lemma7_h", "lemma7_h s=0.6+0.3j", "prop5 g2=2"],
     )
     def test_verdicts_that_batch_both_signed_kernels(self, capsys, argv, statuses):
-        """prop5 and lemma7_h have |G(2)| > 1 and |G(p)| <= 1 at every odd
-        prime, so the kernel rule, which reads the odd primes only, peels
-        every radical: an even one reads its trie node, and an odd B steps
-        down from R_2B by one multiply by G(2).  Statuses are checked in
-        order, the conclusion last; both lemma7_h entries are inconclusive
-        at the default config."""
+        """prop5 with g2 = 2 has G(3) = 2, so one batch sends the radicals
+        divisible by 3 to the strided kernel and peels the rest.  prop5 and
+        lemma7_h at their defaults have |G(2)| > 1 and |G(p)| <= 1 at every
+        odd prime, so the kernel rule, which reads the odd primes only,
+        peels every radical: an even one reads its trie node, and an odd B
+        steps down from R_2B by one multiply by G(2).  Statuses are checked
+        in order, the conclusion last; both lemma7_h entries and prop5 with
+        g2 = 2 are inconclusive at the default config."""
         code, payload = run_json(capsys, ["verdict", *argv])
         assert code == 0
         assert [status for _, status in payload["hypothesis_checks"]] + [payload["conclusion"]] == statuses

@@ -201,6 +201,13 @@ def _rule_values(bound):
 _RULE_VALUES = _rule_values(3)
 
 
+def _direct_sums(G, pairs, Q, cps):
+    """The strided kernel on Kluyver's plan, as ``_peel_sums`` sends it the
+    pairs it does not peel: the terms (d, d, b) for d | a, d <= Q."""
+    plans = {(a, b): [(d, d, b) for d in divisors(a) if d <= Q] for a, b in pairs}
+    return expansion._strided_sums(G, plans, Q, cps)
+
+
 def _kluyver_mass(G, a, b, Q, xs):
     """M_K(x) = sum over d | a of d * sum_{m <= x/d, (m, b) = 1} |G(dm) mu(m)|
     exactly, at each x.  Since |c_q(a)| <= sum over d | (q, a) of d |mu(q/d)|,
@@ -352,7 +359,7 @@ class TestFloatingAgainstFractionOracle:
     def bound(Q):
         return (math.ceil(math.log2(Q)) + 32) * 2.0**-53
 
-    # The absolute series goes through Hardy's split (``_absolute_sums``): for
+    # The absolute series is the strided kernel on Hardy's plan: for
     # a' = a coprime to b, the sum over d | a' rad a', d <= Q, of
     # |c_d(a')| A_d(x // d), with A_d summed like the series above from the
     # terms |G(dr) mu(r)| over r coprime to a'b.  Per d: the table entry costs
@@ -434,7 +441,7 @@ class TestFloatingAgainstFractionOracle:
         bound = self.absolute_bound(Q, _coprime_part(a, b))
         assert _within(got.values(), [(w, 0) for w in want], bound, want)
 
-    # The direct kernel ``_kluyver_sums`` (the fallback of ``_peel_sums``)
+    # The strided kernel on Kluyver's plan (the fallback of ``_peel_sums``)
     # writes the signed expansion at a' = a coprime to b as sum over d | a',
     # d <= Q, of d T_d(x // d), with T_d summed like the series above from the terms
     # G(dm) mu(m).  Per d: the table entry costs 9 roundings (the mu product is
@@ -472,7 +479,7 @@ class TestFloatingAgainstFractionOracle:
         G = catalog("lemma7_h", s=0.6 + 0.3j) if values is None else _random_exact_rule(values, seed)
         xs = checkpoint_schedule(Q)
         part = _coprime_part(a, b)
-        got = expansion._kluyver_sums(G, [(part, radical(b))], Q, xs)[(part, radical(b))]
+        got = _direct_sums(G, [(part, radical(b))], Q, xs)[(part, radical(b))]
         assert _within(got, _signed_oracle(G, a, b, Q, xs), self.kluyver_bound(Q, part), _kluyver_mass(G, part, b, Q, xs))
 
 
@@ -653,8 +660,16 @@ class TestValueTable:
             MultiplicativeFunction("None at 97", rule=lambda p, e: None if p == 97 else Fraction(1, 2)),
             GeneralArithmeticFunction("None at 70", fn=lambda n: None if n == 70 else Fraction(1, 2)),
         ):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="must be real or complex numbers"):
                 _value_table(G, 100)
+
+    def test_non_number_rule_fails_the_kernel_rule_with_value_error(self):
+        # The signed series reads G(7) in the kernel rule, before any table
+        # is built; the absolute one reads it in the value table.
+        G = MultiplicativeFunction("None at 7", rule=lambda p, e: None if p == 7 else Fraction(1, 2))
+        for absolute in (False, True):
+            with pytest.raises(ValueError, match="must be real or complex numbers"):
+                expansion_partial_sums(G, 7, 100, absolute=absolute, exact=False)
 
     @pytest.mark.parametrize("name, kw", FORM_ENTRIES)
     def test_prime_form_table_equals_scalar_path(self, name, kw):
@@ -1118,16 +1133,19 @@ class TestPeelRestrictedSums:
             # cap 1.0 clamps every squarefree n > 1: the table is not multiplicative.
             (catalog("prop1", cap=1.0), [1, 2, 3, 6, 30]),
             # Not multiplicative at all.
-            (catalog("weakly_exotic_sample"), [1, 2]),
+            (catalog("weakly_exotic_sample"), [1, 2, 3, 6, 30]),
         ],
     )
     def test_fallbacks_keep_the_direct_kernel(self, G, radicals):
-        # Restricted series (a = 1) and expansions (a > 1) alike, bit for bit.
+        # Restricted series (a = 1) and expansions (a > 1) alike, bit for bit,
+        # in a batch of at least 10 pairs and alone through the public call:
+        # unlike a peeled series, a strided one does not depend on its batch.
         Q = FAST_CFG.Q
         cps = checkpoint_schedule(Q)
         pairs = sorted({(_coprime_part(a, b), b) for a in (1, 12, 45) for b in radicals})
+        assert len(pairs) >= 10
         got = expansion._peel_sums(G, pairs, Q, cps)
-        direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
+        direct = _direct_sums(dataclasses.replace(G), pairs, Q, cps)
         for a, b in pairs:
             want = direct[(a, b)]
             assert np.array(got[(a, b)]).tobytes() == np.array(want).tobytes(), (a, b)
@@ -1251,7 +1269,7 @@ class TestPeelAgainstDirectKernel:
         assert _tuple_keys(G) == {("gmu", Q)}  # every pair was peeled
         got = peel(G, pairs, Q, cps)
         masses = _table_masses(G, pairs, Q, cps)
-        direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
+        direct = _direct_sums(dataclasses.replace(G), pairs, Q, cps)
         for a, b in pairs:
             want = direct[(a, b)]
             tol_peel = Fraction(TestPeelSums.bound(Q, a, b))
@@ -1283,14 +1301,14 @@ class TestPeelAgainstDirectKernel:
         cps = checkpoint_schedule(Q)
         pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 9, 12) for b in (1, 3, 15, 105, 2, 6, 30)})
         direct_pairs = []
-        kluyver = expansion._kluyver_sums
-        record = lambda G, pairs, Q, cps: kluyver(G, direct_pairs.extend(pairs) or pairs, Q, cps)
-        monkeypatch.setattr(expansion, "_kluyver_sums", record)
+        strided = expansion._strided_sums
+        record = lambda G, plans, Q, cps: strided(G, direct_pairs.extend(plans) or plans, Q, cps)
+        monkeypatch.setattr(expansion, "_strided_sums", record)
         got = expansion._peel_sums(G, pairs, Q, cps)
         monkeypatch.undo()
         assert direct_pairs == []
         masses = _table_masses(G, pairs, Q, cps)
-        direct = expansion._kluyver_sums(dataclasses.replace(G), pairs, Q, cps)
+        direct = _direct_sums(dataclasses.replace(G), pairs, Q, cps)
         for a, b in pairs:
             tol_peel = Fraction(TestPeelSums.bound(Q, a, b, G.exact))
             tol_direct = Fraction(TestFloatingAgainstFractionOracle.kluyver_bound(Q, a))
@@ -1328,9 +1346,9 @@ class TestKernelChoice:
         Q = FAST_CFG.Q
         pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 3, 9, 12, 45, 360) for b in (1, 2, 3, 6, 30)})
         direct_pairs = []
-        kluyver = expansion._kluyver_sums
-        record = lambda G, pairs, Q, cps: kluyver(G, direct_pairs.extend(pairs) or pairs, Q, cps)
-        monkeypatch.setattr(expansion, "_kluyver_sums", record)
+        strided = expansion._strided_sums
+        record = lambda G, plans, Q, cps: strided(G, direct_pairs.extend(plans) or plans, Q, cps)
+        monkeypatch.setattr(expansion, "_strided_sums", record)
         expansion._peel_sums(G, pairs, Q, checkpoint_schedule(Q))
         assert direct_pairs == [(a, b) for a, b in pairs if direct(a, b)]
         assert [_peeled(G, a, b, Q) for a, b in pairs] == [not direct(a, b) for a, b in pairs]
@@ -1405,6 +1423,22 @@ class TestAbsoluteSums:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 0.5 * 2**20, peaks
+
+    @pytest.mark.parametrize("G", [catalog("GR"), catalog("weakly_exotic_sample")], ids=lambda G: G.label)
+    def test_same_bytes_alone_and_in_a_batch(self, G):
+        # The strided kernel on Hardy's plans, (d, |c_d(a)|, b rad a) for
+        # d | a rad a, of 11 a at once, where the a with one radical share
+        # each (d, B): every series has the bytes of the public call alone.
+        Q, b = FAST_CFG.Q, 7
+        cps = checkpoint_schedule(Q)
+        parts = (1, 2, 4, 6, 12, 18, 30, 45, 360, 675, 900)  # coprime to b
+        plans = {
+            a: [(d, abs(c_holder(d, a)), b * radical(a)) for d in divisors(a * radical(a)) if d <= Q] for a in parts
+        }
+        batch = expansion._strided_sums(dataclasses.replace(G), plans, Q, cps, absolute=True)
+        for a in parts:
+            alone = expansion_partial_sums(dataclasses.replace(G), a, Q, cps, coprime_to=b, absolute=True, exact=False)
+            assert np.array(alone.values()).tobytes() == np.array(batch[a]).tobytes(), a
 
 
 _GMU_ENTRIES = [
