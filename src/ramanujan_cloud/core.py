@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -106,6 +106,22 @@ def checked_values(values, count: int, what: str) -> np.ndarray:
         dtype = getattr(values, "dtype", type(values).__name__)
         raise ValueError(f"{what} must be a numeric array of shape ({count},), got shape {shape} dtype {dtype}")
     return values
+
+
+def _gather(values: Callable[[], Iterable], count: int) -> np.ndarray:
+    """``values()`` as a float64 array, or as complex128 if one is complex:
+    the value rule for Python numbers, as ``checked_values`` is for arrays.
+
+    The explicit ``float``/``complex`` casts make a non-number raise
+    ``ValueError``; ``np.fromiter`` alone would store None as NaN.
+    """
+    try:
+        return np.fromiter(map(float, values()), np.float64, count=count)
+    except TypeError:
+        try:
+            return np.fromiter(map(complex, values()), np.complex128, count=count)
+        except TypeError as exc:
+            raise ValueError(f"values must be real or complex numbers ({exc})") from None
 
 
 # Entries per block of ``multiplicative_sieve`` (2 MB of float64).

@@ -47,13 +47,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence, Union
+from numbers import Integral
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import core as _core
 from .config import EngineConfig
-from .core import ResourceLimitError, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes
+from .core import ResourceLimitError, _gather, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes
 from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
@@ -191,21 +192,6 @@ def _use_exact(G, Q: int, exact: Optional[bool]) -> bool:
     return exact
 
 
-def _gather(values: Callable[[], Iterable[Number]], count: int) -> np.ndarray:
-    """``values()`` as a float64 array, or as complex128 if one is complex.
-
-    The explicit ``float``/``complex`` casts make a non-number raise
-    ``ValueError``; ``np.fromiter`` alone would store None as NaN.
-    """
-    try:
-        return np.fromiter(map(float, values()), np.float64, count=count)
-    except TypeError:
-        try:
-            return np.fromiter(map(complex, values()), np.complex128, count=count)
-        except TypeError as exc:
-            raise ValueError(f"values must be real or complex numbers ({exc})") from None
-
-
 def _value_table(G, Q: int) -> np.ndarray:
     """G(n) for n = 0..Q as a float64/complex128 array (index 0 is 0).
 
@@ -214,12 +200,12 @@ def _value_table(G, Q: int) -> np.ndarray:
     per quarter block for the primes above it.  The rule is called
     once per power of each prime p <= isqrt(Q); the values at the primes
     above come from ``G.at_primes`` when the entry carries that numpy form,
-    else from one rule call per prime.  A general G uses ``G.table`` when
-    set, else is evaluated pointwise.  Both forms are bit-identical to the
-    scalar paths they replace (see the field docstrings), so the table does
-    not depend on which path ran.  The table is float64 unless a value is
-    complex, then complex128, and ``squarefree_cap`` clamps it as it clamps
-    ``G.eval``.  Cached on the function object.  A Q above ``SIEVE_BUDGET``
+    else from one rule call per prime.  A general G is evaluated at the n of
+    ``G.support(Q)`` when set, into a zero table, else at every n.  Every
+    value goes through ``core._gather`` or ``checked_values``, so the table
+    does not depend on which path ran.  The table is float64 unless a value
+    is complex, then complex128, and ``squarefree_cap`` clamps it as it
+    clamps ``G.eval``.  Kept on G (``_keep``).  A Q above ``SIEVE_BUDGET``
     raises ``ResourceLimitError`` before any path allocates.
     """
     key = ("values", Q)
@@ -237,14 +223,29 @@ def _value_table(G, Q: int) -> np.ndarray:
         if G.squarefree_cap is not None:
             # Only squarefree n > 1 are clamped (mu(n) != 0; G(1) = 1 always).
             _clamp(vals, mobius_table(Q), G.squarefree_cap)
-    elif getattr(G, "table", None) is not None:
-        vals = checked_values(G.table(Q), Q + 1, f"{G.label}: table(Q)")
-    else:
+    elif G.support is None:
         vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
+    else:
+        ns = list(G.support(Q))
+        if not all(isinstance(n, Integral) and 1 <= n <= Q for n in ns):
+            raise ValueError(f"{G.label}: support({Q}) must give integers in [1, {Q}]")
+        at = _gather(lambda: map(G.eval, ns), len(ns))
+        vals = np.zeros(Q + 1, dtype=at.dtype)
+        vals[np.array(ns, dtype=np.int64)] = at
 
     vals.setflags(write=False)
-    G._memo[key] = vals
-    return vals
+    return _keep(G, key, vals)
+
+
+def _keep(G, key: tuple, table):
+    """``table``, stored on G under ``key`` = (kind, Q) as its one table of
+    that kind: the kind's table at another Q goes, and with a G mu table the
+    ``("clamped", Q)`` answers read from it."""
+    stale = ("gmu", "clamped") if key[0] == "gmu" else (key[0],)
+    for old in [k for k in list(G._memo) if isinstance(k, tuple) and k[0] in stale]:
+        G._memo.pop(old, None)
+    G._memo[key] = table
+    return table
 
 
 def _prime_values(G: MultiplicativeFunction, P: np.ndarray) -> np.ndarray:
@@ -280,8 +281,8 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     (-G(p), 0, ..., 0) and 0 - ``G.at_primes``, so no value table and no mu
     table is built; for an uncapped G, entries 1.. equal
     ``(_value_table(G, Q) * mobius_table(Q))[1::2]`` entry by entry (the
-    signs of their zeros may differ, since they are only summed).  Cached on
-    G under ``("gmu", Q)``; whether a cap binds is ``_cap_binds``'s to say.
+    signs of their zeros may differ, since they are only summed).  Kept on
+    G (``_keep``); whether a cap binds is ``_cap_binds``'s to say.
     """
     key = ("gmu", Q)
     if key in G._memo:
@@ -296,8 +297,7 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     # skip the zero cofactors of a G that vanishes at the large primes.
     gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64, _odd=True)
     gmu.setflags(write=False)
-    G._memo[key] = gmu
-    return gmu
+    return _keep(G, key, gmu)
 
 
 def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:

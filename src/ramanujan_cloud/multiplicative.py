@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
-from typing import Callable, NamedTuple, Optional, Union
+from itertools import repeat
+from numbers import Number as _Number, Real
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import core
 from .config import EngineConfig
-from .core import SIEVE_BUDGET, checked_values, factorize, is_prime, sieve_primes
+from .core import SIEVE_BUDGET, _gather, checked_values, factorize, is_prime, sieve_primes
 from .sums import FormulaInconsistencyError
 
 Number = Union[int, Fraction, float, complex]
@@ -56,12 +57,13 @@ class MultiplicativeFunction:
     ``at_primes``, when set, is a numpy form of the rule at e = 1: given an
     ascending int64 array P of primes it returns G(p) for each, as a numeric
     array of shape ``(len(P),)``.  Value tables use it in place of one rule
-    call per prime, so it must be bit-identical to ``float(rule(p, 1))``
-    (``complex`` for complex values); only forms whose values are correctly
-    rounded divisions (1/p, 1/(p-1), constants) meet that.  Powers such as
-    p ** x are not: numpy and Python round them differently in the last
-    place.  The constructor compares the form with the rule on the primes
-    <= 100 and raises ``ValueError`` on any mismatch.
+    call per prime, so it must equal ``core._gather`` of the rule bit for
+    bit; only forms whose values are correctly rounded divisions (1/p,
+    1/(p-1), constants) meet that.  Powers such as p ** x are not: numpy
+    and Python round them differently in the last place.  The constructor
+    compares the form with the rule on the primes <= 100 and raises
+    ``ValueError`` on any mismatch, as ``at_prime_power`` (so ``eval``)
+    does on a rule value that is not a number.
 
     Evaluation memoizes into ``_memo``; entries are deterministic, so a
     concurrent duplicate write is benign.  Every instance, a
@@ -89,11 +91,10 @@ class MultiplicativeFunction:
         if self.at_primes is not None:
             P = sieve_primes(100)
             form = checked_values(self.at_primes(P), len(P), f"{self.label}: at_primes(P)")
-            for p, got in zip(P.tolist(), form.tolist()):
-                want = self.rule(p, 1)
-                cast = complex if isinstance(want, complex) or isinstance(got, complex) else float
-                if cast(got) != cast(want):
-                    raise ValueError(f"{self.label}: at_primes gives {got!r} at p = {p}, rule gives {want!r}")
+            wrong = form != _gather(lambda: map(self.rule, P.tolist(), repeat(1)), len(P))
+            if wrong.any():
+                p, got = int(P[wrong][0]), form[wrong].tolist()[0]
+                raise ValueError(f"{self.label}: at_primes gives {got!r} at p = {p}, rule gives {self.rule(p, 1)!r}")
 
     @property
     def certified(self) -> bool:
@@ -101,7 +102,8 @@ class MultiplicativeFunction:
 
     def at_prime_power(self, p: int, e: int) -> Number:
         """G(p^e) straight from the rule (e = 0 gives 1)."""
-        return 1 if e == 0 else self.rule(p, e)
+        v = 1 if e == 0 else self.rule(p, e)
+        return v if isinstance(v, _Number) else _raise_non_number(self.label, f"rule({p}, {e})", v)
 
     def eval(self, n: int) -> Number:
         """G(n) as the product of the rule over the factorization of n."""
@@ -113,7 +115,7 @@ class MultiplicativeFunction:
         f = factorize(n)
         out: Number = 1
         for p, e in f.factors:
-            out = out * self.rule(p, e)
+            out = out * self.at_prime_power(p, e)
         if self.squarefree_cap is not None and out != 0 and n > 1:
             if all(e == 1 for _, e in f.factors):
                 bound = self.squarefree_cap / n
@@ -133,25 +135,29 @@ class GeneralArithmeticFunction:
     ``invisible_prime`` records a prime p0 with G(p0^K * r) = G(r) for all K
     and all r coprime to p0, when the constructor guarantees one.
 
-    ``table``, when set, returns G(0..Q) (G(0) = 0) as a numeric array of
-    shape ``(Q + 1,)``; value tables use it in place of Q calls to ``fn``.
-    It must be bit-identical to the pointwise table: ``float(fn(n))``, or
-    ``complex(fn(n))`` throughout when some n <= Q has a complex value.
+    ``support``, when set, gives the n <= Q where G may be nonzero, as
+    integers in [1, Q]; value tables evaluate G there and are 0 elsewhere.
+    ``eval`` raises ``ValueError`` if ``fn(n)`` is not a number.
     """
 
     label: str
     fn: Callable[[int], Number]
     exact: bool = False
     invisible_prime: Optional[int] = None
-    table: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False, compare=False)
+    support: Optional[Callable[[int], Iterable[int]]] = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, n: int) -> Number:
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self.fn(n)
+        v = self.fn(n)
+        return v if isinstance(v, _Number) else _raise_non_number(self.label, f"fn({n})", v)
 
     __call__ = eval
+
+
+def _raise_non_number(label: str, where: str, v):
+    raise ValueError(f"{label}: {where} gives {v!r}; values must be real or complex numbers")
 
 
 def _close(x: Number, y: Number, exact: bool, tol: float) -> bool:
@@ -268,16 +274,7 @@ def spectrum(G: MultiplicativeFunction, *, config: Optional[EngineConfig] = None
     else:
         classification = "normal"
 
-    PG = 1
-    for p in transparent:
-        PG *= p
-    if classification == "exotic":
-        aG = None
-    else:
-        aG = 1
-        for p in transparent:
-            aG *= p ** int(valuations[p])
-
+    aG = None if invisible else math.prod(p ** int(valuations[p]) for p in transparent)  # exotic: v_p infinite
     return SpectrumReport(
         label=G.label,
         scan_bound=scan_bound,
@@ -285,7 +282,7 @@ def spectrum(G: MultiplicativeFunction, *, config: Optional[EngineConfig] = None
         transparent_primes=tuple(transparent),
         invisible_primes=tuple(invisible),
         valuations=valuations,
-        PG=PG,
+        PG=math.prod(transparent),
         aG=aG,
         classification=classification,
         certified=declared,
@@ -494,43 +491,29 @@ def _weakly_exotic_sample(p0: int = 2, base: Optional[dict] = None) -> GeneralAr
     # supported, so every expansion of G is a finite, exactly evaluable sum.
     if not is_prime(p0):
         raise ValueError(f"p0 = {p0} is not prime")
-    if base is None:
-        base = dict(_DEFAULT_BASE)
-    if any(r < 1 or r % p0 == 0 for r in base):
+    values = dict(_DEFAULT_BASE if base is None else base)
+    if any(r < 1 or r % p0 == 0 for r in values):
         raise ValueError("base support must consist of naturals coprime to p0")
-    support = dict(base)
 
     def fn(n: int) -> Number:
         while n % p0 == 0:
             n //= p0
-        return support.get(n, 0)
+        return values.get(n, 0)
 
-    def table(Q: int) -> np.ndarray:
-        # G is zero off the p0-power multiples of the support.  As in the
-        # pointwise table, values are cast with float() unless one of those
-        # landing in [1, Q] needs complex().
-        where, values = [], []
-        for r, v in support.items():
+    def support(Q: int):
+        # G is zero off the p0-power multiples of the base's support.
+        for r in values:
             n = r
             while n <= Q:
-                where.append(n)
-                values.append(v)
+                yield n
                 n *= p0
-        try:
-            values, dtype = [float(v) for v in values], np.float64
-        except TypeError:
-            values, dtype = [complex(v) for v in values], np.complex128
-        vals = np.zeros(Q + 1, dtype=dtype)
-        for n, v in zip(where, values):
-            vals[n] = v
-        return vals
 
     return GeneralArithmeticFunction(
         label=f"weakly_exotic_sample(p0={p0})",
         fn=fn,
-        exact=all(isinstance(v, (int, Fraction)) for v in support.values()),
+        exact=all(isinstance(v, (int, Fraction)) for v in values.values()),
         invisible_prime=p0,
-        table=table,
+        support=support,
     )
 
 

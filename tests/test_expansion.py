@@ -698,7 +698,7 @@ class TestValueTable:
         # The complex value sits at n = 7 * 2^K: Q = 5 stays real, Q >= 7 is complex.
         G = catalog("weakly_exotic_sample", p0=2, base={1: Fraction(1, 2), 3: 0.25, 7: 0.5j})
         for Q in (5, 7, 100, 5000):
-            pointwise = dataclasses.replace(G, table=None)
+            pointwise = dataclasses.replace(G, support=None)
             got, want = _value_table(G, Q), _value_table(pointwise, Q)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
         assert _value_table(G, 5).dtype == np.float64 and _value_table(G, 7).dtype == np.complex128
@@ -707,7 +707,7 @@ class TestValueTable:
         "G, changes",
         [
             (catalog("GR"), {"rule": lambda p, e: Fraction(1, p ** (2 * e)), "at_primes": None}),
-            (catalog("weakly_exotic_sample"), {"fn": lambda n: 2 * catalog("weakly_exotic_sample").fn(n), "table": None}),
+            (catalog("weakly_exotic_sample"), {"fn": lambda n: 2 * catalog("weakly_exotic_sample").fn(n), "support": None}),
         ],
         ids=["multiplicative", "general"],
     )
@@ -730,9 +730,48 @@ class TestValueTable:
             dataclasses.replace(G, _memo={})
 
     def test_malformed_general_table_rejected(self):
-        G = GeneralArithmeticFunction("short table", fn=lambda n: 0, table=lambda Q: np.zeros(Q))
-        with pytest.raises(ValueError, match="table"):
+        G = GeneralArithmeticFunction("support from 0", fn=lambda n: 0, support=lambda Q: range(Q + 1))
+        with pytest.raises(ValueError, match="support"):
             _value_table(G, 100)
+
+    @pytest.mark.parametrize("p0", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "base",
+        [
+            {1: Fraction(1), 7: Fraction(1, 2), 13: Fraction(-1, 4)},
+            {1: 1, 7: -2 / 3, 11: 0.125},
+            {1: Fraction(1, 2), 11: 0.25, 7: 0.5j},
+        ],
+        ids=["fractions", "floats", "complex_at_7"],
+    )
+    def test_support_table_is_the_pointwise_table(self, p0, base):
+        # The complex value sits first at n = 7: Q = 6 stays real, Q >= 7 is complex.
+        G = catalog("weakly_exotic_sample", p0=p0, base=base)
+        pointwise = dataclasses.replace(G, support=None)
+        for Q in (1, 2, 6, 7, 8, 100, 5000):
+            got, want = _value_table(G, Q), _value_table(pointwise, Q)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
+
+    @pytest.mark.parametrize("bad", [0, 101, 1.5], ids=["zero", "Q+1", "non-integer"])
+    def test_malformed_support_rejected(self, bad):
+        G = GeneralArithmeticFunction("bad support", fn=lambda n: 1, support=lambda Q: [1, bad, Q])
+        with pytest.raises(ValueError, match=r"support\(100\) must give"):
+            _value_table(G, 100)
+
+    def test_one_table_per_kind(self):
+        # A table at a new Q replaces its kind's table at the old Q, and a G
+        # mu table also drops the cap guard's answer read from the old one;
+        # the series at the first Q still has a fresh G's bytes.
+        G = catalog("prop1")
+        first = expansion_partial_sums(G, 6, 2000, exact=False)
+        expansion_partial_sums(G, 6, 3000, exact=False)
+        assert _tuple_keys(G) == {("gmu", 3000), ("clamped", 3000)}
+        for Q in (2000, 3000):
+            expansion_partial_sums(G, 6, Q, absolute=True, exact=False)
+        assert _tuple_keys(G) == {("gmu", 3000), ("clamped", 3000), ("values", 3000)}
+        again = expansion_partial_sums(G, 6, 2000, exact=False)
+        assert repr(again) == repr(first) == repr(expansion_partial_sums(catalog("prop1"), 6, 2000, exact=False))
+        assert _tuple_keys(G) == {("gmu", 2000), ("clamped", 2000), ("values", 3000)}
 
     @pytest.mark.parametrize("cap", [10.0, 1.2])
     def test_squarefree_cap_matches_eval(self, cap):
@@ -800,6 +839,40 @@ class TestValueTable:
                     assert expansion._cap_binds(H, Q, got) is bool(over.any()), G.label
                 else:
                     assert _value_table(H, Q).tobytes() == want.tobytes(), G.label
+
+
+def _none_at_5(exact):
+    return MultiplicativeFunction(
+        "None at 5", rule=lambda p, e: None if p == 5 else (Fraction(1, 2) if exact else 0.5), exact=exact
+    )
+
+
+class TestNonNumberValues:
+    """A rule or fn giving a non-number fails with ``ValueError`` on every
+    path: the value rule of the tables and the scalar reads alike."""
+
+    def test_rule_checked_against_its_prime_form(self):
+        with pytest.raises(ValueError, match="must be real or complex numbers"):
+            MultiplicativeFunction("None", rule=lambda p, e: None, at_primes=lambda P: 1.0 / P)
+
+    def test_weakly_exotic_base(self):
+        G = catalog("weakly_exotic_sample", base={1: None})
+        with pytest.raises(ValueError, match=r"weakly_exotic_sample\(p0=2\): fn\(1\) gives None"):
+            expansion_partial_sums(G, 1, 100, exact=False)
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            lambda: spectrum(_none_at_5(False)),
+            lambda: zero_cloud_verdict(_none_at_5(False), FAST_CFG),
+            lambda: expansion_partial_sums(_none_at_5(True), 1, 100),
+            lambda: finite_factor(_none_at_5(True), 10),
+        ],
+        ids=["spectrum", "zero_cloud_verdict", "exact_expansion", "finite_factor"],
+    )
+    def test_scalar_reads(self, probe):
+        with pytest.raises(ValueError, match=r"None at 5: rule\(5, 1\) gives None"):
+            probe()
 
 
 class TestResourceBudget:

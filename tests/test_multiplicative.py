@@ -24,6 +24,7 @@ from ramanujan_cloud import (
     transparency_valuation,
     valuation,
 )
+from ramanujan_cloud.expansion import _value_table
 from ramanujan_cloud.multiplicative import INFINITE
 
 # Every catalog entry that carries a numpy ``at_primes`` form.
@@ -422,5 +423,5 @@ class TestGeneralFunction:
         G = catalog("weakly_exotic_sample", p0=p0, base=base)
         for Q in (1, 2, 3, 4, 10, 97, 1000, 20_000):
             want = np.array([0.0] + [float(G.eval(n)) for n in range(1, Q + 1)])
-            got = G.table(Q)
+            got = _value_table(G, Q)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), Q
