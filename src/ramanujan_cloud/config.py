@@ -72,11 +72,6 @@ class EngineConfig:
     def replace(self, **kwargs) -> "EngineConfig":
         return dataclasses.replace(self, **kwargs)
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["sample_a"] = list(d["sample_a"])
-        return d
-
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
         known = {f.name for f in dataclasses.fields(cls)}

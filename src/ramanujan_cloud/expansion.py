@@ -53,13 +53,14 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import core as _core
-from .config import EngineConfig
+from .config import EngineConfig, _is_number
 from .core import ResourceLimitError, _gather, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes
 from .multiplicative import (
     GeneralArithmeticFunction,
     MultiplicativeFunction,
     SpectrumReport,
     _close,
+    _rule_values,
     is_weakly_exotic,
     spectrum,
 )
@@ -174,8 +175,8 @@ def _validate_checkpoints(checkpoints: Optional[Iterable[int]], Q: int) -> list[
     if checkpoints is None:
         return checkpoint_schedule(Q)
     cps = list(checkpoints)
-    if not cps or any(x < 1 or x > Q for x in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing within [1, Q]")
+    if not cps or not all(_is_number(x, Integral) and 1 <= x <= Q for x in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError(f"checkpoints must be strictly increasing integers within [1, {Q}], got {cps!r}")
     return cps
 
 
@@ -205,8 +206,8 @@ def _value_table(G, Q: int) -> np.ndarray:
     value goes through ``core._gather`` or ``checked_values``, so the table
     does not depend on which path ran.  The table is float64 unless a value
     is complex, then complex128, and ``squarefree_cap`` clamps it as it
-    clamps ``G.eval``.  Kept on G (``_keep``).  A Q above ``SIEVE_BUDGET``
-    raises ``ResourceLimitError`` before any path allocates.
+    clamps ``G.eval`` (``_clamp``).  Kept on G (``_keep``).  A Q above
+    ``SIEVE_BUDGET`` raises ``ResourceLimitError`` before any path allocates.
     """
     key = ("values", Q)
     if key in G._memo:
@@ -216,13 +217,17 @@ def _value_table(G, Q: int) -> np.ndarray:
     if isinstance(G, MultiplicativeFunction):
         vals = multiplicative_sieve(
             Q,
-            lambda p, E: _gather(lambda: map(G.rule, repeat(p, E), range(1, E + 1)), E),
+            lambda p, E: _rule_values(G, [p] * E, range(1, E + 1)),
             lambda P: _prime_values(G, P),
             np.float64,
         )
         if G.squarefree_cap is not None:
-            # Only squarefree n > 1 are clamped (mu(n) != 0; G(1) = 1 always).
-            _clamp(vals, mobius_table(Q), G.squarefree_cap)
+            # Squarefree n > 1 only (mu(n) != 0; G(1) = 1), block by block.
+            for lo in range(2, Q + 1, _core._BLOCK):
+                n = lo + np.flatnonzero(mobius_table(Q)[lo : lo + _core._BLOCK])
+                v = vals[n]
+                over = _clamp(v, n, G.squarefree_cap)
+                vals[n[over]] = v[over]
     elif G.support is None:
         vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
     else:
@@ -249,24 +254,23 @@ def _keep(G, key: tuple, table):
 
 
 def _prime_values(G: MultiplicativeFunction, P: np.ndarray) -> np.ndarray:
-    """G(p) for the ascending primes P above isqrt(Q), where every exponent
-    is exactly 1: ``G.at_primes`` when the entry carries it, else one rule
-    call per prime."""
+    """G(p) at the ascending primes P, a value table's above isqrt(Q) or all
+    of the prime sum's: ``G.at_primes`` when the entry carries it, else one
+    rule call per prime."""
     if G.at_primes is not None:
         return checked_values(G.at_primes(P), len(P), f"{G.label}: at_primes(P)")
-    return _gather(lambda: map(G.rule, P.tolist(), repeat(1)), len(P))
+    return _rule_values(G, P.tolist(), [1] * len(P))
 
 
-def _clamp(vals: np.ndarray, support: np.ndarray, cap: float) -> None:
-    """Scale ``vals[n]`` down to |vals[n]| <= cap / n in place at each n > 1
-    with ``support[n] != 0``, one block of ``_BLOCK`` entries at a time, so
-    the index and scratch arrays stay block-sized."""
-    for lo in range(2, len(vals), _core._BLOCK):
-        n = lo + np.flatnonzero(support[lo : lo + _core._BLOCK])
-        mag = np.abs(vals[n])
-        bound = cap / n
-        over = mag > bound
-        vals[n[over]] *= bound[over] / mag[over]
+def _clamp(values: np.ndarray, n: np.ndarray, cap: float) -> np.ndarray:
+    """Scale ``values``, G at the squarefree n > 1 in ``n``, in place to
+    |G(n)| <= cap / n as ``G.eval`` does, and return the mask of those
+    scaled: the one place ``squarefree_cap`` meets arrays."""
+    mag = np.abs(values)
+    bound = cap / n
+    over = mag > bound
+    values[over] *= bound[over] / mag[over]
+    return over
 
 
 def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
@@ -290,7 +294,7 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     _core._check_limit(Q)
 
     def powers(p, E):
-        g = _rule_value(G, p)
+        g = _rule_values(G, [p], [1])
         return np.concatenate((-g, np.zeros(E - 1, g.dtype)))
 
     # 0 - G(p) rather than -G(p): a zero value stays +0, so the sieve can
@@ -308,7 +312,7 @@ def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
     m <= Q // 2.  Cached on G under ``("clamped", Q)``, its only writer."""
     key = ("clamped", Q)
     if key not in G._memo:
-        cap, g2 = G.squarefree_cap, abs(_rule_value(G, 2)[0])
+        cap, g2 = G.squarefree_cap, abs(_rule_values(G, [2], [1])[0])
         top = (Q // 2 + 1) // 2 + 1  # the entries of the odd m <= Q // 2
 
         def binds(lo):
@@ -319,12 +323,6 @@ def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
 
         G._memo[key] = any(map(binds, range(1, len(gmu), _core._BLOCK // 4)))
     return G._memo[key]
-
-
-def _rule_value(G: MultiplicativeFunction, p: int) -> np.ndarray:
-    """G(p) = ``G.rule(p, 1)`` as a float64 or complex128 array of one entry:
-    the value whose negation a G mu table over every n holds at p."""
-    return _gather(lambda: (G.rule(p, 1),), 1)
 
 
 def _strike_non_coprime(terms: np.ndarray, b: int) -> None:
@@ -524,7 +522,7 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     pairs = list(pairs)
     peel = set()
     if isinstance(G, MultiplicativeFunction):
-        bounded = lambda n: all(abs(_rule_value(G, p)[0]) <= 1 for p in factorize(n).primes() if 2 < p <= Q)
+        bounded = lambda n: all(abs(_rule_values(G, [p], [1])[0]) <= 1 for p in factorize(n).primes() if 2 < p <= Q)
         peel = {(a, b) for a, b in pairs if bounded(a * b)}
     if peel and G.squarefree_cap is not None and _cap_binds(G, Q, _gmu_table(G, Q)):
         peel = set()
@@ -556,7 +554,7 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
             for lo, hi in zip(edges, edges[1:]):  # the level p^j <= z < p^(j+1) reads the one below
                 r[lo:hi] += _times(g, r[below[lo:hi]])
         R[node] = r
-    g2 = _rule_value(G, 2)[0] if any(B % 2 for B in node_of) else None
+    g2 = _rule_values(G, [2], [1])[0] if any(B % 2 for B in node_of) else None
     for pair, terms in plans.items():
         total = 0.0
         for k, coef, B in terms:
@@ -715,16 +713,11 @@ def coprime_peel_identity(
         raise ValueError("F must consist of primes")
     if x < 1:
         raise ValueError("x must be >= 1")
-    bF = math.prod(F) if F else 1
-    bF1 = bF * p1
+    bF = math.prod(F)
     lhs = restricted_mobius_partial_sums(G, bF, x, checkpoints=[x], exact=exact).final
-    s_full = restricted_mobius_partial_sums(G, bF1, x, checkpoints=[x], exact=exact).final
-    x2 = x // p1
-    if x2 >= 1:
-        s_scaled = restricted_mobius_partial_sums(G, bF1, x2, checkpoints=[x2], exact=exact).final
-    else:
-        s_scaled = 0
-    rhs = s_full - G.eval(p1) * s_scaled
+    # Both points from one series to x; checkpoint 1 stands in for x // p1 = 0.
+    at = dict(restricted_mobius_partial_sums(G, bF * p1, x, checkpoints=sorted({max(x // p1, 1), x}), exact=exact).checkpoints)
+    rhs = at[x] - G.eval(p1) * at.get(x // p1, 0)
     return lhs, rhs
 
 
@@ -838,17 +831,21 @@ def absolute_convergence_report(
     config: Optional[EngineConfig] = None,
 ) -> AbsoluteConvergenceReport:
     """Absolute-convergence diagnostics of G at a; the spectrum is scanned
-    under ``config`` (``None`` means ``EngineConfig()``), and the prime sum
-    diverges when its last decade adds more than ``config.slow_growth_tol``."""
+    under ``config`` (``None`` means ``EngineConfig()``), and the prime sum,
+    which reads G at the primes <= ``prime_bound`` only, diverges when its
+    last decade adds more than ``config.slow_growth_tol``."""
     cfg = config if config is not None else EngineConfig()
     if prime_bound < 2 or a < 1 or Q < 1:
         raise ValueError("bounds must be >= 1 (prime_bound >= 2)")
     rep = spectrum(G, config=cfg)  # rejects a non-multiplicative G before any table
 
     primes = sieve_primes(prime_bound)
-    # Term k is |G(p_k)|, so the sum to x is the sum to pi(x).  The value
-    # table applies ``squarefree_cap``, which G.rule alone skips.
-    terms = np.abs(_value_table(G, prime_bound)[np.concatenate(([0], primes))])
+    # Term k is |G(p_k)|, so the sum to x is the sum to pi(x).  The terms are
+    # a float64 or complex128 copy, since at_primes may hand out its own array.
+    terms = np.concatenate(([0.0], _prime_values(G, primes)))
+    if G.squarefree_cap is not None:
+        _clamp(terms[1:], primes, G.squarefree_cap)
+    terms = np.abs(terms)
     cps = checkpoint_schedule(prime_bound)
     sums = _neumaier_segments(terms, np.searchsorted(primes, [*cps, prime_bound // 10], "right")).tolist()
     prime_series = PartialSumSeries(f"sum over p <= x of |G(p)|, G = {G.label}", tuple(zip(cps, sums)), "floating")

@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from numbers import Number as _Number, Real
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,7 +90,7 @@ class MultiplicativeFunction:
         if self.at_primes is not None:
             P = sieve_primes(100)
             form = checked_values(self.at_primes(P), len(P), f"{self.label}: at_primes(P)")
-            wrong = form != _gather(lambda: map(self.rule, P.tolist(), repeat(1)), len(P))
+            wrong = form != _rule_values(self, P.tolist(), [1] * len(P))
             if wrong.any():
                 p, got = int(P[wrong][0]), form[wrong].tolist()[0]
                 raise ValueError(f"{self.label}: at_primes gives {got!r} at p = {p}, rule gives {self.rule(p, 1)!r}")
@@ -158,6 +157,17 @@ class GeneralArithmeticFunction:
 
 def _raise_non_number(label: str, where: str, v):
     raise ValueError(f"{label}: {where} gives {v!r}; values must be real or complex numbers")
+
+
+def _rule_values(G: MultiplicativeFunction, ps: Sequence[int], es: Sequence[int]) -> np.ndarray:
+    """``G.rule(p, e)`` at each pair of ``ps`` and ``es``, through
+    ``core._gather``.  Only when that fails are the pairs read again through
+    ``at_prime_power``, so the error names G and the first bad pair."""
+    try:
+        return _gather(lambda: map(G.rule, ps, es), len(ps))
+    except ValueError:
+        list(map(G.at_prime_power, ps, es))
+        raise
 
 
 def _close(x: Number, y: Number, exact: bool, tol: float) -> bool:

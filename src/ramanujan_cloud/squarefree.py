@@ -36,11 +36,8 @@ def count_squarefree_in_ap(x: int, m: int, r: int) -> int:
         raise ValueError("x and m must be >= 1")
     if gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not coprime to m = {m}")
-    start = r % m
-    if start == 0:
-        start = m  # only possible when m = 1
-    # q is squarefree exactly where mu(q) != 0.
-    return int(np.count_nonzero(mobius_table(x)[start::m]))
+    # The class is a stride of mu from its least q >= 1 (squarefree: mu != 0).
+    return int(np.count_nonzero(mobius_table(x)[1 + (r - 1) % m :: m]))
 
 
 def hooley_constant(m: int) -> float:
@@ -83,9 +80,9 @@ def weighted_squarefree_sum(
         raise ValueError("need 0 <= y <= x")
     if y == x:
         return (0.0, 0.0)
-    q = np.arange(y + 1, x + 1, dtype=np.int64)
-    keep = (mobius_table(x)[y + 1 : x + 1] != 0) & (q % m == r % m)
-    qs = q[keep]
+    # As in count_squarefree_in_ap, from the least q > y in the class.
+    first = y + 1 + (r - y - 1) % m
+    qs = first + m * np.flatnonzero(mobius_table(x)[first::m])
     computed = _power_neg_s(qs, s).sum() if qs.size else 0.0
     one_minus = 1 - s
     x_part = x**one_minus if isinstance(s, complex) else float(x) ** float(one_minus)

@@ -180,6 +180,19 @@ class TestExpansionSums:
         with pytest.raises(ValueError):
             expansion_partial_sums(catalog("GR"), 1, 10, checkpoints=[0, 3])
 
+    def test_checkpoints_must_be_integers(self):
+        # A float point would be cast to int64 by the floating sum (10.5 and
+        # 10.9 would both read S(10)) and break range() in exact mode.
+        G = catalog("GR")
+        for exact in (True, False):
+            for cps in ([10.5, 100], [10.9, 100], [True, 100]):
+                with pytest.raises(ValueError, match="checkpoints must be strictly increasing integers"):
+                    expansion_partial_sums(G, 1, 100, checkpoints=cps, exact=exact)
+                with pytest.raises(ValueError, match="checkpoints must be strictly increasing integers"):
+                    restricted_mobius_partial_sums(G, 1, 100, checkpoints=cps, exact=exact)
+            got = expansion_partial_sums(G, 1, 100, checkpoints=[np.int64(10), 100], exact=exact)
+            assert got == expansion_partial_sums(G, 1, 100, checkpoints=[10, 100], exact=exact)
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_coprime_to_must_be_positive(self, exact):
         with pytest.raises(ValueError):
@@ -847,6 +860,10 @@ def _none_at_5(exact):
     )
 
 
+def _none_at(p, **kw):
+    return MultiplicativeFunction(f"None at {p}", rule=lambda q, e: None if q == p else 0.5, **kw)
+
+
 class TestNonNumberValues:
     """A rule or fn giving a non-number fails with ``ValueError`` on every
     path: the value rule of the tables and the scalar reads alike."""
@@ -872,6 +889,23 @@ class TestNonNumberValues:
     )
     def test_scalar_reads(self, probe):
         with pytest.raises(ValueError, match=r"None at 5: rule\(5, 1\) gives None"):
+            probe()
+
+    @pytest.mark.parametrize(
+        "probe, p",
+        [
+            (lambda: _none_at(7, at_primes=lambda P: np.full(len(P), 0.5)), 7),
+            (lambda: _value_table(_none_at(7), 40), 7),  # 7 above isqrt(40)
+            (lambda: _value_table(_none_at(7), 100), 7),  # 7 a swept prime
+            (lambda: restricted_mobius_partial_sums(_none_at(7), 1, 100, exact=False), 7),
+            (lambda: expansion_partial_sums(_none_at(3), 3, 100, exact=False), 3),
+        ],
+        ids=["at_primes_check", "value_table_large", "value_table_swept", "gmu_table", "kernel_rule"],
+    )
+    def test_table_reads_name_the_entry(self, probe, p):
+        # The same message as the scalar reads, not the anonymous one of
+        # core._gather.
+        with pytest.raises(ValueError, match=rf"None at {p}: rule\({p}, 1\) gives None; values must be real"):
             probe()
 
 
@@ -1163,7 +1197,7 @@ def _pointwise_peel(G, pairs, Q, cps):
         g = -gmu[(p + 1) // 2]
         for z in points[node].tolist():
             R[node][z] = parent[z] + _plane_product(g, R[node][z // p]) if z >= p else parent[z]
-    g2 = expansion._rule_value(G, 2)[0]
+    g2 = expansion._rule_values(G, [2], [1])[0]
     out = {}
     for pair, terms in plans.items():
         total = [complex(0.0, 0.0)] * len(cps)
@@ -1528,7 +1562,7 @@ def _full_gmu(G, Q):
     the powers and prime values that ``_gmu_table`` gathers."""
     return core.multiplicative_sieve(
         Q,
-        lambda p, E: np.concatenate((-expansion._rule_value(G, p), np.zeros(E - 1))),
+        lambda p, E: np.concatenate((-expansion._rule_values(G, [p], [1]), np.zeros(E - 1))),
         lambda P: 0.0 - expansion._prime_values(G, P),
         np.float64,
     )
@@ -1692,6 +1726,14 @@ class TestPeelIdentity:
         with pytest.raises(ValueError):
             coprime_peel_identity(catalog("GR"), {3}, 4, 10)
 
+    def test_floating_identity_reads_one_q(self):
+        # Both points of the peeled side come from one series to x, so G
+        # keeps its tables at Q = x only, never at x // p1.
+        G = catalog("GR")
+        lhs, rhs = coprime_peel_identity(G, {3}, 2, 10**5, exact=False)
+        assert abs(lhs - rhs) <= 1e-15
+        assert {Q for _, Q in _tuple_keys(G)} == {10**5}
+
     @pytest.mark.parametrize("F", [set(), {2}, {3, 5}, {2, 3, 5, 7}])
     @pytest.mark.parametrize("p1", [2, 3, 11, 13])
     def test_grid(self, F, p1):
@@ -1837,8 +1879,23 @@ class TestAbsoluteConvergenceReport:
         # the small primes; the uncapped sum at 1000 is 2.650.
         G = catalog("prop1", cap=cap)
         rep = absolute_convergence_report(G, 1000, 1, 100)
-        exact = math.fsum(abs(G.eval(int(p))) for p in sieve_primes(1000))
+        primes = sieve_primes(1000)
+        exact = math.fsum(abs(G.eval(int(p))) for p in primes)
         assert abs(rep.prime_abs_series.final - exact) <= 8 * math.ulp(exact)
+        # Byte for byte the sums of the clamped value table at the primes,
+        # at the same points (the checkpoints and 1000 // 10).
+        terms = np.abs(_value_table(G, 1000)[[0, *primes]])
+        want = _neumaier_segments(terms, np.searchsorted(primes, [*rep.prime_abs_series.xs(), 100], "right"))
+        assert np.array(rep.prime_abs_series.values()).tobytes() == want[:-1].tobytes()
+
+    @pytest.mark.parametrize("name", ["GH", "prop1"])
+    def test_builds_no_value_table_at_the_prime_bound(self, monkeypatch, name):
+        # The prime sum reads G at the primes alone (at_primes for GH, the
+        # rule for prop1); the only value table is the absolute series' at Q.
+        asked, table = [], expansion._value_table
+        monkeypatch.setattr(expansion, "_value_table", lambda G, Q: asked.append(Q) or table(G, Q))
+        absolute_convergence_report(catalog(name), 10**4, 6, 1000)
+        assert asked and set(asked) == {1000}
 
 
 class TestEngineConfigValidation:

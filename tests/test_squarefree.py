@@ -2,6 +2,7 @@
 sums with their predicted main terms, and the balanced counterexample series."""
 
 import math
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from ramanujan_cloud import (
     mobius,
     weighted_squarefree_sum,
 )
+from ramanujan_cloud.core import mobius_table
 from ramanujan_cloud.expansion import _value_table
 
 
@@ -96,6 +98,25 @@ class TestWeightedSum:
             if q % m == r and mobius(q) != 0
         )
         assert computed == pytest.approx(direct, rel=1e-12)
+
+    def test_reads_its_class_as_a_stride_of_mu(self):
+        # The stride starts at the least q > y in the class: r outside
+        # [0, m), a first q at or past x, and empty classes.
+        for m, r, y, x in ((4, -1, 10, 400), (5, 13, 0, 97), (12, 7, 6, 7), (12, 11, 0, 10), (7, 3, 0, 1), (1, 0, 99, 100)):
+            computed, _ = weighted_squarefree_sum(0.7, m, r, y, x)
+            direct = [q**-0.7 for q in range(y + 1, x + 1) if (q - r) % m == 0 and mobius(q) != 0]
+            assert computed == pytest.approx(math.fsum(direct), rel=1e-12, abs=0), (m, r, y, x)
+        # m = 4 keeps a quarter of the range and the squarefree q of it: the
+        # call peaks near 9.3 MiB, while range-long q, mask and product
+        # arrays would take it to 34.3 MiB.
+        mobius_table(2 * 10**6)
+        tracemalloc.start()
+        try:
+            weighted_squarefree_sum(0.6, 4, 1, 0, 2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_prediction_tracks_computation(self):
         # The error scales like y^(1/2 - sigma); 0.5 is a comfortable bound
