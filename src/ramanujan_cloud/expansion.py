@@ -28,13 +28,16 @@ odd prime of ab, or a G whose ``squarefree_cap`` binds somewhere up to Q
 (``_cap_binds``) takes the strided kernel instead.
 
 The one other floating kernel, ``_strided_sums``, adds weighted sums
-w T_{d,B}(x // d) of one strided pass over the value and mu tables,
-T_{d,B}(y) = sum_{m <= y, (m, B) = 1} G(dm) mu(m) (or |G(dm) mu(m)|), from
-a plan of terms (d, w, B).  Two plans use it: Kluyver's, (d, d, b) for
-d | a, for the signed pairs the peel does not take; and Hardy's,
-(d, |c_d(a)|, b rad(a)) for d | a rad(a), for every absolute series, of
-any G (c_q(a) is multiplicative in q, so c_{dr}(a) = c_d(a) mu(r) for r
-coprime to a, and c_d(a) = 0 unless d | a rad(a)).
+w T_{d,B}(x // d), T_{d,B}(y) = sum_{m <= y, (m, B) = 1} G(dm) mu(m) (or
+|G(dm) mu(m)|), from a plan of terms (d, w, B).  It reads each T_{d,B}
+from one strided pass over the value and mu tables, or, for a G with a
+``support``, point by point at the support points divisible by d, so a
+finitely supported G costs per support point and builds no Q-sized array.
+Two plans use it: Kluyver's, (d, d, b) for d | a, for the signed pairs the
+peel does not take; and Hardy's, (d, |c_d(a)|, b rad(a)) for d | a rad(a),
+for every absolute series, of any G (c_q(a) is multiplicative in q, so
+c_{dr}(a) = c_d(a) mu(r) for r coprime to a, and c_d(a) = 0 unless
+d | a rad(a)).
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -201,12 +204,13 @@ def _value_table(G, Q: int) -> np.ndarray:
     per quarter block for the primes above it.  The rule is called
     once per power of each prime p <= isqrt(Q); the values at the primes
     above come from ``G.at_primes`` when the entry carries that numpy form,
-    else from one rule call per prime.  A general G is evaluated at the n of
-    ``G.support(Q)`` when set, into a zero table, else at every n.  Every
-    value goes through ``core._gather`` or ``checked_values``, so the table
-    does not depend on which path ran.  The table is float64 unless a value
-    is complex, then complex128, and ``squarefree_cap`` clamps it as it
-    clamps ``G.eval`` (``_clamp``).  Kept on G (``_keep``).  A Q above
+    else from one rule call per prime.  A general G is evaluated at every n;
+    the series kernels read a G with a ``support`` at its support points
+    instead (``_support_values``).  Every value goes through
+    ``core._gather`` or ``checked_values``, so the table does not depend on
+    which path ran.  The table is float64 unless a value is complex, then
+    complex128, and ``squarefree_cap`` clamps it as it clamps ``G.eval``
+    (``_clamp``).  Kept on G (``_keep``).  A Q above
     ``SIEVE_BUDGET`` raises ``ResourceLimitError`` before any path allocates.
     """
     key = ("values", Q)
@@ -228,18 +232,32 @@ def _value_table(G, Q: int) -> np.ndarray:
                 v = vals[n]
                 over = _clamp(v, n, G.squarefree_cap)
                 vals[n[over]] = v[over]
-    elif G.support is None:
-        vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
     else:
-        ns = list(G.support(Q))
-        if not all(isinstance(n, Integral) and 1 <= n <= Q for n in ns):
-            raise ValueError(f"{G.label}: support({Q}) must give integers in [1, {Q}]")
-        at = _gather(lambda: map(G.eval, ns), len(ns))
-        vals = np.zeros(Q + 1, dtype=at.dtype)
-        vals[np.array(ns, dtype=np.int64)] = at
+        vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
 
     vals.setflags(write=False)
     return _keep(G, key, vals)
+
+
+def _support_values(G: GeneralArithmeticFunction, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, G(n)) at the ascending distinct n of ``G.support(Q)``: an int64
+    array and a float64 array, complex128 if a value is complex
+    (``core._gather``), both read-only.  G is 0 at every other n <= Q.
+    Kept on G (``_keep``).  A Q above ``SIEVE_BUDGET`` raises
+    ``ResourceLimitError``, and a support point that is not an integer in
+    [1, Q] raises ``ValueError``."""
+    key = ("support", Q)
+    if key in G._memo:
+        return G._memo[key]
+    _core._check_limit(Q)
+    ns = list(G.support(Q))
+    if not all(isinstance(n, Integral) and 1 <= n <= Q for n in ns):
+        raise ValueError(f"{G.label}: support({Q}) must give integers in [1, {Q}]")
+    n = _sorted_distinct(np.array(ns, dtype=np.int64))
+    vals = _gather(lambda: map(G.eval, n.tolist()), len(n))
+    n.setflags(write=False)
+    vals.setflags(write=False)
+    return _keep(G, key, (n, vals))
 
 
 def _keep(G, key: tuple, table):
@@ -388,31 +406,56 @@ def _strided_sums(G, plans: dict, Q: int, cps: list[int], absolute: bool = False
     for each plan in ``plans`` ({key: [(d, w, B), ...]}, d <= Q), as a list
     over the checkpoints x in ``cps``.
 
-    T_{d,B}(y) = sum_{m <= y, (m, B) = 1} G(dm) mu(m): the terms
-    ``V[::d] * mu`` (exact, mu is -1, 0 or 1) indexed by m, struck on B and
-    Neumaier-summed at the points x // d.  With ``absolute`` the terms are
-    |G(dm) mu(m)|, ``|V[::d]|`` zeroed where mu(m) = 0 (so exact too).  Each
-    distinct (d, B) is computed once per call, one Q/d buffer at a time, and
-    the weighted sums are added in plan order.  Nothing is kept on G but its
-    value table, and a plan's sums do not depend on the others in the call.
+    T_{d,B}(y) = sum_{m <= y, (m, B) = 1} G(dm) mu(m), or with ``absolute``
+    sum |G(dm) mu(m)|: the terms of ``_strided_terms`` Neumaier-summed at
+    the points x // d.  Each distinct (d, B) is computed once per call, one
+    buffer of terms at a time, and the weighted sums are added in plan
+    order.  Nothing is kept on G but its values, and a plan's sums do not
+    depend on the others in the call.
     """
     T, out = {}, {}
     for key, terms in plans.items():
         totals = [0.0] * len(cps)
         for d, w, B in terms:
             if (d, B) not in T:
-                V, mu = _value_table(G, Q)[::d], mobius_table(Q)[: Q // d + 1]
-                if absolute:  # not np.abs(V * mu): numpy's complex abs of a
-                    u = np.abs(V)  # contiguous product rounds otherwise
-                    u *= mu != 0
-                else:
-                    u = V * mu
-                _strike_non_coprime(u, B)
-                T[(d, B)] = _neumaier_segments(u, [x // d for x in cps]).tolist()
+                u, points = _strided_terms(G, Q, d, B, np.array(cps, dtype=np.int64) // d, absolute)
+                T[(d, B)] = _neumaier_segments(u, points).tolist()
                 del u  # before the next (d, B) allocates its buffer
             totals = [s + w * t for s, t in zip(totals, T[(d, B)])]
         out[key] = totals
     return out
+
+
+def _strided_terms(G, Q: int, d: int, B: int, ys: np.ndarray, absolute: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of T_{d,B} and the points at which ``_neumaier_segments``
+    reads T_{d,B}(y) for each y in ``ys``.
+
+    A G with a ``support`` is read at its support points n_k divisible by d
+    (``_support_values``): at m_k = n_k / d, ascending, the terms
+    u_k = G(n_k) mu(m_k), or |G(n_k)| where mu(m_k) != 0, with mu the
+    memoized scalar ``mobius``, struck where gcd(m_k, B) > 1 and read at the
+    number of m_k <= y; so it costs per support point.  Any other G is read
+    in one strided pass, ``V[::d] * mu`` indexed by m (exact, mu is -1, 0 or
+    1) with V the value table, struck on B and read at y; with ``absolute``
+    ``|V[::d]|`` zeroed where mu(m) = 0 (so exact too)."""
+    if isinstance(G, GeneralArithmeticFunction) and G.support is not None:
+        n, v = _support_values(G, Q)
+        at = n % d == 0
+        m, g = n[at] // d, v[at]
+        mu = np.fromiter(map(mobius, m.tolist()), np.int8, count=len(m))
+        keep = mu != 0
+        for p in factorize(B).primes():
+            keep &= m % p != 0
+        u = np.abs(g[keep]) if absolute else g[keep] * mu[keep]
+        return np.concatenate((np.zeros(1, u.dtype), u)), np.searchsorted(m[keep], ys, "right")
+    V, mu = _value_table(G, Q)[::d], mobius_table(Q)[: Q // d + 1]
+    if absolute:  # not np.abs(V * mu): numpy's complex abs of a
+        u = np.abs(V)  # contiguous product rounds otherwise
+        u *= mu != 0
+    else:
+        u = V * mu
+    _strike_non_coprime(u, B)
+    return u, ys
 
 
 def expansion_partial_sums(

@@ -135,7 +135,9 @@ class GeneralArithmeticFunction:
     and all r coprime to p0, when the constructor guarantees one.
 
     ``support``, when set, gives the n <= Q where G may be nonzero, as
-    integers in [1, Q]; value tables evaluate G there and are 0 elsewhere.
+    integers in [1, Q], in any order and with repeats allowed.  The series
+    kernels then read G point by point at the distinct support points and
+    build no table over every n <= Q, so their cost is per support point.
     ``eval`` raises ``ValueError`` if ``fn(n)`` is not a number.
     """
 

@@ -63,6 +63,8 @@ def weighted_squarefree_sum(
 ) -> tuple[Scalar, Scalar]:
     """(computed, predicted) for the weighted count of squarefree q in (y, x]
     with q = r (mod m): sum of q^(-s) versus c(m) (x^(1-s) - y^(1-s)) / (1-s).
+    Both are Python ``complex`` for a complex s, else ``float``, on every
+    path, an empty class and y == x included.
 
     The error of the prediction scales like y^(1/2 - Re s) with an
     unspecified constant, so callers compare the two on that scale.
@@ -78,8 +80,9 @@ def weighted_squarefree_sum(
         raise ValueError(f"r = {r} is not coprime to m = {m}")
     if not 0 <= y <= x:
         raise ValueError("need 0 <= y <= x")
+    cast = complex if isinstance(s, complex) else float
     if y == x:
-        return (0.0, 0.0)
+        return cast(0), cast(0)
     # As in count_squarefree_in_ap, from the least q > y in the class.
     first = y + 1 + (r - y - 1) % m
     qs = first + m * np.flatnonzero(mobius_table(x)[first::m])
@@ -88,10 +91,7 @@ def weighted_squarefree_sum(
     x_part = x**one_minus if isinstance(s, complex) else float(x) ** float(one_minus)
     y_part = 0.0 if y == 0 else (y**one_minus if isinstance(s, complex) else float(y) ** float(one_minus))
     predicted = hooley_constant(m) / one_minus * (x_part - y_part)
-    if not isinstance(s, complex):
-        computed = float(computed)
-        predicted = float(predicted)
-    return computed, predicted
+    return cast(computed), cast(predicted)
 
 
 @dataclass(frozen=True)

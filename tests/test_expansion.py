@@ -47,7 +47,7 @@ import ramanujan_cloud
 import ramanujan_cloud.core as core
 import ramanujan_cloud.expansion as expansion
 from ramanujan_cloud import multiplicative
-from ramanujan_cloud.expansion import _coprime_part, _neumaier_segments, _series, _strike_non_coprime, _value_table
+from ramanujan_cloud.expansion import _coprime_part, _neumaier_segments, _series, _strike_non_coprime, _support_values, _value_table
 from ramanujan_cloud.core import divisors
 from ramanujan_cloud.multiplicative import spectrum
 from ramanujan_cloud.sums import c_holder
@@ -583,6 +583,17 @@ def _cap_guard(G, Q):
     return expansion._cap_binds(G, Q, expansion._gmu_table(G, Q))
 
 
+def _assert_support_is_pointwise(G, Q):
+    """G's values at its support points are, dtype and bytes, the value
+    table of its pointwise copy there, and that table is 0 elsewhere; both
+    arrays are read-only, as they are kept on G."""
+    n, vals = _support_values(G, Q)
+    table = _value_table(dataclasses.replace(G, support=None), Q)
+    assert vals.dtype == table.dtype and vals.tobytes() == table[n].tobytes(), Q
+    assert not np.delete(table, n).any(), Q
+    assert not n.flags.writeable and not vals.flags.writeable
+
+
 class TestValueTable:
     def test_late_complex_prime_is_promoted(self):
         # The first complex value sits at p = 11, past any small-prime probe.
@@ -711,33 +722,41 @@ class TestValueTable:
         # The complex value sits at n = 7 * 2^K: Q = 5 stays real, Q >= 7 is complex.
         G = catalog("weakly_exotic_sample", p0=2, base={1: Fraction(1, 2), 3: 0.25, 7: 0.5j})
         for Q in (5, 7, 100, 5000):
-            pointwise = dataclasses.replace(G, support=None)
-            got, want = _value_table(G, Q), _value_table(pointwise, Q)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
-        assert _value_table(G, 5).dtype == np.float64 and _value_table(G, 7).dtype == np.complex128
+            _assert_support_is_pointwise(G, Q)
+        assert _support_values(G, 5)[1].dtype == np.float64 and _support_values(G, 7)[1].dtype == np.complex128
 
     @pytest.mark.parametrize(
-        "G, changes",
+        "G, changes, values",
         [
-            (catalog("GR"), {"rule": lambda p, e: Fraction(1, p ** (2 * e)), "at_primes": None}),
-            (catalog("weakly_exotic_sample"), {"fn": lambda n: 2 * catalog("weakly_exotic_sample").fn(n), "support": None}),
+            (
+                catalog("GR"),
+                {"rule": lambda p, e: Fraction(1, p ** (2 * e)), "at_primes": None},
+                lambda G, Q: _value_table(G, Q).tobytes(),
+            ),
+            # The copy keeps the support, so it reads the kind of values the
+            # original keeps: the compact ones at its support points.
+            (
+                catalog("weakly_exotic_sample"),
+                {"fn": lambda n: 2 * catalog("weakly_exotic_sample").fn(n)},
+                lambda G, Q: b"".join(t.tobytes() for t in _support_values(G, Q)),
+            ),
         ],
         ids=["multiplicative", "general"],
     )
-    def test_replace_starts_with_an_empty_memo(self, G, changes):
+    def test_replace_starts_with_an_empty_memo(self, G, changes, values):
         # A copy with another rule must not read the values, tables or
         # T_d sums memoized on the original (a shared memo summed GR's
         # mu(q) / q^2 copy to 0.0044 at Q = 1000, not about 6 / pi^2).
         Q = 1000
         for n in range(1, 13):
             G.eval(n)
-        _value_table(G, Q)
+        values(G, Q)
         expansion_partial_sums(G, 1, Q, exact=False)
         H = dataclasses.replace(G, **changes)
         built = type(G)(**{f.name: getattr(H, f.name) for f in dataclasses.fields(H) if f.init})
         assert H._memo == {} and H._memo is not G._memo
         assert [H.eval(n) for n in range(1, 13)] == [built.eval(n) for n in range(1, 13)]
-        assert _value_table(H, Q).tobytes() == _value_table(built, Q).tobytes()
+        assert values(H, Q) == values(built, Q) != values(G, Q)
         assert expansion_partial_sums(H, 1, Q, exact=False) == expansion_partial_sums(built, 1, Q, exact=False)
         with pytest.raises(ValueError, match="_memo"):
             dataclasses.replace(G, _memo={})
@@ -745,7 +764,7 @@ class TestValueTable:
     def test_malformed_general_table_rejected(self):
         G = GeneralArithmeticFunction("support from 0", fn=lambda n: 0, support=lambda Q: range(Q + 1))
         with pytest.raises(ValueError, match="support"):
-            _value_table(G, 100)
+            _support_values(G, 100)
 
     @pytest.mark.parametrize("p0", [2, 3, 5])
     @pytest.mark.parametrize(
@@ -760,16 +779,14 @@ class TestValueTable:
     def test_support_table_is_the_pointwise_table(self, p0, base):
         # The complex value sits first at n = 7: Q = 6 stays real, Q >= 7 is complex.
         G = catalog("weakly_exotic_sample", p0=p0, base=base)
-        pointwise = dataclasses.replace(G, support=None)
         for Q in (1, 2, 6, 7, 8, 100, 5000):
-            got, want = _value_table(G, Q), _value_table(pointwise, Q)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), Q
+            _assert_support_is_pointwise(G, Q)
 
     @pytest.mark.parametrize("bad", [0, 101, 1.5], ids=["zero", "Q+1", "non-integer"])
     def test_malformed_support_rejected(self, bad):
         G = GeneralArithmeticFunction("bad support", fn=lambda n: 1, support=lambda Q: [1, bad, Q])
         with pytest.raises(ValueError, match=r"support\(100\) must give"):
-            _value_table(G, 100)
+            _support_values(G, 100)
 
     def test_one_table_per_kind(self):
         # A table at a new Q replaces its kind's table at the old Q, and a G
@@ -916,7 +933,7 @@ class TestResourceBudget:
         "build",
         [
             lambda: _value_table(catalog("GH"), 2 * 10**6),
-            lambda: _value_table(catalog("weakly_exotic_sample"), 2 * 10**6),
+            lambda: _support_values(catalog("weakly_exotic_sample"), 2 * 10**6),
             lambda: restricted_mobius_partial_sums(catalog("GR"), 1, 2 * 10**6),
             lambda: expansion_partial_sums(catalog("GH"), 6, 2 * 10**6, coprime_to=2),
             # Both slots hold 10^6 already: the budget must win over the cache.
@@ -1494,10 +1511,11 @@ class TestKernelChoice:
         assert peak < 15 * 2**20
 
     def test_direct_kernel_holds_one_buffer_at_a_time(self):
-        # With the tables warm, the batch of a weakly exotic verdict peaks
-        # at its d = 1 buffer (7.6 MiB) plus the points; keeping that buffer
-        # alive while the next T_d is built took it to 10.2 MiB.
-        G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2))
+        # With the tables warm, the batch of a weakly exotic verdict, read
+        # from the value table (no support), peaks at its d = 1 buffer
+        # (7.6 MiB) plus the points; keeping that buffer alive while the
+        # next T_d is built took it to 10.2 MiB.
+        G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2), support=None)
         cfg = EngineConfig()
         parts = sorted({_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
         cps = checkpoint_schedule(10**6)
@@ -1546,6 +1564,120 @@ class TestAbsoluteSums:
         for a in parts:
             alone = expansion_partial_sums(dataclasses.replace(G), a, Q, cps, coprime_to=b, absolute=True, exact=False)
             assert np.array(alone.values()).tobytes() == np.array(batch[a]).tobytes(), a
+
+
+class TestSupportRead:
+    # The strided kernel reads a G with a support at its support points n
+    # divisible by d, at m = n / d, and its pointwise copy (support=None)
+    # from the value table.  The terms are the same casts of G(n) times
+    # mu(m), so the bounds of TestFloatingAgainstFractionOracle hold for
+    # both: the compact read sums fewer terms, in fewer roundings.  Each
+    # path is compared against the exact sum of the cast values over the
+    # support, a Fraction oracle that reads no table.
+    @staticmethod
+    def sample(kind, p0, seed):
+        rng = random.Random(seed)
+        draw = {
+            "fraction": lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
+            "float": lambda: rng.uniform(-1, 1),
+            "complex": lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        }[kind]
+        rs = rng.sample([r for r in range(1, 200) if r % p0], 8)
+        return catalog("weakly_exotic_sample", p0=p0, base={r: draw() for r in [1, *rs]})
+
+    @staticmethod
+    def oracle(G, a, b, Q, xs, absolute):
+        """(reference, mass) at each x: the exact sum over support points
+        n <= x coprime to b of v(n) c_n(a) (or |v(n) c_n(a)|, a complex
+        |v(n)| rounded once), as (re, im) Fractions, and its Kluyver mass
+        (signed) or its own mass, with |Re| + |Im| >= |.|.  v(n) is G(n)
+        for an exact G, else its cast to float or complex."""
+        part = _coprime_part(a, b)
+        terms = []
+        for n in sorted(set(G.support(Q))):
+            if gcd(n, b) != 1:
+                continue
+            v = G.eval(n)
+            re, im = (Fraction(v), Fraction(0)) if G.exact else map(Fraction, (complex(v).real, complex(v).imag))
+            mag = abs(re) + abs(im)
+            c = c_holder(n, a)
+            if absolute:
+                term = ((Fraction(abs(complex(v))) if im else abs(re)) * abs(c), Fraction(0))
+                mass = mag * abs(c)
+            else:
+                term = (re * c, im * c)
+                mass = sum(d * mag for d in divisors(gcd(n, part)) if mobius(n // d))
+            terms.append((n, term, mass))
+        out = []
+        for x in xs:
+            kept = [(t, m) for n, t, m in terms if n <= x]
+            out.append(((sum(t[0] for t, _ in kept), sum(t[1] for t, _ in kept)), sum(m for _, m in kept)))
+        return out
+
+    @pytest.mark.parametrize("p0", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["fraction", "float", "complex"])
+    def test_within_bound_of_pointwise_and_oracle(self, kind, p0):
+        G = self.sample(kind, p0, seed=p0)
+        pointwise = dataclasses.replace(G, support=None)
+        for Q in (1, 7, 1000, 10**5):
+            xs = checkpoint_schedule(Q)
+            for a in (1, 12, 35, 360):
+                for b in (1, p0, 35):
+                    for absolute in (False, True):
+                        part = _coprime_part(a, radical(b))
+                        if absolute:
+                            bound = TestFloatingAgainstFractionOracle.absolute_bound(Q, part)
+                        else:
+                            bound = TestFloatingAgainstFractionOracle.kluyver_bound(Q, part)
+                        ref, mass = zip(*self.oracle(G, a, b, Q, xs, absolute))
+                        for H in (G, pointwise):
+                            got = expansion_partial_sums(H, a, Q, xs, coprime_to=b, absolute=absolute, exact=False)
+                            assert _within(got.values(), ref, bound, mass), (H.label, Q, a, b, absolute)
+                        if G.exact and Q <= expansion.EXACT_LIMIT:
+                            exact = expansion_partial_sums(G, a, Q, xs, coprime_to=b, absolute=absolute, exact=True)
+                            assert [(v, 0) for v in exact.values()] == list(ref), (Q, a, b, absolute)
+
+    @pytest.mark.parametrize("p0", [2, 5])
+    def test_catalog_default_is_the_pointwise_path_byte_for_byte(self, p0):
+        # Its values 1, 1/2 and -1/4 are dyadic, so every partial sum is
+        # exact on both paths, zeros interleaved or not.
+        G = catalog("weakly_exotic_sample", p0=p0)
+        pointwise = dataclasses.replace(G, support=None)
+        for Q in (1, 10, 1000, 10**5):
+            for a in (1, 3, 15, 45, 360, 945):
+                for b in (1, 2, 35):
+                    for absolute in (False, True):
+                        got, want = (
+                            expansion_partial_sums(H, a, Q, coprime_to=b, absolute=absolute, exact=False)
+                            for H in (G, pointwise)
+                        )
+                        assert repr(got) == repr(want), (Q, a, b, absolute)
+
+    def test_repeated_and_shuffled_support_points_count_once(self):
+        # Every point of the support listed twice, largest first: summed as
+        # given, each term would count twice.
+        G = self.sample("float", 2, seed=7)
+        shuffled = dataclasses.replace(G, support=lambda Q: [*sorted(G.support(Q), reverse=True), *G.support(Q)])
+        for absolute in (False, True):
+            for a in (1, 12):
+                got, want = (
+                    expansion_partial_sums(H, a, 10**4, coprime_to=3, absolute=absolute, exact=False)
+                    for H in (shuffled, dataclasses.replace(G))
+                )
+                assert repr(got) == repr(want), (a, absolute)
+
+    def test_weakly_exotic_verdict_builds_no_q_sized_array(self):
+        # The verdict at Q = 10^7 reads about 60 support points: its traced
+        # peak is near 0.1 MiB.  The value table, the mu table and one Q/d
+        # buffer per d took it to 167 MiB.
+        tracemalloc.start()
+        try:
+            verdict = zero_cloud_verdict(catalog("weakly_exotic_sample"), EngineConfig(Q=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.conclusion == "in_zero_cloud"
+        assert peak < 2**20
 
 
 _GMU_ENTRIES = [
@@ -1973,26 +2105,27 @@ class TestZeroCloudVerdict:
 
     def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
         # weakly_exotic_sample is not multiplicative, so its verdict keeps
-        # the direct kernel: one T_d (one strike) per distinct (d, 2) over
-        # the divisors of the sampled p0-free parts, shared by the batch.
-        # Nothing but the value table is kept on G, so a repeated verdict
-        # computes them again and gives the same verdict.
+        # the direct kernel: one T_d (one read of its terms) per distinct
+        # (d, 2) over the divisors of the sampled p0-free parts, shared by
+        # the batch.  Nothing but the values at the support points is kept
+        # on G, so a repeated verdict computes them again and gives the same
+        # verdict.
         cfg = EngineConfig()
         G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2))
         parts = {_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)}
         assert len(parts) == 25
         distinct = {(d, 2) for a in parts for d in divisors(a) if d <= cfg.Q}
-        strikes = collections.Counter()
-        strike = expansion._strike_non_coprime
-        monkeypatch.setattr(expansion, "_strike_non_coprime", lambda u, b: strikes.update([b]) or strike(u, b))
+        reads = collections.Counter()
+        terms = expansion._strided_terms
+        monkeypatch.setattr(expansion, "_strided_terms", lambda G, Q, d, B, *rest: reads.update([(d, B)]) or terms(G, Q, d, B, *rest))
 
         first = zero_cloud_verdict(G, cfg)
         assert first.conclusion == "in_zero_cloud"
-        assert strikes == {2: len(distinct)}
-        strikes.clear()
+        assert reads == dict.fromkeys(distinct, 1)
+        reads.clear()
         assert repr(zero_cloud_verdict(G, cfg)) == repr(first)
-        assert strikes == {2: len(distinct)}
-        assert _tuple_keys(G) == {("values", cfg.Q)}
+        assert reads == dict.fromkeys(distinct, 1)
+        assert _tuple_keys(G) == {("support", cfg.Q)}
 
     def test_classical_members(self):
         for name, expected in (("GR", "normal"), ("GH", "sporadic")):

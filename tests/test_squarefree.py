@@ -135,6 +135,19 @@ class TestWeightedSum:
         computed, predicted = weighted_squarefree_sum(s, 2, 1, 1000, 50_000)
         assert abs(computed - predicted) <= 0.5 * 1000 ** (0.5 - 0.7)
 
+    @pytest.mark.parametrize(
+        "s, want", [(0.6, float), (0.6 + 0.2j, complex)], ids=["real", "complex"]
+    )
+    @pytest.mark.parametrize(
+        "y, x", [(0, 1), (7, 7), (0, 10), (100, 2000)], ids=["empty_class", "y_eq_x", "from_zero", "window"]
+    )
+    def test_types_follow_s_on_every_path(self, s, want, y, x):
+        # (0, 1) in 3 mod 4 holds no q, and y == x returns early; a complex s
+        # used to give numpy's complex128 on the nonempty class only and the
+        # float 0.0 on these two.
+        got = weighted_squarefree_sum(s, 4, 3, y, x)
+        assert tuple(map(type, got)) == (want, want), got
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             weighted_squarefree_sum(1, 2, 1, 0, 10)
