@@ -4,9 +4,11 @@ The primes and mu each live in one module-level slot, the largest table
 built so far; ``sieve_primes`` and ``mobius_table`` hand out read-only
 prefixes and rebuild only for a larger limit.  n is squarefree exactly where
 mu(n) != 0.  Scalar functions, the oracles the tables are checked against,
-work by trial division against the prime slot and are memoized, which is
-plenty for moduli up to ~10^9.  Nothing handed out is writable, so everything
-here is safe to call from concurrent workers.
+work by trial division and are memoized, which is plenty for moduli up to
+~10^9; ``factorize`` divides by a Python list of the primes up to the
+largest isqrt(n) asked for, extended from the prime slot as that grows.
+Nothing handed out is writable, so everything here is safe to call from
+concurrent workers.
 
 Tables of multiplicative functions (mu here, G(q) and G(q) mu(q) in the
 expansion engine) come from one sieve, ``multiplicative_sieve``, which fixes
@@ -379,14 +381,25 @@ class Factorization:
         return sorted(divs)
 
 
+# (limit, the primes <= limit as a Python list) for trial division; a
+# larger isqrt(n) swaps in a longer list, extended from the prime slot.
+_trial_slot: tuple[int, list] = (0, [])
+
+
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division (meant for n up to ~10^9)."""
+    global _trial_slot
     if n < 1:
         raise ValueError("factorize requires n >= 1")
+    root = math.isqrt(n)
+    limit, primes = _trial_slot
+    if root > limit:
+        primes = primes + _primes_upto(root)[len(primes) :].tolist()
+        _trial_slot = (root, primes)
     m = n
     out = []
-    for p in _primes_upto(math.isqrt(n)).tolist():
+    for p in primes:
         if p * p > m:
             break
         if m % p == 0:

@@ -6,10 +6,12 @@ G(n) c_n(a), optionally over n coprime to a modulus or in absolute value.
 One kernel, ``_series``, computes them.  The restricted Mobius series is the
 expansion at a = 1, since c_n(1) = mu(n) (Ramanujan 1918).  Exact rules up
 to ``EXACT_LIMIT`` (denominators explode beyond that) run in exact-rational
-mode over the scalar ``c_holder``, an oracle independent of the numpy
-tables.  Every floating series is summed by one reduction,
-``_neumaier_segments``: one numpy pass over the segments between the points
-wanted, Neumaier-compensated across segments.
+mode, an oracle independent of the numpy tables: its only sources are the
+scalar ``c_holder`` and ``G.eval``, and it sums each stretch between two
+checkpoints as integer numerators over one denominator, the lcm of the
+stretch's denominators (``_exact_sums``).  Every floating series is summed
+by one reduction, ``_neumaier_segments``: one numpy pass over the segments
+between the points wanted, Neumaier-compensated across segments.
 
 Signed floating series of a multiplicative G read one table, G mu at the
 odd n (``_gmu_table``: G(2m) mu(2m) = -G(2) G(m) mu(m) for odd m, and 0
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd
 from numbers import Integral
 from typing import Iterable, Optional, Sequence, Union
@@ -356,8 +358,10 @@ def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) ->
     """Partial sums of G(q) c_q(a), or |G(q) c_q(a)|, over q <= x coprime to b.
 
     ``a`` must already be coprime to ``b`` (both floating kernels need it).
-    Exact mode calls the scalar ``c_holder`` and never reads a table, so the
-    Fraction oracle stays independent of the tables it checks.  The signed
+    Exact mode (``_exact_sums``) reads only the scalar ``c_holder`` and
+    ``G.eval``, never a table, so the exact oracle stays independent of the
+    tables it checks; it sums each segment between checkpoints as integer
+    numerators over the lcm of the segment's denominators.  The signed
     floating sum is ``_peel_sums`` of the one pair (a, b).
 
     The absolute floating sum, for any G, is ``_strided_sums`` of Hardy's
@@ -370,26 +374,58 @@ def _series(G, a: int, Q: int, cps, desc: str, b: int, absolute: bool, exact) ->
     """
     cps = _validate_checkpoints(cps, Q)
     if _use_exact(G, Q, exact):
-        sums = []
-        total: Number = 0
-        lo = 1
-        for x in cps:
-            ns = range(lo, x + 1)
-            if b > 1:
-                ns = [n for n in ns if gcd(n, b) == 1]
-            for n, w in zip(ns, map(c_holder, ns, repeat(a))):
-                if w:
-                    term = G.eval(n) * w
-                    total = total + (abs(term) if absolute else term)
-            sums.append(total)
-            lo = x + 1
-        return PartialSumSeries(desc, tuple(zip(cps, sums)), "exact-rational")
+        return PartialSumSeries(desc, tuple(zip(cps, _exact_sums(G, a, b, cps, absolute))), "exact-rational")
 
     if absolute:
         rad = radical(a)
         plan = [(d, abs(c_holder(d, a)), b * rad) for d in divisors(a * rad) if d <= Q]
         return _floating(desc, cps, _strided_sums(G, {a: plan}, Q, cps, absolute=True)[a])
     return _floating(desc, cps, _peel_sums(G, [(a, b)], Q, cps)[(a, b)])
+
+
+def _exact_sums(G, a: int, b: int, cps: list[int], absolute: bool) -> list:
+    """The exact partial sums of G(n) c_n(a), or |G(n) c_n(a)|, over n <= x
+    coprime to b, at each checkpoint x in ``cps``, of the value and type
+    that adding the terms one by one gives: an int until the first Fraction.
+
+    The terms of a segment between checkpoints are v w with
+    w = c_holder(n, a) != 0 and v = G.eval(n).  The segment is acc / L, L
+    the lcm of its v's denominators and acc the integer sum of
+    v.numerator w (L // v.denominator), both grown term by term; one gcd,
+    of acc and L, normalizes it, and it is added to the running sum once,
+    where a Fraction sum pays gcds at every term.  L starts again at 1 in
+    each segment: one L for the whole series would make that gcd as long
+    as the whole series' denominators at every checkpoint.  A v with no
+    ``denominator`` (a float, a complex) raises ``ValueError``."""
+    sums, total, lo = [], 0, 1
+    for x in cps:
+        ns = range(lo, x + 1)
+        if b > 1:
+            ns = [n for n in ns if gcd(n, b) == 1]
+        acc, L, fraction = 0, 1, False
+        for n in ns:
+            w = c_holder(n, a)
+            if not w:
+                continue
+            v = G.eval(n)
+            try:
+                d = v.denominator
+            except AttributeError:
+                raise ValueError(f"{G.label}: G({n}) = {v!r} is not rational; exact mode sums ints and Fractions only") from None
+            if L % d:
+                m = d // gcd(L, d)
+                acc *= m
+                L *= m
+            t = v.numerator * w * (L // d)
+            acc += abs(t) if absolute else t
+            fraction = fraction or isinstance(v, Fraction)
+        if fraction or L > 1:
+            total = total + Fraction(acc, L)
+        elif acc:
+            total = total + acc
+        sums.append(total)
+        lo = x + 1
+    return sums
 
 
 def _coprime_part(a: int, b: int) -> int:

@@ -45,13 +45,15 @@ class MultiplicativeFunction:
 
     ``rule(p, e)`` returns G(p^e) for e >= 1; G(1) = 1 always.  ``exact``
     promises every rule output is an int or Fraction, so downstream sums can
-    stay in exact rational arithmetic.  ``declared_transparent`` and
-    ``declared_invisible`` certify the *complete* spectra when the
+    stay in exact rational arithmetic; an exact-rational series raises
+    ``ValueError`` at a value that is not rational.  ``declared_transparent``
+    and ``declared_invisible`` certify the *complete* spectra when the
     constructor knows them (catalog entries do); both or neither must be set.
 
     ``squarefree_cap``, when set, clamps |G(n)| to cap/n on squarefree
     n > 1 -- used by catalog families whose hypotheses bound squarefree
-    values.  It must be a finite real > 0.
+    values.  It must be a finite real > 0, and it scales values by a float,
+    so an ``exact`` G cannot have one.
 
     ``at_primes``, when set, is a numpy form of the rule at e = 1: given an
     ascending int64 array P of primes it returns G(p) for each, as a numeric
@@ -87,6 +89,8 @@ class MultiplicativeFunction:
         cap = self.squarefree_cap
         if cap is not None and not (isinstance(cap, Real) and math.isfinite(cap) and cap > 0):
             raise ValueError(f"{self.label}: squarefree_cap must be a finite real > 0, got {cap!r}")
+        if cap is not None and self.exact:
+            raise ValueError(f"{self.label}: exact=True cannot take a squarefree_cap, which scales values by a float")
         if self.at_primes is not None:
             P = sieve_primes(100)
             form = checked_values(self.at_primes(P), len(P), f"{self.label}: at_primes(P)")

@@ -4,6 +4,7 @@ mu/phi by definition, divisor-sum identities by direct enumeration."""
 import bisect
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -40,6 +41,23 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def plain_trial_factors(n: int) -> tuple:
+    """(p, e) pairs of n by division by 2 and every odd d up to the root of
+    what is left."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 def _gmu_case(G):
@@ -138,6 +156,20 @@ class TestFactorize:
     def test_roundtrip_property(self, n):
         f = factorize(n)
         assert math.prod(p**e for p, e in f.factors) == n
+
+    def test_against_plain_trial_division(self):
+        rng = random.Random(12)
+        ns = [*range(1, 3 * 10**4 + 1), *(rng.randrange(1, 10**12) for _ in range(300)), 999_999_937, 65537**2]
+        for n in ns:
+            assert factorize(n).factors == plain_trial_factors(n), n
+
+    def test_trial_primes_grow_to_the_largest_root(self, monkeypatch):
+        # 65537^2 is the first square past the prime slot's 2^16 floor.
+        monkeypatch.setattr(core, "_trial_slot", (0, []))
+        for n, root in [(10, 3), (9, 3), (10**6, 1000), (5, 1000), (65537**2, 65537), (10**9, 65537)]:
+            assert factorize.__wrapped__(n).factors == plain_trial_factors(n)
+            limit, primes = core._trial_slot
+            assert limit == root and primes == sieve_primes(root).tolist(), n
 
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]

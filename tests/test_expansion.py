@@ -7,6 +7,7 @@ import collections
 import dataclasses
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 import random
@@ -50,6 +51,8 @@ from ramanujan_cloud import multiplicative
 from ramanujan_cloud.expansion import _coprime_part, _neumaier_segments, _series, _strike_non_coprime, _support_values, _value_table
 from ramanujan_cloud.core import divisors
 from ramanujan_cloud.multiplicative import spectrum
+from ramanujan_cloud.reproduce import _absolutely_convergent_exotic_instances
+from ramanujan_cloud._serialize import to_jsonable
 from ramanujan_cloud.sums import c_holder
 from test_multiplicative import FORM_ENTRIES
 
@@ -212,6 +215,93 @@ def _rule_values(bound):
 
 
 _RULE_VALUES = _rule_values(3)
+
+
+def _fraction_loop(G, a, b, cps, absolute):
+    """The exact partial sums added one Fraction term at a time: every term
+    G(n) c_n(a), or its abs, over n <= x coprime to b."""
+    sums, total, lo = [], 0, 1
+    for x in cps:
+        for n in range(lo, x + 1):
+            w = c_holder(n, a)
+            if w and gcd(n, b) == 1:
+                term = G.eval(n) * w
+                total = total + (abs(term) if absolute else term)
+        sums.append(total)
+        lo = x + 1
+    return sums
+
+
+class TestExactSegments:
+    """The exact branch of ``_series`` sums each stretch between checkpoints
+    in integers over one denominator; every partial sum must be the
+    term-by-term Fraction sum's, in value, type and serialized bytes."""
+
+    Q = 240
+    A = (1, 2, 12, 47, 360, 945)
+    B = (1, 2, 35)
+
+    def _check(self, G, a, b, absolute, cps):
+        got = _series(G, _coprime_part(a, b), self.Q, cps, "", b, absolute, True)
+        xs = got.xs()
+        assert xs == (checkpoint_schedule(self.Q) if cps is None else list(cps))
+        want = _fraction_loop(G, a, b, xs, absolute)
+        for x, value, ref in zip(xs, got.values(), want):
+            assert type(value) is type(ref) and value == ref, (G.label, a, b, absolute, x, value, ref)
+            assert json.dumps(to_jsonable(value)) == json.dumps(to_jsonable(ref))
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            catalog("GR"),
+            catalog("GH"),
+            catalog("G0", p0=3),
+            catalog("indicator_prime_powers", p0=2),
+            *_absolutely_convergent_exotic_instances(),
+        ],
+        ids=lambda G: G.label,
+    )
+    def test_catalog_entries(self, G):
+        for a in self.A:
+            for b in self.B:
+                for absolute in (False, True):
+                    for cps in (None, [self.Q], range(1, self.Q + 1)):
+                        self._check(G, a, b, absolute, cps)
+
+    @given(
+        values=_RULE_VALUES,
+        seed=st.integers(0, 2**16),
+        a=st.sampled_from(A),
+        b=st.sampled_from(B),
+        absolute=st.booleans(),
+        cps=st.sampled_from([None, [Q], range(1, Q + 1)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_rules(self, values, seed, a, b, absolute, cps):
+        self._check(_random_exact_rule(values, seed), a, b, absolute, cps)
+
+    @pytest.mark.parametrize("cps", [None, [20], range(1, 21)])
+    @pytest.mark.parametrize(
+        "G, where",
+        [
+            (MultiplicativeFunction("halfs", rule=lambda p, e: 0.5, exact=True), r"halfs: G\(2\) = 0\.5 "),
+            (MultiplicativeFunction("imaginary", rule=lambda p, e: 1j, exact=True), r"imaginary: G\(2\) = 1j "),
+            (GeneralArithmeticFunction("late float", fn=lambda n: 1.5 if n == 7 else 1, exact=True), r"late float: G\(7\) = 1\.5 "),
+        ],
+        ids=["float", "complex", "general"],
+    )
+    def test_non_rational_value_is_named(self, G, where, cps):
+        for series in (expansion_partial_sums, restricted_mobius_partial_sums):
+            with pytest.raises(ValueError, match=where + "is not rational"):
+                series(G, 1, 20, checkpoints=cps, exact=True)
+
+    def test_exact_rule_takes_no_squarefree_cap(self):
+        # The cap scales values by a float, so an exact-rational series of
+        # a capped rule would sum floats.
+        with pytest.raises(ValueError, match="three: exact=True cannot take a squarefree_cap"):
+            MultiplicativeFunction("three", rule=lambda p, e: 3, exact=True, squarefree_cap=2.0)
+        capped = MultiplicativeFunction("three", rule=lambda p, e: 3, squarefree_cap=2.0)
+        assert restricted_mobius_partial_sums(capped, 1, 20).mode == "floating"
 
 
 def _direct_sums(G, pairs, Q, cps):
