@@ -13,33 +13,38 @@ stretch's denominators (``_exact_sums``).  Every floating series is summed
 by one reduction, ``_neumaier_segments``: one numpy pass over the segments
 between the points wanted, Neumaier-compensated across segments.
 
-Signed floating series of a multiplicative G read one table, G mu at the
-odd n (``_gmu_table``: G(2m) mu(2m) = -G(2) G(m) mu(m) for odd m, and 0
-when 4 | n), through its prefix R_2(z) = sum_{r <= z, r odd} G(r) mu(r).
-Kluyver's c_q(a) = sum over d | (q, a) of d mu(q/d) and the
-multiplicativity of G write the series at a as a short combination of
-restricted Mobius series R_B at the points x // dm, and the coprime peel
-R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_{2B} from R_2 over
-a trie of the odd primes of radicals; an odd B steps down once more, by
-R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), so the Mobius prefix M_G is
-R_2(z) - G(2) R_2(z // 2).  ``_peel_sums`` batches this: a verdict's
-samples or radicals, and a single expansion, all read R_2 at the trie
-root's distinct points in one pass over G mu.  It picks each pair's kernel
-from what the climb multiplies by: a non-multiplicative G, |G(p)| > 1 on an
-odd prime of ab, or a G whose ``squarefree_cap`` binds somewhere up to Q
-(``_cap_binds``) takes the strided kernel instead.
-
-The one other floating kernel, ``_strided_sums``, adds weighted sums
-w T_{d,B}(x // d), T_{d,B}(y) = sum_{m <= y, (m, B) = 1} G(dm) mu(m) (or
-|G(dm) mu(m)|), from a plan of terms (d, w, B).  It reads each T_{d,B}
-from one strided pass over the value and mu tables, or, for a G with a
-``support``, point by point at the support points divisible by d, so a
-finitely supported G costs per support point and builds no Q-sized array.
-Two plans use it: Kluyver's, (d, d, b) for d | a, for the signed pairs the
-peel does not take; and Hardy's, (d, |c_d(a)|, b rad(a)) for d | a rad(a),
-for every absolute series, of any G (c_q(a) is multiplicative in q, so
+Both floating kernels sum plans: a plan is a list of terms (d, w, B), and
+a series is sum w T_{d,B}(x // d) over its terms, with
+T_{d,B}(y) = sum_{m <= y, (m, B) = 1} G(dm) mu(m) (or |G(dm) mu(m)|).
+``_combine`` adds the weighted sums in plan order for both.  Kluyver's
+c_q(a) = sum over d | (q, a) of d mu(q/d) gives every signed series the plan
+(d, d, b) for d | a; Hardy's gives every absolute one (d, |c_d(a)|, b rad(a))
+for d | a rad(a), of any G (c_q(a) is multiplicative in q, so
 c_{dr}(a) = c_d(a) mu(r) for r coprime to a, and c_d(a) = 0 unless
 d | a rad(a)).
+
+``_peel_sums`` reads the T_{d,b} of a multiplicative G from one table, G mu
+at the odd n (``_gmu_table``: G(2m) mu(2m) = -G(2) G(m) mu(m) for odd m,
+and 0 when 4 | n), through its prefix R_2(z) = sum_{r <= z, r odd} G(r) mu(r).
+Multiplicativity writes T_{d,b}(y) as the sum over m' | rad d, and over
+m' | 2 rad d when bd is odd, of mu(m') G(dm') R_{2b rad d}(y // m'); the
+coprime peel R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_{2B}
+from R_2 over a trie of the odd primes of radicals.  The even m' of an odd
+bd are the peel at p = 2, so the Mobius prefix M_G is
+R_2(z) - G(2) R_2(z // 2).
+A verdict's samples or radicals, and a single expansion, all read R_2 at the
+trie root's distinct points in one pass over G mu, and each distinct
+T_{d,b} once.  ``_peel_sums`` picks each pair's kernel from what the climb
+multiplies by: a non-multiplicative G, |G(p)| > 1 on an odd prime of ab, or
+a G whose ``squarefree_cap`` binds somewhere up to Q (``_cap_binds``) takes
+the strided kernel instead.
+
+The strided kernel, ``_strided_sums``, reads each T_{d,B} from one strided
+pass over the value and mu tables, or, for a G with a ``support``, point by
+point at the support points divisible by d, so a finitely supported G costs
+per support point and builds no Q-sized array.  It takes Kluyver's plan for
+the signed pairs the peel does not take, and Hardy's for every absolute
+series.
 
 Convergence verdicts are bounded numerical evidence, never proofs; the
 honest third outcome "inconclusive" is routine.
@@ -445,18 +450,26 @@ def _strided_sums(G, plans: dict, Q: int, cps: list[int], absolute: bool = False
     T_{d,B}(y) = sum_{m <= y, (m, B) = 1} G(dm) mu(m), or with ``absolute``
     sum |G(dm) mu(m)|: the terms of ``_strided_terms`` Neumaier-summed at
     the points x // d.  Each distinct (d, B) is computed once per call, one
-    buffer of terms at a time, and the weighted sums are added in plan
-    order.  Nothing is kept on G but its values, and a plan's sums do not
-    depend on the others in the call.
+    buffer of terms at a time, and ``_combine`` adds the weighted sums in
+    plan order.  Nothing is kept on G but its values, and a plan's sums do
+    not depend on the others in the call.
     """
-    T, out = {}, {}
+    T = {}
+    for d, B in dict.fromkeys((d, B) for terms in plans.values() for d, _, B in terms):
+        u, points = _strided_terms(G, Q, d, B, np.array(cps, dtype=np.int64) // d, absolute)
+        T[(d, B)] = _neumaier_segments(u, points).tolist()
+        del u  # before the next (d, B) allocates its buffer
+    return _combine(plans, T, len(cps))
+
+
+def _combine(plans: dict, T: dict, n: int) -> dict:
+    """{key: sum of w T[(d, B)] over the terms (d, w, B) of its plan}, each
+    T[(d, B)] a list of n sums, added in plan order: the one place either
+    kernel weights its T_{d,B}."""
+    out = {}
     for key, terms in plans.items():
-        totals = [0.0] * len(cps)
+        totals = [0.0] * n
         for d, w, B in terms:
-            if (d, B) not in T:
-                u, points = _strided_terms(G, Q, d, B, np.array(cps, dtype=np.int64) // d, absolute)
-                T[(d, B)] = _neumaier_segments(u, points).tolist()
-                del u  # before the next (d, B) allocates its buffer
             totals = [s + w * t for s, t in zip(totals, T[(d, B)])]
         out[key] = totals
     return out
@@ -558,17 +571,27 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     """Floating sum_{q <= x, (q, b) = 1} G(q) c_q(a) at the checkpoints
     ``cps`` for each pair (a, b), b a radical and a coprime to b, as
     {(a, b): list of sums}; a = 1 gives the restricted Mobius series of b.
-    Every pair of a batch is read off one odd prefix
-    R_2(z) = sum_{r <= z, r odd} G(r) mu(r).
 
-    Kluyver's c_q(a) = sum over d | (q, a) of d mu(q/d) gives
-    S(x) = sum over d | a of d T_d(x // d), with
-    T_d(y) = sum_{m <= y, (m, b) = 1} G(dm) mu(m).  A squarefree m coprime
-    to b splits as m' r with m' | rad d and r coprime to bd, and
-    G(dm' r) = G(dm') G(r), so
-    S(x) = sum over d | a, m' | rad d of d mu(m') G(dm') R_B(x // dm'),
-    where B = b rad(d) and R_B(z) = sum_{r <= z, (r, B) = 1} G(r) mu(r).
-    The coprime peel (``coprime_peel_identity``) read the other way,
+    Every pair takes Kluyver's plan, the terms (d, d, b) for d | a, d <= Q,
+    ascending: S(x) = sum over d | a of d T_{d,b}(x // d), with
+    T_{d,b}(y) = sum_{m <= y, (m, b) = 1} G(dm) mu(m).  Each pair's kernel
+    is chosen before any table is built.  A pair is peeled when G is
+    multiplicative, |G(p)| <= 1 at every odd prime p <= Q of ab
+    (``G.rule(p, 1)``; the climb's powers G(p)^k would amplify the roundoff
+    of R_2 above 1), and no cap binds up to Q (``_cap_binds``).  The other
+    pairs go, as one batch, to ``_strided_sums``, and never read a T_{d,b}
+    that the peel computed.
+
+    For the peeled pairs, a squarefree m coprime to b splits as m' r with
+    m' | rad d and r coprime to bd, and G(dm' r) = G(dm') G(r), so
+    T_{d,b}(y) = sum over m' of mu(m') G(dm') R_B(y // m'), where B = b rad d
+    and R_B(z) = sum_{r <= z, (r, B) = 1} G(r) mu(r).  When bd is odd, the
+    m' run over the divisors of 2 rad d instead and r over the odd r, so the
+    terms read R_{2B}: since mu(2m') G(2dm') = -G(2) mu(m') G(dm'), the
+    terms at the even m' are the peel at p = 2,
+    R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2).  So every term reads R_{2B},
+    at the trie node of the odd primes of bd (``_kluyver_terms``).  The
+    coprime peel (``coprime_peel_identity``) read the other way,
     R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), is the weighted form of
     Legendre's phi(x, a) recurrence.  ``_peel_points`` plans it over a trie
     of the odd primes of radicals, whose node F holds R_{2F} and whose root
@@ -577,26 +600,18 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     entries 1..(z + 1) // 2, and the climb from the root computes each node
     at its own points, one level p^j <= z < p^(j+1) at a time, a Horner
     scheme in G(p) along each odd prime, G(p) read at entry (p + 1) // 2.
-    An even B reads its node.  An odd B reads its node, R_{2B}, also at
-    x // 2dm' and takes the peel at p = 2 as one step down,
-    R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), with G(2) gathered from
-    ``G.rule(2, 1)``, the value the full G mu table negated at 2.  Each S(x)
-    then adds its terms d mu(m') G(dm') R_B in ascending d, then m'.  So G(2)
-    enters only the step down and the G(dm'), as in the direct kernel.  Every
-    product goes through ``_times``.
+    Each distinct (d, b) of the batch is built and read once: T_{d,b} adds
+    its terms in ascending m', and ``_combine``, the loop of the strided
+    kernel, adds d T_{d,b} in plan order.  So G(2) enters only the
+    coefficients G(dm'), as in the direct kernel.  Every product of an
+    array goes through ``_times``.
 
-    Each pair's kernel is chosen before any table is built.  A pair is
-    peeled when G is multiplicative, |G(p)| <= 1 at every odd prime p <= Q
-    of ab (``G.rule(p, 1)``; the climb's powers G(p)^k would amplify the
-    roundoff of R_2 above 1), and no cap binds up to Q (``_cap_binds``).
-    The other pairs go, as one batch, to ``_strided_sums`` with the plan
-    (d, d, b) for each d | a, d <= Q, ascending: Kluyver's sum as it stands,
-    each T_d shared by the pairs of the batch.  Neither kernel stores
-    anything on G but tables and the guard's answer, so a series reads the
-    same bytes whatever ran before it.  A strided series also has the same
-    bytes in any batch; a peeled one does not, since the root's points are
-    the batch's union, which moves the segments of R_2 (by at most 5.8e-17
-    on the restricted series of a GR verdict at the default config).
+    Neither kernel stores anything on G but tables and the guard's answer,
+    so a series reads the same bytes whatever ran before it.  A strided
+    series also has the same bytes in any batch; a peeled one does not,
+    since the root's points are the batch's union, which moves the segments
+    of R_2 (by at most 5.8e-17 on the restricted series of a GR verdict at
+    the default config).
     """
     pairs = list(pairs)
     peel = set()
@@ -605,21 +620,18 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
         peel = {(a, b) for a, b in pairs if bounded(a * b)}
     if peel and G.squarefree_cap is not None and _cap_binds(G, Q, _gmu_table(G, Q)):
         peel = set()
-    direct = {(a, b): [(d, d, b) for d in divisors(a) if d <= Q] for a, b in pairs if (a, b) not in peel}
-    out = _strided_sums(G, direct, Q, cps)
+    plans = {(a, b): [(d, d, b) for d in divisors(a) if d <= Q] for a, b in pairs}
+    out = _strided_sums(G, {pair: plan for pair, plan in plans.items() if pair not in peel}, Q, cps)
     if not peel:
         return out
     gmu = _gmu_table(G, Q)
-    plans = {(a, b): _kluyver_terms(G, a, b, Q) for a, b in pairs if (a, b) in peel}
+    plans = {pair: plan for pair, plan in plans.items() if pair in peel}
+    terms = {(d, b): _kluyver_terms(G, d, b, Q) for d, b in dict.fromkeys((d, b) for plan in plans.values() for d, _, b in plan)}
 
     xs = np.array(cps, dtype=np.int64)
-    node_of, reads = {}, {}  # the trie node of each B; the k each node is read at
-    for terms in plans.values():
-        for k, _, B in terms:
-            if B not in node_of:
-                node_of[B] = tuple(p for p in factorize(B).primes() if p != 2)
-            # An odd B reads its node, R_{2B}, at x // k and x // 2k.
-            reads.setdefault(node_of[B], set()).update((k, 2 * k) if B % 2 else (k,))
+    reads = {}  # the k each node is read at
+    for k, _, node in chain.from_iterable(terms.values()):
+        reads.setdefault(node, set()).add(k)
     points = _peel_points(reads, xs)
     R = {(): _neumaier_segments(gmu, (points[()] + 1) // 2)}  # R_2, over odd n <= z
     for node in sorted(points, key=len)[1:]:  # parents before children
@@ -633,16 +645,13 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
             for lo, hi in zip(edges, edges[1:]):  # the level p^j <= z < p^(j+1) reads the one below
                 r[lo:hi] += _times(g, r[below[lo:hi]])
         R[node] = r
-    g2 = _rule_values(G, [2], [1])[0] if any(B % 2 for B in node_of) else None
-    for pair, terms in plans.items():
+    T = {}
+    for key, ts in terms.items():
         total = 0.0
-        for k, coef, B in terms:
-            node = node_of[B]
-            r = R[node][np.searchsorted(points[node], xs // k)]
-            if B % 2:  # the peel at p = 2: R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2)
-                r = r - _times(g2, R[node][np.searchsorted(points[node], xs // (2 * k))])
-            total = total + _times(coef, r)
-        out[pair] = total.tolist()
+        for k, coef, node in ts:
+            total = total + _times(coef, R[node][np.searchsorted(points[node], xs // k)])
+        T[key] = total.tolist()
+    out.update(_combine(plans, T, len(cps)))
     return out
 
 
@@ -680,26 +689,22 @@ def _peel_points(reads: dict, xs: np.ndarray) -> dict:
     return points
 
 
-def _kluyver_terms(G: MultiplicativeFunction, a: int, b: int, Q: int) -> list[tuple[int, Number, int]]:
-    """The terms (k, coefficient, B) of ``_peel_sums``'s S(x) for the pair
-    (a, b): k = dm' for d | a and m' | rad d, with k <= Q (the others read
-    R_B(0) = 0), coefficient d mu(m') G(k) and B = b rad(d); ascending in d,
-    then m'.  Each coefficient is ``d * mobius(m') * G.eval(k)`` cast once to
-    float (or complex), so an exact rule's is rounded once: for a Fraction
-    value v it is the int true division (d mu(m') v.numerator) /
-    v.denominator, which rounds correctly, as ``float`` of the Fraction
-    product does, without building one."""
-    terms = []
-    for d in divisors(a):
-        if d > Q:
-            break
-        rad = radical(d)
-        for m in divisors(rad):
-            if d * m <= Q:
-                c, v = d * mobius(m), G.eval(d * m)
-                terms.append((d * m, c * v.numerator / v.denominator if isinstance(v, Fraction) else c * v, b * rad))
-    coefs = _gather(lambda: (c for _, c, _ in terms), len(terms)).tolist()
-    return [(k, c, B) for (k, _, B), c in zip(terms, coefs)]
+def _kluyver_terms(G: MultiplicativeFunction, d: int, b: int, Q: int) -> list[tuple[int, Number, tuple]]:
+    """The terms (k, coefficient, node) of ``_peel_sums``'s T_{d,b}, for d
+    coprime to the radical b: k = dm' for m' | rad d, and for m' | 2 rad d
+    when bd is odd, with k <= Q (the others read R(0) = 0), ascending in
+    m'; coefficient mu(m') G(k); node the odd primes of bd, ascending, the
+    trie node that holds R_{2b rad d}.  Each coefficient is
+    ``mobius(m') * G.eval(k)`` cast once to float (or complex), so an exact
+    rule's is rounded once: for a Fraction value v it is the int true
+    division (mu(m') v.numerator) / v.denominator, which rounds correctly,
+    as ``float`` of the Fraction does, without building one."""
+    rad = radical(d)
+    node = tuple(p for p in factorize(b * rad).primes() if p != 2)
+    ms = [m for m in divisors(2 * rad if b * d % 2 else rad) if d * m <= Q]
+    values = [(mobius(m), G.eval(d * m)) for m in ms]
+    coefs = _gather(lambda: (c * v.numerator / v.denominator if isinstance(v, Fraction) else c * v for c, v in values), len(ms))
+    return [(d * m, c, node) for m, c in zip(ms, coefs.tolist())]
 
 
 def finite_factor(G, a: int) -> Number:

@@ -109,16 +109,16 @@ class MultiplicativeFunction:
         return v if isinstance(v, _Number) else _raise_non_number(self.label, f"rule({p}, {e})", v)
 
     def eval(self, n: int) -> Number:
-        """G(n) as the product of the rule over the factorization of n."""
+        """G(n) as the product of the rule over the factorization of n, from
+        its first factor on (n = 1 gives the int 1)."""
         if n < 1:
             raise ValueError("n must be >= 1")
         cached = self._memo.get(n)
         if cached is not None:
             return cached
         f = factorize(n)
-        out: Number = 1
-        for p, e in f.factors:
-            out = out * self.at_prime_power(p, e)
+        out, *rest = [self.at_prime_power(p, e) for p, e in f.factors] or [1]
+        out = math.prod(rest, start=out)
         if self.squarefree_cap is not None and out != 0 and n > 1:
             if all(e == 1 for _, e in f.factors):
                 bound = self.squarefree_cap / n

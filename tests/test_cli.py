@@ -276,8 +276,9 @@ class TestSignedSeriesAtScale:
         divisible by 3 to the strided kernel and peels the rest.  prop5 and
         lemma7_h at their defaults have |G(2)| > 1 and |G(p)| <= 1 at every
         odd prime, so the kernel rule, which reads the odd primes only,
-        peels every radical: an even one reads its trie node, and an odd B
-        steps down from R_2B by one multiply by G(2).  Statuses are checked
+        peels every radical: each T_{d,b} reads its trie node, an odd bd
+        also at the even m' | 2 rad d, with G(2) in the coefficient
+        mu(m') G(dm').  Statuses are checked
         in order, the conclusion last; both lemma7_h entries and prop5 with
         g2 = 2 are inconclusive at the default config."""
         code, payload = run_json(capsys, ["verdict", *argv])
@@ -285,9 +286,9 @@ class TestSignedSeriesAtScale:
         assert [status for _, status in payload["hypothesis_checks"]] + [payload["conclusion"]] == statuses
 
     def test_signed_expansion_through_the_peel(self, capsys):
-        """GR at a = 945 = 3^3 * 5 * 7 sums 63 Kluyver terms, each read off
-        a trie of radicals whose int64 points are divided by Python-int
-        primes.  The last partial sum is near 0 (-6.6e-4)."""
+        """GR at a = 945 = 3^3 * 5 * 7 sums d T_{d,1} over its 32 divisors,
+        126 terms in all, each read off a trie of radicals whose int64
+        points are divided by Python-int primes.  The last partial sum is near 0 (-6.6e-4)."""
         re, _ = last_partial_sum(capsys, ["expand", "GR", "--a", "945", "--Q", "1000000"])
         assert abs(re) <= 2e-3
 
@@ -314,7 +315,7 @@ class TestSignedSeriesAtScale:
         at a time, so their bytes do not depend on how numpy splits a
         slice.  Both read a complex G mu table through the peel, whose
         complex products go through the same plane rule; lemma7_h at a = 2
-        multiplies by G(2) in the step down.  Last partial sums within
+        multiplies by G(2) and G(4) in its coefficients.  Last partial sums within
         1e-9."""
         got = last_partial_sum(capsys, ["expand", *argv, "--Q", "1000000"])
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, got

@@ -304,6 +304,53 @@ class TestExactSegments:
         assert restricted_mobius_partial_sums(capped, 1, 20).mode == "floating"
 
 
+def _eval_from_one(G, n):
+    """G(n) as ``eval`` formed it before it started at the first factor: the
+    product of the rule over the factorization of n from the int 1, then
+    the squarefree cap."""
+    f = factorize(n)
+    out = 1
+    for p, e in f.factors:
+        out = out * G.at_prime_power(p, e)
+    if G.squarefree_cap is not None and out != 0 and n > 1 and all(e == 1 for _, e in f.factors):
+        bound = G.squarefree_cap / n
+        if abs(out) > bound:
+            out = out * (bound / abs(out))
+    return out
+
+
+class TestEvalProduct:
+    # ``eval`` starts its product at the first factor, not at the int 1,
+    # which sent every first factor through Fraction.__rmul__ for nothing.
+    # For int, Fraction, float and complex rule values 1 * v == v has the
+    # type of v, so every value keeps its value and type.
+    @staticmethod
+    def _check(G):
+        for n in range(1, 3001):
+            got, want = G.eval(n), _eval_from_one(G, n)
+            assert type(got) is type(want) and got == want, (G.label, n, got, want)
+
+    @pytest.mark.parametrize(
+        "G",
+        [
+            *(catalog(name) for name in catalog_names() if name != "weakly_exotic_sample"),
+            catalog("G0", p0=3, off_prime_powers=lambda p, e: Fraction(1, p ** (2 * e))),
+            catalog("lemma7_h", s=0.6 + 0.3j),
+            catalog("prop5", s=0.7 + 0.1j, g2=0.5 + 0.5j),
+            catalog("prop1", cap=1.0),
+            MultiplicativeFunction("mixed", rule=lambda p, e: (1, -2, Fraction(1, 3), 0.5, 2j)[(p + e) % 5]),
+        ],
+        ids=lambda G: G.label,
+    )
+    def test_catalog_entries(self, G):
+        self._check(G)
+
+    @given(values=_RULE_VALUES, seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_random_rules(self, values, seed):
+        self._check(_random_exact_rule(values, seed))
+
+
 def _direct_sums(G, pairs, Q, cps):
     """The strided kernel on Kluyver's plan, as ``_peel_sums`` sends it the
     pairs it does not peel: the terms (d, d, b) for d | a, d <= Q."""
@@ -1127,9 +1174,9 @@ def _peel_mass(G, a, b, Q, xs):
     """M_P(x) = sum over the terms k = dm' (d | a, m' | rad d, k <= Q) of
     |d G(k)| sum over odd B-smooth n of |G~(n)| A(x // kn), with B = b rad(d)
     and A(y) = sum_{r <= y} |G(r) mu(r)|: the climb multiplies by G(p) at the
-    odd p only, and A(y) = A_2(y) + |G(2)| A_2(y // 2) takes the step down
-    of an odd B, A_2 summing the odd r.  Magnitudes are |Re| + |Im|, and a
-    non-exact G is read from its value table.  Summed in floats: every term
+    odd p only, and A(y) = A_2(y) + |G(2)| A_2(y // 2) holds the terms at
+    m' = 2m'' that an odd bd adds, A_2 summing the odd r.  Magnitudes are
+    |Re| + |Im|, and a non-exact G is read from its value table.  Summed in floats: every term
     is >= 0, so no step cancels and each of the at most 2 * 10^4 roundings
     in a chain costs at most u relative; (1 + 2^-30) times the float sum
     bounds the exact mass."""
@@ -1161,13 +1208,13 @@ def _signed_tolerance(G, a, b, Q, xs):
 
 class TestPeelSums:
     # The peel writes the signed expansion at a coprime to b as
-    # S(x) = sum over k = dm' (d | a, m' | rad d) of d mu(m') G(k) R_B(x // k),
-    # B = b rad(d).  It climbs a trie of odd primes from
-    # R_2(y) = sum_{r <= y, r odd} G(r) mu(r) by
+    # S(x) = sum over d | a of d T_{d,b}(x // d), with
+    # T_{d,b}(y) = sum over m' of mu(m') G(dm') R_B(y // m'), m' | rad d, or
+    # m' | 2 rad d when bd is odd, and B = 2 b rad(d).  It climbs a trie of
+    # odd primes from R_2(y) = sum_{r <= y, r odd} G(r) mu(r) by
     # R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), so that the node of B holds
-    # R_{2B}(z) = sum over odd B-smooth n <= z of G~(n) R_2(z // n), with G~
-    # completely multiplicative, G~(p) = G(p); an odd B then steps down by
-    # R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2).  Error bound, in the terms of
+    # R_B(z) = sum over odd B-smooth n <= z of G~(n) R_2(z // n), with G~
+    # completely multiplicative, G~(p) = G(p).  Error bound, in the terms of
     # TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4), for exact
     # real rules, per term G~(n) R_2(z // n) of R_B(z):
     # * R_2(y), read at the root's points: odd G mu table entries 7
@@ -1182,25 +1229,28 @@ class TestPeelSums:
     #   and each level above; below p a node copies R_F, exactly).  A prime
     #   above every point of its node copies too.  Over the primes of B that
     #   is 3 Omega(n) + omega(B) <= 3 floor(log2 Q) + omega(ab), for n <= Q
-    #   and B = b rad(d) with d | a.
-    # * The step down of an odd B: one multiply by the float G(2), 2 (the
-    #   rounding of G(2) and of the product), and one subtraction, 1; so 3
-    #   more, which the 2 entry roundings and the 1 pairwise level that odd
-    #   entries save make up.  Relative to A(y) = sum_{r <= y} |G(r) mu(r)|,
-    #   since A(y) = A_2(y) + |G(2)| A_2(y // 2).  An even B reads its node,
-    #   with A_2 <= A.
-    # Every rounding is relative to a partial sum of terms, each at most
-    # |G~(n)| A(z // n) to first order.  So R_B(z) is off by
-    # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab)) u times
-    # sum_n |G~(n)| A(z // n); that is below the pairwise order's
-    # 4 ceil(log2 Q) + 49 while omega(ab) <= 19.  For a = 1 that is S
-    # itself.  For a > 1 the coefficient, one float of the exact
-    # d mu(m') G(k), costs 1 more, its product with R_B 1, and the running
-    # sum over the at most tau(a^2) = sum over d | a of 2^omega(d) terms
-    # tau(a^2) - 1 (the first add, to 0.0, is exact).  First order that is
+    #   and B = 2 b rad(d) with d | a.
+    # So R_B(z) is off by (ceil(log2 Q) + 3 floor(log2 Q) + 27 + omega(ab)) u
+    # times sum_n |G~(n)| A_2(z // n).  At a = 1 (d = 1) an even b reads its
+    # node with coefficient G(1) = 1, exactly; an odd b adds the m' = 2 term
+    # -G(2) R_B(y // 2), the peel at 2: one float of the coefficient 1, its
+    # product 1 and the add 1, so 3 more.  The whole of S is then off by
+    # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab)) u times the mass,
+    # where A(y) = A_2(y) + |G(2)| A_2(y // 2) sums every r <= y.  That is
+    # below the pairwise order's 4 ceil(log2 Q) + 49 while omega(ab) <= 19.
+    # For a > 1 every term of T_{d,b} costs the float of its exact
+    # coefficient mu(m') G(dm') 1 and its product 1, the running sum over the
+    # t(d) <= 2^(omega(d) + 1) terms of T_{d,b} t(d) - 1 (the first add, to
+    # 0.0, is exact), the weight d 1 and the running sum over the tau(a)
+    # divisors tau(a) - 1: t(d) + tau(a) + 1 more than R_B's 27, at most
+    # 2^(omega(a) + 1) + tau(a) + 1.  Since
+    # 2^(omega(a) + 1) + tau(a) <= tau(a^2) + 3 for every a > 1 (equality at
+    # a prime and at a product of two primes; tau(a^2) is the product of the
+    # 2 e + 1 over the exponents e of a), the count
     # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab) + [a > 1] (tau(a^2) + 1)) u
-    # times the peel mass ``_peel_mass``; one more u covers the second-order
-    # terms.
+    # covers it, times the peel mass ``_peel_mass``: the terms at an even m'
+    # carry |G(2)| |G(dm'/2)|, the step of A over A_2.  One more u covers the
+    # second-order terms.
     # A non-exact G (here lemma7_h(s = 0.6 + 0.3i)) is compared against its
     # own value table, per component.  A complex product rounds each
     # component at most twice relative to the product of the |Re| + |Im|
@@ -1211,10 +1261,10 @@ class TestPeelSums:
     # With |G(p)| <= 1 at the odd p the mass is at most the count of odd
     # B-smooth n <= x times the mass of Kluyver's sum; with |G(p)| > 1 at an
     # odd p it grows like |G(p)|^(log_p x), which is why the peel falls back
-    # there.  G(2) enters only the step down and the coefficients G(k), as it
-    # enters Kluyver's sum, so |G(2)| > 1 keeps the peel.  A dropped or
-    # mis-signed m' term, a wrong G(p), a skipped level or a point read off
-    # by one moves a sum by whole terms.
+    # there.  G(2) enters only the coefficients G(dm'), as it enters
+    # Kluyver's sum, so |G(2)| > 1 keeps the peel.  A dropped or mis-signed
+    # m' term, a wrong G(p), a skipped level or a point read off by one
+    # moves a sum by whole terms.
     @staticmethod
     def bound(Q, a=1, b=1, exact=True):
         log_up, log_down = math.ceil(math.log2(Q)), Q.bit_length() - 1
@@ -1262,8 +1312,8 @@ class TestPeelSums:
             assert _within(got[(a, b)], want, self.bound(Q, a, b, exact=False), _peel_mass(G, a, b, Q, xs)), (a, b)
 
     def test_complex_climb_is_the_plane_rule(self):
-        # Every complex product of the peel (G(p) in the climb, G(2) in the
-        # step down, the coefficients) rounds as ``core._mul`` does, one
+        # Every complex product of the peel (G(p) in the climb, the
+        # coefficients mu(m') G(dm')) rounds as ``core._mul`` does, one
         # IEEE operation per plane, so its bytes do not depend on numpy's
         # SIMD.  Checked byte for byte against the same plan carried out
         # point by point in Python float arithmetic.
@@ -1286,17 +1336,18 @@ def _plane_product(c, x):
 
 
 def _pointwise_peel(G, pairs, Q, cps):
-    """``_peel_sums`` of a complex G, point by point: the same terms, plan
-    and root sums R_2, then R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) at each
-    point of each node ascending, the step down of an odd B and the sum of
-    the terms, every product by ``_plane_product``."""
+    """``_peel_sums`` of a complex G, point by point: the same terms and root
+    sums R_2, then R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) at each point of
+    each node ascending, each T_{d,b} as the sum of its terms and each pair
+    as the sum of d T_{d,b} over its plan, every complex product by
+    ``_plane_product``."""
     gmu = expansion._gmu_table(G, Q)
     xs = np.array(cps, dtype=np.int64)
-    plans = {(a, b): expansion._kluyver_terms(G, a, b, Q) for a, b in pairs}
+    plans = {(a, b): [d for d in divisors(a) if d <= Q] for a, b in pairs}
+    terms = {(d, b): expansion._kluyver_terms(G, d, b, Q) for a, b in pairs for d in plans[(a, b)]}
     reads = {}
-    for terms in plans.values():
-        for k, _, B in terms:
-            reads.setdefault(tuple(_odd_primes(B)), set()).update((k, 2 * k) if B % 2 else (k,))
+    for k, _, node in (t for ts in terms.values() for t in ts):
+        reads.setdefault(node, set()).add(k)
     points = expansion._peel_points(reads, xs)
     R = {(): dict(zip(points[()].tolist(), _neumaier_segments(gmu, (points[()] + 1) // 2).tolist()))}
     for node in sorted(points, key=len)[1:]:
@@ -1304,16 +1355,16 @@ def _pointwise_peel(G, pairs, Q, cps):
         g = -gmu[(p + 1) // 2]
         for z in points[node].tolist():
             R[node][z] = parent[z] + _plane_product(g, R[node][z // p]) if z >= p else parent[z]
-    g2 = expansion._rule_values(G, [2], [1])[0]
+    T = {}
+    for key, ts in terms.items():
+        T[key] = [complex(0.0, 0.0)] * len(cps)
+        for k, coef, node in ts:
+            T[key] = [t + _plane_product(coef, R[node][x // k]) for t, x in zip(T[key], cps)]
     out = {}
-    for pair, terms in plans.items():
-        total = [complex(0.0, 0.0)] * len(cps)
-        for k, coef, B in terms:
-            r = R[tuple(_odd_primes(B))]
-            for j, x in enumerate(cps):
-                v = r[x // k] - _plane_product(g2, r[x // (2 * k)]) if B % 2 else r[x // k]
-                total[j] = total[j] + _plane_product(coef, v)
-        out[pair] = total
+    for (a, b), ds in plans.items():
+        out[(a, b)] = [0.0] * len(cps)
+        for d in ds:
+            out[(a, b)] = [s + d * t for s, t in zip(out[(a, b)], T[(d, b)])]
     return out
 
 
@@ -1387,25 +1438,28 @@ class TestKluyverTerms:
         ids=lambda G: G.label,
     )
     def test_coefficients_are_the_rounded_products(self, G):
-        # Byte for byte against float(d * mu(m') * G(k)), the product formed
-        # in the exact type of G.eval; Q = 40 drops the terms with k > Q.
+        # Byte for byte against float(mu(m') * G(k)), the product formed in
+        # the exact type of G.eval, for every d | a of the pairs (a, b) with
+        # a <= 300 coprime to b; an odd bd also takes the m' | 2 rad d, the
+        # peel at 2.  Q = 40 drops the terms with k > Q.
         for Q in (40, 10**6):
-            for a in range(1, 301):
-                for b in (1, 2, 3, 6):
+            for b in (1, 2, 3, 6):
+                for d in sorted({d for a in range(1, 301) for d in divisors(_coprime_part(a, b)) if d <= Q}):
+                    rad = radical(d)
                     want = [
-                        (d * m, float(d * mobius(m) * G.eval(d * m)).hex(), b * radical(d))
-                        for d in divisors(a)
-                        for m in divisors(radical(d))
+                        (d * m, float(mobius(m) * G.eval(d * m)).hex(), tuple(_odd_primes(b * d)))
+                        for m in divisors(2 * rad if b * d % 2 else rad)
                         if d * m <= Q
                     ]
-                    got = [(k, float(c).hex(), B) for k, c, B in expansion._kluyver_terms(G, a, b, Q)]
-                    assert got == want, (G.label, a, b, Q)
+                    got = [(k, float(c).hex(), node) for k, c, node in expansion._kluyver_terms(G, d, b, Q)]
+                    assert got == want, (G.label, d, b, Q)
 
 
 class TestPeelPoints:
     # The trie's root holds exactly the points of the rectangle the peel
-    # used to read: every positive x // (k n) over the B-smooth n of each
-    # term k.  Small Q puts primes of b above Q, and above every point.
+    # used to read: every positive x // (k n) over the n smooth in the odd
+    # primes of each term's node.  Small Q puts primes of b above Q, and
+    # above every point.
     @given(
         st.lists(
             st.tuples(st.integers(min_value=1, max_value=2000), st.sampled_from([1, 2, 6, 35, 210])),
@@ -1420,11 +1474,13 @@ class TestPeelPoints:
         xs = np.array(checkpoint_schedule(Q), dtype=np.int64)
         reads, want = {}, set()
         for a, b in {(_coprime_part(a, b), b) for a, b in raw}:
-            for k, _, B in expansion._kluyver_terms(G, a, b, Q):
-                primes = factorize(B).primes()
-                reads.setdefault(primes, set()).add(k)
-                ns = np.array([n for n, _ in _smooth(primes, Q)], dtype=np.int64)
-                want |= set((xs[:, None] // (k * ns)).ravel().tolist()) - {0}
+            for d in divisors(a):
+                if d > Q:
+                    break
+                for k, _, node in expansion._kluyver_terms(G, d, b, Q):
+                    reads.setdefault(node, set()).add(k)
+                    ns = np.array([n for n, _ in _smooth(node, Q)], dtype=np.int64)
+                    want |= set((xs[:, None] // (k * ns)).ravel().tolist()) - {0}
         points = expansion._peel_points(reads, xs)
         assert set(points[()].tolist()) - {0} == want
         for node, z in points.items():
@@ -1505,12 +1561,13 @@ class TestPeelAgainstDirectKernel:
         ids=lambda G: G.label,
     )
     def test_down_step_agrees_with_the_direct_kernel(self, G, monkeypatch):
-        # An odd B reads its node R_{2B} and steps down by
-        # R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2); an even B reads its node
-        # as it is.  prop5 and lemma7_h have |G(2)| = 2^0.4 = 1.32 > 1,
-        # which enters the odd B through that one multiply and every pair
-        # through its coefficients G(k) only: every pair is peeled, and
-        # agrees with the direct kernel per component.
+        # An odd bd adds to T_{d,b} the terms mu(m') G(dm') R(y // m') at
+        # the even m' | 2 rad d: the peel at 2,
+        # R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2) (the down step of the
+        # test's name).  An even bd has none.  prop5 and lemma7_h have
+        # |G(2)| = 2^0.4 = 1.32 > 1, which enters every pair through its
+        # coefficients G(dm') only: every pair is peeled, and agrees with the
+        # direct kernel per component.
         Q = FAST_CFG.Q
         cps = checkpoint_schedule(Q)
         pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 9, 12) for b in (1, 3, 15, 105, 2, 6, 30)})
@@ -2192,6 +2249,24 @@ class TestZeroCloudVerdict:
             assert verdict.conclusion == "in_zero_cloud"
             assert counts == {"_peel_sums": 1} and pairs == [want], G.label
             assert _tuple_keys(G) == {("gmu", cfg.Q)}, G.label
+
+    def test_peel_terms_are_shared_across_sampled_a(self, monkeypatch):
+        # The peel's twin of the next test: G0(p0 = 3) peels every p0-free
+        # part, and its verdict builds the terms of each distinct T_{d,3}
+        # once per batch, not once per pair with d in its plan.  The parts
+        # are not closed under divisors (2, 8 and 20 divide them), so the
+        # pairs' own (a, 3) are not the distinct (d, 3).
+        cfg = EngineConfig(Q=20_000, sample_a=(12, 30, 45, 360, 945))
+        G = dataclasses.replace(catalog("G0", p0=3))
+        parts = {_coprime_part(a, 3) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)}
+        distinct = {(d, 3) for a in parts for d in divisors(a)}
+        assert {(a, 3) for a in parts} < distinct and sum(len(divisors(a)) for a in parts) > len(distinct)
+        calls = collections.Counter()
+        terms = expansion._kluyver_terms
+        monkeypatch.setattr(expansion, "_kluyver_terms", lambda G, d, b, Q: calls.update([(d, b)]) or terms(G, d, b, Q))
+        assert zero_cloud_verdict(G, cfg).conclusion == "in_zero_cloud"
+        assert _tuple_keys(G) == {("gmu", cfg.Q)}  # every pair was peeled
+        assert calls == dict.fromkeys(distinct, 1)
 
     def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
         # weakly_exotic_sample is not multiplicative, so its verdict keeps

@@ -1,0 +1,161 @@
+"""Exact ground truth at any Q from integer-valued G.
+
+For a Dirichlet character, and for chi_4 with G(3^e) = (-2)^e, every table
+entry, coefficient d mu(m') G(dm'), climb product and partial sum is an
+integer or a Gaussian integer below 2^53 at the Q used, so float64
+arithmetic is exact in any order: every floating kernel must equal an int64
+oracle bit for bit.  That separates errors in a plan's algebra (trie points,
+the (z + 1) // 2 indexing, the peel at 2, block edges, strikes on b) from
+rounding, which the bounds of ``test_expansion`` cover.
+
+The oracle shares nothing with the kernels: G from its closed form (n mod 4,
+n mod 5, 2^v_3(n)), mu from its own prime sieve (0 on the multiples of p^2,
+else the parity of the number of primes), c_q(a) by Kluyver,
+sum over d | (q, a) of d mu(q/d), then q not coprime to b struck and one
+int64 ``cumsum``.  ``mismatches(Q)`` runs the whole comparison at one Q; run
+it at Q = 10^6 with
+
+    PYTHONPATH=src:tests python -c "from test_integer_kernels import mismatches; print(mismatches(10**6))"
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import ramanujan_cloud.core as core
+import ramanujan_cloud.expansion as expansion
+from ramanujan_cloud import MultiplicativeFunction, checkpoint_schedule, expansion_partial_sums
+
+
+def _chi4(p, e):
+    return 0 if p == 2 else 1 if p % 4 == 1 else (-1) ** e
+
+
+def _chi4_variant(n):
+    """chi_4(r) (-2)^v at n = 3^v r, r coprime to 3."""
+    v = np.zeros(len(n), dtype=np.int64)
+    k = 3
+    while k < len(n):
+        v[::k] += 1
+        k *= 3
+    return np.array([0, 1, 0, -1])[n // 3**v % 4] * (-2) ** v, 0 * n
+
+
+# label: (rule G(p^e), closed form n -> (Re G(n), Im G(n)) as int64 arrays)
+ENTRIES = {
+    "chi_4": (_chi4, lambda n: (np.array([0, 1, 0, -1])[n % 4], 0 * n)),
+    "(./5)": (
+        lambda p, e: 0 if p == 5 else 1 if p % 5 in (1, 4) else (-1) ** e,
+        lambda n: (np.array([0, 1, -1, -1, 1])[n % 5], 0 * n),
+    ),
+    # 2 generates (Z/5)^*, so chi(2^k) = i^k: chi(4) = -1, chi(3) = -i.
+    "chi_5, chi(2) = i": (
+        lambda p, e: 0 if p == 5 else 1j ** ({1: 0, 2: 1, 4: 2, 3: 3}[p % 5] * e),
+        lambda n: (np.array([0, 1, 0, 0, -1])[n % 5], np.array([0, 0, 1, -1, 0])[n % 5]),
+    ),
+    # |G(3)| = 2 sends every pair with 3 | ab to the strided kernel.
+    "chi_4, G(3^e) = (-2)^e": (lambda p, e: (-2) ** e if p == 3 else _chi4(p, e), _chi4_variant),
+}
+
+A = (1, 2, 9, 12, 30, 360, 945)
+B = (1, 2, 35)
+
+
+def _closed_form(label, Q):
+    re, im = (v.astype(np.int64) for v in ENTRIES[label][1](np.arange(Q + 1, dtype=np.int64)))
+    re[0] = im[0] = 0
+    return re, im
+
+
+def _mobius(Q):
+    """mu(n) for n <= Q from a sieve of Eratosthenes: 0 on the multiples of
+    p^2, else (-1)^(number of primes of n)."""
+    prime = np.ones(Q + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(Q) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    mu = np.ones(Q + 1, dtype=np.int64)
+    for p in np.flatnonzero(prime).tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    mu[0] = 0
+    return mu
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _oracle_terms(re, im, mu, a):
+    """(Re, Im) of G(q) c_q(a) and |G(q) c_q(a)|, q = 0..Q, as int64 arrays."""
+    Q = len(mu) - 1
+    c = np.zeros(Q + 1, dtype=np.int64)
+    for d in _divisors(a):
+        c[d::d] += d * mu[1 : Q // d + 1]
+    assert not (re * im).any()  # every value is real or imaginary, so |G| = |Re| + |Im|
+    return (re * c, im * c), (np.abs(re) + np.abs(im)) * np.abs(c)
+
+
+def _primes_of(n):
+    return [p for p in _divisors(n) if len(_divisors(p)) == 2]
+
+
+def _oracle_sums(terms, b, xs):
+    """The partial sums at ``xs`` of ``terms`` over q coprime to b."""
+    terms = terms.copy()
+    for p in _primes_of(b):
+        terms[::p] = 0
+    return np.cumsum(terms)[xs]
+
+
+def _same(got, re, im, is_complex):
+    want = re.astype(np.float64) + 1j * im if is_complex else re.astype(np.float64)
+    return np.array(got).tobytes() == want.tobytes()
+
+
+def mismatches(Q):
+    """(number of cases, the cases whose floating series is not the oracle's
+    bit for bit) at Q: each entry at every a in ``A`` and b in ``B``, signed
+    and absolute, through ``expansion_partial_sums``, and per entry one
+    ``_peel_sums`` batch of the pairs (1, r) and (r, 1) over the radicals r
+    of 1..50.  The oracle's terms are built once per (entry, a)."""
+    mu = _mobius(Q)
+    cps = checkpoint_schedule(Q)
+    xs = np.array(cps)
+    radicals = {math.prod(_primes_of(n)) for n in range(1, 51)}
+    batch = sorted({(1, r) for r in radicals} | {(r, 1) for r in radicals})
+    cases = {}  # a: [(b, kind), ...]
+    for a in A:
+        cases.setdefault(a, []).extend((b, kind) for b in B for kind in ("signed", "absolute"))
+    for a, b in batch:
+        cases.setdefault(a, []).append((b, "batch"))
+    count, bad = 0, []
+    for label, (rule, _) in ENTRIES.items():
+        G = MultiplicativeFunction(label, rule=rule)
+        re, im = _closed_form(label, Q)
+        is_complex = bool(im.any())
+        batch_sums = expansion._peel_sums(G, batch, Q, cps)
+        for a in sorted(cases):
+            (sre, sim), mag = _oracle_terms(re, im, mu, a)
+            for b, kind in cases[a]:
+                count += 1
+                if kind == "absolute":
+                    got = expansion_partial_sums(G, a, Q, coprime_to=b, absolute=True, exact=False).values()
+                    ok = _same(got, _oracle_sums(mag, b, xs), 0, False)
+                else:
+                    got = batch_sums[(a, b)] if kind == "batch" else expansion_partial_sums(G, a, Q, coprime_to=b, exact=False).values()
+                    ok = _same(got, _oracle_sums(sre, b, xs), _oracle_sums(sim, b, xs), is_complex)
+                if not ok:
+                    bad.append((label, a, b, kind))
+    return count, bad
+
+
+@pytest.mark.parametrize("block", [97, 4096])
+def test_every_kernel_is_the_integer_oracle(monkeypatch, block):
+    # Q = 20,011 crosses block edges of both layouts: 206 value table
+    # blocks of 97 entries and 103 odd G mu blocks, or 5 and 3 of 4096.
+    monkeypatch.setattr(core, "_BLOCK", block)
+    count, bad = mismatches(20_011)
+    assert count == 4 * (2 * len(A) * len(B) + 61) and bad == []
