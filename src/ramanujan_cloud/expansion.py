@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import gcd
 from numbers import Integral
@@ -610,8 +611,9 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     so a series reads the same bytes whatever ran before it.  A strided
     series also has the same bytes in any batch; a peeled one does not,
     since the root's points are the batch's union, which moves the segments
-    of R_2 (by at most 5.8e-17 on the restricted series of a GR verdict at
-    the default config).
+    of R_2: each of the 31 restricted series of a GR verdict at the default
+    config (Q = 10^6, window 32) differs from ``restricted_mobius_partial_sums``
+    at the same checkpoints, by at most 1.249e-16.
     """
     pairs = list(pairs)
     peel = set()
@@ -991,10 +993,16 @@ def absolute_convergence_report(
 class ZeroCloudVerdict:
     """Outcome of the classification-based membership test for the 0-cloud.
 
-    ``conclusion`` is "in_zero_cloud" only when every hypothesis check of the
-    matching classification case passed; failed convergence hypotheses leave
-    the test inconclusive rather than negative, since the decision procedure
-    is silent without them.
+    ``hypothesis_checks`` holds (text, status) pairs, status "pass", "fail"
+    or "inconclusive".  For a multiplicative G with no invisible prime, the
+    last one, the main check, tests the characterizing sum.  ``conclusion``
+    is "inconclusive" unless every check before the main one passed; then
+    the main series decides it: 0 gives "in_zero_cloud", a nonzero limit
+    "not_in_zero_cloud", and a divergent or unsettled series
+    "inconclusive".  With an invisible prime the series vanish by the
+    theorem, so passing every check gives "in_zero_cloud".
+    Failed convergence hypotheses leave the test inconclusive rather than
+    negative, since the decision procedure is silent without them.
     """
 
     label: str
@@ -1003,9 +1011,25 @@ class ZeroCloudVerdict:
     conclusion: str  # "in_zero_cloud" | "not_in_zero_cloud" | "inconclusive"
 
 
+# The kind of the main series -> (status of the main check, conclusion when
+# every earlier check passed).  An invisible-prime G has no main check: its
+# series vanish by the theorem, so its kind is "zero".
+_MAIN = {
+    "zero": ("pass", "in_zero_cloud"),
+    "nonzero": ("fail", "not_in_zero_cloud"),
+    "diverged": ("fail", "inconclusive"),  # breaks the hypothesis too
+    "unknown": ("inconclusive", "inconclusive"),
+}
+
+
 def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVerdict:
-    """Dispatch on the classification of G and test the matching membership
-    condition numerically.  Every hypothesis check is recorded.
+    """Classify G, check the hypotheses of the matching case, and test the
+    characterizing sum numerically.  Every check is recorded.
+
+    The conclusion is "inconclusive" unless every check before the main one
+    passed; then ``_MAIN`` maps the kind of the main series (zero, nonzero,
+    diverged, unknown) to it.  A general G whose declared invisible prime
+    or grid check fails sums no series.
 
     Every series runs on ``checkpoint_schedule(cfg.Q, cfg.window)``, once per
     distinct input: one per radical in the classical cases and one per
@@ -1013,92 +1037,56 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
     ``_peel_sums`` call."""
     cfg = config if config is not None else EngineConfig()
     cps = checkpoint_schedule(cfg.Q, cfg.window)
-    checks: list[tuple[str, str]] = []
+    detect = partial(
+        detect_convergence, window=cfg.window, tol=cfg.conv_tol,
+        divergence_threshold=cfg.divergence_threshold, growth_exponent_min=cfg.growth_exponent_min,
+    )
 
-    def detect(series, target=None):
-        return detect_convergence(
-            series,
-            target=target,
-            window=cfg.window,
-            tol=cfg.conv_tol,
-            divergence_threshold=cfg.divergence_threshold,
-            growth_exponent_min=cfg.growth_exponent_min,
-        )
+    if isinstance(G, GeneralArithmeticFunction):
+        classification, p0 = "weakly_exotic", G.invisible_prime
+        checks = [("an invisible prime p0 is declared", "fail" if p0 is None else "pass")]
+        if p0 is not None:
+            grid = f"G(p0^K r) = G(r) on the sampled grid (p0={p0}, r<={cfg.we_r_bound}, K<={cfg.we_k_bound})"
+            checks.append((grid, "pass" if is_weakly_exotic(G, p0, config=cfg) else "fail"))
+        if checks[-1][1] == "fail":
+            return ZeroCloudVerdict(G.label, classification, tuple(checks), "inconclusive")
+    else:
+        rep = spectrum(G, config=cfg)
+        classification, p0 = rep.classification, min(rep.invisible_primes, default=None)
+        checks = [("spectra certified by the constructor", "pass" if rep.certified else "fail")]
 
-    def check_hypothesis(text: str, series: Iterable[PartialSumSeries]) -> str:
-        # Fails on any divergence, passes only if every series converges.
-        outcomes = {detect(s).outcome for s in series}
-        status = (
-            "fail" if "diverges_to_infinity" in outcomes else "pass" if outcomes <= {"converges_to"} else "inconclusive"
-        )
-        checks.append((text, status))
-        return status
-
-    def invisible_prime_case(classification: str, p0: int, certified: bool) -> ZeroCloudVerdict:
+    if p0 is not None:
         # a and a / p0^k give one series over q coprime to p0; the extra
         # 1, 3, 5, 7, 15 keep small cofactors in every sample set.
         samples = sorted({_coprime_part(a, p0) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
-        sums = _peel_sums(G, [(a, p0) for a in samples], cfg.Q, cps)
-        status = check_hypothesis(
-            f"sum over (q, {p0}) = 1 of G(q) c_q(a) converges for sampled a ({len(samples)} distinct p0-free parts)",
-            (_floating(_expansion_description(G, a, p0), cps, sums[(a, p0)]) for a in samples),
-        )
-        conclusion = "in_zero_cloud" if status == "pass" and certified else "inconclusive"
-        return ZeroCloudVerdict(G.label, classification, tuple(checks), conclusion)
-
-    if isinstance(G, GeneralArithmeticFunction):
-        classification = "weakly_exotic"
-        p0 = G.invisible_prime
-        if p0 is None:
-            checks.append(("an invisible prime p0 is declared", "fail"))
-            return ZeroCloudVerdict(G.label, classification, tuple(checks), "inconclusive")
-        checks.append(("an invisible prime p0 is declared", "pass"))
-        ok = is_weakly_exotic(G, p0, config=cfg)
-        grid = f"G(p0^K r) = G(r) on the sampled grid (p0={p0}, r<={cfg.we_r_bound}, K<={cfg.we_k_bound})"
-        checks.append((grid, "pass" if ok else "fail"))
-        if not ok:
-            return ZeroCloudVerdict(G.label, classification, tuple(checks), "inconclusive")
-        return invisible_prime_case(classification, p0, True)
-
-    rep = spectrum(G, config=cfg)
-    classification = rep.classification
-    checks.append(("spectra certified by the constructor", "pass" if rep.certified else "fail"))
-
-    if classification == "exotic":
-        return invisible_prime_case(classification, min(rep.invisible_primes), rep.certified)
-
-    # Normal / sporadic: the Mobius series restricted to (r, a) = 1 must
-    # converge for sampled a, and the characterizing sum must vanish.
-    radicals = sorted({radical(x) for x in cfg.sample_a})
-    b0 = 1 if classification == "normal" else rep.PG
-    sums = _peel_sums(G, [(1, b) for b in sorted({*radicals, b0})], cfg.Q, cps)
-    restricted = {b: _floating(_restricted_description(G, b), cps, sums[(1, b)]) for b in {*radicals, b0}}
-    hyp = check_hypothesis(
-        f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}...)",
-        (restricted[b] for b in radicals),
-    )
-
-    series = restricted[b0]
-    what = "sum of G(q) mu(q)" if b0 == 1 else f"sum over (q, {b0}) = 1 of G(q) mu(q)"
-    v_zero = detect(series, target=0)
-    if v_zero.outcome == "converges_to":
-        main_check, main_kind = "pass", "zero"
+        hypothesis = {(a, p0): _expansion_description(G, a, p0) for a in samples}
+        pairs = list(hypothesis)
+        text = f"sum over (q, {p0}) = 1 of G(q) c_q(a) converges for sampled a ({len(samples)} distinct p0-free parts)"
     else:
-        v_free = detect(series)
-        if v_free.outcome == "converges_to" and abs(v_free.limit) > cfg.conv_tol:
-            main_check, main_kind = "fail", "nonzero"
-        elif v_free.outcome == "diverges_to_infinity":
-            main_check, main_kind = "fail", "diverged"  # breaks the hypothesis too
-        else:
-            main_check, main_kind = "inconclusive", "unknown"
-    checks.append((f"{what} equals 0 (within {cfg.conv_tol} at Q = {cfg.Q})", main_check))
+        # Normal / sporadic: the Mobius series restricted to (r, a) = 1 must
+        # converge for sampled a, and the characterizing sum must vanish.
+        radicals = sorted({radical(x) for x in cfg.sample_a})
+        b0 = 1 if classification == "normal" else rep.PG
+        hypothesis = {(1, b): _restricted_description(G, b) for b in radicals}
+        pairs = [(1, b) for b in sorted({*radicals, b0})]
+        text = f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}...)"
+    sums = _peel_sums(G, pairs, cfg.Q, cps)
 
-    if not rep.certified or hyp != "pass":
-        conclusion = "inconclusive"
-    elif main_kind == "zero":
-        conclusion = "in_zero_cloud"
-    elif main_kind == "nonzero":
-        conclusion = "not_in_zero_cloud"
-    else:
-        conclusion = "inconclusive"
-    return ZeroCloudVerdict(G.label, classification, tuple(checks), conclusion)
+    # Fails on any divergence, passes only if every series converges.
+    outcomes = {detect(_floating(desc, cps, sums[pair])).outcome for pair, desc in hypothesis.items()}
+    status = "fail" if "diverges_to_infinity" in outcomes else "pass" if outcomes <= {"converges_to"} else "inconclusive"
+    checks.append((text, status))
+    passed = all(status == "pass" for _, status in checks)
+
+    kind = "zero"
+    if p0 is None:
+        main = _floating(_restricted_description(G, b0), cps, sums[(1, b0)])
+        if detect(main, target=0).outcome != "converges_to":
+            free = detect(main)
+            if free.outcome == "converges_to" and abs(free.limit) > cfg.conv_tol:
+                kind = "nonzero"
+            else:
+                kind = "diverged" if free.outcome == "diverges_to_infinity" else "unknown"
+        what = "sum of G(q) mu(q)" if b0 == 1 else f"sum over (q, {b0}) = 1 of G(q) mu(q)"
+        checks.append((f"{what} equals 0 (within {cfg.conv_tol} at Q = {cfg.Q})", _MAIN[kind][0]))
+    return ZeroCloudVerdict(G.label, classification, tuple(checks), _MAIN[kind][1] if passed else "inconclusive")

@@ -9,6 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import ramanujan_cloud.cli as cli
 import ramanujan_cloud.core as core
 from ramanujan_cloud.cli import run
 from ramanujan_cloud.config import EngineConfig
@@ -464,6 +465,16 @@ class TestRunAll:
             ["PASS", "within_budget"],
             ["PASS", "unbudgeted"],
         ]
+
+    @pytest.mark.parametrize("code, strict, want", [(0, False, 0), (0, True, 0), (1, False, 1), (1, True, 2)])
+    def test_reproduce_all_exit_codes(self, monkeypatch, tmp_path, code, strict, want):
+        # The battery is stubbed out: only the CLI's mapping of its result runs.
+        monkeypatch.delenv("RAMANUJAN_CLOUD_CONFIG", raising=False)
+        calls = []
+        monkeypatch.setattr(cli, "run_all", lambda out, cfg: calls.append((out, cfg)) or code)
+        argv = ["reproduce-all", "--out", str(tmp_path), *(["--strict"] if strict else [])]
+        assert run(argv) == want
+        assert calls == [(str(tmp_path), EngineConfig())]
 
     def test_unbudgeted_check_has_no_budget_key(self, stub_run):
         _, art, _ = stub_run

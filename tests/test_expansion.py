@@ -30,6 +30,7 @@ from ramanujan_cloud import (
     catalog,
     catalog_names,
     checkpoint_schedule,
+    ConvergenceVerdict,
     coprime_peel_identity,
     detect_convergence,
     expansion_partial_sums,
@@ -1560,11 +1561,11 @@ class TestPeelAgainstDirectKernel:
         ],
         ids=lambda G: G.label,
     )
-    def test_down_step_agrees_with_the_direct_kernel(self, G, monkeypatch):
+    def test_even_m_terms_match_the_direct_kernel(self, G, monkeypatch):
         # An odd bd adds to T_{d,b} the terms mu(m') G(dm') R(y // m') at
-        # the even m' | 2 rad d: the peel at 2,
-        # R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2) (the down step of the
-        # test's name).  An even bd has none.  prop5 and lemma7_h have
+        # the even m' | 2 rad d (``_kluyver_terms``), which are the peel at
+        # 2, R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), folded into the plan.
+        # An even bd has none.  prop5 and lemma7_h have
         # |G(2)| = 2^0.4 = 1.32 > 1, which enters every pair through its
         # coefficients G(dm') only: every pair is peeled, and agrees with the
         # direct kernel per component.
@@ -2056,6 +2057,13 @@ class TestDetectConvergence:
         verdict = detect_convergence(series, window=32, tol=0.01)
         assert verdict.outcome == "inconclusive"
 
+    def test_growth_on_fewer_than_four_points_is_not_divergence(self):
+        # 20 -> 40 -> 80 is large and doubling, but three points fit no
+        # growth exponent, so it cannot be called divergent.
+        series = PartialSumSeries("doubling", ((10, 20.0), (100, 40.0), (1000, 80.0)), "floating")
+        verdict = detect_convergence(series, window=3, tol=0.01)
+        assert verdict.outcome == "inconclusive" and verdict.growth_exponent is None
+
     def test_target_mismatch(self):
         series = PartialSumSeries("ones", tuple((x, 1.0) for x in range(1, 41)), "floating")
         assert detect_convergence(series, target=0, window=32, tol=0.01).outcome == "inconclusive"
@@ -2143,6 +2151,15 @@ class TestAbsoluteConvergenceReport:
         assert rep.prime_abs_verdict == "diverging"
         assert rep.verdict == "negative"
 
+    def test_uncertified_bounded_is_inconclusive(self):
+        # Undeclared 1/p^(2e): the prime sum is bounded, but only declared
+        # spectra can certify the missing invisible prime.
+        plain = MultiplicativeFunction("plain_inverse_squares", rule=lambda p, e: Fraction(1, p ** (2 * e)), exact=True)
+        rep = absolute_convergence_report(plain, 1000, 6, 1000)
+        assert rep.prime_abs_verdict == "bounded"
+        assert (rep.classification, rep.certified) == ("normal", False)
+        assert rep.verdict == "inconclusive"
+
     @pytest.mark.parametrize("name, kw", [("GR", {}), ("GH", {}), ("G0", {"p0": 2}), ("indicator_prime_powers", {"p0": 3})])
     def test_prime_form_gives_the_scalar_prime_series(self, name, kw):
         G = catalog(name, **kw)
@@ -2215,6 +2232,98 @@ class TestEngineConfigValidation:
 
     def test_growth_exponent_min_may_be_negative(self):
         assert EngineConfig(growth_exponent_min=-0.5).growth_exponent_min == -0.5
+
+
+def _undeclared(G: MultiplicativeFunction) -> MultiplicativeFunction:
+    return dataclasses.replace(G, declared_transparent=None, declared_invisible=None)
+
+
+# Each classification path of a verdict, with the statuses of its checks
+# before the hypothesis: (id, entry, classification, statuses, main check).
+_VERDICT_PATHS = [
+    ("normal", lambda: catalog("GR"), "normal", ("pass",), True),
+    ("normal-uncertified", lambda: _undeclared(catalog("GR")), "normal", ("fail",), True),
+    ("sporadic", lambda: catalog("GH"), "sporadic", ("pass",), True),
+    ("sporadic-uncertified", lambda: _undeclared(catalog("GH")), "sporadic", ("fail",), True),
+    ("exotic", lambda: catalog("indicator_prime_powers", p0=2), "exotic", ("pass",), False),
+    ("exotic-uncertified", lambda: _undeclared(catalog("indicator_prime_powers", p0=2)), "exotic", ("fail",), False),
+    ("weakly_exotic", lambda: catalog("weakly_exotic_sample", p0=2), "weakly_exotic", ("pass", "pass"), False),
+]
+# The scripted outcome of one hypothesis series; the others converge.
+_HYPOTHESIS_OUTCOMES = {"pass": "converges_to", "fail": "diverges_to_infinity", "inconclusive": "inconclusive"}
+# Main series: (id, kind, outcome with target 0, free outcome, free limit).
+_MAIN_SCRIPTS = [
+    ("zero", "zero", "converges_to", None, None),
+    ("nonzero", "nonzero", "inconclusive", "converges_to", 0.5),
+    ("diverged", "diverged", "inconclusive", "diverges_to_infinity", None),
+    ("unknown", "unknown", "inconclusive", "inconclusive", None),
+    ("unknown-limit-within-tol", "unknown", "inconclusive", "converges_to", 0.01),
+]
+
+
+def _verdict_cells():
+    for path, entry, classification, first, has_main in _VERDICT_PATHS:
+        for hyp in _HYPOTHESIS_OUTCOMES:
+            for main in _MAIN_SCRIPTS if has_main else [None]:
+                cell = f"{path}-hyp_{hyp}" + (f"-{main[0]}" if main else "")
+                yield pytest.param(entry, classification, first, hyp, main, id=cell)
+    # A general G stops at a failed classification check and sums nothing.
+    no_p0 = lambda: GeneralArithmeticFunction("anon", fn=lambda n: 0)
+    grid_fails = lambda: GeneralArithmeticFunction("reciprocal", fn=lambda n: Fraction(1, n), exact=True, invisible_prime=2)
+    yield pytest.param(no_p0, "weakly_exotic", ("fail",), None, None, id="weakly_exotic-no_p0")
+    yield pytest.param(grid_fails, "weakly_exotic", ("pass", "fail"), None, None, id="weakly_exotic-grid_fails")
+
+
+class TestVerdictCells:
+    # Every cell of the decision: each classification path, each status of
+    # the checks before the main one, and each kind of main series.  The
+    # series are real (one peel batch at Q = 2000); detect_convergence is
+    # scripted so that each cell gets its chosen outcome.
+    CFG = EngineConfig(Q=2_000, sample_a=(3, 5, 15))  # no radical is b0 = 1 (GR) or 2 (GH)
+
+    @pytest.mark.parametrize("entry, classification, first, hyp, main", list(_verdict_cells()))
+    def test_cell(self, entry, classification, first, hyp, main, monkeypatch):
+        cfg = self.CFG
+        cps = checkpoint_schedule(cfg.Q, cfg.window)
+        peels, hypothesis, main_calls = [], [], []
+        peel = expansion._peel_sums
+        monkeypatch.setattr(expansion, "_peel_sums", lambda *args: peels.append(args[1]) or peel(*args))
+
+        def scripted(series, target=None, **knobs):
+            assert series.xs() == cps and knobs["window"] == cfg.window and knobs["tol"] == cfg.conv_tol
+            if target is not None or (main_calls and series is main_calls[0][0]):
+                main_calls.append((series, target))
+                _, _, zero_outcome, free_outcome, free_limit = main
+                outcome, limit = (zero_outcome, 0j) if target == 0 else (free_outcome, free_limit)
+            else:
+                outcome, limit = ("converges_to", 0j) if hypothesis else (_HYPOTHESIS_OUTCOMES[hyp], None)
+                hypothesis.append(series)
+            return ConvergenceVerdict(outcome, limit if outcome == "converges_to" else None, cfg.window, cfg.conv_tol, 0.0, None)
+
+        monkeypatch.setattr(expansion, "detect_convergence", scripted)
+        verdict = zero_cloud_verdict(entry(), cfg)
+
+        earlier = first if hyp is None else (*first, hyp)
+        statuses = earlier
+        if main is not None:
+            kind = main[1]
+            statuses += ({"zero": "pass", "nonzero": "fail", "diverged": "fail", "unknown": "inconclusive"}[kind],)
+        if any(status != "pass" for status in earlier):
+            want = "inconclusive"
+        elif main is None:  # an invisible prime: the series vanish by the theorem
+            want = "in_zero_cloud"
+        else:
+            want = {"zero": "in_zero_cloud", "nonzero": "not_in_zero_cloud"}.get(kind, "inconclusive")
+        assert verdict.classification == classification
+        assert tuple(status for _, status in verdict.hypothesis_checks) == statuses
+        assert verdict.conclusion == want
+        assert len(peels) == (0 if hyp is None else 1)
+        if hyp is not None:
+            # Every hypothesis series is read once: the 3 radicals, or the 5
+            # p0-free parts of (3, 5, 15, 1, 3, 5, 7, 15) for p0 = 2.
+            assert len(hypothesis) == (3 if main else 5)
+        # The free limit is only asked for when the series misses 0.
+        assert [target for _, target in main_calls] == ([] if main is None else [0] if kind == "zero" else [0, None])
 
 
 class TestZeroCloudVerdict:

@@ -182,6 +182,33 @@ class TestSpectrum:
         with pytest.raises(FormulaInconsistencyError):
             spectrum(liar)
 
+    def test_censored_valuation_of_a_declared_prime_raises(self):
+        # G(2^e) = 1 up to e = 10: a certified report must not carry the
+        # scan's censored valuation at k_max = 4, and k_max = 16 finds 10.
+        G = MultiplicativeFunction(
+            "deep_at_2",
+            rule=lambda p, e: (1 if e <= 10 else 0) if p == 2 else 0,
+            exact=True,
+            declared_transparent=frozenset({2}),
+            declared_invisible=frozenset(),
+        )
+        with pytest.raises(ValueError, match="valuation of 2 exceeds k_max=4; raise k_max"):
+            spectrum(G, config=EngineConfig(scan_bound=50, k_max=4))
+        rep = spectrum(G, config=EngineConfig(scan_bound=50, k_max=16))
+        assert rep.classification == "sporadic" and rep.valuations[2] == 10
+
+    def test_declared_invisibility_contradicted_by_the_scan_raises(self):
+        # G(2) = 1 but G(4) = 0, so v_2 = 1, not the declared infinity.
+        G = MultiplicativeFunction(
+            "visible_at_2",
+            rule=lambda p, e: (1 if e == 1 else 0) if p == 2 else 0,
+            exact=True,
+            declared_transparent=frozenset({2}),
+            declared_invisible=frozenset({2}),
+        )
+        with pytest.raises(FormulaInconsistencyError, match="declared invisibility of 2 contradicts the scan"):
+            spectrum(G, config=EngineConfig(scan_bound=50, k_max=4))
+
     def test_scan_bound_must_cover_declared(self):
         G = MultiplicativeFunction(
             "far-spectrum",
