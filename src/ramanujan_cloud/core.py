@@ -23,11 +23,14 @@ Complex entries are multiplied on their float planes, so a table's bytes do
 not depend on where a slice starts, for every dtype.
 
 A table has one of two layouts: index i holds n = i (mu, value tables), or,
-in the odd layout, n = 2i - 1, with entry 0 still 0 (G mu, whose even
-entries follow from G(2) and the odd ones).  The odd layout never sweeps 2:
-its multiples of an odd p sit at (p + 1) // 2 with stride p, its cofactors
-m are odd, and its period of 3, 5, 7 has 11,025 entries.  The bytes at each
-odd n are those of the full layout.
+in the wheel layout, n = 3i - 1 - (i mod 2), the i-th n coprime to 6, with
+entry 0 still 0 (G mu, whose values at the multiples of 2 and 3 follow from
+G(2), G(3) and the rest).  n sits at n // 3 + 1, so a table at Q takes
+Q / 3 entries.  The wheel layout never sweeps 2 or 3: the multiples kp of
+a prime p >= 5 with k = 1, 5 (mod 6) are two progressions of index stride
+2p, its cofactors m are coprime to 6, and its period of 5 and 7 has 2,450
+entries (n moves by 6 every two entries).  The bytes at each n coprime to 6
+are those of the full layout.
 """
 
 from __future__ import annotations
@@ -150,39 +153,68 @@ def _mul(target: np.ndarray, values) -> None:
         im *= values
 
 
-def _sweep_block(block: np.ndarray, small: list, lo: int, s: int = 1) -> None:
-    """Multiply ``block``, the entries i = lo, lo + 1, ... of a table whose
-    index i holds n = s i - s + 1, by g(p^v_p(n)) for each (p, g, squarefree)
-    of ``small`` in order, g = (g(p), g(p^2), ...), ``squarefree`` true when
-    every higher power is +0, as phase 1 of ``multiplicative_sieve`` does."""
+def _entry(n, wheel: bool):
+    """The entry that holds n (coprime to 6 in the wheel layout)."""
+    return n // 3 + 1 if wheel else n
+
+
+def _held(i, wheel: bool):
+    """The n that entry i holds (-1 at the wheel layout's entry 0); ints or
+    int arrays."""
+    return 3 * i - 1 - (i & 1) if wheel else i
+
+
+def _wheel_count(z):
+    """The number of n <= z coprime to 6, those with n = 1 or 5 (mod 6): the
+    wheel layout holds them at entries 1..``_wheel_count(z)``."""
+    return (z + 5) // 6 + (z + 1) // 6
+
+
+def _firsts(q: int, stride: int, lo: int, size: int, wheel: bool) -> list:
+    """The offset from ``lo`` of the first entry in [lo, lo + size) of each
+    progression of multiples kq of stride ``stride`` the layout holds: one
+    from k = 1, and one from k = 5 in the wheel layout (k = 1, 5 mod 6)."""
+    out = []
+    for k in (1, 5) if wheel else (1,):
+        first = _entry(k * q, wheel) - lo
+        first = max(first, first % stride)
+        if first < size:
+            out.append(first)
+    return out
+
+
+def _sweep_block(block: np.ndarray, small: list, lo: int, wheel: bool = False) -> None:
+    """Multiply ``block``, the entries i = lo, lo + 1, ... of a table in the
+    full layout (the wheel layout with ``wheel``), by g(p^v_p(n)) for each
+    (p, g, squarefree) of ``small`` in order, g = (g(p), g(p^2), ...),
+    ``squarefree`` true when every higher power is +0, as phase 1 of
+    ``multiplicative_sieve`` does."""
+    w = 6 if wheel else 1  # n moves by w p along a progression of p's multiples
     for p, g, squarefree in small:
-        # The multiples of p sit at index (p + s - 1) // s, stride p (p odd
-        # when s = 2), and of p^2 likewise; first is the first in the block.
-        first = (p + s - 1) // s - lo
-        first = max(first, first % p)
-        if first >= len(block):  # no multiple of p in the block
-            continue
+        # Stride p, or 2p for each of the wheel's two classes; p^2 likewise.
+        stride = p * (2 if wheel else 1)
+        firsts = _firsts(p, stride, lo, len(block), wheel)
         if squarefree:
-            first_sq = (p * p + s - 1) // s - lo
-            first_sq = max(first_sq, first_sq % (p * p))
-            if first_sq >= len(block):  # no multiple of p^2 in the block
-                _mul(block[first::p], g[0])
-                continue
-            squares = block[first_sq :: p * p].copy()
-            _mul(squares, g[1])
-            _mul(block[first::p], g[0])
-            block[first_sq :: p * p] = squares
+            sq = _firsts(p * p, stride * p, lo, len(block), wheel)
+            squares = [block[f :: stride * p].copy() for f in sq]
+            for col in squares:
+                _mul(col, g[1])
+            for f in firsts:
+                _mul(block[f::stride], g[0])
+            for f, col in zip(sq, squares):
+                block[f :: stride * p] = col
             continue
-        col = np.full(len(range(first, len(block), p)), g[0], dtype=g.dtype)
-        c0 = (s * (lo + first) - s + 1) // p  # entry k of col holds n = p (c0 + s k)
-        step = 1
-        for value in g[1:]:
-            step *= p
-            k = -c0 * pow(s, -1, step) % step  # the first k with step | c0 + s k
-            if k >= len(col):  # so no higher power of p either
-                break
-            col[k::step] = value
-        _mul(block[first::p], col)
+        for f in firsts:
+            col = np.full(len(range(f, len(block), stride)), g[0], dtype=g.dtype)
+            c0 = _held(lo + f, wheel) // p  # entry k of col holds n = p (c0 + w k)
+            step = 1
+            for value in g[1:]:
+                step *= p
+                k = -c0 * pow(w, -1, step) % step  # the first k with step | c0 + w k
+                if k >= len(col):  # so no higher power of p either
+                    break
+                col[k::step] = value
+            _mul(block[f::stride], col)
 
 
 def _tile(block: np.ndarray, period: np.ndarray, lo: int) -> None:
@@ -196,19 +228,21 @@ def _tile(block: np.ndarray, period: np.ndarray, lo: int) -> None:
 
 
 def _scatter_large(
-    table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int, hi: int, skip_zeros: bool, s: int = 1
+    table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int, hi: int, skip_zeros: bool, wheel: bool = False
 ) -> None:
     """Multiply the entry of every n = m * P in the entries [lo, hi) of a
-    table whose index i holds n = s i - s + 1 by g(P), P in ``large`` (the
-    primes above isqrt(limit), odd when s = 2), as phase 2 of
+    table in the full (or wheel) layout by g(P), P in ``large`` (the primes
+    above isqrt(limit), all >= 5 in the wheel layout), as phase 2 of
     ``multiplicative_sieve`` does; ``skip_zeros`` drops the cofactors m
     whose entry is 0."""
-    n_lo, n_hi = s * lo - s + 1, s * hi - s + 1
-    cofactors = np.arange(1, (n_hi - 1) // int(large[0]) + 1, s)
+    n_lo, n_hi = _held(lo, wheel), _held(hi, wheel)
+    top = (n_hi - 1) // int(large[0])  # the largest cofactor
+    entries = np.arange(1, (_wheel_count(top) if wheel else top) + 1)
+    cofactors = _held(entries, wheel)
     start = np.searchsorted(large, -(-n_lo // cofactors))  # the first P with m * P >= n_lo
     span = np.searchsorted(large, (n_hi - 1) // cofactors, "right") - start
     if skip_zeros:
-        span[table[(cofactors + s - 1) // s] == 0] = 0
+        span[table[entries] == 0] = 0
     total = int(span.sum())
     if not total:
         return
@@ -216,9 +250,9 @@ def _scatter_large(
     j += np.arange(total)
     pos = np.repeat(cofactors, span)
     pos *= large[j]
-    if s > 1:
-        pos += s - 1
-        pos //= s
+    if wheel:
+        pos //= 3
+        pos += 1
     values = g[j]
     del j
     prod = table[pos]
@@ -232,14 +266,15 @@ def multiplicative_sieve(
     at_primes: Callable[[np.ndarray], np.ndarray],
     dtype,
     *,
-    _odd: bool = False,
+    _wheel: bool = False,
 ) -> np.ndarray:
     """g(n) for n = 0..limit (g(0) = 0) of a multiplicative g, writable.
 
-    With ``_odd`` the table holds the odd n only: entry i is g(2i - 1) for
-    i = 1..(limit + 1) // 2, and entry 0 is 0.  Prime 2 is then never swept
-    and ``powers(2, E)`` never called; a g whose even values follow from
-    g(2) and its odd values needs only this half.
+    With ``_wheel`` the table holds the n coprime to 6 only: entry i is
+    g(3i - 1 - (i mod 2)) for i = 1..``_wheel_count(limit)``, so n sits at
+    n // 3 + 1, and entry 0 is 0.  Primes 2 and 3 are then never swept and
+    ``powers`` is never called for them; a g whose values at the multiples
+    of 2 and 3 follow from g(2), g(3) and the rest needs only this third.
 
     ``powers(p, E)`` returns g(p), g(p^2), ..., g(p^E) for a prime
     p <= isqrt(limit), where p^E <= limit < p^(E+1); ``at_primes(P)`` returns
@@ -255,25 +290,28 @@ def multiplicative_sieve(
     its one prime P above isqrt(limit), with exponent 1 and cofactor
     m = n / P < sqrt(limit) (phase 2).  A complex entry is multiplied on its
     float planes (see ``_mul``), so every table, complex ones included, is
-    bit-identical to such a sweep, and the odd layout to the odd entries of
-    the full one.  The table is finished one block of ``_BLOCK`` entries at
-    a time, each block before the next, so it stays in cache:
+    bit-identical to such a sweep, and the wheel layout to the entries of
+    the full one at the n coprime to 6.  The table is finished one block of
+    ``_BLOCK`` entries at a time, each block before the next, so it stays in
+    cache:
 
     - it starts as a tiled period: the leading primes p <= 7 whose higher
       powers are all +0 (mu, any g supported on squarefree n) act on n only
       through n mod p^2, so one period of prod p^2 entries (44,100 for
-      2, 3, 5, 7; 11,025 for 3, 5, 7 in the odd layout, where n = 2i - 1
-      moves by 2 prod p^2 over a period) is swept once, at entries
+      2, 3, 5, 7; 2,450 for 5, 7 in the wheel layout, where n moves by
+      6 prod p^2 over two prod p^2 entries) is swept once, at entries
       period .. 2 period - 1, unless the table is shorter than two periods;
     - phase 1 multiplies each remaining small prime's column over the
-      block's multiples of p.  When every higher power is +0, one scalar
-      multiply does instead, and the block's multiples of p^2, if any, get
-      what the column would have made of them;
+      block's multiples of p (in the wheel layout, over each of its two
+      progressions of stride 2p, the multiples kp with k = 1 and with
+      k = 5 mod 6).  When every higher power is +0, one scalar multiply
+      does instead, and the block's multiples of p^2, if any, get what the
+      column would have made of them;
     - phase 2 takes, in each quarter of the block, every pair (m, P) with
-      m * P in it (two ``searchsorted`` calls over the cofactors m, odd in
-      the odd layout) and makes one scatter ``table[m * P] *= g(P)``.  An
-      entry has one pair at most, so the pair arrays stay within a quarter
-      block.
+      m * P in it (two ``searchsorted`` calls over the cofactors m, coprime
+      to 6 in the wheel layout, where m * P sits at m * P // 3 + 1) and
+      makes one scatter ``table[m * P] *= g(P)``.  An entry has one pair
+      at most, so the pair arrays stay within a quarter block.
 
     After phase 1 the entry of m * P equals the entry of m, so a cofactor
     whose entry is 0 leaves them at that 0, up to its sign; phase 2 skips it
@@ -282,12 +320,11 @@ def multiplicative_sieve(
     is allocated, so an over-budget limit raises ``ResourceLimitError``
     first.
     """
-    s = 2 if _odd else 1  # entry i holds n = s i - s + 1
     primes = sieve_primes(limit)
     split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
     small = []  # (p, g, every higher power is +0)
     for p in primes[:split].tolist():
-        if _odd and p == 2:  # 2 divides no odd n
+        if _wheel and p <= 3:  # 2 and 3 divide no n coprime to 6
             continue
         E, pe = 1, p
         while pe * p <= limit:
@@ -299,23 +336,26 @@ def multiplicative_sieve(
     if len(large):
         gP = checked_values(at_primes(large), len(large), "at_primes(P)")
         value_dtypes.add(gP.dtype)
-        if _odd and large[0] == 2:  # limit < 4 puts 2 above isqrt(limit)
-            large, gP = large[1:], gP[1:]
+        if _wheel:  # limit < 9 puts 2 or 3 above isqrt(limit)
+            cut = int(np.searchsorted(large, 5))
+            large, gP = large[cut:], gP[cut:]
     final = np.result_type(dtype, *value_dtypes)
     if len(large):
         skip_zeros = final.kind in "iu" or (
             final.kind == "f" and bool(np.isfinite(gP).all()) and not np.signbit(gP).any()
         )
 
-    size = (limit + s - 1) // s + 1
+    size = (_wheel_count(limit) if _wheel else limit) + 1
     lead = 0  # the primes p <= 7 of the presieved period: small[:lead]
     while lead < len(small) and small[lead][0] <= 7 and small[lead][2]:
         lead += 1
-    period = math.prod(p * p for p, _, _ in small[:lead])
+    # n moves by prod p^2 over the period of the full layout, and by
+    # 6 prod p^2 over the 2 prod p^2 entries of the wheel layout's.
+    period = math.prod(p * p for p, _, _ in small[:lead]) * (2 if _wheel else 1)
     pattern = None
     if lead and size >= 2 * period:
         pattern = np.ones(period, dtype=final)
-        _sweep_block(pattern, small[:lead], period, s)
+        _sweep_block(pattern, small[:lead], period, _wheel)
         small = small[lead:]
     table = np.empty(size, dtype=final)
     for lo in range(0, size, _BLOCK):
@@ -326,11 +366,11 @@ def multiplicative_sieve(
             _tile(block, pattern, lo)
         if lo == 0:
             block[0] = 0
-        _sweep_block(block, small, lo, s)
+        _sweep_block(block, small, lo, _wheel)
         if len(large):
             step = -(-len(block) // 4)
             for mid in range(lo, lo + len(block), step):
-                _scatter_large(table, large, gP, mid, min(mid + step, lo + len(block)), skip_zeros, s)
+                _scatter_large(table, large, gP, mid, min(mid + step, lo + len(block)), skip_zeros, _wheel)
     return table
 
 

@@ -24,20 +24,22 @@ c_{dr}(a) = c_d(a) mu(r) for r coprime to a, and c_d(a) = 0 unless
 d | a rad(a)).
 
 ``_peel_sums`` reads the T_{d,b} of a multiplicative G from one table, G mu
-at the odd n (``_gmu_table``: G(2m) mu(2m) = -G(2) G(m) mu(m) for odd m,
-and 0 when 4 | n), through its prefix R_2(z) = sum_{r <= z, r odd} G(r) mu(r).
+at the n coprime to 6 (``_gmu_table``: G(2m) mu(2m) = -G(2) G(m) mu(m) for
+odd m, G(3m) mu(3m) = -G(3) G(m) mu(m) for m coprime to 3, and 0 when
+4 | n or 9 | n), through its prefix R_6(z) = sum_{r <= z, (r, 6) = 1} G(r) mu(r)
+and the odd sums R_2(z) = R_6(z) - G(3) R_6(z // 3).
 Multiplicativity writes T_{d,b}(y) as the sum over m' | rad d, and over
 m' | 2 rad d when bd is odd, of mu(m') G(dm') R_{2b rad d}(y // m'); the
 coprime peel R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_{2B}
-from R_2 over a trie of the odd primes of radicals.  The even m' of an odd
-bd are the peel at p = 2, so the Mobius prefix M_G is
-R_2(z) - G(2) R_2(z // 2).
-A verdict's samples or radicals, and a single expansion, all read R_2 at the
-trie root's distinct points in one pass over G mu, and each distinct
-T_{d,b} once.  ``_peel_sums`` picks each pair's kernel from what the climb
-multiplies by: a non-multiplicative G, |G(p)| > 1 on an odd prime of ab, or
-a G whose ``squarefree_cap`` binds somewhere up to Q (``_cap_binds``) takes
-the strided kernel instead.
+from R_2, or from R_6 at the node (3,), over a trie of the odd primes of
+radicals.  The even m' of an odd bd are the peel at p = 2, so the Mobius
+prefix M_G is R_2(z) - G(2) R_2(z // 2).
+A verdict's samples or radicals, and a single expansion, all read R_6 at the
+trie root's distinct points z and at z // 3 in one pass over G mu, and each
+distinct T_{d,b} once.  ``_peel_sums`` picks each pair's kernel from what
+the climb multiplies by: a non-multiplicative G, |G(p)| > 1 on an odd prime
+of ab, or a G whose ``squarefree_cap`` binds somewhere up to Q
+(``_cap_binds``) takes the strided kernel instead.
 
 The strided kernel, ``_strided_sums``, reads each T_{d,B} from one strided
 pass over the value and mu tables, or, for a G with a ``support``, point by
@@ -300,19 +302,24 @@ def _clamp(values: np.ndarray, n: np.ndarray, cap: float) -> np.ndarray:
 
 
 def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
-    """G(n) mu(n) at the odd n <= Q, as the rule gives it (no
-    ``squarefree_cap``): entry i holds it for n = 2i - 1, and entry 0 is 0.
+    """G(n) mu(n) at the n <= Q coprime to 6, as the rule gives it (no
+    ``squarefree_cap``): entry i holds it for n = 3i - 1 - (i mod 2), so n
+    sits at n // 3 + 1, and entry 0 is 0.
 
     Hardy: G mu is multiplicative, so G(2m) mu(2m) = -G(2) G(m) mu(m) for
-    odd m and G(n) mu(n) = 0 when 4 | n.  The even half is redundant: M_G
-    comes from the odd sums R_2 by the coprime peel at p = 2,
-    M_G(z) = R_2(z) - G(2) R_2(z // 2), where R_2(z) sums the entries
-    1..(z + 1) // 2.  One odd-layout ``multiplicative_sieve`` from the powers
+    odd m, G(3m) mu(3m) = -G(3) G(m) mu(m) for m coprime to 3, and
+    G(n) mu(n) = 0 when 4 | n or 9 | n.  Every other entry of a full table
+    is redundant: the sums R_6(z) over the n <= z coprime to 6, the entries
+    1..``core._wheel_count(z)``, give the odd sums
+    R_2(z) = R_6(z) - G(3) R_6(z // 3) and M_G(z) = R_2(z) - G(2) R_2(z // 2).
+    One wheel-layout ``multiplicative_sieve`` from the powers
     (-G(p), 0, ..., 0) and 0 - ``G.at_primes``, so no value table and no mu
-    table is built; for an uncapped G, entries 1.. equal
-    ``(_value_table(G, Q) * mobius_table(Q))[1::2]`` entry by entry (the
-    signs of their zeros may differ, since they are only summed).  Kept on
-    G (``_keep``); whether a cap binds is ``_cap_binds``'s to say.
+    table is built, and the table takes 8/3 bytes per q (float64; 16/3
+    complex); for an uncapped G, entries 1.. equal
+    ``_value_table(G, Q) * mobius_table(Q)`` at the n coprime to 6, entry
+    by entry (the signs of their zeros may differ, since they are only
+    summed).  Kept on G (``_keep``); whether a cap binds is
+    ``_cap_binds``'s to say.
     """
     key = ("gmu", Q)
     if key in G._memo:
@@ -325,7 +332,7 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
 
     # 0 - G(p) rather than -G(p): a zero value stays +0, so the sieve can
     # skip the zero cofactors of a G that vanishes at the large primes.
-    gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64, _odd=True)
+    gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64, _wheel=True)
     gmu.setflags(write=False)
     return _keep(G, key, gmu)
 
@@ -333,19 +340,26 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
 def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
     """Whether ``squarefree_cap`` would change G mu (making it no longer
     multiplicative) at some n <= Q, read off ``gmu = _gmu_table(G, Q)`` a
-    quarter block at a time: |G mu(n)| > cap / n at an odd n > 1, or, as
-    G(2m) mu(2m) = -G(2) G(m) mu(m), |G(2)| |G mu(m)| > cap / 2m at an odd
-    m <= Q // 2.  Cached on G under ``("clamped", Q)``, its only writer."""
+    quarter block at a time.  Each squarefree n is c m with m coprime to 6
+    and c one of 1, 2, 3, 6, and G(cm) mu(cm) = mu(c) G(c) G(m) mu(m), so
+    the cap binds where |G(c)| |G mu(m)| > cap / cm for some class c and
+    m <= Q // c, n > 1.  Cached on G under ``("clamped", Q)``, its only
+    writer."""
     key = ("clamped", Q)
     if key not in G._memo:
-        cap, g2 = G.squarefree_cap, abs(_rule_values(G, [2], [1])[0])
-        top = (Q // 2 + 1) // 2 + 1  # the entries of the odd m <= Q // 2
+        cap = G.squarefree_cap
+        g2, g3 = np.abs(_rule_values(G, [2, 3], [1, 1])).tolist()
+        classes = ((1, 1.0), (2, g2), (3, g3), (6, g2 * g3))  # (c, |G(c)|)
 
         def binds(lo):
             mag = np.abs(gmu[lo : lo + _core._BLOCK // 4])  # a zero entry never binds
-            bound = cap / np.arange(2 * lo - 1, 2 * (lo + len(mag)) - 1, 2.0)  # cap / n; halved, cap / 2n
-            m = max(top - lo, 0)  # [int(lo == 1):] skips n = 1: G(1) = 1 is never clamped
-            return (mag > bound)[int(lo == 1) :].any() or (g2 * mag[:m] > bound[:m] / 2).any()
+            m = _core._held(np.arange(lo, lo + len(mag)), True)
+            for c, gc in classes:
+                first = int(lo == 1 and c == 1)  # n = 1: G(1) = 1 is never clamped
+                top = np.searchsorted(m, Q // c, "right")  # the m <= Q // c
+                if (gc * mag[first:top] > cap / (c * m[first:top])).any():
+                    return True
+            return False
 
         G._memo[key] = any(map(binds, range(1, len(gmu), _core._BLOCK // 4)))
     return G._memo[key]
@@ -579,9 +593,10 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     is chosen before any table is built.  A pair is peeled when G is
     multiplicative, |G(p)| <= 1 at every odd prime p <= Q of ab
     (``G.rule(p, 1)``; the climb's powers G(p)^k would amplify the roundoff
-    of R_2 above 1), and no cap binds up to Q (``_cap_binds``).  The other
-    pairs go, as one batch, to ``_strided_sums``, and never read a T_{d,b}
-    that the peel computed.
+    of R_2 above 1; at 3, whose node reads the table, the rule is kept), and
+    no cap binds up to Q (``_cap_binds``).  The other pairs go, as one
+    batch, to ``_strided_sums``, and never read a T_{d,b} that the peel
+    computed.
 
     For the peeled pairs, a squarefree m coprime to b splits as m' r with
     m' | rad d and r coprime to bd, and G(dm' r) = G(dm') G(r), so
@@ -596,11 +611,14 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), is the weighted form of
     Legendre's phi(x, a) recurrence.  ``_peel_points`` plans it over a trie
     of the odd primes of radicals, whose node F holds R_{2F} and whose root
-    () is R_2; one ``_neumaier_segments`` pass over the odd G mu table
-    (``_gmu_table``) takes R_2(z) at the root's points, as the sum of its
-    entries 1..(z + 1) // 2, and the climb from the root computes each node
+    () is R_2.  One ``_neumaier_segments`` pass over the G mu table at the n
+    coprime to 6 (``_gmu_table``) takes R_6(z), the sum of its entries
+    1..``core._wheel_count(z)``, at the root's points z and at z // 3; the
+    root is R_2(z) = R_6(z) - G(3) R_6(z // 3) (the odd r are the r and 3r
+    with r coprime to 6), G(3) from the rule, and the node (3,) is R_6 as
+    the pass read it.  The climb computes every other node from its parent
     at its own points, one level p^j <= z < p^(j+1) at a time, a Horner
-    scheme in G(p) along each odd prime, G(p) read at entry (p + 1) // 2.
+    scheme in G(p) along each prime p >= 5, G(p) read at its entry p // 3 + 1.
     Each distinct (d, b) of the batch is built and read once: T_{d,b} adds
     its terms in ascending m', and ``_combine``, the loop of the strided
     kernel, adds d T_{d,b} in plan order.  So G(2) enters only the
@@ -611,9 +629,9 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     so a series reads the same bytes whatever ran before it.  A strided
     series also has the same bytes in any batch; a peeled one does not,
     since the root's points are the batch's union, which moves the segments
-    of R_2: each of the 31 restricted series of a GR verdict at the default
+    of R_6: each of the 31 restricted series of a GR verdict at the default
     config (Q = 10^6, window 32) differs from ``restricted_mobius_partial_sums``
-    at the same checkpoints, by at most 1.249e-16.
+    at the same checkpoints, by at most 1.839e-16.
     """
     pairs = list(pairs)
     peel = set()
@@ -627,6 +645,7 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     if not peel:
         return out
     gmu = _gmu_table(G, Q)
+    g3 = _rule_values(G, [3], [1])[0]
     plans = {pair: plan for pair, plan in plans.items() if pair in peel}
     terms = {(d, b): _kluyver_terms(G, d, b, Q) for d, b in dict.fromkeys((d, b) for plan in plans.values() for d, _, b in plan)}
 
@@ -635,12 +654,17 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     for k, _, node in chain.from_iterable(terms.values()):
         reads.setdefault(node, set()).add(k)
     points = _peel_points(reads, xs)
-    R = {(): _neumaier_segments(gmu, (points[()] + 1) // 2)}  # R_2, over odd n <= z
+    root = points[()]
+    r6, r6_third = _neumaier_segments(gmu, _core._wheel_count(np.stack((root, root // 3))))  # R_6(z), R_6(z // 3)
+    R = {(): r6 - _times(g3, r6_third)}  # R_2
     for node in sorted(points, key=len)[1:]:  # parents before children
         z, p = points[node], node[-1]
+        if node == (3,):  # R_6, straight from the table
+            R[node] = r6[np.searchsorted(root, z)]
+            continue
         r = R[node[:-1]][np.searchsorted(points[node[:-1]], z)]
         if p <= z[-1]:  # else R_{Fp} = R_F at every point, and p may exceed Q
-            g, below, tops = -gmu[(p + 1) // 2], np.searchsorted(z, z // p), [p]
+            g, below, tops = -gmu[_core._entry(p, True)], np.searchsorted(z, z // p), [p]
             while tops[-1] <= z[-1]:
                 tops.append(tops[-1] * p)
             edges = np.searchsorted(z, tops).tolist()
@@ -671,8 +695,9 @@ def _peel_points(reads: dict, xs: np.ndarray) -> dict:
     with the sorted distinct points at which the node is read.
     ``reads`` maps a node to the k of its own terms, read at x // k for x in
     ``xs``.  A node's points are its own and its children's, closed under
-    z -> z // p for its largest prime p, and its parent reads them all; the
-    root () holds every point at which M_G is needed."""
+    z -> z // p for its largest prime p (but for the node (3,), which
+    ``_peel_sums`` reads straight off the G mu table), and its parent reads
+    them all; the root () holds every point at which M_G is needed."""
     need = {}
     for node, ks in reads.items():
         need.setdefault(node, []).append((xs[:, None] // np.array(sorted(ks), dtype=np.int64)).ravel())
@@ -682,10 +707,11 @@ def _peel_points(reads: dict, xs: np.ndarray) -> dict:
     for node in sorted(need, key=len, reverse=True):  # children before parents
         z = _sorted_distinct(np.concatenate(need[node]))
         if node:
-            levels = [z]
-            while levels[-1][-1]:
-                levels.append(_sorted_distinct(levels[-1] // node[-1]))
-            z = _sorted_distinct(np.concatenate(levels))
+            if node != (3,):  # the node (3,) is read off the table, not climbed
+                levels = [z]
+                while levels[-1][-1]:
+                    levels.append(_sorted_distinct(levels[-1] // node[-1]))
+                z = _sorted_distinct(np.concatenate(levels))
             need[node[:-1]].append(z)
         points[node] = z
     return points
@@ -1069,7 +1095,8 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
         b0 = 1 if classification == "normal" else rep.PG
         hypothesis = {(1, b): _restricted_description(G, b) for b in radicals}
         pairs = [(1, b) for b in sorted({*radicals, b0})]
-        text = f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}...)"
+        more = "..." if len(radicals) > 8 else ""
+        text = f"sum over (r, a) = 1 of G(r) mu(r) converges for sampled a (radicals {radicals[:8]}{more})"
     sums = _peel_sums(G, pairs, cfg.Q, cps)
 
     # Fails on any divergence, passes only if every series converges.

@@ -234,8 +234,8 @@ class TestSignedSeriesAtScale:
     @pytest.mark.parametrize("entry", ["GR", "GH", "prop1"])
     def test_classical_verdicts_at_the_default_config(self, capsys, entry):
         """The peel behind these verdicts closes int64 point arrays under
-        z -> z // p for Python-int primes p, and reads its root, the odd G mu
-        table, at the int64 entries (z + 1) // 2."""
+        z -> z // p for Python-int primes p, and reads R_6 off the G mu
+        table at the int64 entries (z + 5) // 6 + (z + 1) // 6."""
         code, payload = run_json(capsys, ["verdict", entry])
         assert code == 0 and payload["conclusion"] == "in_zero_cloud"
 
@@ -295,11 +295,11 @@ class TestSignedSeriesAtScale:
 
     @pytest.mark.parametrize("argv", [["GH"], ["G0", "--param", "p0=3"]], ids=" ".join)
     def test_signed_expansions_at_ten_million_through_the_block_fused_sieve(self, capsys, argv):
-        """The odd G mu table is built in 20 blocks of 2^18 entries; each
-        block's phase-2 pairs come from int64 odd-cofactor arrays divided
-        into Python-int block bounds and scattered at the int64 entries
-        (m * P + 1) // 2.  Both last partial sums are near 0 (1.6e-4 and
-        -2.6e-4)."""
+        """The G mu table at the n coprime to 6 is built in 13 blocks of
+        2^18 entries; each block's phase-2 pairs come from int64 arrays of
+        cofactors coprime to 6 divided into Python-int block bounds and
+        scattered at the int64 entries m * P // 3 + 1.  Both last partial
+        sums are near 0 (1.6e-4 and -2.6e-4)."""
         re, _ = last_partial_sum(capsys, ["expand", *argv, "--a", "290", "--Q", "10000000"])
         assert abs(re) <= 2e-3
 

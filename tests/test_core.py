@@ -396,24 +396,45 @@ class TestTables:
         ),
     }
 
-    @pytest.mark.parametrize("limit", [1, 2, 48, 49, 44097, 88199, 88200, 88201, 3 * 4096 + 7, 200003])
+    @pytest.mark.parametrize("limit", [1, 2, 48, 49, 14694, 14695, 14696, 44097, 88199, 88200, 88201, 3 * 4096 + 7, 200003])
     @pytest.mark.parametrize("name", list(_REFERENCE_CASES))
     def test_sieve_is_the_prime_by_prime_sweep(self, monkeypatch, name, limit):
         # Byte for byte, over block sizes below, at and across the presieved
         # period of 2^2 3^2 5^2 7^2 = 44,100 entries (used from limit 88,199,
-        # a table of two periods) and its phase-2 quarters.  The odd layout
-        # (entry i holds n = 2i - 1) is the reference at the odd n; its
-        # period of 3^2 5^2 7^2 = 11,025 entries is used from limit 44,097,
-        # the first whose odd table holds two periods.
+        # a table of two periods) and its phase-2 quarters.  The wheel layout
+        # (entry i holds n = 3i - 1 - (i mod 2), the n coprime to 6) is the
+        # reference at the n coprime to 6, in the reference's dtype; its
+        # period of 5^2 7^2 = 1,225 n is 2,450 entries long and is used from
+        # limit 14,695, the first whose wheel table holds two periods
+        # (4,900 entries).
         case = self._REFERENCE_CASES[name]
         want = self._reference_sieve(limit, *case)
+        coprime = np.gcd(np.arange(limit + 1), 6) == 1
         for block in (97, 1000, 4096):
             monkeypatch.setattr(core, "_BLOCK", block)
             got = core.multiplicative_sieve(limit, *case)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, block)
-            odd = core.multiplicative_sieve(limit, *case, _odd=True)
-            assert odd.dtype == want.dtype and odd[0] == 0, (name, block)
-            assert odd[1:].tobytes() == want[1::2].tobytes(), (name, block)
+            wheel = core.multiplicative_sieve(limit, *case, _wheel=True)
+            assert wheel.dtype == want.dtype and len(wheel) == coprime.sum() + 1 and wheel[0] == 0, (name, block)
+            assert wheel[1:].tobytes() == want[coprime].tobytes(), (name, block)
+
+    @pytest.mark.parametrize("limit", [14694, 14695])
+    def test_wheel_period_starts_at_two_periods(self, monkeypatch, limit):
+        # The wheel layout tiles its 2,450-entry period of 5 and 7 from the
+        # first limit whose table holds two of them, and sweeps 5 and 7
+        # itself below it.
+        swept = []  # the primes of each sweep, the period's first if any
+        sweep = core._sweep_block
+
+        def record(block, small, lo, wheel=False):
+            swept.append([p for p, _, _ in small])
+            sweep(block, small, lo, wheel)
+
+        monkeypatch.setattr(core, "_sweep_block", record)
+        table = core.multiplicative_sieve(limit, *self._REFERENCE_CASES["mu"], _wheel=True)
+        tiled = limit == 14695
+        assert len(table) == 4899 + tiled
+        assert (swept[0] == [5, 7]) is tiled and (5 in swept[-1]) is not tiled
 
 
 # The prime and mu slots are process state that pytest's test order would

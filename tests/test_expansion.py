@@ -970,7 +970,7 @@ class TestValueTable:
         # whole range that peaked at 40.7 MiB, in blocks it stays near
         # 16.3 MiB.  The guard on the G mu table (gmu) reads it a quarter
         # block at a time, and scans every one at cap 10, where it never
-        # binds: the 3.8 MiB table plus about 2 MiB.
+        # binds: the 2.5 MiB table plus about 2.6 MiB.
         assert self._traced_peak(build, cap) < 18 * 2**20
 
     @staticmethod
@@ -988,10 +988,10 @@ class TestValueTable:
         # Against the clamp applied at once to the whole unclamped table:
         # the value table over every n byte for byte, and the guard's flag
         # is whether that clamp changes the G mu table over every n
-        # (``_full_gmu``), of which ``_gmu_table`` keeps the odd entries
-        # unclamped.  Cap 2.5 clamps only even n (n |G(n)| is the product of
-        # 1 + 1/p over the primes of n, under 2.3 for odd n <= 10^6 + 7), so
-        # only G(2) can raise the flag.
+        # (``_full_gmu``), of which ``_gmu_table`` keeps the entries at the n
+        # coprime to 6 unclamped.  Cap 2.5 clamps only even n (n |G(n)| is
+        # the product of 1 + 1/p over the primes of n, under 2.3 for odd
+        # n <= 10^6 + 7), so only the classes 2m and 6m can raise the flag.
         for G in (catalog("prop1"), catalog("prop1", cap=2.5), catalog("prop1", cap=1.0)):
             uncapped = dataclasses.replace(G, squarefree_cap=None)
             full = _full_gmu(uncapped, Q)
@@ -1003,7 +1003,7 @@ class TestValueTable:
                 H = dataclasses.replace(G)
                 if support is full:
                     got = expansion._gmu_table(H, Q)
-                    assert got[0] == 0 and got[1:].tobytes() == full[1::2].tobytes(), G.label
+                    assert got[0] == 0 and got[1:].tobytes() == full[_coprime_to_6(Q)].tobytes(), G.label
                     assert expansion._cap_binds(H, Q, got) is bool(over.any()), G.label
                 else:
                     assert _value_table(H, Q).tobytes() == want.tobytes(), G.label
@@ -1218,11 +1218,21 @@ class TestPeelSums:
     # completely multiplicative, G~(p) = G(p).  Error bound, in the terms of
     # TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4), for exact
     # real rules, per term G~(n) R_2(z // n) of R_B(z):
-    # * R_2(y), read at the root's points: odd G mu table entries 7
-    #   roundings (an odd squarefree n <= 10^4 has at most 4 primes), one
-    #   reduceat segment over at most ceil(Q / 2) entries (first term plus a
-    #   pairwise sum of the rest) ceil(log2 Q) + 18, Neumaier across
-    #   segments 2; relative to A_2(y) = sum_{r <= y, r odd} |G(r) mu(r)|.
+    # * R_6(y), the sum of the table entries at the n <= y coprime to 6:
+    #   entries 7 roundings (a squarefree n <= 10^4 coprime to 6 has at most
+    #   4 primes), one reduceat segment over at most ceil(Q / 3) entries
+    #   (first term plus a pairwise sum of the rest) ceil(log2 Q) + 18,
+    #   Neumaier across segments 2; relative to
+    #   A_6(y) = sum_{r <= y, (r, 6) = 1} |G(r) mu(r)|.
+    # * R_2(y) = R_6(y) - G(3) R_6(y // 3), at the root's points: the float
+    #   of G(3) 1, its product 1 and the subtraction 1, and the 27 of each
+    #   R_6, all relative to A_6(y) + |G(3)| A_6(y // 3) = A_2(y), the sum
+    #   of |G(r) mu(r)| over the odd r <= y: 30.  The node (3,) holds R_6
+    #   itself, within 27 relative to A_6(y) <= A_2(y), and its children
+    #   climb from it without G(3): a node of B with 3 holds the sum over
+    #   the n <= z smooth in the other primes of B of G~(n) R_6(z // n),
+    #   whose terms are among those below, each with a smaller count and
+    #   mass.
     #   Reading R_F at a node's points copies values, exactly.
     # * Horner along each odd prime p of B, which meets the term with
     #   n = ... p^j ...: j products by the float G(p), each 2 (the rounding of
@@ -1231,24 +1241,24 @@ class TestPeelSums:
     #   above every point of its node copies too.  Over the primes of B that
     #   is 3 Omega(n) + omega(B) <= 3 floor(log2 Q) + omega(ab), for n <= Q
     #   and B = 2 b rad(d) with d | a.
-    # So R_B(z) is off by (ceil(log2 Q) + 3 floor(log2 Q) + 27 + omega(ab)) u
+    # So R_B(z) is off by (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab)) u
     # times sum_n |G~(n)| A_2(z // n).  At a = 1 (d = 1) an even b reads its
     # node with coefficient G(1) = 1, exactly; an odd b adds the m' = 2 term
     # -G(2) R_B(y // 2), the peel at 2: one float of the coefficient 1, its
     # product 1 and the add 1, so 3 more.  The whole of S is then off by
-    # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab)) u times the mass,
+    # (ceil(log2 Q) + 3 floor(log2 Q) + 33 + omega(ab)) u times the mass,
     # where A(y) = A_2(y) + |G(2)| A_2(y // 2) sums every r <= y.  That is
-    # below the pairwise order's 4 ceil(log2 Q) + 49 while omega(ab) <= 19.
+    # below the pairwise order's 4 ceil(log2 Q) + 49 while omega(ab) <= 16.
     # For a > 1 every term of T_{d,b} costs the float of its exact
     # coefficient mu(m') G(dm') 1 and its product 1, the running sum over the
     # t(d) <= 2^(omega(d) + 1) terms of T_{d,b} t(d) - 1 (the first add, to
     # 0.0, is exact), the weight d 1 and the running sum over the tau(a)
-    # divisors tau(a) - 1: t(d) + tau(a) + 1 more than R_B's 27, at most
+    # divisors tau(a) - 1: t(d) + tau(a) + 1 more than R_B's 30, at most
     # 2^(omega(a) + 1) + tau(a) + 1.  Since
     # 2^(omega(a) + 1) + tau(a) <= tau(a^2) + 3 for every a > 1 (equality at
     # a prime and at a product of two primes; tau(a^2) is the product of the
     # 2 e + 1 over the exponents e of a), the count
-    # (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab) + [a > 1] (tau(a^2) + 1)) u
+    # (ceil(log2 Q) + 3 floor(log2 Q) + 33 + omega(ab) + [a > 1] (tau(a^2) + 1)) u
     # covers it, times the peel mass ``_peel_mass``: the terms at an even m'
     # carry |G(2)| |G(dm'/2)|, the step of A over A_2.  One more u covers the
     # second-order terms.
@@ -1263,13 +1273,15 @@ class TestPeelSums:
     # B-smooth n <= x times the mass of Kluyver's sum; with |G(p)| > 1 at an
     # odd p it grows like |G(p)|^(log_p x), which is why the peel falls back
     # there.  G(2) enters only the coefficients G(dm'), as it enters
-    # Kluyver's sum, so |G(2)| > 1 keeps the peel.  A dropped or mis-signed
+    # Kluyver's sum, so |G(2)| > 1 keeps the peel; G(3) enters R_2 once,
+    # and the kernel rule still sends |G(3)| > 1 with 3 | ab to the direct
+    # kernel.  A dropped or mis-signed
     # m' term, a wrong G(p), a skipped level or a point read off by one
     # moves a sum by whole terms.
     @staticmethod
     def bound(Q, a=1, b=1, exact=True):
         log_up, log_down = math.ceil(math.log2(Q)), Q.bit_length() - 1
-        count = log_up + 3 * log_down + 30 + len(factorize(a * b).primes())
+        count = log_up + 3 * log_down + 33 + len(factorize(a * b).primes())
         count += len(divisors(a * a)) + 1 if a > 1 else 0
         return (count + 1 if exact else 2 * count + 18 + 1) * 2.0**-53
 
@@ -1337,11 +1349,12 @@ def _plane_product(c, x):
 
 
 def _pointwise_peel(G, pairs, Q, cps):
-    """``_peel_sums`` of a complex G, point by point: the same terms and root
-    sums R_2, then R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) at each point of
-    each node ascending, each T_{d,b} as the sum of its terms and each pair
-    as the sum of d T_{d,b} over its plan, every complex product by
-    ``_plane_product``."""
+    """``_peel_sums`` of a complex G, point by point: the same terms and
+    sums R_6 off the table, the root R_2(z) = R_6(z) - G(3) R_6(z // 3) and
+    the node (3,) R_6, then R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) at each
+    point of each other node ascending, each T_{d,b} as the sum of its terms
+    and each pair as the sum of d T_{d,b} over its plan, every complex
+    product by ``_plane_product``."""
     gmu = expansion._gmu_table(G, Q)
     xs = np.array(cps, dtype=np.int64)
     plans = {(a, b): [d for d in divisors(a) if d <= Q] for a, b in pairs}
@@ -1350,10 +1363,17 @@ def _pointwise_peel(G, pairs, Q, cps):
     for k, _, node in (t for ts in terms.values() for t in ts):
         reads.setdefault(node, set()).add(k)
     points = expansion._peel_points(reads, xs)
-    R = {(): dict(zip(points[()].tolist(), _neumaier_segments(gmu, (points[()] + 1) // 2).tolist()))}
+    root = points[()].tolist()
+    zs = sorted({*root, *(z // 3 for z in root)})
+    R6 = dict(zip(zs, _neumaier_segments(gmu, core._wheel_count(np.array(zs))).tolist()))
+    g3 = expansion._rule_values(G, [3], [1])[0]
+    R = {(): {z: R6[z] - _plane_product(g3, R6[z // 3]) for z in root}}
     for node in sorted(points, key=len)[1:]:
         p, parent, R[node] = node[-1], R[node[:-1]], {}
-        g = -gmu[(p + 1) // 2]
+        if node == (3,):
+            R[node] = {z: R6[z] for z in points[node].tolist()}
+            continue
+        g = -gmu[p // 3 + 1]
         for z in points[node].tolist():
             R[node][z] = parent[z] + _plane_product(g, R[node][z // p]) if z >= p else parent[z]
     T = {}
@@ -1458,8 +1478,9 @@ class TestKluyverTerms:
 
 class TestPeelPoints:
     # The trie's root holds exactly the points of the rectangle the peel
-    # used to read: every positive x // (k n) over the n smooth in the odd
-    # primes of each term's node.  Small Q puts primes of b above Q, and
+    # used to read: every positive x // (k n) over the n smooth in the
+    # primes above 3 of each term's node (the node (3,) is read off the
+    # table, R_6, and not climbed).  Small Q puts primes of b above Q, and
     # above every point.
     @given(
         st.lists(
@@ -1480,7 +1501,7 @@ class TestPeelPoints:
                     break
                 for k, _, node in expansion._kluyver_terms(G, d, b, Q):
                     reads.setdefault(node, set()).add(k)
-                    ns = np.array([n for n, _ in _smooth(node, Q)], dtype=np.int64)
+                    ns = np.array([n for n, _ in _smooth([p for p in node if p > 3], Q)], dtype=np.int64)
                     want |= set((xs[:, None] // (k * ns)).ravel().tolist()) - {0}
         points = expansion._peel_points(reads, xs)
         assert set(points[()].tolist()) - {0} == want
@@ -1628,7 +1649,7 @@ class TestKernelChoice:
     def test_direct_only_pairs_build_no_gmu_table(self):
         # prop5(g2 = 2) has G(3) = 2, so a = 3 takes the direct kernel: the
         # value table (7.6 MiB), then one T_d buffer at a time, 15.3 MiB in
-        # all; the unread G mu table would add 3.8 MiB.
+        # all; the unread G mu table would add 2.5 MiB.
         G = dataclasses.replace(catalog("prop5", g2=2))
         core.sieve_primes(10**6)
         core.mobius_table(10**6)
@@ -1643,8 +1664,8 @@ class TestKernelChoice:
 
     def test_complex_even_pair_reads_only_the_gmu_table(self):
         # lemma7_h(s = 0.6 + 0.3i) has |G(2)| = 1.32 but |G(p)| < 1 at every
-        # odd p, so a = 2 is peeled: the complex odd G mu table (7.6 MiB)
-        # and the climb.  The direct kernel, value table and one T_d buffer
+        # odd p, so a = 2 is peeled: the complex G mu table (5.1 MiB) and
+        # the climb.  The direct kernel, value table and one T_d buffer
         # at a time, peaked at 30.6 MiB.
         G = dataclasses.replace(catalog("lemma7_h", s=0.6 + 0.3j))
         core.sieve_primes(10**6)
@@ -1848,25 +1869,31 @@ def _full_gmu(G, Q):
     )
 
 
+def _coprime_to_6(Q):
+    """The mask of the n = 0..Q coprime to 6, whose G mu the table holds."""
+    return np.gcd(np.arange(Q + 1), 6) == 1
+
+
 class TestGmuTable:
     @pytest.mark.parametrize("Q", [1, 2, 3, 10, 97, 1000, 10**6 + 7])
     def test_is_the_value_table_times_mu(self, Q):
-        # Entry by entry at the odd n, against the value table without its
-        # cap: the G mu table is never clamped (``_cap_binds`` says whether
-        # a cap would change it).
+        # Entry by entry at the n coprime to 6, against the value table
+        # without its cap: the G mu table is never clamped (``_cap_binds``
+        # says whether a cap would change it).
         for G in _GMU_ENTRIES:
             got = expansion._gmu_table(G, Q)
             uncapped = dataclasses.replace(G, squarefree_cap=None)
-            assert len(got) == (Q + 1) // 2 + 1 and got[0] == 0, G.label
-            assert np.array_equal(got[1:], (_value_table(uncapped, Q) * core.mobius_table(Q))[1::2]), G.label
+            keep = _coprime_to_6(Q)
+            assert len(got) == keep.sum() + 1 and got[0] == 0, G.label
+            assert np.array_equal(got[1:], (_value_table(uncapped, Q) * core.mobius_table(Q))[keep]), G.label
             assert ("clamped", Q) not in G._memo and not got.flags.writeable, G.label
             assert expansion._gmu_table(G, Q) is got
 
     def test_sieve_scratch_stays_block_sized(self):
         # Phase 2 scatters the (m, P) pairs of a quarter block at a time, at
-        # most one pair per entry: the 7.6 MiB table, the prime values and
-        # three pair arrays peak near 9.7 MiB.  All pairs of a block at once
-        # took it to 12.8 MiB.
+        # most one pair per entry: the 2.5 MiB table, the prime values and
+        # three pair arrays peak near 4.4 MiB.  All pairs of a block at once
+        # took the build of a full-layout table (7.6 MiB) to 12.8 MiB.
         core.sieve_primes(10**6)
         tracemalloc.start()
         try:
@@ -1878,9 +1905,10 @@ class TestGmuTable:
 
     @pytest.mark.parametrize("build, name", [(expansion._gmu_table, "lemma7_h"), (_value_table, "prop5")])
     def test_complex_sieve_scratch_stays_block_sized(self, build, name):
-        # A complex table (15.3 MiB) goes through the same blocks, multiplied
-        # on its float planes, and peaks near 20 MiB.  Swept whole, with one
-        # gather per cofactor, it peaked at 26.7-29.2 MiB.
+        # A complex table (15.3 MiB for values, 5.1 MiB for G mu) goes
+        # through the same blocks, multiplied on its float planes, and peaks
+        # near 20.5 (9.1) MiB.  Swept whole, with one gather per cofactor, a
+        # value table peaked at 26.7-29.2 MiB.
         G = catalog(name, s=0.6 + 0.3j)
         core.sieve_primes(10**6)
         tracemalloc.start()
@@ -1890,6 +1918,50 @@ class TestGmuTable:
         finally:
             tracemalloc.stop()
         assert peak < 22 * 2**20
+
+    def test_table_holds_the_n_coprime_to_6_only(self):
+        # 8/3 bytes per q: the GH table at 10^6 is 333,334 float64 entries
+        # (2.54 MiB), and its build, or a signed GH expansion that reads it,
+        # peaks at 4.4 MiB traced.  The odd layout's table (3.81 MiB) peaked
+        # at 5.6 MiB.
+        core.sieve_primes(10**6)
+        for run in (
+            lambda: expansion._gmu_table(catalog("GH"), 10**6),
+            lambda: expansion_partial_sums(catalog("GH"), 47, 10**6, coprime_to=2, exact=False),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20
+
+
+class TestCapBinds:
+    # The guard reads |G mu| at the n coprime to 6 off the table, and the
+    # other squarefree n = 2m, 3m, 6m through |G(2)|, |G(3)| and
+    # |G(2) G(3)| times it.  With G(p) = 1/p at every p >= 5, n |G(n)| is 1
+    # at the n coprime to 6, times 2 |G(2)| at the even n and 3 |G(3)| at
+    # the multiples of 3, so a cap of 1.5 binds in exactly the class named.
+    @pytest.mark.parametrize(
+        "g2, g3, where",
+        [
+            (2.0 / 2, 0.25 / 3, "2m"),
+            (0.25 / 2, 2.0 / 3, "3m"),
+            (1.4 / 2, 1.4 / 3, "6m"),  # 1.4 in each alone, 1.96 together
+            (1.2 / 2, 1.2 / 3, None),  # 1.44 together
+        ],
+    )
+    @pytest.mark.parametrize("Q", [5, 1000, 10**5 + 3])
+    def test_binds_in_each_class(self, g2, g3, where, Q):
+        values = {2: g2, 3: g3}
+        G = MultiplicativeFunction("1/p, scaled at 2 and 3", rule=lambda p, e: values.get(p, 1 / p) ** e, squarefree_cap=1.5)
+        want = where is not None and Q >= {"2m": 2, "3m": 3, "6m": 6}[where]
+        assert _cap_guard(G, Q) is want
+        full = _full_gmu(G, Q)
+        n = np.flatnonzero(full)[1:]
+        assert bool((np.abs(full[n]) > 1.5 / n).any()) is want
 
 
 class TestFiniteFactors:
@@ -2327,6 +2399,15 @@ class TestVerdictCells:
 
 
 class TestZeroCloudVerdict:
+    def test_radicals_text_ends_in_dots_only_when_cut(self):
+        # The classical hypothesis text lists the first 8 radicals, and
+        # "..." only when there are more.
+        G = catalog("GR")
+        few = zero_cloud_verdict(G, EngineConfig(Q=20_000, sample_a=(2, 3, 5, 12)))
+        many = zero_cloud_verdict(G, EngineConfig(Q=20_000))
+        assert few.hypothesis_checks[1][0].endswith("(radicals [2, 3, 5, 6])")
+        assert many.hypothesis_checks[1][0].endswith("(radicals [1, 2, 3, 5, 6, 7, 10, 11]...)")
+
     def test_each_distinct_series_runs_once(self, monkeypatch):
         # a and a / p0^k give one series over q coprime to p0.  Every verdict
         # of a multiplicative G makes one batched peel: the 25 p0-free parts

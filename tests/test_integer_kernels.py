@@ -5,8 +5,8 @@ entry, coefficient d mu(m') G(dm'), climb product and partial sum is an
 integer or a Gaussian integer below 2^53 at the Q used, so float64
 arithmetic is exact in any order: every floating kernel must equal an int64
 oracle bit for bit.  That separates errors in a plan's algebra (trie points,
-the (z + 1) // 2 indexing, the peel at 2, block edges, strikes on b) from
-rounding, which the bounds of ``test_expansion`` cover.
+the wheel indexing of G mu, R_2 from R_6, the peel at 2, block edges,
+strikes on b) from rounding, which the bounds of ``test_expansion`` cover.
 
 The oracle shares nothing with the kernels: G from its closed form (n mod 4,
 n mod 5, 2^v_3(n)), mu from its own prime sieve (0 on the multiples of p^2,
@@ -154,8 +154,9 @@ def mismatches(Q):
 
 @pytest.mark.parametrize("block", [97, 4096])
 def test_every_kernel_is_the_integer_oracle(monkeypatch, block):
-    # Q = 20,011 crosses block edges of both layouts: 206 value table
-    # blocks of 97 entries and 103 odd G mu blocks, or 5 and 3 of 4096.
+    # Q = 20,011 crosses block edges of both layouts: 207 value table
+    # blocks of 97 entries and 69 G mu blocks (the n coprime to 6), or 5
+    # and 2 of 4096.
     monkeypatch.setattr(core, "_BLOCK", block)
     count, bad = mismatches(20_011)
     assert count == 4 * (2 * len(A) * len(B) + 61) and bad == []
