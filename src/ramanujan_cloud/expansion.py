@@ -26,19 +26,17 @@ d | a rad(a)).
 ``_peel_sums`` reads the T_{d,b} of a multiplicative G from one table, G mu
 at the n coprime to 6 (``_gmu_table``: G(2m) mu(2m) = -G(2) G(m) mu(m) for
 odd m, G(3m) mu(3m) = -G(3) G(m) mu(m) for m coprime to 3, and 0 when
-4 | n or 9 | n), through its prefix R_6(z) = sum_{r <= z, (r, 6) = 1} G(r) mu(r)
-and the odd sums R_2(z) = R_6(z) - G(3) R_6(z // 3).
-Multiplicativity writes T_{d,b}(y) as the sum over m' | rad d, and over
-m' | 2 rad d when bd is odd, of mu(m') G(dm') R_{2b rad d}(y // m'); the
-coprime peel R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) climbs to each R_{2B}
-from R_2, or from R_6 at the node (3,), over a trie of the odd primes of
-radicals.  The even m' of an odd bd are the peel at p = 2, so the Mobius
-prefix M_G is R_2(z) - G(2) R_2(z // 2).
-A verdict's samples or radicals, and a single expansion, all read R_6 at the
-trie root's distinct points z and at z // 3 in one pass over G mu, and each
-distinct T_{d,b} once.  ``_peel_sums`` picks each pair's kernel from what
-the climb multiplies by: a non-multiplicative G, |G(p)| > 1 on an odd prime
-of ab, or a G whose ``squarefree_cap`` binds somewhere up to Q
+4 | n or 9 | n), through its prefix R_6(z) = sum_{r <= z, (r, 6) = 1} G(r) mu(r).
+Multiplicativity writes T_{d,b}(y) as the sum over m' | rad(6d) / gcd(6, b)
+of mu(m') G(dm') R_{6b rad d}(y // m'): the m' with 2 or 3 are the peel at
+2 and at 3, so the Mobius prefix M_G(z) is the sum over s | 6 of
+mu(s) G(s) R_6(z // s).  The coprime peel R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p)
+climbs to each R_{6B} from R_6 over a trie of the primes above 3 of
+radicals.  A verdict's samples or radicals, and a single expansion, all
+read R_6 at the trie root's distinct points in one pass over G mu, and
+each distinct T_{d,b} once.  ``_peel_sums`` picks each pair's kernel from
+what the climb multiplies by: a non-multiplicative G, |G(p)| > 1 on a
+prime p > 3 of ab, or a G whose ``squarefree_cap`` binds somewhere up to Q
 (``_cap_binds``) takes the strided kernel instead.
 
 The strided kernel, ``_strided_sums``, reads each T_{d,B} from one strided
@@ -310,8 +308,8 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     odd m, G(3m) mu(3m) = -G(3) G(m) mu(m) for m coprime to 3, and
     G(n) mu(n) = 0 when 4 | n or 9 | n.  Every other entry of a full table
     is redundant: the sums R_6(z) over the n <= z coprime to 6, the entries
-    1..``core._wheel_count(z)``, give the odd sums
-    R_2(z) = R_6(z) - G(3) R_6(z // 3) and M_G(z) = R_2(z) - G(2) R_2(z // 2).
+    1..``core._wheel_count(z)``, give
+    M_G(z) = sum over s | 6 of mu(s) G(s) R_6(z // s).
     One wheel-layout ``multiplicative_sieve`` from the powers
     (-G(p), 0, ..., 0) and 0 - ``G.at_primes``, so no value table and no mu
     table is built, and the table takes 8/3 bytes per q (float64; 16/3
@@ -591,39 +589,35 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     ascending: S(x) = sum over d | a of d T_{d,b}(x // d), with
     T_{d,b}(y) = sum_{m <= y, (m, b) = 1} G(dm) mu(m).  Each pair's kernel
     is chosen before any table is built.  A pair is peeled when G is
-    multiplicative, |G(p)| <= 1 at every odd prime p <= Q of ab
+    multiplicative, |G(p)| <= 1 at every prime 3 < p <= Q of ab
     (``G.rule(p, 1)``; the climb's powers G(p)^k would amplify the roundoff
-    of R_2 above 1; at 3, whose node reads the table, the rule is kept), and
-    no cap binds up to Q (``_cap_binds``).  The other pairs go, as one
-    batch, to ``_strided_sums``, and never read a T_{d,b} that the peel
-    computed.
+    of R_6 above 1, and 2 and 3 are never climbed), and no cap binds up to
+    Q (``_cap_binds``).  The other pairs go, as one batch, to
+    ``_strided_sums``, and never read a T_{d,b} that the peel computed.
 
     For the peeled pairs, a squarefree m coprime to b splits as m' r with
-    m' | rad d and r coprime to bd, and G(dm' r) = G(dm') G(r), so
-    T_{d,b}(y) = sum over m' of mu(m') G(dm') R_B(y // m'), where B = b rad d
-    and R_B(z) = sum_{r <= z, (r, B) = 1} G(r) mu(r).  When bd is odd, the
-    m' run over the divisors of 2 rad d instead and r over the odd r, so the
-    terms read R_{2B}: since mu(2m') G(2dm') = -G(2) mu(m') G(dm'), the
-    terms at the even m' are the peel at p = 2,
-    R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2).  So every term reads R_{2B},
-    at the trie node of the odd primes of bd (``_kluyver_terms``).  The
+    m' | rad(6d) / gcd(6, b) (the primes of d, and those of 2 and 3 that b
+    lacks) and r coprime to 6bd, and G(dm' r) = G(dm') G(r), so
+    T_{d,b}(y) = sum over m' of mu(m') G(dm') R_B(y // m'), where
+    B = 6 b rad d and R_B(z) = sum_{r <= z, (r, B) = 1} G(r) mu(r).  Since
+    mu(pm') G(pdm') = -G(p) mu(m') G(dm') for p = 2 or 3 prime to bd, the
+    terms at the m' that p divides are the peel at p,
+    R_F(z) = R_{pF}(z) - G(p) R_{pF}(z // p).  So every term reads R_B at
+    the trie node of the primes of bd above 3 (``_kluyver_terms``).  The
     coprime peel (``coprime_peel_identity``) read the other way,
     R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), is the weighted form of
     Legendre's phi(x, a) recurrence.  ``_peel_points`` plans it over a trie
-    of the odd primes of radicals, whose node F holds R_{2F} and whose root
-    () is R_2.  One ``_neumaier_segments`` pass over the G mu table at the n
-    coprime to 6 (``_gmu_table``) takes R_6(z), the sum of its entries
-    1..``core._wheel_count(z)``, at the root's points z and at z // 3; the
-    root is R_2(z) = R_6(z) - G(3) R_6(z // 3) (the odd r are the r and 3r
-    with r coprime to 6), G(3) from the rule, and the node (3,) is R_6 as
-    the pass read it.  The climb computes every other node from its parent
-    at its own points, one level p^j <= z < p^(j+1) at a time, a Horner
-    scheme in G(p) along each prime p >= 5, G(p) read at its entry p // 3 + 1.
-    Each distinct (d, b) of the batch is built and read once: T_{d,b} adds
-    its terms in ascending m', and ``_combine``, the loop of the strided
-    kernel, adds d T_{d,b} in plan order.  So G(2) enters only the
-    coefficients G(dm'), as in the direct kernel.  Every product of an
-    array goes through ``_times``.
+    of the primes above 3 of radicals, whose node F holds R_{6F} and whose
+    root () is R_6: one ``_neumaier_segments`` pass over the G mu table at
+    the n coprime to 6 (``_gmu_table``) sums its entries
+    1..``core._wheel_count(z)`` at the root's points z.  The climb computes
+    every other node from its parent at its own points, one level
+    p^j <= z < p^(j+1) at a time, a Horner scheme in G(p) along each prime
+    p >= 5, G(p) read at its entry p // 3 + 1.  Each distinct (d, b) of the
+    batch is built and read once: T_{d,b} adds its terms in ascending m',
+    and ``_combine``, the loop of the strided kernel, adds d T_{d,b} in
+    plan order.  So G(2) and G(3) enter only the coefficients G(dm'), as in
+    the direct kernel.  Every product of an array goes through ``_times``.
 
     Neither kernel stores anything on G but tables and the guard's answer,
     so a series reads the same bytes whatever ran before it.  A strided
@@ -631,12 +625,12 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     since the root's points are the batch's union, which moves the segments
     of R_6: each of the 31 restricted series of a GR verdict at the default
     config (Q = 10^6, window 32) differs from ``restricted_mobius_partial_sums``
-    at the same checkpoints, by at most 1.839e-16.
+    at the same checkpoints, by at most 1.232e-16.
     """
     pairs = list(pairs)
     peel = set()
     if isinstance(G, MultiplicativeFunction):
-        bounded = lambda n: all(abs(_rule_values(G, [p], [1])[0]) <= 1 for p in factorize(n).primes() if 2 < p <= Q)
+        bounded = lambda n: all(abs(_rule_values(G, [p], [1])[0]) <= 1 for p in factorize(n).primes() if 3 < p <= Q)
         peel = {(a, b) for a, b in pairs if bounded(a * b)}
     if peel and G.squarefree_cap is not None and _cap_binds(G, Q, _gmu_table(G, Q)):
         peel = set()
@@ -645,7 +639,6 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     if not peel:
         return out
     gmu = _gmu_table(G, Q)
-    g3 = _rule_values(G, [3], [1])[0]
     plans = {pair: plan for pair, plan in plans.items() if pair in peel}
     terms = {(d, b): _kluyver_terms(G, d, b, Q) for d, b in dict.fromkeys((d, b) for plan in plans.values() for d, _, b in plan)}
 
@@ -654,14 +647,9 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     for k, _, node in chain.from_iterable(terms.values()):
         reads.setdefault(node, set()).add(k)
     points = _peel_points(reads, xs)
-    root = points[()]
-    r6, r6_third = _neumaier_segments(gmu, _core._wheel_count(np.stack((root, root // 3))))  # R_6(z), R_6(z // 3)
-    R = {(): r6 - _times(g3, r6_third)}  # R_2
+    R = {(): _neumaier_segments(gmu, _core._wheel_count(points[()]))}  # R_6
     for node in sorted(points, key=len)[1:]:  # parents before children
         z, p = points[node], node[-1]
-        if node == (3,):  # R_6, straight from the table
-            R[node] = r6[np.searchsorted(root, z)]
-            continue
         r = R[node[:-1]][np.searchsorted(points[node[:-1]], z)]
         if p <= z[-1]:  # else R_{Fp} = R_F at every point, and p may exceed Q
             g, below, tops = -gmu[_core._entry(p, True)], np.searchsorted(z, z // p), [p]
@@ -691,13 +679,12 @@ def _times(c: Number, r: np.ndarray) -> np.ndarray:
 
 def _peel_points(reads: dict, xs: np.ndarray) -> dict:
     """The plan of ``_peel_sums``: each node of the trie of radicals (the
-    tuple of a radical's primes, ascending; its parent drops the largest)
-    with the sorted distinct points at which the node is read.
+    tuple of a radical's primes above 3, ascending; its parent drops the
+    largest) with the sorted distinct points at which the node is read.
     ``reads`` maps a node to the k of its own terms, read at x // k for x in
     ``xs``.  A node's points are its own and its children's, closed under
-    z -> z // p for its largest prime p (but for the node (3,), which
-    ``_peel_sums`` reads straight off the G mu table), and its parent reads
-    them all; the root () holds every point at which M_G is needed."""
+    z -> z // p for its largest prime p, and its parent reads them all; the
+    root () holds every point at which R_6 is needed."""
     need = {}
     for node, ks in reads.items():
         need.setdefault(node, []).append((xs[:, None] // np.array(sorted(ks), dtype=np.int64)).ravel())
@@ -707,11 +694,10 @@ def _peel_points(reads: dict, xs: np.ndarray) -> dict:
     for node in sorted(need, key=len, reverse=True):  # children before parents
         z = _sorted_distinct(np.concatenate(need[node]))
         if node:
-            if node != (3,):  # the node (3,) is read off the table, not climbed
-                levels = [z]
-                while levels[-1][-1]:
-                    levels.append(_sorted_distinct(levels[-1] // node[-1]))
-                z = _sorted_distinct(np.concatenate(levels))
+            levels = [z]
+            while levels[-1][-1]:
+                levels.append(_sorted_distinct(levels[-1] // node[-1]))
+            z = _sorted_distinct(np.concatenate(levels))
             need[node[:-1]].append(z)
         points[node] = z
     return points
@@ -719,17 +705,17 @@ def _peel_points(reads: dict, xs: np.ndarray) -> dict:
 
 def _kluyver_terms(G: MultiplicativeFunction, d: int, b: int, Q: int) -> list[tuple[int, Number, tuple]]:
     """The terms (k, coefficient, node) of ``_peel_sums``'s T_{d,b}, for d
-    coprime to the radical b: k = dm' for m' | rad d, and for m' | 2 rad d
-    when bd is odd, with k <= Q (the others read R(0) = 0), ascending in
-    m'; coefficient mu(m') G(k); node the odd primes of bd, ascending, the
-    trie node that holds R_{2b rad d}.  Each coefficient is
-    ``mobius(m') * G.eval(k)`` cast once to float (or complex), so an exact
-    rule's is rounded once: for a Fraction value v it is the int true
-    division (mu(m') v.numerator) / v.denominator, which rounds correctly,
-    as ``float`` of the Fraction does, without building one."""
-    rad = radical(d)
-    node = tuple(p for p in factorize(b * rad).primes() if p != 2)
-    ms = [m for m in divisors(2 * rad if b * d % 2 else rad) if d * m <= Q]
+    coprime to the radical b: k = dm' for m' | rad(6d) / gcd(6, b), the
+    primes of d and those of 2 and 3 that b lacks, with k <= Q (the others
+    read R(0) = 0), ascending in m'; coefficient mu(m') G(k); node the
+    primes of bd above 3, ascending, the trie node that holds R_{6b rad d}.
+    Each coefficient is ``mobius(m') * G.eval(k)`` cast once to float (or
+    complex), so an exact rule's is rounded once: for a Fraction value v it
+    is the int true division (mu(m') v.numerator) / v.denominator, which
+    rounds correctly, as ``float`` of the Fraction does, without building
+    one."""
+    node = tuple(p for p in factorize(b * d).primes() if p > 3)
+    ms = [m for m in divisors(radical(6 * d) // gcd(6, b)) if d * m <= Q]
     values = [(mobius(m), G.eval(d * m)) for m in ms]
     coefs = _gather(lambda: (c * v.numerator / v.denominator if isinstance(v, Fraction) else c * v for c, v in values), len(ms))
     return [(d * m, c, node) for m, c in zip(ms, coefs.tolist())]

@@ -269,19 +269,21 @@ class TestSignedSeriesAtScale:
             (["lemma7_h"], ["pass", "inconclusive", "inconclusive", "inconclusive"]),
             (["lemma7_h", "--param", "s=0.6+0.3j"], ["pass", "inconclusive", "inconclusive", "inconclusive"]),
             (["prop5", "--param", "g2=2"], ["pass", "fail", "inconclusive", "inconclusive"]),
+            (["prop5", "--param", "p2=5", "--param", "g2=2"], ["pass", "fail", "inconclusive", "inconclusive"]),
         ],
-        ids=["prop5", "prop5 s=0.6+0.3j", "lemma7_h", "lemma7_h s=0.6+0.3j", "prop5 g2=2"],
+        ids=["prop5", "prop5 s=0.6+0.3j", "lemma7_h", "lemma7_h s=0.6+0.3j", "prop5 g2=2", "prop5 p2=5 g2=2"],
     )
     def test_verdicts_that_batch_both_signed_kernels(self, capsys, argv, statuses):
-        """prop5 with g2 = 2 has G(3) = 2, so one batch sends the radicals
-        divisible by 3 to the strided kernel and peels the rest.  prop5 and
-        lemma7_h at their defaults have |G(2)| > 1 and |G(p)| <= 1 at every
-        odd prime, so the kernel rule, which reads the odd primes only,
-        peels every radical: each T_{d,b} reads its trie node, an odd bd
-        also at the even m' | 2 rad d, with G(2) in the coefficient
-        mu(m') G(dm').  Statuses are checked
-        in order, the conclusion last; both lemma7_h entries and prop5 with
-        g2 = 2 are inconclusive at the default config."""
+        """prop5 with p2 = 5 and g2 = 2 has G(5) = 2, so one batch sends the
+        5 radicals divisible by 5 to the strided kernel and peels the other
+        26.  The kernel rule reads the primes above 3 only, so the other
+        entries peel every radical: prop5 and lemma7_h at their defaults
+        have |G(2)| > 1, and prop5 with g2 = 2 has G(3) = 2.  Each T_{d,b}
+        reads its trie node of the primes above 3, at every m' dividing
+        rad(6d) / gcd(6, b), with G(2) and G(3) in the coefficient
+        mu(m') G(dm').  Statuses are checked in order, the conclusion last;
+        both lemma7_h entries and both prop5 entries with g2 = 2 are
+        inconclusive at the default config."""
         code, payload = run_json(capsys, ["verdict", *argv])
         assert code == 0
         assert [status for _, status in payload["hypothesis_checks"]] + [payload["conclusion"]] == statuses

@@ -203,9 +203,12 @@ class TestExpansionSums:
             expansion_partial_sums(catalog("GR"), 1, 10, coprime_to=0, exact=exact)
 
 
-def _random_exact_rule(values, seed):
+def _random_exact_rule(values, seed, low=None):
+    """An exact rule drawing each G(p^e) from ``values``, or from ``low``
+    at p = 2 and 3 when given."""
+    pick = lambda p: low if low is not None and p <= 3 else values
     return MultiplicativeFunction(
-        "random", rule=lambda p, e: values[hash((seed, p, e)) % len(values)], exact=True
+        "random", rule=lambda p, e: pick(p)[hash((seed, p, e)) % len(pick(p))], exact=True
     )
 
 
@@ -1145,18 +1148,18 @@ def _tuple_keys(G):
 
 def _peeled(G, a, b, Q):
     """Whether ``_peel_sums`` takes the pair (a, b) through the peel: G is
-    multiplicative, |G(p)| <= 1 at every odd prime p <= Q of ab, and a cap
+    multiplicative, |G(p)| <= 1 at every prime 3 < p <= Q of ab, and a cap
     changes no entry of the G mu table over every n <= Q."""
     if not isinstance(G, MultiplicativeFunction):
         return False
     full = _full_gmu(G, Q)
     n = np.flatnonzero(full)[1:]
     binds = G.squarefree_cap is not None and bool((np.abs(full[n]) > G.squarefree_cap / n).any())
-    return not binds and all(abs(full[p]) <= 1 for p in factorize(a * b).primes() if 2 < p <= Q)
+    return not binds and all(abs(full[p]) <= 1 for p in factorize(a * b).primes() if 3 < p <= Q)
 
 
-def _odd_primes(n):
-    return [p for p in factorize(n).primes() if p != 2]
+def _primes_above_3(n):
+    return [p for p in factorize(n).primes() if p > 3]
 
 
 def _smooth(primes, limit, g=lambda p: 1.0):
@@ -1173,10 +1176,12 @@ def _smooth(primes, limit, g=lambda p: 1.0):
 
 def _peel_mass(G, a, b, Q, xs):
     """M_P(x) = sum over the terms k = dm' (d | a, m' | rad d, k <= Q) of
-    |d G(k)| sum over odd B-smooth n of |G~(n)| A(x // kn), with B = b rad(d)
-    and A(y) = sum_{r <= y} |G(r) mu(r)|: the climb multiplies by G(p) at the
-    odd p only, and A(y) = A_2(y) + |G(2)| A_2(y // 2) holds the terms at
-    m' = 2m'' that an odd bd adds, A_2 summing the odd r.  Magnitudes are
+    |d G(k)| sum over the n smooth in the primes above 3 of B of
+    |G~(n)| A(x // kn), with B = b rad(d) and A(y) = sum_{r <= y} |G(r) mu(r)|:
+    the climb multiplies by G(p) at the p > 3 only, and
+    A(y) = sum over s | 6 of |G(s)| A_6(y // s), A_6 summing the r coprime
+    to 6, holds the terms at m' = s m'' that ``_kluyver_terms`` adds for
+    the s | 6 coprime to bd, those with 3 | s carrying |G(3)|.  Magnitudes are
     |Re| + |Im|, and a non-exact G is read from its value table.  Summed in floats: every term
     is >= 0, so no step cancels and each of the at most 2 * 10^4 roundings
     in a chain costs at most u relative; (1 + 2^-30) times the float sum
@@ -1192,7 +1197,7 @@ def _peel_mass(G, a, b, Q, xs):
     for d in divisors(a):
         if d > Q:
             break
-        ns, ws = map(np.array, zip(*_smooth(_odd_primes(b * radical(d)), Q, mag)))
+        ns, ws = map(np.array, zip(*_smooth(_primes_above_3(b * radical(d)), Q, mag)))
         for m in divisors(radical(d)):
             if d * m <= Q:
                 out += d * mag(d * m) * (A[xs[:, None] // (d * m * ns)] * ws).sum(axis=1)
@@ -1210,58 +1215,45 @@ def _signed_tolerance(G, a, b, Q, xs):
 class TestPeelSums:
     # The peel writes the signed expansion at a coprime to b as
     # S(x) = sum over d | a of d T_{d,b}(x // d), with
-    # T_{d,b}(y) = sum over m' of mu(m') G(dm') R_B(y // m'), m' | rad d, or
-    # m' | 2 rad d when bd is odd, and B = 2 b rad(d).  It climbs a trie of
-    # odd primes from R_2(y) = sum_{r <= y, r odd} G(r) mu(r) by
+    # T_{d,b}(y) = sum over m' | rad(6d) / gcd(6, b) of mu(m') G(dm') R_B(y // m')
+    # and B = 6 b rad(d): m' takes the primes of d and those of 2 and 3
+    # that b lacks.  It climbs a trie of the primes above 3 from the root
+    # R_6(y) = sum_{r <= y, (r, 6) = 1} G(r) mu(r) by
     # R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p), so that the node of B holds
-    # R_B(z) = sum over odd B-smooth n <= z of G~(n) R_2(z // n), with G~
-    # completely multiplicative, G~(p) = G(p).  Error bound, in the terms of
-    # TestFloatingAgainstFractionOracle (u = 2^-53, Q <= 10^4), for exact
-    # real rules, per term G~(n) R_2(z // n) of R_B(z):
+    # R_B(z) = sum over the n <= z smooth in the primes of B above 3 of
+    # G~(n) R_6(z // n), with G~ completely multiplicative, G~(p) = G(p).
+    # Error bound, in the terms of TestFloatingAgainstFractionOracle
+    # (u = 2^-53, Q <= 10^4), for exact real rules, per term G~(n) R_6(z // n)
+    # of R_B(z):
     # * R_6(y), the sum of the table entries at the n <= y coprime to 6:
     #   entries 7 roundings (a squarefree n <= 10^4 coprime to 6 has at most
     #   4 primes), one reduceat segment over at most ceil(Q / 3) entries
     #   (first term plus a pairwise sum of the rest) ceil(log2 Q) + 18,
-    #   Neumaier across segments 2; relative to
+    #   Neumaier across segments 2: ceil(log2 Q) + 27 relative to
     #   A_6(y) = sum_{r <= y, (r, 6) = 1} |G(r) mu(r)|.
-    # * R_2(y) = R_6(y) - G(3) R_6(y // 3), at the root's points: the float
-    #   of G(3) 1, its product 1 and the subtraction 1, and the 27 of each
-    #   R_6, all relative to A_6(y) + |G(3)| A_6(y // 3) = A_2(y), the sum
-    #   of |G(r) mu(r)| over the odd r <= y: 30.  The node (3,) holds R_6
-    #   itself, within 27 relative to A_6(y) <= A_2(y), and its children
-    #   climb from it without G(3): a node of B with 3 holds the sum over
-    #   the n <= z smooth in the other primes of B of G~(n) R_6(z // n),
-    #   whose terms are among those below, each with a smaller count and
-    #   mass.
     #   Reading R_F at a node's points copies values, exactly.
-    # * Horner along each odd prime p of B, which meets the term with
+    # * Horner along each prime p > 3 of B, which meets the term with
     #   n = ... p^j ...: j products by the float G(p), each 2 (the rounding of
     #   G(p) and of the product), and at most j + 1 additions (its own level
     #   and each level above; below p a node copies R_F, exactly).  A prime
     #   above every point of its node copies too.  Over the primes of B that
-    #   is 3 Omega(n) + omega(B) <= 3 floor(log2 Q) + omega(ab), for n <= Q
-    #   and B = 2 b rad(d) with d | a.
-    # So R_B(z) is off by (ceil(log2 Q) + 3 floor(log2 Q) + 30 + omega(ab)) u
-    # times sum_n |G~(n)| A_2(z // n).  At a = 1 (d = 1) an even b reads its
-    # node with coefficient G(1) = 1, exactly; an odd b adds the m' = 2 term
-    # -G(2) R_B(y // 2), the peel at 2: one float of the coefficient 1, its
-    # product 1 and the add 1, so 3 more.  The whole of S is then off by
-    # (ceil(log2 Q) + 3 floor(log2 Q) + 33 + omega(ab)) u times the mass,
-    # where A(y) = A_2(y) + |G(2)| A_2(y // 2) sums every r <= y.  That is
-    # below the pairwise order's 4 ceil(log2 Q) + 49 while omega(ab) <= 16.
-    # For a > 1 every term of T_{d,b} costs the float of its exact
-    # coefficient mu(m') G(dm') 1 and its product 1, the running sum over the
-    # t(d) <= 2^(omega(d) + 1) terms of T_{d,b} t(d) - 1 (the first add, to
-    # 0.0, is exact), the weight d 1 and the running sum over the tau(a)
-    # divisors tau(a) - 1: t(d) + tau(a) + 1 more than R_B's 30, at most
-    # 2^(omega(a) + 1) + tau(a) + 1.  Since
-    # 2^(omega(a) + 1) + tau(a) <= tau(a^2) + 3 for every a > 1 (equality at
-    # a prime and at a product of two primes; tau(a^2) is the product of the
-    # 2 e + 1 over the exponents e of a), the count
-    # (ceil(log2 Q) + 3 floor(log2 Q) + 33 + omega(ab) + [a > 1] (tau(a^2) + 1)) u
-    # covers it, times the peel mass ``_peel_mass``: the terms at an even m'
-    # carry |G(2)| |G(dm'/2)|, the step of A over A_2.  One more u covers the
-    # second-order terms.
+    #   is 3 Omega(n) + omega(B) <= 3 floor(log5 Q) + omega(ab), since n <= Q
+    #   has no prime below 5.
+    # So R_B(z) is off by (ceil(log2 Q) + 3 floor(log5 Q) + 27 + omega(ab)) u
+    # times sum_n |G~(n)| A_6(z // n).  Every term of T_{d,b} then costs the
+    # float of its exact coefficient mu(m') G(dm') 1 and its product 1, and
+    # the running sum over the t(d) terms of T_{d,b} t(d) - 1 (the first
+    # add, to 0.0, is exact): t(d) + 1 more, where t(d), at most the number
+    # of divisors of rad(6d) / gcd(6, b), is at most 2^(omega(d) + 2).  For
+    # a > 1 the weight d costs 1 and the running sum over the tau(a)
+    # divisors tau(a) - 1; at a = 1 both are exact.  With t the largest
+    # t(d) over the d | a with d <= Q, S is off by
+    # (ceil(log2 Q) + 3 floor(log5 Q) + 27 + omega(ab) + t + tau(a) + [a > 1]) u
+    # times the peel mass ``_peel_mass``: a term at m' = s m'', s | 6
+    # coprime to bd, carries |G(s)| |G(dm'')|, so the m' with 2 or 3 are
+    # the steps of A(y) = sum over s | 6 of |G(s)| A_6(y // s), the sum of
+    # |G(r) mu(r)| over every r <= y.  One more u covers the second-order
+    # terms.
     # A non-exact G (here lemma7_h(s = 0.6 + 0.3i)) is compared against its
     # own value table, per component.  A complex product rounds each
     # component at most twice relative to the product of the |Re| + |Im|
@@ -1269,32 +1261,34 @@ class TestPeelSums:
     # only up to its entries' own roundings (at most 4 products, 8 in these
     # terms) on both sides of G(st) = G(s) G(t), 18 more relative to the
     # same mass.
-    # With |G(p)| <= 1 at the odd p the mass is at most the count of odd
-    # B-smooth n <= x times the mass of Kluyver's sum; with |G(p)| > 1 at an
-    # odd p it grows like |G(p)|^(log_p x), which is why the peel falls back
-    # there.  G(2) enters only the coefficients G(dm'), as it enters
-    # Kluyver's sum, so |G(2)| > 1 keeps the peel; G(3) enters R_2 once,
-    # and the kernel rule still sends |G(3)| > 1 with 3 | ab to the direct
-    # kernel.  A dropped or mis-signed
+    # With |G(p)| <= 1 at the primes p > 3 of B every |G~(n)| is at most 1,
+    # so the mass grows no faster than the number of those B-smooth n <= x;
+    # with |G(p)| > 1 at such a p it grows like |G(p)|^(log_p x), which is
+    # why the peel falls back there.  G(2) and G(3) enter only the
+    # coefficients G(dm'), as they enter Kluyver's sum, so |G(2)| > 1 or
+    # |G(3)| > 1 keeps the peel.  A dropped or mis-signed
     # m' term, a wrong G(p), a skipped level or a point read off by one
     # moves a sum by whole terms.
     @staticmethod
     def bound(Q, a=1, b=1, exact=True):
-        log_up, log_down = math.ceil(math.log2(Q)), Q.bit_length() - 1
-        count = log_up + 3 * log_down + 33 + len(factorize(a * b).primes())
-        count += len(divisors(a * a)) + 1 if a > 1 else 0
+        log_up, log5_down = math.ceil(math.log2(Q)), len(np.base_repr(Q, 5)) - 1
+        t = max(len(divisors(radical(6 * d) // gcd(6, b))) for d in divisors(a) if d <= Q)
+        count = log_up + 3 * log5_down + 27 + len(factorize(a * b).primes()) + t + len(divisors(a)) + (a > 1)
         return (count + 1 if exact else 2 * count + 18 + 1) * 2.0**-53
 
     @given(
         _rule_values(1),
+        _RULE_VALUES,
         st.integers(min_value=0, max_value=2**32),
         st.one_of(st.integers(min_value=1, max_value=300), st.integers(min_value=301, max_value=10**4)),
         st.sampled_from([6, 12, 35, 360, 720]),
         st.sampled_from([1, 2, 6, 35]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_expansion_within_bound_of_the_fraction_oracle(self, values, seed, Q, a, b):
-        G = _random_exact_rule(values, seed)
+    def test_expansion_within_bound_of_the_fraction_oracle(self, values, low, seed, Q, a, b):
+        # |G(p)| <= 1 above 3, where the climb multiplies by G(p); G(2) and
+        # G(3), which enter the coefficients only, range over [-3, 3].
+        G = _random_exact_rule(values, seed, low)
         got = expansion_partial_sums(G, a, Q, coprime_to=b, exact=False)
         assert _tuple_keys(G) == {("gmu", Q)}  # the peel ran, not the direct kernel
         xs = got.xs()
@@ -1350,11 +1344,10 @@ def _plane_product(c, x):
 
 def _pointwise_peel(G, pairs, Q, cps):
     """``_peel_sums`` of a complex G, point by point: the same terms and
-    sums R_6 off the table, the root R_2(z) = R_6(z) - G(3) R_6(z // 3) and
-    the node (3,) R_6, then R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p) at each
-    point of each other node ascending, each T_{d,b} as the sum of its terms
-    and each pair as the sum of d T_{d,b} over its plan, every complex
-    product by ``_plane_product``."""
+    the root R_6 off the table, then R_{Fp}(z) = R_F(z) + G(p) R_{Fp}(z // p)
+    at each point of each other node ascending, each T_{d,b} as the sum of
+    its terms and each pair as the sum of d T_{d,b} over its plan, every
+    complex product by ``_plane_product``."""
     gmu = expansion._gmu_table(G, Q)
     xs = np.array(cps, dtype=np.int64)
     plans = {(a, b): [d for d in divisors(a) if d <= Q] for a, b in pairs}
@@ -1363,16 +1356,10 @@ def _pointwise_peel(G, pairs, Q, cps):
     for k, _, node in (t for ts in terms.values() for t in ts):
         reads.setdefault(node, set()).add(k)
     points = expansion._peel_points(reads, xs)
-    root = points[()].tolist()
-    zs = sorted({*root, *(z // 3 for z in root)})
-    R6 = dict(zip(zs, _neumaier_segments(gmu, core._wheel_count(np.array(zs))).tolist()))
-    g3 = expansion._rule_values(G, [3], [1])[0]
-    R = {(): {z: R6[z] - _plane_product(g3, R6[z // 3]) for z in root}}
+    root = points[()]
+    R = {(): dict(zip(root.tolist(), _neumaier_segments(gmu, core._wheel_count(root)).tolist()))}
     for node in sorted(points, key=len)[1:]:
         p, parent, R[node] = node[-1], R[node[:-1]], {}
-        if node == (3,):
-            R[node] = {z: R6[z] for z in points[node].tolist()}
-            continue
         g = -gmu[p // 3 + 1]
         for z in points[node].tolist():
             R[node][z] = parent[z] + _plane_product(g, R[node][z // p]) if z >= p else parent[z]
@@ -1413,9 +1400,9 @@ class TestPeelRestrictedSums:
     @pytest.mark.parametrize(
         "G, radicals",
         [
-            # G(3) = 2 at the odd prime 3 of every b: the powers of G(3)
+            # G(5) = 2 at the prime 5 of every b: the climb's powers of G(5)
             # would amplify roundoff.
-            (catalog("prop5", g2=2), [3, 6, 15, 30, 42]),
+            (catalog("prop5", p2=5, g2=2), [5, 10, 15, 30, 35]),
             # cap 1.0 clamps every squarefree n > 1: the table is not multiplicative.
             (catalog("prop1", cap=1.0), [1, 2, 3, 6, 30]),
             # Not multiplicative at all.
@@ -1461,27 +1448,27 @@ class TestKluyverTerms:
     def test_coefficients_are_the_rounded_products(self, G):
         # Byte for byte against float(mu(m') * G(k)), the product formed in
         # the exact type of G.eval, for every d | a of the pairs (a, b) with
-        # a <= 300 coprime to b; an odd bd also takes the m' | 2 rad d, the
-        # peel at 2.  Q = 40 drops the terms with k > Q.
+        # a <= 300 coprime to b: m' runs over the squarefree divisors of 6d
+        # coprime to b, which are the peel at 2 and at 3 where bd lacks them,
+        # and the node is the primes of bd above 3.  Q = 40 drops the terms
+        # with k > Q.
         for Q in (40, 10**6):
-            for b in (1, 2, 3, 6):
+            for b in (1, 2, 3, 5, 6, 30):
                 for d in sorted({d for a in range(1, 301) for d in divisors(_coprime_part(a, b)) if d <= Q}):
-                    rad = radical(d)
                     want = [
-                        (d * m, float(mobius(m) * G.eval(d * m)).hex(), tuple(_odd_primes(b * d)))
-                        for m in divisors(2 * rad if b * d % 2 else rad)
-                        if d * m <= Q
+                        (d * m, float(mobius(m) * G.eval(d * m)).hex(), tuple(_primes_above_3(b * d)))
+                        for m in divisors(6 * d)
+                        if mobius(m) and gcd(m, b) == 1 and d * m <= Q
                     ]
                     got = [(k, float(c).hex(), node) for k, c, node in expansion._kluyver_terms(G, d, b, Q)]
                     assert got == want, (G.label, d, b, Q)
 
 
 class TestPeelPoints:
-    # The trie's root holds exactly the points of the rectangle the peel
-    # used to read: every positive x // (k n) over the n smooth in the
-    # primes above 3 of each term's node (the node (3,) is read off the
-    # table, R_6, and not climbed).  Small Q puts primes of b above Q, and
-    # above every point.
+    # The trie's root, R_6, holds exactly the points of the rectangle the
+    # peel used to read: every positive x // (k n) over the n smooth in the
+    # primes of each term's node, all above 3.  Small Q puts primes of b
+    # above Q, and above every point.
     @given(
         st.lists(
             st.tuples(st.integers(min_value=1, max_value=2000), st.sampled_from([1, 2, 6, 35, 210])),
@@ -1501,14 +1488,27 @@ class TestPeelPoints:
                     break
                 for k, _, node in expansion._kluyver_terms(G, d, b, Q):
                     reads.setdefault(node, set()).add(k)
-                    ns = np.array([n for n, _ in _smooth([p for p in node if p > 3], Q)], dtype=np.int64)
+                    ns = np.array([n for n, _ in _smooth(node, Q)], dtype=np.int64)
                     want |= set((xs[:, None] // (k * ns)).ravel().tolist()) - {0}
         points = expansion._peel_points(reads, xs)
         assert set(points[()].tolist()) - {0} == want
         for node, z in points.items():
             assert z[0] >= 0 and np.all(z[1:] > z[:-1]), node
+            assert all(p > 3 for p in node), node
             if node:
                 assert set(z.tolist()) <= set(points[node[:-1]].tolist()), node
+
+    def test_2_and_3_never_make_a_node(self):
+        # 2 and 3 enter through the m' of ``_kluyver_terms``, never the
+        # climb: b, 2b, 3b and 6b with the same primes above 3 read one
+        # node, the primes of bd above 3, at every d coprime to them.
+        G = catalog("GR")
+        for f in (1, 5, 7, 35, 385):
+            for d in (1, 2, 3, 4, 5, 6, 7, 9, 12, 25, 35, 77, 180):
+                if gcd(d, f) == 1:
+                    bs = [c * f for c in (1, 2, 3, 6) if gcd(d, c) == 1]
+                    nodes = {node for b in bs for _, _, node in expansion._kluyver_terms(G, d, b, 10**6)}
+                    assert nodes == {tuple(_primes_above_3(d * f))}, (d, bs)
 
 
 def _table_masses(G, pairs, Q, xs):
@@ -1531,7 +1531,7 @@ def _table_masses(G, pairs, Q, xs):
             u = V[::d] * squarefree[: Q // d + 1]  # |G(dm) mu(m)|
             _strike_non_coprime(u, b)
             kluyver = kluyver + d * np.cumsum(u)[xs // d]
-            ns, ws = map(np.array, zip(*_smooth(_odd_primes(b * radical(d)), Q, lambda p: V[p])))
+            ns, ws = map(np.array, zip(*_smooth(_primes_above_3(b * radical(d)), Q, lambda p: V[p])))
             for m in divisors(radical(d)):
                 if d * m <= Q:
                     peel = peel + d * V[d * m] * (A[xs[:, None] // (d * m * ns)] * ws).sum(axis=1)
@@ -1577,19 +1577,21 @@ class TestPeelAgainstDirectKernel:
             catalog("G0", p0=3),
             catalog("prop1"),
             catalog("prop5", s=0.6),
+            catalog("prop5", g2=2),
             catalog("lemma7_h", s=0.6),
             catalog("lemma7_h", s=0.6 + 0.3j),
         ],
         ids=lambda G: G.label,
     )
     def test_even_m_terms_match_the_direct_kernel(self, G, monkeypatch):
-        # An odd bd adds to T_{d,b} the terms mu(m') G(dm') R(y // m') at
-        # the even m' | 2 rad d (``_kluyver_terms``), which are the peel at
-        # 2, R_B(z) = R_{2B}(z) - G(2) R_{2B}(z // 2), folded into the plan.
-        # An even bd has none.  prop5 and lemma7_h have
-        # |G(2)| = 2^0.4 = 1.32 > 1, which enters every pair through its
-        # coefficients G(dm') only: every pair is peeled, and agrees with the
-        # direct kernel per component.
+        # Where bd lacks 2 or 3, ``_kluyver_terms`` adds to T_{d,b} the terms
+        # mu(m') G(dm') R(y // m') at the m' | rad(6d) that p = 2 or 3
+        # divides, the peel at p, R_B(z) = R_{pB}(z) - G(p) R_{pB}(z // p),
+        # folded into the plan; the even m' are those at 2.  prop5 and
+        # lemma7_h have |G(2)| = 2^0.4 = 1.32 > 1, and prop5(g2 = 2) has
+        # G(3) = 2, which enter every pair through its coefficients G(dm')
+        # only: every pair is peeled, and agrees with the direct kernel per
+        # component.
         Q = FAST_CFG.Q
         cps = checkpoint_schedule(Q)
         pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 9, 12) for b in (1, 3, 15, 105, 2, 6, 30)})
@@ -1610,9 +1612,9 @@ class TestPeelAgainstDirectKernel:
 
 
 class TestKernelChoice:
-    # ``_peel_sums`` picks each pair's kernel from G(p) at the odd primes of
-    # ab and from the cap before any table is built, and the direct kernel
-    # holds one Q/d buffer at a time.
+    # ``_peel_sums`` picks each pair's kernel from G(p) at the primes of ab
+    # above 3 and from the cap before any table is built, and the direct
+    # kernel holds one Q/d buffer at a time.
     @pytest.mark.parametrize(
         "G, direct",
         [
@@ -1625,9 +1627,11 @@ class TestKernelChoice:
                 catalog("prop5"),
                 catalog("lemma7_h", s=0.6),
                 catalog("lemma7_h", s=0.6 + 0.3j),
+                # G(3) = 2 enters the coefficients G(dm'), never a power.
+                catalog("prop5", g2=2),
             )),
-            # G(3) = 2: the pairs with 3 | ab, and only they.
-            (catalog("prop5", g2=2), lambda a, b: a * b % 3 == 0),
+            # G(5) = 2: the pairs with 5 | ab, and only they.
+            (catalog("prop5", p2=5, g2=2), lambda a, b: a * b % 5 == 0),
             # Cap 1 binds (at n = 2 already): every pair.
             (catalog("prop1", cap=1.0), lambda a, b: True),
             # Not multiplicative: every pair.
@@ -1637,7 +1641,7 @@ class TestKernelChoice:
     )
     def test_pins_the_kernel_of_every_pair(self, G, direct, monkeypatch):
         Q = FAST_CFG.Q
-        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 3, 9, 12, 45, 360) for b in (1, 2, 3, 6, 30)})
+        pairs = sorted({(_coprime_part(a, b), b) for a in (1, 2, 3, 5, 9, 12, 45, 360) for b in (1, 2, 3, 6, 30)})
         direct_pairs = []
         strided = expansion._strided_sums
         record = lambda G, plans, Q, cps: strided(G, direct_pairs.extend(plans) or plans, Q, cps)
@@ -1647,9 +1651,25 @@ class TestKernelChoice:
         assert [_peeled(G, a, b, Q) for a, b in pairs] == [not direct(a, b) for a, b in pairs]
 
     def test_direct_only_pairs_build_no_gmu_table(self):
-        # prop5(g2 = 2) has G(3) = 2, so a = 3 takes the direct kernel: the
-        # value table (7.6 MiB), then one T_d buffer at a time, 15.3 MiB in
-        # all; the unread G mu table would add 2.5 MiB.
+        # prop5(p2 = 5, g2 = 2) has G(5) = 2, so a = 5 takes the direct
+        # kernel: the value table (7.6 MiB), then one T_d buffer at a time,
+        # 15.3 MiB in all; the unread G mu table would add 2.5 MiB.
+        G = dataclasses.replace(catalog("prop5", p2=5, g2=2))
+        core.sieve_primes(10**6)
+        core.mobius_table(10**6)
+        tracemalloc.start()
+        try:
+            expansion_partial_sums(G, 5, 10**6, exact=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _tuple_keys(G) == {("values", 10**6)}
+        assert peak < 17 * 2**20
+
+    def test_large_g3_reads_only_the_gmu_table(self):
+        # prop5(g2 = 2) has G(3) = 2, which the peel takes as a coefficient
+        # G(dm') at the m' with 3, so a = 3 reads the G mu table (2.5 MiB)
+        # and no value table; the direct kernel peaked at 15.3 MiB.
         G = dataclasses.replace(catalog("prop5", g2=2))
         core.sieve_primes(10**6)
         core.mobius_table(10**6)
@@ -1659,8 +1679,8 @@ class TestKernelChoice:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _tuple_keys(G) == {("values", 10**6)}
-        assert peak < 17 * 2**20
+        assert _tuple_keys(G) == {("gmu", 10**6)}
+        assert peak < 6 * 2**20
 
     def test_complex_even_pair_reads_only_the_gmu_table(self):
         # lemma7_h(s = 0.6 + 0.3i) has |G(2)| = 1.32 but |G(p)| < 1 at every
