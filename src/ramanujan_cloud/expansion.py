@@ -218,8 +218,9 @@ def _value_table(G, Q: int) -> np.ndarray:
     ``core._gather`` or ``checked_values``, so the table does not depend on
     which path ran.  The table is float64 unless a value is complex, then
     complex128, and ``squarefree_cap`` clamps it as it clamps ``G.eval``
-    (``_clamp``).  Kept on G (``_keep``).  A Q above
-    ``SIEVE_BUDGET`` raises ``ResourceLimitError`` before any path allocates.
+    (``_clamp``).  Kept on G (``_keep``; a verdict drops it when it
+    returns).  A Q above ``SIEVE_BUDGET`` raises ``ResourceLimitError``
+    before any path allocates.
     """
     key = ("values", Q)
     if key in G._memo:
@@ -230,7 +231,7 @@ def _value_table(G, Q: int) -> np.ndarray:
         vals = multiplicative_sieve(
             Q,
             lambda p, E: _rule_values(G, [p] * E, range(1, E + 1)),
-            lambda P: _prime_values(G, P),
+            partial(_prime_values, G),
             np.float64,
         )
         if G.squarefree_cap is not None:
@@ -251,9 +252,9 @@ def _support_values(G: GeneralArithmeticFunction, Q: int) -> tuple[np.ndarray, n
     """(n, G(n)) at the ascending distinct n of ``G.support(Q)``: an int64
     array and a float64 array, complex128 if a value is complex
     (``core._gather``), both read-only.  G is 0 at every other n <= Q.
-    Kept on G (``_keep``).  A Q above ``SIEVE_BUDGET`` raises
-    ``ResourceLimitError``, and a support point that is not an integer in
-    [1, Q] raises ``ValueError``."""
+    Kept on G (``_keep``; a verdict drops them when it returns).  A Q above
+    ``SIEVE_BUDGET`` raises ``ResourceLimitError``, and a support point
+    that is not an integer in [1, Q] raises ``ValueError``."""
     key = ("support", Q)
     if key in G._memo:
         return G._memo[key]
@@ -271,7 +272,14 @@ def _support_values(G: GeneralArithmeticFunction, Q: int) -> tuple[np.ndarray, n
 def _keep(G, key: tuple, table):
     """``table``, stored on G under ``key`` = (kind, Q) as its one table of
     that kind: the kind's table at another Q goes, and with a G mu table the
-    ``("clamped", Q)`` answers read from it."""
+    ``("clamped", Q)`` answers read from it.
+
+    The table stays for later calls at that Q: expansions and
+    ``absolute_convergence_report`` keep theirs, since their callers reuse
+    them (``expand_scale``'s expansions of one G at one Q, artifact 07's
+    a = 1..100 per G).  ``zero_cloud_verdict`` reads each table once and
+    drops what it stored here when it returns.  The prime and mu slots of
+    ``core`` are module-level and outlive both."""
     stale = ("gmu", "clamped") if key[0] == "gmu" else (key[0],)
     for old in [k for k in list(G._memo) if isinstance(k, tuple) and k[0] in stale]:
         G._memo.pop(old, None)
@@ -279,13 +287,36 @@ def _keep(G, key: tuple, table):
     return table
 
 
-def _prime_values(G: MultiplicativeFunction, P: np.ndarray) -> np.ndarray:
+# Primes per call of ``G.at_primes`` or of the rule in ``_prime_values``.
+_PRIME_CHUNK = 1 << 14
+
+
+def _prime_values(G: MultiplicativeFunction, P: np.ndarray, negate: bool = False) -> np.ndarray:
     """G(p) at the ascending primes P, a value table's above isqrt(Q) or all
-    of the prime sum's: ``G.at_primes`` when the entry carries it, else one
-    rule call per prime."""
-    if G.at_primes is not None:
-        return checked_values(G.at_primes(P), len(P), f"{G.label}: at_primes(P)")
-    return _rule_values(G, P.tolist(), [1] * len(P))
+    of the prime sum's, or 0 - G(p) with ``negate``: ``G.at_primes`` when
+    the entry carries it, else one rule call per prime.
+
+    Both are read ``_PRIME_CHUNK`` primes at a time, each chunk an ascending
+    prime array as ``at_primes`` expects, into one output array, so no
+    transient (a form's ``P - 1``, the rule path's list of ints, the
+    negation) is longer than a chunk.  The output takes the first chunk's
+    dtype, promoted as a later chunk needs (a rule complex only at large p),
+    so its bytes and dtype are those of one read of all of P."""
+    out = None
+    for lo in range(0, max(len(P), 1), _PRIME_CHUNK):  # an empty P is read once too, for its dtype
+        chunk = P[lo : lo + _PRIME_CHUNK]
+        if G.at_primes is not None:
+            v = checked_values(G.at_primes(chunk), len(chunk), f"{G.label}: at_primes(P)")
+        else:
+            v = _rule_values(G, chunk.tolist(), [1] * len(chunk))
+        if negate:
+            v = 0.0 - v
+        if out is None:
+            out = np.empty(len(P), v.dtype)
+        elif np.result_type(out, v) != out.dtype:
+            out = out.astype(np.result_type(out, v))
+        out[lo : lo + len(v)] = v
+    return out
 
 
 def _clamp(values: np.ndarray, n: np.ndarray, cap: float) -> np.ndarray:
@@ -316,8 +347,8 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     complex); for an uncapped G, entries 1.. equal
     ``_value_table(G, Q) * mobius_table(Q)`` at the n coprime to 6, entry
     by entry (the signs of their zeros may differ, since they are only
-    summed).  Kept on G (``_keep``); whether a cap binds is
-    ``_cap_binds``'s to say.
+    summed).  Kept on G (``_keep``; a verdict drops it when it returns);
+    whether a cap binds is ``_cap_binds``'s to say.
     """
     key = ("gmu", Q)
     if key in G._memo:
@@ -330,7 +361,7 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
 
     # 0 - G(p) rather than -G(p): a zero value stays +0, so the sieve can
     # skip the zero cofactors of a G that vanishes at the large primes.
-    gmu = multiplicative_sieve(Q, powers, lambda P: 0.0 - _prime_values(G, P), np.float64, _wheel=True)
+    gmu = multiplicative_sieve(Q, powers, partial(_prime_values, G, negate=True), np.float64, _wheel=True)
     gmu.setflags(write=False)
     return _keep(G, key, gmu)
 
@@ -338,7 +369,8 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
 def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
     """Whether ``squarefree_cap`` would change G mu (making it no longer
     multiplicative) at some n <= Q, read off ``gmu = _gmu_table(G, Q)`` a
-    quarter block at a time.  Each squarefree n is c m with m coprime to 6
+    sixteenth of a sieve block (2^14 entries) at a time, so no transient of
+    the scan exceeds 128 KiB.  Each squarefree n is c m with m coprime to 6
     and c one of 1, 2, 3, 6, and G(cm) mu(cm) = mu(c) G(c) G(m) mu(m), so
     the cap binds where |G(c)| |G mu(m)| > cap / cm for some class c and
     m <= Q // c, n > 1.  Cached on G under ``("clamped", Q)``, its only
@@ -350,7 +382,7 @@ def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
         classes = ((1, 1.0), (2, g2), (3, g3), (6, g2 * g3))  # (c, |G(c)|)
 
         def binds(lo):
-            mag = np.abs(gmu[lo : lo + _core._BLOCK // 4])  # a zero entry never binds
+            mag = np.abs(gmu[lo : lo + _core._BLOCK // 16])  # a zero entry never binds
             m = _core._held(np.arange(lo, lo + len(mag)), True)
             for c, gc in classes:
                 first = int(lo == 1 and c == 1)  # n = 1: G(1) = 1 is never clamped
@@ -359,7 +391,7 @@ def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
                     return True
             return False
 
-        G._memo[key] = any(map(binds, range(1, len(gmu), _core._BLOCK // 4)))
+        G._memo[key] = any(map(binds, range(1, len(gmu), _core._BLOCK // 16)))
     return G._memo[key]
 
 
@@ -939,7 +971,7 @@ def absolute_convergence_report(
 
     primes = sieve_primes(prime_bound)
     # Term k is |G(p_k)|, so the sum to x is the sum to pi(x).  The terms are
-    # a float64 or complex128 copy, since at_primes may hand out its own array.
+    # float64 or complex128, a float32 form promoted before the clamp.
     terms = np.concatenate(([0.0], _prime_values(G, primes)))
     if G.squarefree_cap is not None:
         _clamp(terms[1:], primes, G.squarefree_cap)
@@ -1046,8 +1078,24 @@ def zero_cloud_verdict(G, config: Optional[EngineConfig] = None) -> ZeroCloudVer
     Every series runs on ``checkpoint_schedule(cfg.Q, cfg.window)``, once per
     distinct input: one per radical in the classical cases and one per
     p0-free part of a in the invisible-prime cases, all from one batched
-    ``_peel_sums`` call."""
-    cfg = config if config is not None else EngineConfig()
+    ``_peel_sums`` call.
+
+    That call reads each table once, so when the verdict returns or raises,
+    every table it stored on G (``_keep``), and the cap guard's answer, is
+    dropped: a caller that holds several entries, as a battery of verdicts
+    does, holds one Q-sized table at a time, not one per entry.  A table G
+    already held at that Q is read and kept.  Expansions and
+    ``absolute_convergence_report`` keep theirs, since their callers ask
+    again at the same Q."""
+    held = {key for key in G._memo if isinstance(key, tuple)}
+    try:
+        return _zero_cloud_verdict(G, config if config is not None else EngineConfig())
+    finally:
+        for key in [key for key in G._memo if isinstance(key, tuple) and key not in held]:
+            G._memo.pop(key, None)
+
+
+def _zero_cloud_verdict(G, cfg: EngineConfig) -> ZeroCloudVerdict:
     cps = checkpoint_schedule(cfg.Q, cfg.window)
     detect = partial(
         detect_convergence, window=cfg.window, tol=cfg.conv_tol,

@@ -1146,6 +1146,15 @@ def _tuple_keys(G):
     return {k for k in G._memo if isinstance(k, tuple)}
 
 
+def _kept_keys(monkeypatch) -> list:
+    """The keys ``_keep`` stores tables under from now on, in order: what a
+    verdict built, since it leaves none of them on G."""
+    kept = []
+    keep = expansion._keep
+    monkeypatch.setattr(expansion, "_keep", lambda G, key, table: kept.append(key) or keep(G, key, table))
+    return kept
+
+
 def _peeled(G, a, b, Q):
     """Whether ``_peel_sums`` takes the pair (a, b) through the peel: G is
     multiplicative, |G(p)| <= 1 at every prime 3 < p <= Q of ab, and a cap
@@ -1556,9 +1565,11 @@ class TestPeelAgainstDirectKernel:
         peel = expansion._peel_sums
         record = lambda G, pairs, Q, cps: batches.append((list(pairs), Q, cps)) or peel(G, pairs, Q, cps)
         monkeypatch.setattr(expansion, "_peel_sums", record)
+        kept = _kept_keys(monkeypatch)
         assert zero_cloud_verdict(G, FAST_CFG).conclusion == "in_zero_cloud"
         (pairs, Q, cps), = batches
-        assert _tuple_keys(G) == {("gmu", Q)}  # every pair was peeled
+        assert kept == [("gmu", Q)]  # every pair was peeled
+        assert _tuple_keys(G) == set()
         got = peel(G, pairs, Q, cps)
         masses = _table_masses(G, pairs, Q, cps)
         direct = _direct_sums(dataclasses.replace(G), pairs, Q, cps)
@@ -1867,6 +1878,60 @@ class TestSupportRead:
             tracemalloc.stop()
         assert verdict.conclusion == "in_zero_cloud"
         assert peak < 2**20
+
+
+def _whole_prime_values(G, P):
+    """G(p) at all of P in one read: ``G.at_primes(P)``, or one rule call
+    per prime through one ``_rule_values``."""
+    if G.at_primes is not None:
+        return G.at_primes(P)
+    return expansion._rule_values(G, P.tolist(), [1] * len(P))
+
+
+_CHUNK = expansion._PRIME_CHUNK
+_LATE = int(sieve_primes(10**6)[_CHUNK + 3])  # a prime of the second chunk
+
+
+class TestPrimeValues:
+    # ``_prime_values`` reads G 2^14 primes at a time into one array; its
+    # bytes and dtype are those of one read of all of P, with and without
+    # the negation ``_gmu_table`` takes.
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize(
+        "G",
+        [
+            catalog("GR"),
+            catalog("GH"),
+            catalog("G0", p0=3),
+            catalog("indicator_prime_powers", p0=2),
+            MultiplicativeFunction(
+                "float32 form", rule=lambda p, e: 0.5, at_primes=lambda P: np.full(len(P), 0.5, np.float32)
+            ),
+            catalog("prop1"),
+            catalog("lemma7_h", s=0.6 + 0.3j),
+            MultiplicativeFunction("complex above the first chunk", rule=lambda p, e: 1 / p if p < _LATE else 1j / p),
+        ],
+        ids=lambda G: G.label,
+    )
+    def test_chunks_are_one_read(self, G, n):
+        assert _CHUNK == 2**14
+        P = sieve_primes(10**6)[:n]
+        want = _whole_prime_values(G, P)
+        for negate, expect in ((False, want), (True, 0.0 - want)):
+            got = expansion._prime_values(G, P, negate=negate)
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), (G.label, negate)
+
+    def test_a_late_non_number_names_its_prime(self):
+        # None at two primes of the third chunk: the error names G and the
+        # first of them, as one read of all of P does.
+        P = sieve_primes(10**6)[: 3 * _CHUNK + 5]
+        bad = P[2 * _CHUNK + 7 :: _CHUNK // 2].tolist()
+        G = MultiplicativeFunction("None late", rule=lambda p, e: None if p in bad else 0.5)
+        with pytest.raises(ValueError) as whole:
+            _whole_prime_values(G, P)
+        with pytest.raises(ValueError, match=rf"None late: rule\({bad[0]}, 1\) gives None") as chunked:
+            expansion._prime_values(G, P)
+        assert str(chunked.value) == str(whole.value)
 
 
 _GMU_ENTRIES = [
@@ -2444,6 +2509,7 @@ class TestZeroCloudVerdict:
                 return _fn(*args, **kw)
 
             monkeypatch.setattr(expansion, name, counted)
+        kept = _kept_keys(monkeypatch)
         cfg = EngineConfig()
         radicals = sorted({radical(a) for a in cfg.sample_a})
         parts = sorted({_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
@@ -2455,10 +2521,11 @@ class TestZeroCloudVerdict:
         ):
             counts.clear()
             pairs.clear()
+            kept.clear()
             verdict = zero_cloud_verdict(G, cfg)
             assert verdict.conclusion == "in_zero_cloud"
             assert counts == {"_peel_sums": 1} and pairs == [want], G.label
-            assert _tuple_keys(G) == {("gmu", cfg.Q)}, G.label
+            assert kept == [("gmu", cfg.Q)] and _tuple_keys(G) == set(), G.label
 
     def test_peel_terms_are_shared_across_sampled_a(self, monkeypatch):
         # The peel's twin of the next test: G0(p0 = 3) peels every p0-free
@@ -2474,17 +2541,19 @@ class TestZeroCloudVerdict:
         calls = collections.Counter()
         terms = expansion._kluyver_terms
         monkeypatch.setattr(expansion, "_kluyver_terms", lambda G, d, b, Q: calls.update([(d, b)]) or terms(G, d, b, Q))
+        kept = _kept_keys(monkeypatch)
         assert zero_cloud_verdict(G, cfg).conclusion == "in_zero_cloud"
-        assert _tuple_keys(G) == {("gmu", cfg.Q)}  # every pair was peeled
+        assert kept == [("gmu", cfg.Q)]  # every pair was peeled
+        assert _tuple_keys(G) == set()
         assert calls == dict.fromkeys(distinct, 1)
 
     def test_kluyver_sums_are_shared_across_sampled_a(self, monkeypatch):
         # weakly_exotic_sample is not multiplicative, so its verdict keeps
         # the direct kernel: one T_d (one read of its terms) per distinct
         # (d, 2) over the divisors of the sampled p0-free parts, shared by
-        # the batch.  Nothing but the values at the support points is kept
-        # on G, so a repeated verdict computes them again and gives the same
-        # verdict.
+        # the batch.  Nothing but the values at the support points is built,
+        # and the verdict drops them, so a repeated verdict computes them
+        # again and gives the same verdict.
         cfg = EngineConfig()
         G = dataclasses.replace(catalog("weakly_exotic_sample", p0=2))
         parts = {_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)}
@@ -2493,14 +2562,87 @@ class TestZeroCloudVerdict:
         reads = collections.Counter()
         terms = expansion._strided_terms
         monkeypatch.setattr(expansion, "_strided_terms", lambda G, Q, d, B, *rest: reads.update([(d, B)]) or terms(G, Q, d, B, *rest))
+        kept = _kept_keys(monkeypatch)
 
         first = zero_cloud_verdict(G, cfg)
         assert first.conclusion == "in_zero_cloud"
         assert reads == dict.fromkeys(distinct, 1)
+        assert kept == [("support", cfg.Q)] and _tuple_keys(G) == set()
         reads.clear()
         assert repr(zero_cloud_verdict(G, cfg)) == repr(first)
         assert reads == dict.fromkeys(distinct, 1)
-        assert _tuple_keys(G) == {("support", cfg.Q)}
+        assert kept == [("support", cfg.Q)] * 2 and _tuple_keys(G) == set()
+
+    @pytest.mark.parametrize(
+        "G, kind",
+        [
+            (catalog("GR"), "gmu"),
+            # |G(5)| = 5^0.4 > 1: the radicals with 5 take the strided kernel.
+            (catalog("prop5", p2=5, g2=2), "values"),
+            (catalog("weakly_exotic_sample"), "support"),
+        ],
+        ids=lambda v: getattr(v, "label", v),
+    )
+    def test_a_verdict_leaves_no_table_of_its_own(self, G, kind, monkeypatch):
+        # On a fresh G it leaves no table at all; on a G that held a table
+        # of that kind at another Q, the kinds G holds afterwards are among
+        # those it held before, and nothing is held at the verdict's Q.
+        kept = _kept_keys(monkeypatch)
+        read = {"gmu": expansion._gmu_table, "values": _value_table, "support": _support_values}[kind]
+        for held in (False, True):
+            G = dataclasses.replace(G)
+            if held:
+                read(G, 1000)
+            before = {k[0] for k in _tuple_keys(G)}
+            kept.clear()
+            zero_cloud_verdict(G, FAST_CFG)
+            assert (kind, FAST_CFG.Q) in kept, G.label
+            assert {k[0] for k in _tuple_keys(G)} <= before, G.label
+            assert not any(k[1] == FAST_CFG.Q for k in _tuple_keys(G)), G.label
+
+    def test_a_verdict_that_raises_leaves_no_table(self, monkeypatch):
+        # The series are summed, so the G mu table and the guard's answer
+        # are on G, when the first convergence check raises.
+        G = catalog("prop1")
+        monkeypatch.setattr(expansion, "detect_convergence", lambda *args, **kw: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            zero_cloud_verdict(G, FAST_CFG)
+        assert _tuple_keys(G) == set()
+
+    def test_a_held_gmu_table_is_read_and_kept(self, monkeypatch):
+        # An expansion at the verdict's Q left the G mu table on G: the
+        # verdict reads it without a sieve and leaves it, and the verdict's
+        # repr is that of a verdict on a fresh G.
+        G = catalog("GH")
+        expansion_partial_sums(G, 1, FAST_CFG.Q, exact=False)
+        table = G._memo[("gmu", FAST_CFG.Q)]
+        fresh = zero_cloud_verdict(dataclasses.replace(G), FAST_CFG)
+        sieves = []
+        sieve = expansion.multiplicative_sieve
+        monkeypatch.setattr(expansion, "multiplicative_sieve", lambda *args, **kw: sieves.append(args[0]) or sieve(*args, **kw))
+        assert repr(zero_cloud_verdict(G, FAST_CFG)) == repr(fresh)
+        assert sieves == []
+        assert _tuple_keys(G) == {("gmu", FAST_CFG.Q)} and G._memo[("gmu", FAST_CFG.Q)] is table
+
+    def test_a_battery_holds_one_table_at_a_time(self):
+        # The entries of the verdict_classical benchmark workload, all kept
+        # alive, as a battery keeps them: each verdict's peak is its own G mu
+        # table (0.51 MiB at Q = 2 10^5) and the transients of building and
+        # scanning it, 2.0-2.5 tables.  With each table kept on its G, the
+        # third verdict started from two held tables and peaked over eight.
+        cfg = EngineConfig(Q=2 * 10**5)
+        table = (core._wheel_count(cfg.Q) + 1) * 8
+        entries = [catalog("GR"), catalog("GH"), catalog("prop1")]
+        core.sieve_primes(cfg.Q)
+        tracemalloc.start()
+        try:
+            verdicts = [zero_cloud_verdict(G, cfg) for G in entries]
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * table
+        assert current < table // 4
+        assert [v.conclusion for v in verdicts] == ["in_zero_cloud"] * 3
 
     def test_classical_members(self):
         for name, expected in (("GR", "normal"), ("GH", "sporadic")):
