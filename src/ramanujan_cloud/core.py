@@ -2,7 +2,9 @@
 
 The primes and mu each live in one module-level slot, the largest table
 built so far; ``sieve_primes`` and ``mobius_table`` hand out read-only
-prefixes and rebuild only for a larger limit.  n is squarefree exactly where
+prefixes and rebuild only for a larger limit.  The prime slot starts at
+2^16 and grows only for callers of ``sieve_primes`` and for ``factorize``:
+tables sieve only to isqrt(Q), inside it.  n is squarefree exactly where
 mu(n) != 0.  Scalar functions, the oracles the tables are checked against,
 work by trial division and are memoized, which is plenty for moduli up to
 ~10^9; ``factorize`` divides by a Python list of the primes up to the
@@ -11,16 +13,20 @@ Nothing handed out is writable, so everything here is safe to call from
 concurrent workers.
 
 Tables of multiplicative functions (mu here, G(q) and G(q) mu(q) in the
-expansion engine) come from one sieve, ``multiplicative_sieve``, which fixes
-the table's dtype from every value before it allocates and then finishes the
-table one block of 2^18 entries at a time, each block in one cache-resident
-pass: the block starts as a tiled period of the primes <= 7 when their
-higher powers vanish (mu, every G mu), takes one strided multiply per
-remaining prime p <= isqrt(Q), and then one scatter over every product m * P
-in it of a cofactor m and a prime P > isqrt(Q).  That is
-O(pi(sqrt Q) * ceil(Q / 2^18)) numpy calls instead of one per prime up to Q.
-Complex entries are multiplied on their float planes, so a table's bytes do
-not depend on where a slice starts, for every dtype.
+expansion engine) come from one sieve, ``multiplicative_sieve``, which
+reads the primes p <= isqrt(Q) and finishes the table one block of 2^18
+entries at a time, each block in one cache-resident pass: the block starts
+as a tiled period of the primes <= 7 when their higher powers vanish (mu,
+every G mu), takes one strided multiply per remaining prime p <= isqrt(Q),
+which also marks the multiples of p, and then, a quarter block at a time,
+reads G at the unmarked n > isqrt(Q), the quarter's primes P (the segmented
+sieve of Eratosthenes, Bays and Hudson, BIT 17, 1977), and makes one
+scatter over every product m * P in it of a cofactor m and a prime P read
+so far.  That is O(pi(sqrt Q) * ceil(Q / 2^18)) numpy calls instead of one
+per prime up to Q, and no array pi(Q) long: only the P with a second
+multiple m * P <= Q are kept.  Complex entries are multiplied on their
+float planes, so a table's bytes do not depend on where a slice starts, for
+every dtype.
 
 A table has one of two layouts: index i holds n = i (mu, value tables), or,
 in the wheel layout, n = 3i - 1 - (i mod 2), the i-th n coprime to 6, with
@@ -183,17 +189,20 @@ def _firsts(q: int, stride: int, lo: int, size: int, wheel: bool) -> list:
     return out
 
 
-def _sweep_block(block: np.ndarray, small: list, lo: int, wheel: bool = False) -> None:
+def _sweep_block(block: np.ndarray, small: list, lo: int, wheel: bool, marks: np.ndarray) -> None:
     """Multiply ``block``, the entries i = lo, lo + 1, ... of a table in the
     full layout (the wheel layout with ``wheel``), by g(p^v_p(n)) for each
     (p, g, squarefree) of ``small`` in order, g = (g(p), g(p^2), ...),
-    ``squarefree`` true when every higher power is +0, as phase 1 of
-    ``multiplicative_sieve`` does."""
+    ``squarefree`` true when every higher power is +0, and set ``marks``, a
+    bool array as long as ``block``, at every entry whose n one of those p
+    divides, as phase 1 of ``multiplicative_sieve`` does."""
     w = 6 if wheel else 1  # n moves by w p along a progression of p's multiples
     for p, g, squarefree in small:
         # Stride p, or 2p for each of the wheel's two classes; p^2 likewise.
         stride = p * (2 if wheel else 1)
         firsts = _firsts(p, stride, lo, len(block), wheel)
+        for f in firsts:
+            marks[f::stride] = True
         if squarefree:
             sq = _firsts(p * p, stride * p, lo, len(block), wheel)
             squares = [block[f :: stride * p].copy() for f in sq]
@@ -218,26 +227,33 @@ def _sweep_block(block: np.ndarray, small: list, lo: int, wheel: bool = False) -
 
 
 def _tile(block: np.ndarray, period: np.ndarray, lo: int) -> None:
-    """Fill ``block``, the entries n = lo, lo + 1, ..., with period[n % len(period)]."""
-    n, hi = lo, lo + len(block)
-    while n < hi:
-        r = n % len(period)
-        k = min(len(period) - r, hi - n)
-        block[n - lo : n - lo + k] = period[r : r + k]
-        n += k
+    """Fill ``block``, the entries n = lo, lo + 1, ..., with period[n % len(period)]:
+    one period from ``period``, then copies of the block's filled prefix,
+    doubling, so a short period costs O(log) copies, not one per period."""
+    size, r = len(block), lo % len(period)
+    filled = min(len(period), size)
+    k = min(len(period) - r, size)
+    block[:k] = period[r : r + k]
+    block[k:filled] = period[: filled - k]
+    while filled < size:
+        c = min(filled, size - filled)
+        block[filled : filled + c] = block[:c]
+        filled += c
 
 
 def _scatter_large(
     table: np.ndarray, large: np.ndarray, g: np.ndarray, lo: int, hi: int, skip_zeros: bool, wheel: bool = False
 ) -> None:
     """Multiply the entry of every n = m * P in the entries [lo, hi) of a
-    table in the full (or wheel) layout by g(P), P in ``large`` (the primes
-    above isqrt(limit), all >= 5 in the wheel layout), as phase 2 of
-    ``multiplicative_sieve`` does; ``skip_zeros`` drops the cofactors m
-    whose entry is 0."""
+    table in the full (or wheel) layout by g(P), for P in ``large`` (primes
+    above isqrt(limit), all >= 5 in the wheel layout, ascending) and m from
+    the layout's second entry on (m >= 2, or m >= 5 coprime to 6), as
+    phase 2 of ``multiplicative_sieve`` does; ``skip_zeros`` drops the
+    cofactors m whose entry is 0.  The entry of P itself (m = 1) is the
+    caller's."""
     n_lo, n_hi = _held(lo, wheel), _held(hi, wheel)
     top = (n_hi - 1) // int(large[0])  # the largest cofactor
-    entries = np.arange(1, (_wheel_count(top) if wheel else top) + 1)
+    entries = np.arange(2, (_wheel_count(top) if wheel else top) + 1)
     cofactors = _held(entries, wheel)
     start = np.searchsorted(large, -(-n_lo // cofactors))  # the first P with m * P >= n_lo
     span = np.searchsorted(large, (n_hi - 1) // cofactors, "right") - start
@@ -260,6 +276,12 @@ def _scatter_large(
     table[pos] = prod
 
 
+def _pi_bound(x: int) -> int:
+    """More than the number of primes <= x: pi(x) < 1.25506 x / ln x for
+    x > 1 (Rosser and Schoenfeld, Illinois J. Math. 6, 1962)."""
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+
+
 def multiplicative_sieve(
     limit: int,
     powers: Callable[[int, int], np.ndarray],
@@ -277,13 +299,28 @@ def multiplicative_sieve(
     of 2 and 3 follow from g(2), g(3) and the rest needs only this third.
 
     ``powers(p, E)`` returns g(p), g(p^2), ..., g(p^E) for a prime
-    p <= isqrt(limit), where p^E <= limit < p^(E+1); ``at_primes(P)`` returns
-    g(p) for each prime p in the ascending array P of all primes in
-    (isqrt(limit), limit], in both layouts, as a numeric array of shape
-    ``(len(P),)`` (anything else raises ``ValueError``).  Every value array
-    is gathered before the table is allocated, in the dtype ``dtype``
-    promoted with the dtypes of all of them (complex values make a float
-    table complex).
+    p <= isqrt(limit), where p^E <= limit < p^(E+1).  ``at_primes(P)``
+    returns g(p) for each prime p in P as a numeric array of shape
+    ``(len(P),)`` (anything else raises ``ValueError``).  Each P is the
+    ascending int64 array of the primes above isqrt(limit) in one quarter
+    of a block, so every prime in (isqrt(limit), limit] is read once per
+    build, in ascending order, and no call is longer than a quarter block
+    (a build restarts only as the dtype rule below says); the wheel
+    layout's start at 5, and below limit 9 it also reads the values of 2
+    and 3 above isqrt(limit) once, for the dtype only.  Only the primes up
+    to isqrt(limit) are sieved (``sieve_primes``), so a table never grows
+    the prime slot.
+
+    The table's dtype is ``dtype`` promoted with the dtypes of all powers
+    and of the prime values read so far (complex values make a float table
+    complex).  The prime values keep their own dtype, the promotion of
+    every read so far, as one read of all of them would have it: a real
+    g(P) multiplies a complex entry as (ac, bc), a complex one as
+    (ac - bd, ad + bc).  A quarter whose values widen the table's dtype, or
+    the prime values' dtype once earlier values are applied, restarts the
+    build from the start in the wider dtype, so the bytes are those of a
+    build that had it from the start (promoting in place would flip signed
+    zeros).
 
     Every entry is multiplied in the order of a prime-by-prime sweep: its
     primes p <= isqrt(limit) ascending (phase 1), each by g(p^v_p(n)), then
@@ -306,24 +343,32 @@ def multiplicative_sieve(
       progressions of stride 2p, the multiples kp with k = 1 and with
       k = 5 mod 6).  When every higher power is +0, one scalar multiply
       does instead, and the block's multiples of p^2, if any, get what the
-      column would have made of them;
-    - phase 2 takes, in each quarter of the block, every pair (m, P) with
-      m * P in it (two ``searchsorted`` calls over the cofactors m, coprime
-      to 6 in the wheel layout, where m * P sits at m * P // 3 + 1) and
-      makes one scatter ``table[m * P] *= g(P)``.  An entry has one pair
-      at most, so the pair arrays stay within a quarter block.
+      column would have made of them.  It also marks every entry a small
+      prime divides (the period's primes tile their marks with it), so the
+      unmarked n above isqrt(limit) are the block's large primes P;
+    - phase 2, in each quarter of the block, reads g at that quarter's P
+      and multiplies each one's own entry by it, then takes every pair
+      (m, P) with m > 1 and m * P in the quarter (two ``searchsorted``
+      calls over the cofactors m, coprime to 6 in the wheel layout, where
+      m * P sits at m * P // 3 + 1) and makes one scatter
+      ``table[m * P] *= g(P)``.  Only the P <= limit // 2 (limit // 5 in
+      the wheel layout) have such a pair, so only they are kept, in arrays
+      sized by ``_pi_bound``; an entry has one pair at most, so the pair
+      arrays stay within a quarter block.
 
     After phase 1 the entry of m * P equals the entry of m, so a cofactor
     whose entry is 0 leaves them at that 0, up to its sign; phase 2 skips it
-    wherever no byte can change: integer tables, or real finite prime values
-    with the sign bit clear.  ``sieve_primes(limit)`` runs before the table
-    is allocated, so an over-budget limit raises ``ResourceLimitError``
-    first.
+    wherever no byte can change: integer tables, or, while every prime
+    value read so far is real, finite and sign-clear, float ones.  Every
+    pair in a quarter reads a P whose value is already read.  The limit is
+    checked first, so an over-budget limit raises ``ResourceLimitError``
+    before anything is allocated, and a non-number from ``at_primes``
+    raises ``ValueError`` when its quarter is reached.
     """
-    primes = sieve_primes(limit)
-    split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
+    _check_limit(limit)
+    root = math.isqrt(limit)
     small = []  # (p, g, every higher power is +0)
-    for p in primes[:split].tolist():
+    for p in sieve_primes(root).tolist():
         if _wheel and p <= 3:  # 2 and 3 divide no n coprime to 6
             continue
         E, pe = 1, p
@@ -331,47 +376,86 @@ def multiplicative_sieve(
             E, pe = E + 1, pe * p
         g = powers(p, E)
         small.append((p, g, not any(g[1:].tobytes())))
-    large = primes[split:]
-    value_dtypes = {g.dtype for _, g, _ in small}
-    if len(large):
-        gP = checked_values(at_primes(large), len(large), "at_primes(P)")
-        value_dtypes.add(gP.dtype)
-        if _wheel:  # limit < 9 puts 2 or 3 above isqrt(limit)
-            cut = int(np.searchsorted(large, 5))
-            large, gP = large[cut:], gP[cut:]
-    final = np.result_type(dtype, *value_dtypes)
-    if len(large):
-        skip_zeros = final.kind in "iu" or (
-            final.kind == "f" and bool(np.isfinite(gP).all()) and not np.signbit(gP).any()
-        )
+    final = np.result_type(dtype, *{g.dtype for _, g, _ in small})
+    gdtype = None  # the prime values' dtype, promoted over every read so far
+    head = [p for p in (2, 3) if _wheel and root < p <= limit]
+    if head:  # limit < 9: the wheel holds neither, but their values join the dtype
+        gdtype = checked_values(at_primes(np.array(head, dtype=np.int64)), len(head), "at_primes(P)").dtype
+    while True:
+        if gdtype is not None:
+            final = np.result_type(final, gdtype)
+        table, gdtype = _build(limit, small, at_primes, final, gdtype, _wheel)
+        if table is not None:
+            return table
 
-    size = (_wheel_count(limit) if _wheel else limit) + 1
+
+def _build(limit: int, small: list, at_primes, final: np.dtype, gdtype, wheel: bool) -> tuple:
+    """One build of ``multiplicative_sieve``'s table in the dtype ``final``,
+    with ``gdtype`` the prime values' dtype so far (None before any read):
+    (table, None), or (None, the wider dtype) when a quarter's prime values
+    widen ``final``, or widen ``gdtype`` once values are applied."""
+    root = math.isqrt(limit)
+    size = (_wheel_count(limit) if wheel else limit) + 1
     lead = 0  # the primes p <= 7 of the presieved period: small[:lead]
     while lead < len(small) and small[lead][0] <= 7 and small[lead][2]:
         lead += 1
     # n moves by prod p^2 over the period of the full layout, and by
     # 6 prod p^2 over the 2 prod p^2 entries of the wheel layout's.
-    period = math.prod(p * p for p, _, _ in small[:lead]) * (2 if _wheel else 1)
+    period = math.prod(p * p for p, _, _ in small[:lead]) * (2 if wheel else 1)
     pattern = None
     if lead and size >= 2 * period:
-        pattern = np.ones(period, dtype=final)
-        _sweep_block(pattern, small[:lead], period, _wheel)
+        pattern, sieved = np.ones(period, dtype=final), np.zeros(period, dtype=bool)
+        _sweep_block(pattern, small[:lead], period, wheel, sieved)
         small = small[lead:]
+    first = (_wheel_count(root) if wheel else root) + 1  # the entry of the least n > isqrt(limit)
+    keep = limit // (5 if wheel else 2)  # a larger P has no multiple m P <= limit with m > 1
+    kept_P = np.empty(_pi_bound(keep), dtype=np.int64)
+    kept_g, kept = None, 0
+    skip_zeros = True
     table = np.empty(size, dtype=final)
+    marks = np.empty(min(size, _BLOCK), dtype=bool)
     for lo in range(0, size, _BLOCK):
         block = table[lo : lo + _BLOCK]
+        mark = marks[: len(block)]
         if pattern is None:
             block[...] = 1
+            mark[...] = False
         else:
             _tile(block, pattern, lo)
+            _tile(mark, sieved, lo)
         if lo == 0:
             block[0] = 0
-        _sweep_block(block, small, lo, _wheel)
-        if len(large):
-            step = -(-len(block) // 4)
-            for mid in range(lo, lo + len(block), step):
-                _scatter_large(table, large, gP, mid, min(mid + step, lo + len(block)), skip_zeros, _wheel)
-    return table
+        _sweep_block(block, small, lo, wheel, mark)
+        step = -(-len(block) // 4)
+        for mid in range(lo, lo + len(block), step):
+            hi = min(mid + step, lo + len(block))
+            start = max(mid, first)
+            i = start + np.flatnonzero(~mark[start - lo : hi - lo])  # empty if start >= hi
+            if len(i):
+                P = _held(i, wheel)
+                g = checked_values(at_primes(P), len(P), "at_primes(P)")
+                wider = g.dtype if gdtype is None else np.result_type(gdtype, g.dtype)
+                if np.result_type(final, wider) != final or (gdtype is not None and wider != gdtype):
+                    return None, wider
+                gdtype = wider
+                g = g.astype(gdtype, copy=False)
+                skip_zeros = final.kind in "iu" or (
+                    skip_zeros and final.kind == "f" and bool(np.isfinite(g).all()) and not np.signbit(g).any()
+                )
+                prod = table[i]
+                _mul(prod, g)
+                table[i] = prod
+                new = int(np.searchsorted(P, keep, "right"))
+                if new:
+                    if kept_g is None:
+                        kept_g = np.empty(len(kept_P), dtype=gdtype)
+                    kept_P[kept : kept + new] = P[:new]
+                    kept_g[kept : kept + new] = g[:new]
+                    kept += new
+                del i, P, g, prod  # the pairs read only the kept primes
+            if kept:
+                _scatter_large(table, kept_P[:kept], kept_g[:kept], mid, hi, skip_zeros, wheel)
+    return table, None
 
 
 def _mobius_powers(p: int, E: int) -> np.ndarray:

@@ -208,11 +208,12 @@ def _value_table(G, Q: int) -> np.ndarray:
     """G(n) for n = 0..Q as a float64/complex128 array (index 0 is 0).
 
     Multiplicative G goes through ``multiplicative_sieve``: one strided
-    multiply per prime p <= isqrt(Q) and block of the table, then one scatter
-    per quarter block for the primes above it.  The rule is called
-    once per power of each prime p <= isqrt(Q); the values at the primes
-    above come from ``G.at_primes`` when the entry carries that numpy form,
-    else from one rule call per prime.  A general G is evaluated at every n;
+    multiply per prime p <= isqrt(Q) and block of the table, then, per
+    quarter block, G at the quarter's primes above isqrt(Q) and one scatter
+    over their multiples.  The rule is called once per power of each prime
+    p <= isqrt(Q); the values at the primes above come from ``G.at_primes``
+    when the entry carries that numpy form, else from one rule call per
+    prime.  A general G is evaluated at every n;
     the series kernels read a G with a ``support`` at its support points
     instead (``_support_values``).  Every value goes through
     ``core._gather`` or ``checked_values``, so the table does not depend on
@@ -278,8 +279,8 @@ def _keep(G, key: tuple, table):
     ``absolute_convergence_report`` keep theirs, since their callers reuse
     them (``expand_scale``'s expansions of one G at one Q, artifact 07's
     a = 1..100 per G).  ``zero_cloud_verdict`` reads each table once and
-    drops what it stored here when it returns.  The prime and mu slots of
-    ``core`` are module-level and outlive both."""
+    drops what it stored here when it returns.  The mu slot of ``core`` is
+    module-level and outlives both (tables do not grow the prime slot)."""
     stale = ("gmu", "clamped") if key[0] == "gmu" else (key[0],)
     for old in [k for k in list(G._memo) if isinstance(k, tuple) and k[0] in stale]:
         G._memo.pop(old, None)
@@ -292,9 +293,10 @@ _PRIME_CHUNK = 1 << 14
 
 
 def _prime_values(G: MultiplicativeFunction, P: np.ndarray, negate: bool = False) -> np.ndarray:
-    """G(p) at the ascending primes P, a value table's above isqrt(Q) or all
-    of the prime sum's, or 0 - G(p) with ``negate``: ``G.at_primes`` when
-    the entry carries it, else one rule call per prime.
+    """G(p) at the ascending primes P, a value table's above isqrt(Q) one
+    quarter block at a time (G mu's likewise), or all of the prime sum's,
+    or 0 - G(p) with ``negate``: ``G.at_primes`` when the entry carries it,
+    else one rule call per prime.
 
     Both are read ``_PRIME_CHUNK`` primes at a time, each chunk an ascending
     prime array as ``at_primes`` expects, into one output array, so no

@@ -421,7 +421,7 @@ def _prop1(
     # 1/p <= 1/2, so G(p) >= 1 - tol needs p^(1+alpha) <= c / (1/2 - tol):
     # check every such prime (a reach above the sieve budget raises there).
     # They are sieved once and not kept, so a large c leaves the prime slot
-    # at what the tables asked for.
+    # as it was.
     if c > 0:
         reach = math.floor(min((c / (0.5 - DEFAULT_ONE_TOL)) ** (1.0 / (1.0 + alpha)), SIEVE_BUDGET)) + 1
         core._check_limit(reach)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ramanujan_cloud import (
     Factorization,
+    MultiplicativeFunction,
     ResourceLimitError,
     catalog,
     divisors,
@@ -30,6 +31,7 @@ from ramanujan_cloud import (
     valuation,
 )
 import ramanujan_cloud.core as core
+from ramanujan_cloud.expansion import _gmu_table, _rule_values, _value_table
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -67,6 +69,16 @@ def _gmu_case(G):
         lambda P: 0.0 - G.at_primes(P),
         np.float64,
     )
+
+
+_LATE = 40_000  # past the first block of every block size the sieve tests use
+
+
+def _late_complex(P):
+    """-1/p, real unless P reaches ``_LATE``; then complex, -i/p from
+    ``_LATE`` on."""
+    v = -1.0 / P
+    return v if not len(P) or P[-1] < _LATE else np.where(P < _LATE, v, 1j * v)
 
 
 def brute_divisors(n: int) -> list[int]:
@@ -394,6 +406,22 @@ class TestTables:
             lambda P: 0.0 - P.astype(float) ** -(0.6 + 0.3j),
             np.float64,
         ),
+        # Negative prime values below 1000 only: a zero cofactor m times an
+        # early P is -0 in every later quarter, so no quarter may skip it.
+        "negative early": (
+            lambda p, E: np.array([-1.0] + [0.0] * (E - 1)),
+            lambda P: np.where(P < 1000, -1.0, 1.0) / P,
+            np.float64,
+        ),
+        # Prime values that turn complex only in a late block, read per
+        # quarter block: the table restarts complex, and the earlier real
+        # values are applied as complex ones, as one read of all of them is.
+        "complex late": (core._mobius_powers, lambda P: _late_complex(P), np.float64),
+        "complex late, complex powers": (
+            lambda p, E: float(p) ** (-(0.6 + 0.3j) * np.arange(1, E + 1)),
+            lambda P: _late_complex(P),
+            np.float64,
+        ),
     }
 
     @pytest.mark.parametrize("limit", [1, 2, 48, 49, 14694, 14695, 14696, 44097, 88199, 88200, 88201, 3 * 4096 + 7, 200003])
@@ -426,15 +454,63 @@ class TestTables:
         swept = []  # the primes of each sweep, the period's first if any
         sweep = core._sweep_block
 
-        def record(block, small, lo, wheel=False):
+        def record(block, small, lo, wheel, marks):
             swept.append([p for p, _, _ in small])
-            sweep(block, small, lo, wheel)
+            sweep(block, small, lo, wheel, marks)
 
         monkeypatch.setattr(core, "_sweep_block", record)
         table = core.multiplicative_sieve(limit, *self._REFERENCE_CASES["mu"], _wheel=True)
         tiled = limit == 14695
         assert len(table) == 4899 + tiled
         assert (swept[0] == [5, 7]) is tiled and (5 in swept[-1]) is not tiled
+
+    _EDGE_LIMITS = [*range(11), *(p * p + d for p in range(2, 71) if is_prime(p) for d in (-1, 0, 1))]
+
+    @pytest.mark.parametrize("block", [97, 4096])
+    @pytest.mark.parametrize("wheel", [False, True])
+    def test_each_large_prime_is_read_once(self, monkeypatch, wheel, block):
+        # Blocks find their own primes above isqrt(limit): each reaches
+        # at_primes once, in ascending int64 calls of one quarter block's
+        # primes.  The wheel layout's start at 5; below limit 9 the values
+        # of 2 and 3 above isqrt(limit) are read first, once, for the dtype.
+        monkeypatch.setattr(core, "_BLOCK", block)
+        for limit in self._EDGE_LIMITS:
+            calls = []
+
+            def at_primes(P):
+                calls.append(P.copy())
+                return np.full(len(P), -1, dtype=np.int8)
+
+            core.multiplicative_sieve(limit, core._mobius_powers, at_primes, np.int8, _wheel=wheel)
+            root = math.isqrt(limit)
+            large = [p for p in sieve_primes(limit).tolist() if p > root]
+            head = [p for p in large if wheel and p <= 3]
+            for P in calls:
+                assert P.dtype == np.int64 and P.ndim == 1 and len(P), (limit, P)
+                assert np.all(np.diff(P) > 0) and root < P[0] and P[-1] <= limit, (limit, P)
+            if head:
+                assert calls[0].tolist() == head, limit
+                calls = calls[1:]
+            assert [p for P in calls for p in P.tolist()] == large[len(head) :], limit
+            for P in calls:
+                assert core._entry(P[-1], wheel) - core._entry(P[0], wheel) < -(-block // 4), (limit, P)
+
+    def test_a_late_non_number_names_its_prime(self, monkeypatch):
+        # None at the largest prime, in the last block: the value table and
+        # the G mu table raise the message one read of all of the primes
+        # above isqrt(Q) gives, which names G and that prime.
+        Q = 20011
+        bad = int(sieve_primes(Q)[-1])
+        G = MultiplicativeFunction("None late", rule=lambda p, e: None if p == bad else 0.5)
+        large = sieve_primes(Q)[sieve_primes(Q) > math.isqrt(Q)]
+        with pytest.raises(ValueError) as whole:
+            _rule_values(G, large.tolist(), [1] * len(large))
+        assert f"rule({bad}, 1) gives None" in str(whole.value)
+        monkeypatch.setattr(core, "_BLOCK", 4096)
+        for build in (_value_table, _gmu_table):
+            with pytest.raises(ValueError) as got:
+                build(G, Q)
+            assert str(got.value) == str(whole.value), build
 
 
 # The prime and mu slots are process state that pytest's test order would
@@ -470,12 +546,13 @@ assert len(sieve_primes(200000)) == 17984
 # One sieve at the 2^16 floor, one at 200000; every other request is a prefix.
 assert sieves == [1 << 16, 200000], sieves
 
+# Tables sieve only to isqrt(Q), within the slot: neither grows it.
 Q = 300000
 mobius_table(Q)
-assert sieves[2:] == [Q], sieves
+assert sieves[2:] == [], sieves
 _value_table(catalog("GR"), Q)
 sieve_primes(Q // 2)
-assert sieves[2:] == [Q], sieves
+assert sieves[2:] == [] and core._prime_slot[0] == 200000, (sieves, core._prime_slot[0])
 print("ok")
 """
 
@@ -535,6 +612,35 @@ print("ok")
 """
 
 
+# A G mu table at 10^6 sieves only to 1000, inside the slot's 2^16 floor,
+# and reads G at each quarter block's primes: its traced peak is the table
+# and block-sized scratch.  Holding every prime up to Q and G at each of
+# them took it to 1.96 tables.
+_GMU_SCRIPT = """
+import dataclasses, tracemalloc
+import ramanujan_cloud.core as core
+from ramanujan_cloud import catalog
+from ramanujan_cloud.expansion import _gmu_table
+
+GH = catalog("GH")
+calls = []
+form = GH.at_primes
+G = dataclasses.replace(GH, at_primes=lambda P: calls.append((len(P), int(P[-1]) // 3 - int(P[0]) // 3)) or form(P))
+calls.clear()  # the constructor checks the form against the rule
+Q = 10**6
+tracemalloc.start()
+gmu = _gmu_table(G, Q)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+assert core._prime_slot[0] == 1 << 16, core._prime_slot[0]
+# (primes, entries spanned) of each call: none reaches past a quarter block.
+assert calls and max(span for _, span in calls) < core._BLOCK // 4, calls
+assert sum(n for n, _ in calls) == len(core.sieve_primes(Q)) - len(core.sieve_primes(1000)), calls
+assert peak < 1.8 * gmu.nbytes, peak / gmu.nbytes
+print("ok")
+"""
+
+
 def _run_fresh(script: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
@@ -552,3 +658,6 @@ class TestSlots:
 
     def test_prop1_scan_leaves_the_prime_slot_alone(self):
         _run_fresh(_PROP1_SCRIPT)
+
+    def test_gmu_table_holds_no_prime_array(self):
+        _run_fresh(_GMU_SCRIPT)

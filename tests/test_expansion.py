@@ -1976,8 +1976,9 @@ class TestGmuTable:
 
     def test_sieve_scratch_stays_block_sized(self):
         # Phase 2 scatters the (m, P) pairs of a quarter block at a time, at
-        # most one pair per entry: the 2.5 MiB table, the prime values and
-        # three pair arrays peak near 4.4 MiB.  All pairs of a block at once
+        # most one pair per entry: the 2.5 MiB table, the kept primes and
+        # their values and three pair arrays peak near 4.0 MiB (4.4 while
+        # every prime above isqrt(Q) and its value were held).  All pairs of a block at once
         # took the build of a full-layout table (7.6 MiB) to 12.8 MiB.
         core.sieve_primes(10**6)
         tracemalloc.start()
@@ -1992,7 +1993,7 @@ class TestGmuTable:
     def test_complex_sieve_scratch_stays_block_sized(self, build, name):
         # A complex table (15.3 MiB for values, 5.1 MiB for G mu) goes
         # through the same blocks, multiplied on its float planes, and peaks
-        # near 20.5 (9.1) MiB.  Swept whole, with one gather per cofactor, a
+        # near 20.6 (7.9) MiB.  Swept whole, with one gather per cofactor, a
         # value table peaked at 26.7-29.2 MiB.
         G = catalog(name, s=0.6 + 0.3j)
         core.sieve_primes(10**6)
@@ -2007,7 +2008,7 @@ class TestGmuTable:
     def test_table_holds_the_n_coprime_to_6_only(self):
         # 8/3 bytes per q: the GH table at 10^6 is 333,334 float64 entries
         # (2.54 MiB), and its build, or a signed GH expansion that reads it,
-        # peaks at 4.4 MiB traced.  The odd layout's table (3.81 MiB) peaked
+        # peaks at 4.0 MiB traced.  The odd layout's table (3.81 MiB) peaked
         # at 5.6 MiB.
         core.sieve_primes(10**6)
         for run in (
