@@ -29,6 +29,14 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _check_integers(**named) -> None:
+    """Raise ``ValueError`` naming the first argument that is not an integer
+    (Python or numpy; bool is refused, as for the count fields)."""
+    for name, value in named.items():
+        if not _is_number(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     # Spectrum scans

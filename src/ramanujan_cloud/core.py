@@ -1,14 +1,12 @@
 """Elementary number-theoretic kernels: sieve, factorization, mu, phi.
 
-The primes and mu each live in one module-level slot, the largest table
-built so far; ``sieve_primes`` and ``mobius_table`` hand out read-only
-prefixes and rebuild only for a larger limit.  The prime slot starts at
-2^16 and grows only for callers of ``sieve_primes`` and for ``factorize``:
-tables sieve only to isqrt(Q), inside it.  n is squarefree exactly where
-mu(n) != 0.  Scalar functions, the oracles the tables are checked against,
-work by trial division and are memoized, which is plenty for moduli up to
-~10^9; ``factorize`` divides by a Python list of the primes up to the
-largest isqrt(n) asked for, extended from the prime slot as that grows.
+Nothing here grows: the primes up to 2^16 are one read-only array, sieved
+at import, and every larger prime table and every mu table is built fresh
+for its caller and not kept (the expansion engine keeps mu on G, beside
+the value table it is read with).  Tables sieve only to isqrt(Q), inside
+those primes.  n is squarefree exactly where mu(n) != 0.  Scalar
+functions, the oracles the tables are checked against, work by trial
+division and are memoized, which is plenty for moduli up to ~10^12.
 Nothing handed out is writable, so everything here is safe to call from
 concurrent workers.
 
@@ -42,11 +40,15 @@ are those of the full layout.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Callable, Iterable
 
 import numpy as np
+
+from .config import _check_integers
 
 # Hard ceiling on table length; a float64 value table at this size is ~1.6 GB.
 SIEVE_BUDGET = 200_000_000
@@ -57,7 +59,8 @@ class ResourceLimitError(MemoryError):
 
 
 def _check_limit(limit: int) -> None:
-    """Raise unless 0 <= limit <= ``SIEVE_BUDGET``; called before any cache read."""
+    """Raise unless limit is an integer with 0 <= limit <= ``SIEVE_BUDGET``."""
+    _check_integers(limit=limit)
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > SIEVE_BUDGET:
@@ -65,9 +68,8 @@ def _check_limit(limit: int) -> None:
 
 
 def _sieve(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending int64, freshly sieved."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
+    """All primes <= limit, ascending, as a fresh read-only int64 array
+    (limit >= 2)."""
     # Odd numbers only: index i stands for 2i + 1, except index 0, which
     # stands for 2 (1 is not prime).  A stride of p over the indices is a
     # stride of 2p over the odd multiples of p.
@@ -79,31 +81,23 @@ def _sieve(limit: int) -> np.ndarray:
     primes *= 2
     primes += 1
     primes[0] = 2
+    primes.setflags(write=False)
     return primes
 
 
-# (limit built, read-only array); a larger request rebuilds at its limit.
-# The prime slot starts at 2^16, so trial division of n < 2^32 never rebuilds
-# it.  A race between two rebuilds only repeats work.
-_prime_slot = _mu_slot = (-1, None)
-
-
-def _primes_upto(limit: int) -> np.ndarray:
-    global _prime_slot
-    built, primes = _prime_slot
-    if limit > built:
-        _check_limit(limit)  # factorize reads the slot without sieve_primes' check
-        built = max(limit, 1 << 16)
-        primes = _sieve(built)
-        primes.setflags(write=False)
-        _prime_slot = (built, primes)
-    return primes[: int(np.searchsorted(primes, limit, "right"))]
+# The primes <= 2^16: every table sieves to isqrt(Q) <= 14,142 inside them,
+# and ``factorize`` divides by them first.
+_SMALL = 1 << 16
+_SMALL_PRIMES = _sieve(_SMALL)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as a read-only int64 array."""
+    """All primes <= limit, ascending, as a read-only int64 array: a prefix
+    of the primes <= 2^16, or, above that, sieved fresh and not kept."""
     _check_limit(limit)
-    return _primes_upto(limit)
+    if limit > _SMALL:
+        return _sieve(limit)
+    return _SMALL_PRIMES[: int(np.searchsorted(_SMALL_PRIMES, limit, "right"))]
 
 
 def checked_values(values, count: int, what: str) -> np.ndarray:
@@ -119,20 +113,48 @@ def checked_values(values, count: int, what: str) -> np.ndarray:
     return values
 
 
-def _gather(values: Callable[[], Iterable], count: int) -> np.ndarray:
-    """``values()`` as a float64 array, or as complex128 if one is complex:
-    the value rule for Python numbers, as ``checked_values`` is for arrays.
+# Values per ``np.array`` call of ``_gather``.
+_GATHER = 1 << 12
 
-    The explicit ``float``/``complex`` casts make a non-number raise
-    ``ValueError``; ``np.fromiter`` alone would store None as NaN.
+
+def _gather(values: Iterable, count: int) -> np.ndarray:
+    """``values``, read once, as a float64 array, or as complex128 if one is
+    complex: the value rule for Python and numpy numbers, as
+    ``checked_values`` is for arrays.
+
+    Each ``_GATHER`` values are read by one ``np.array``, whose dtype says
+    what they are: bool, integer and real ones become float64, complex ones
+    (numpy's complex scalars too) complex128, each as ``float`` or
+    ``complex`` would convert it.  Only a chunk of any other dtype (objects:
+    a Fraction, an int above 2^64, a non-number; or strings) goes value by
+    value, through ``_per_value``.
     """
-    try:
-        return np.fromiter(map(float, values()), np.float64, count=count)
-    except TypeError:
-        try:
-            return np.fromiter(map(complex, values()), np.complex128, count=count)
-        except TypeError as exc:
-            raise ValueError(f"values must be real or complex numbers ({exc})") from None
+    out = np.empty(count, np.float64)
+    it = iter(values)
+    for lo in range(0, count, _GATHER):
+        part = list(islice(it, _GATHER))
+        chunk = np.array(part)  # values of unequal lengths raise ValueError here
+        if chunk.dtype.kind not in "biufc" or chunk.ndim != 1:
+            chunk = _per_value(part)
+        if chunk.dtype.kind == "c":
+            out = out.astype(np.complex128, copy=False)
+        out[lo : lo + _GATHER] = chunk
+    return out
+
+
+def _per_value(part: list) -> np.ndarray:
+    """``part`` through ``float``, or through ``complex`` when that fails or
+    a value is a numpy complex scalar, which ``float`` would truncate.  A
+    string, which both would parse, or a non-number raises ``ValueError``:
+    the explicit casts catch what ``np.fromiter`` alone would store (None
+    as NaN)."""
+    types = set(map(type, part))
+    if not any(issubclass(t, (str, bytes)) for t in types):
+        complex_only = any(issubclass(t, np.complexfloating) for t in types)
+        for cast, dtype in ((float, np.float64), (complex, np.complex128))[complex_only:]:
+            with suppress(TypeError):
+                return np.fromiter(map(cast, part), dtype, count=len(part))
+    raise ValueError(f"values must be real or complex numbers, got {', '.join(sorted({t.__name__ for t in types}))}")
 
 
 # Entries per block of ``multiplicative_sieve`` (2 MB of float64).
@@ -308,8 +330,8 @@ def multiplicative_sieve(
     (a build restarts only as the dtype rule below says); the wheel
     layout's start at 5, and below limit 9 it also reads the values of 2
     and 3 above isqrt(limit) once, for the dtype only.  Only the primes up
-    to isqrt(limit) are sieved (``sieve_primes``), so a table never grows
-    the prime slot.
+    to isqrt(limit) <= 14,142 are read (``sieve_primes``, a prefix of the
+    primes up to 2^16), so no build sieves.
 
     The table's dtype is ``dtype`` promoted with the dtypes of all powers
     and of the prime values read so far (complex values make a float table
@@ -463,20 +485,12 @@ def _mobius_powers(p: int, E: int) -> np.ndarray:
 
 
 def mobius_table(limit: int) -> np.ndarray:
-    """mu(n) for n = 0..limit (mu[0] = 0), read-only int8 array.
-
-    A prefix of the mu slot, which a larger limit rebuilds by
+    """mu(n) for n = 0..limit (mu[0] = 0), a fresh read-only int8 array from
     ``multiplicative_sieve``: -1 at p and 0 at p^2 for each prime
-    p <= isqrt(limit), then -1 for every prime above it.
-    """
-    global _mu_slot
-    _check_limit(limit)
-    built, mu = _mu_slot
-    if limit > built:
-        mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
-        mu.setflags(write=False)
-        _mu_slot = (limit, mu)
-    return mu[: limit + 1]
+    p <= isqrt(limit), then -1 for every prime above it."""
+    mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
+    mu.setflags(write=False)
+    return mu
 
 
 @dataclass(frozen=True)
@@ -505,25 +519,22 @@ class Factorization:
         return sorted(divs)
 
 
-# (limit, the primes <= limit as a Python list) for trial division; a
-# larger isqrt(n) swaps in a longer list, extended from the prime slot.
-_trial_slot: tuple[int, list] = (0, [])
-
-
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division (meant for n up to ~10^9)."""
-    global _trial_slot
+    """Factor n >= 1 by trial division: by the primes up to 2^16, then by
+    the odd d above 2^16, each of which is prime when it divides what is
+    left (meant for n up to ~10^12).  An isqrt(n) above ``SIEVE_BUDGET``
+    raises ``ResourceLimitError``."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     root = math.isqrt(n)
-    limit, primes = _trial_slot
-    if root > limit:
-        primes = primes + _primes_upto(root)[len(primes) :].tolist()
-        _trial_slot = (root, primes)
+    trial = _SMALL_PRIMES.data  # a memoryview: Python ints, made as the loop reads them
+    if root > _SMALL:
+        _check_limit(root)
+        trial = chain(trial, range(_SMALL + 1, root + 1, 2))
     m = n
     out = []
-    for p in primes:
+    for p in trial:
         if p * p > m:
             break
         if m % p == 0:

@@ -64,7 +64,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import core as _core
-from .config import EngineConfig, _is_number
+from .config import EngineConfig, _check_integers, _is_number
 from .core import ResourceLimitError, _gather, checked_values, divisors, factorize, is_prime, mobius, mobius_table, multiplicative_sieve, radical, sieve_primes
 from .multiplicative import (
     GeneralArithmeticFunction,
@@ -92,6 +92,7 @@ def checkpoint_schedule(Q: int, window: int = EngineConfig.window) -> list[int]:
     The dense final stretch is what spread-based convergence verdicts look
     at; tiny Q just gets every integer.
     """
+    _check_integers(Q=Q, window=window)
     if Q < 1:
         raise ValueError("Q must be >= 1")
     if window < 2:
@@ -237,13 +238,14 @@ def _value_table(G, Q: int) -> np.ndarray:
         )
         if G.squarefree_cap is not None:
             # Squarefree n > 1 only (mu(n) != 0; G(1) = 1), block by block.
+            mu = _mu_table(G, Q)
             for lo in range(2, Q + 1, _core._BLOCK):
-                n = lo + np.flatnonzero(mobius_table(Q)[lo : lo + _core._BLOCK])
+                n = lo + np.flatnonzero(mu[lo : lo + _core._BLOCK])
                 v = vals[n]
                 over = _clamp(v, n, G.squarefree_cap)
                 vals[n[over]] = v[over]
     else:
-        vals = _gather(lambda: chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
+        vals = _gather(chain((0,), map(G.eval, range(1, Q + 1))), Q + 1)
 
     vals.setflags(write=False)
     return _keep(G, key, vals)
@@ -264,10 +266,18 @@ def _support_values(G: GeneralArithmeticFunction, Q: int) -> tuple[np.ndarray, n
     if not all(isinstance(n, Integral) and 1 <= n <= Q for n in ns):
         raise ValueError(f"{G.label}: support({Q}) must give integers in [1, {Q}]")
     n = _sorted_distinct(np.array(ns, dtype=np.int64))
-    vals = _gather(lambda: map(G.eval, n.tolist()), len(n))
+    vals = _gather(map(G.eval, n.tolist()), len(n))
     n.setflags(write=False)
     vals.setflags(write=False)
     return _keep(G, key, (n, vals))
+
+
+def _mu_table(G, Q: int) -> np.ndarray:
+    """``mobius_table(Q)``, kept on G (``_keep``) beside its value table:
+    Kluyver's mu(q/d) for the strided kernel, and the squarefree n for
+    ``squarefree_cap``."""
+    key = ("mu", Q)
+    return G._memo[key] if key in G._memo else _keep(G, key, mobius_table(Q))
 
 
 def _keep(G, key: tuple, table):
@@ -279,8 +289,8 @@ def _keep(G, key: tuple, table):
     ``absolute_convergence_report`` keep theirs, since their callers reuse
     them (``expand_scale``'s expansions of one G at one Q, artifact 07's
     a = 1..100 per G).  ``zero_cloud_verdict`` reads each table once and
-    drops what it stored here when it returns.  The mu slot of ``core`` is
-    module-level and outlives both (tables do not grow the prime slot)."""
+    drops what it stored here when it returns.  Nothing outlives G: mu is
+    kept here too (``_mu_table``), beside the value table it is read with."""
     stale = ("gmu", "clamped") if key[0] == "gmu" else (key[0],)
     for old in [k for k in list(G._memo) if isinstance(k, tuple) and k[0] in stale]:
         G._memo.pop(old, None)
@@ -544,7 +554,7 @@ def _strided_terms(G, Q: int, d: int, B: int, ys: np.ndarray, absolute: bool) ->
             keep &= m % p != 0
         u = np.abs(g[keep]) if absolute else g[keep] * mu[keep]
         return np.concatenate((np.zeros(1, u.dtype), u)), np.searchsorted(m[keep], ys, "right")
-    V, mu = _value_table(G, Q)[::d], mobius_table(Q)[: Q // d + 1]
+    V, mu = _value_table(G, Q)[::d], _mu_table(G, Q)[: Q // d + 1]
     if absolute:  # not np.abs(V * mu): numpy's complex abs of a
         u = np.abs(V)  # contiguous product rounds otherwise
         u *= mu != 0
@@ -571,6 +581,7 @@ def expansion_partial_sums(
     ``coprime_to``, which has the same c_q on every q summed; ``_series``
     says how each mode sums.
     """
+    _check_integers(a=a, Q=Q, coprime_to=coprime_to)
     if a < 1 or Q < 1 or coprime_to < 1:
         raise ValueError("a, Q and coprime_to must be >= 1")
     rad = radical(coprime_to)
@@ -599,6 +610,7 @@ def restricted_mobius_partial_sums(
     Only the radical of b matters, so b and radical(b) give identical series
     checkpoint by checkpoint.
     """
+    _check_integers(b=b, x=x)
     if b < 1 or x < 1:
         raise ValueError("b and x must be >= 1")
     rad = radical(b)
@@ -751,7 +763,7 @@ def _kluyver_terms(G: MultiplicativeFunction, d: int, b: int, Q: int) -> list[tu
     node = tuple(p for p in factorize(b * d).primes() if p > 3)
     ms = [m for m in divisors(radical(6 * d) // gcd(6, b)) if d * m <= Q]
     values = [(mobius(m), G.eval(d * m)) for m in ms]
-    coefs = _gather(lambda: (c * v.numerator / v.denominator if isinstance(v, Fraction) else c * v for c, v in values), len(ms))
+    coefs = _gather((c * v.numerator / v.denominator if isinstance(v, Fraction) else c * v for c, v in values), len(ms))
     return [(d * m, c, node) for m, c in zip(ms, coefs.tolist())]
 
 

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import core
 from .config import EngineConfig
 from .core import SIEVE_BUDGET, _gather, checked_values, factorize, is_prime, sieve_primes
 from .sums import FormulaInconsistencyError
@@ -170,7 +169,7 @@ def _rule_values(G: MultiplicativeFunction, ps: Sequence[int], es: Sequence[int]
     ``core._gather``.  Only when that fails are the pairs read again through
     ``at_prime_power``, so the error names G and the first bad pair."""
     try:
-        return _gather(lambda: map(G.rule, ps, es), len(ps))
+        return _gather(map(G.rule, ps, es), len(ps))
     except ValueError:
         list(map(G.at_prime_power, ps, es))
         raise
@@ -420,12 +419,9 @@ def _prop1(
     # With c <= 0, G(p) <= 1/p <= 1/2.  With c > 0, G(p) decreases in p and
     # 1/p <= 1/2, so G(p) >= 1 - tol needs p^(1+alpha) <= c / (1/2 - tol):
     # check every such prime (a reach above the sieve budget raises there).
-    # They are sieved once and not kept, so a large c leaves the prime slot
-    # as it was.
     if c > 0:
         reach = math.floor(min((c / (0.5 - DEFAULT_ONE_TOL)) ** (1.0 / (1.0 + alpha)), SIEVE_BUDGET)) + 1
-        core._check_limit(reach)
-        for p in core._sieve(reach).tolist():
+        for p in sieve_primes(reach).tolist():
             if abs(rule(p, 1) - 1.0) <= DEFAULT_ONE_TOL:
                 raise ValueError(f"parameters make G({p}) = 1; entry must not be exotic")
     return MultiplicativeFunction(

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .config import EngineConfig
+from .config import EngineConfig, _check_integers
 from .core import factorize, mobius_table
 from .expansion import ConvergenceVerdict, PartialSumSeries, _neumaier_segments, _validate_checkpoints, _value_table, detect_convergence
 from .multiplicative import catalog
@@ -32,6 +32,7 @@ WINDOW_THRESHOLD = 0.05
 
 def count_squarefree_in_ap(x: int, m: int, r: int) -> int:
     """Exact count of squarefree q <= x with q = r (mod m); needs (r, m) = 1."""
+    _check_integers(x=x, m=m, r=r)
     if x < 1 or m < 1:
         raise ValueError("x and m must be >= 1")
     if gcd(r, m) != 1:
@@ -74,6 +75,7 @@ def weighted_squarefree_sum(
     sigma = s.real if isinstance(s, complex) else float(s)
     if sigma <= 0.5:
         raise ValueError("need Re s > 1/2")
+    _check_integers(m=m, r=r, y=y, x=x)
     if m < 1:
         raise ValueError("m must be >= 1")
     if gcd(r, m) != 1:

@@ -8,6 +8,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +23,20 @@ from ramanujan_cloud import (
     MultiplicativeFunction,
     ResourceLimitError,
     catalog,
+    checkpoint_schedule,
+    count_squarefree_in_ap,
     divisors,
     euler_phi,
+    expansion_partial_sums,
     factorize,
     is_prime,
     mobius,
     mobius_table,
     radical,
+    restricted_mobius_partial_sums,
     sieve_primes,
     valuation,
+    weighted_squarefree_sum,
 )
 import ramanujan_cloud.core as core
 from ramanujan_cloud.expansion import _gmu_table, _rule_values, _value_table
@@ -170,24 +178,150 @@ class TestFactorize:
         assert math.prod(p**e for p, e in f.factors) == n
 
     def test_against_plain_trial_division(self):
+        # Past the primes up to 2^16 trial division goes on by odd d: 65537^2
+        # is the first square it reaches, 65537 * 65539 the first product of
+        # two primes there, 4294967311, the first prime above 2^32, has root
+        # 2^16 itself, and 65537 * (2^31 - 1) stops at d = 65539, leaving
+        # the prime 2^31 - 1.
         rng = random.Random(12)
-        ns = [*range(1, 3 * 10**4 + 1), *(rng.randrange(1, 10**12) for _ in range(300)), 999_999_937, 65537**2]
+        ns = [
+            *range(1, 3 * 10**4 + 1),
+            *(rng.randrange(1, 10**12) for _ in range(300)),
+            10**6,
+            10**9,
+            999_999_937,
+            65537**2,
+            65537 * 65539,
+            4_294_967_311,
+            65537 * (2**31 - 1),
+        ]
         for n in ns:
             assert factorize(n).factors == plain_trial_factors(n), n
 
-    def test_trial_primes_grow_to_the_largest_root(self, monkeypatch):
-        # 65537^2 is the first square past the prime slot's 2^16 floor.
-        monkeypatch.setattr(core, "_trial_slot", (0, []))
-        for n, root in [(10, 3), (9, 3), (10**6, 1000), (5, 1000), (65537**2, 65537), (10**9, 65537)]:
-            assert factorize.__wrapped__(n).factors == plain_trial_factors(n)
-            limit, primes = core._trial_slot
-            assert limit == root and primes == sieve_primes(root).tolist(), n
+    def test_root_above_the_budget_raises(self, monkeypatch):
+        with pytest.raises(ResourceLimitError, match="exceeds budget"):
+            factorize((core.SIEVE_BUDGET + 1) ** 2)
+        monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
+        assert factorize.__wrapped__(10**10).factors == ((2, 10), (5, 10))
+        with pytest.raises(ResourceLimitError, match="exceeds budget"):
+            factorize.__wrapped__((10**5 + 1) ** 2)
 
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(1) == [1]
         for n in (2, 36, 97, 360, 1024):
             assert divisors(n) == brute_divisors(n)
+
+
+class TestIntegerArguments:
+    GR = catalog("GR")
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: sieve_primes(10.5), "limit"),
+            (lambda: sieve_primes(True), "limit"),
+            (lambda: mobius_table(10.0), "limit"),
+            (lambda: checkpoint_schedule(100.0), "Q"),
+            (lambda: checkpoint_schedule(100, window=2.5), "window"),
+            (lambda: expansion_partial_sums(TestIntegerArguments.GR, 2.5, 100), "a"),
+            (lambda: expansion_partial_sums(TestIntegerArguments.GR, 2, 100.0), "Q"),
+            (lambda: expansion_partial_sums(TestIntegerArguments.GR, 2, 100, coprime_to=2.0), "coprime_to"),
+            (lambda: count_squarefree_in_ap(100.5, 3, 1), "x"),
+            (lambda: count_squarefree_in_ap(100, np.True_, 1), "m"),
+            (lambda: weighted_squarefree_sum(0.75, 3, 1, 10, 100.0), "x"),
+            (lambda: restricted_mobius_partial_sums(TestIntegerArguments.GR, "2", 100), "b"),
+            (lambda: restricted_mobius_partial_sums(TestIntegerArguments.GR, 2, Fraction(100)), "x"),
+        ],
+        ids=[
+            "sieve_primes-float", "sieve_primes-bool", "mobius_table", "checkpoint_schedule-Q",
+            "checkpoint_schedule-window", "expansion-a", "expansion-Q", "expansion-coprime_to",
+            "count_squarefree-x", "count_squarefree-numpy_bool", "weighted_squarefree-x",
+            "restricted-b", "restricted-x",
+        ],
+    )
+    def test_a_non_integer_size_is_named(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call()
+
+    def test_numpy_integers_are_sizes(self):
+        assert sieve_primes(np.int64(10)).tolist() == [2, 3, 5, 7]
+        assert len(mobius_table(np.uint16(10))) == 11
+        assert count_squarefree_in_ap(np.int32(100), 3, np.int8(1)) == count_squarefree_in_ap(100, 3, 1)
+        assert checkpoint_schedule(np.int64(1000)) == checkpoint_schedule(1000)
+
+
+class TestGather:
+    """``core._gather``, the value rule of the tables, against ``float`` and
+    ``complex`` of each value."""
+
+    @staticmethod
+    def want(values, cast):
+        return np.array([cast(v) for v in values]).tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0, 0.5, Fraction(1, 3), 2**53 + 1, 2**60 + 3, 2**64 + 1, np.float32(0.1), True, np.int64(-7), Decimal("0.1")],
+            [-0.0, 2**53 + 1, -(2**63), 2**63 + 1, np.float32(0.1), np.float16(0.1), np.longdouble(1) / 3, False],
+            [2**60 + 3, 0.5],
+            [np.float32(0.1), 2**60 + 3],
+            [-0.0],
+        ],
+    )
+    def test_accepted_values_keep_their_bytes(self, values):
+        got = core._gather(values, len(values))
+        assert got.dtype == np.float64 and got.tobytes() == self.want(values, float)
+        values = [*values, 1 - 2j]
+        got = core._gather(values, len(values))
+        assert got.dtype == np.complex128 and got.tobytes() == self.want(values, complex)
+
+    def test_chunks_promote_as_one_read(self, monkeypatch):
+        monkeypatch.setattr(core, "_GATHER", 3)
+        values = [-0.0, Fraction(1, 3), 0.25, 2**70, -1.5, 2j, -0.0]
+        got = core._gather(values, len(values))
+        assert got.tobytes() == self.want(values, complex)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.complex128(0.5j)],
+            [0.5, np.complex64(0.5 - 1j)],
+            [Fraction(1, 2), np.complex128(-0.0 + 0.5j)],
+        ],
+    )
+    def test_numpy_complex_scalars_stay_complex(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = core._gather(values, len(values))
+        assert got.dtype == np.complex128 and got.tobytes() == self.want(values, complex)
+
+    def test_a_numpy_complex_rule(self):
+        G = MultiplicativeFunction("0.5i^e", rule=lambda p, e: np.complex128(0.5j) ** e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _value_table(G, 30)
+            final = expansion_partial_sums(G, 1, 50, checkpoints=[50], exact=False).final
+        assert values.tolist() == [0] + [complex(G.eval(n)) for n in range(1, 31)]
+        assert final == pytest.approx(-2.25 - 7.25j)
+        assert final == pytest.approx(sum(G.eval(n) * mobius(n) for n in range(1, 51)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [["0.5"], [0.5, "1"], [Fraction(1, 2), "1.5"], [b"1"], [0.5, np.str_("2")], [None, 1.0], [[1.0, 2.0], [3.0, 4.0]]],
+    )
+    def test_non_numbers_are_refused(self, values):
+        with pytest.raises(ValueError, match="values must be real or complex numbers"):
+            core._gather(values, len(values))
+        with pytest.raises(ValueError):  # numpy's own message: unequal lengths
+            core._gather([*values, [1.0]], len(values) + 1)
+
+    def test_a_string_rule_is_refused_as_eval_refuses_it(self):
+        G = MultiplicativeFunction("string at 7", rule=lambda p, e: "0.5" if p == 7 else 0.5)
+        with pytest.raises(ValueError, match=r"string at 7: rule\(7, 1\) gives '0.5'"):
+            G.eval(7)
+        with pytest.raises(ValueError, match=r"string at 7: rule\(7, 1\) gives '0.5'"):
+            _value_table(G, 100)
 
 
 class TestScalarFunctions:
@@ -513,14 +647,23 @@ class TestTables:
             assert str(got.value) == str(whole.value), build
 
 
-# The prime and mu slots are process state that pytest's test order would
-# hide, so the growth order runs in a fresh interpreter.  The sieve counter
-# wraps the private sieve the slot rebuilds with.
-_SLOT_SCRIPT = """
+# Module state is what pytest's test order would hide, so whether anything
+# in core grows runs in a fresh interpreter: every kind of caller, then
+# core's module arrays must be the very arrays import made.  The sieve
+# counter wraps the private whole-range sieve.
+_MODULE_SCRIPT = """
+import numpy as np
 import ramanujan_cloud.core as core
-from ramanujan_cloud import catalog, mobius, mobius_table, sieve_primes
+from ramanujan_cloud import EngineConfig, absolute_convergence_report, catalog, factorize, mobius, mobius_table, sieve_primes, zero_cloud_verdict
 from ramanujan_cloud.expansion import _value_table
 
+
+def arrays():
+    return {name: (id(v), len(v)) for name, v in vars(core).items() if isinstance(v, np.ndarray)}
+
+
+imported = arrays()
+assert imported == {"_SMALL_PRIMES": (id(core._SMALL_PRIMES), 6542)}, imported
 sieves = []
 _sieve = core._sieve
 core._sieve = lambda limit: sieves.append(limit) or _sieve(limit)
@@ -543,21 +686,34 @@ for limit in (0, 1, 1000, 10, 200000, 4, 100000):
         assert int(mu[: 10**5 + 1].sum(dtype="int64")) == -48, limit
         assert int((mu[: 10**5 + 1] != 0).sum()) == 60794, limit
 assert len(sieve_primes(200000)) == 17984
-# One sieve at the 2^16 floor, one at 200000; every other request is a prefix.
-assert sieves == [1 << 16, 200000], sieves
+# Up to 2^16 the primes are prefixes of the import's array; above it each
+# call sieves afresh and keeps nothing.
+assert np.shares_memory(sieve_primes(65536), core._SMALL_PRIMES) and not np.shares_memory(sieve_primes(65537), core._SMALL_PRIMES)
+assert sieves == [200000, 100000, 200000, 65537], sieves
 
-# Tables sieve only to isqrt(Q), within the slot: neither grows it.
+# Tables sieve only to isqrt(Q), inside the primes up to 2^16: no sieve.
 Q = 300000
 mobius_table(Q)
-assert sieves[2:] == [], sieves
 _value_table(catalog("GR"), Q)
+assert sieves[4:] == [], sieves
 sieve_primes(Q // 2)
-assert sieves[2:] == [] and core._prime_slot[0] == 200000, (sieves, core._prime_slot[0])
+assert sieves[4:] == [Q // 2], sieves
+
+# Trial division past 2^16, prop1's transparent-prime scan up to
+# (2c)^(1/2) = 1.4 * 10^6 for c = 10^12, the prime sum of the absolute
+# report and a strided verdict (G(5) = 2) keep nothing in core either.
+assert factorize(65537**2).factors == ((65537, 2),)
+catalog("prop1", c=1e12)
+absolute_convergence_report(catalog("GR"), 2 * 10**5, 1, 1000)
+G = catalog("prop5", p2=5, g2=2)
+zero_cloud_verdict(G, EngineConfig(Q=2 * 10**5))
+assert not any(isinstance(k, tuple) for k in G._memo)
+assert arrays() == imported, (arrays(), imported)
 print("ok")
 """
 
-# Threads that grow both slots at once: a rebuild race may repeat work, but
-# every answer must still be the right, read-only prefix.
+# Threads that build primes and mu at once: every answer must be right and
+# read-only, a prefix of the import's primes or a fresh table.
 _RACE_SCRIPT = """
 import random, sys, threading
 import numpy as np
@@ -599,21 +755,8 @@ print("ok")
 """
 
 
-# prop1's transparent-prime scan sieves up to (2c)^(1/2) = 1.4 * 10^6 for
-# c = 10^12 and must not leave that sieve in the prime slot.
-_PROP1_SCRIPT = """
-import ramanujan_cloud.core as core
-from ramanujan_cloud import catalog
-
-built = core._prime_slot[0]
-catalog("prop1", c=1e12)
-assert core._prime_slot[0] == built, (built, core._prime_slot[0])
-print("ok")
-"""
-
-
-# A G mu table at 10^6 sieves only to 1000, inside the slot's 2^16 floor,
-# and reads G at each quarter block's primes: its traced peak is the table
+# A G mu table at 10^6 reads the primes up to 1000, a prefix of those up
+# to 2^16, and reads G at each quarter block's primes: its traced peak is the table
 # and block-sized scratch.  Holding every prime up to Q and G at each of
 # them took it to 1.96 tables.
 _GMU_SCRIPT = """
@@ -622,6 +765,7 @@ import ramanujan_cloud.core as core
 from ramanujan_cloud import catalog
 from ramanujan_cloud.expansion import _gmu_table
 
+small = core._SMALL_PRIMES
 GH = catalog("GH")
 calls = []
 form = GH.at_primes
@@ -632,11 +776,30 @@ tracemalloc.start()
 gmu = _gmu_table(G, Q)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-assert core._prime_slot[0] == 1 << 16, core._prime_slot[0]
+assert core._SMALL_PRIMES is small and len(small) == 6542
 # (primes, entries spanned) of each call: none reaches past a quarter block.
 assert calls and max(span for _, span in calls) < core._BLOCK // 4, calls
 assert sum(n for n, _ in calls) == len(core.sieve_primes(Q)) - len(core.sieve_primes(1000)), calls
 assert peak < 1.8 * gmu.nbytes, peak / gmu.nbytes
+print("ok")
+"""
+
+
+# prop5(p2 = 5, g2 = 2) has G(5) = 2, so the radicals with 5 take the
+# strided kernel, which reads the value table and mu.  mu is kept on G with
+# the value table, so the verdict drops both when it returns; a module-level
+# mu outlived it (0.99 MiB traced at Q = 10^6).  In a fresh interpreter, so
+# that no earlier test has built mu already.
+_STRIDED_SCRIPT = """
+import tracemalloc
+from ramanujan_cloud import EngineConfig, catalog, zero_cloud_verdict
+
+G = catalog("prop5", p2=5, g2=2)
+tracemalloc.start()
+zero_cloud_verdict(G, EngineConfig(Q=10**6))
+current = tracemalloc.get_traced_memory()[0]
+assert current < 0.25 * 2**20, current
+assert not any(isinstance(k, tuple) for k in G._memo)
 print("ok")
 """
 
@@ -650,14 +813,16 @@ def _run_fresh(script: str) -> None:
 
 
 class TestSlots:
-    def test_growth_order_in_a_fresh_interpreter(self):
-        _run_fresh(_SLOT_SCRIPT)
+    """core keeps no slot: nothing there grows after import."""
 
-    def test_concurrent_growth_in_a_fresh_interpreter(self):
+    def test_module_arrays_stay_as_imported(self):
+        _run_fresh(_MODULE_SCRIPT)
+
+    def test_concurrent_tables_in_a_fresh_interpreter(self):
         _run_fresh(_RACE_SCRIPT)
 
-    def test_prop1_scan_leaves_the_prime_slot_alone(self):
-        _run_fresh(_PROP1_SCRIPT)
+    def test_a_strided_verdict_leaves_no_mu_behind(self):
+        _run_fresh(_STRIDED_SCRIPT)
 
     def test_gmu_table_holds_no_prime_array(self):
         _run_fresh(_GMU_SCRIPT)

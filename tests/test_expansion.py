@@ -939,10 +939,10 @@ class TestValueTable:
         assert _tuple_keys(G) == {("gmu", 3000), ("clamped", 3000)}
         for Q in (2000, 3000):
             expansion_partial_sums(G, 6, Q, absolute=True, exact=False)
-        assert _tuple_keys(G) == {("gmu", 3000), ("clamped", 3000), ("values", 3000)}
+        assert _tuple_keys(G) == {("gmu", 3000), ("clamped", 3000), ("values", 3000), ("mu", 3000)}
         again = expansion_partial_sums(G, 6, 2000, exact=False)
         assert repr(again) == repr(first) == repr(expansion_partial_sums(catalog("prop1"), 6, 2000, exact=False))
-        assert _tuple_keys(G) == {("gmu", 2000), ("clamped", 2000), ("values", 3000)}
+        assert _tuple_keys(G) == {("gmu", 2000), ("clamped", 2000), ("values", 3000), ("mu", 3000)}
 
     @pytest.mark.parametrize("cap", [10.0, 1.2])
     def test_squarefree_cap_matches_eval(self, cap):
@@ -978,10 +978,11 @@ class TestValueTable:
 
     @staticmethod
     def _traced_peak(build, cap):
-        core.mobius_table(10**6)
+        G = catalog("prop1", cap=cap)
+        expansion._mu_table(G, 10**6)
         tracemalloc.start()
         try:
-            build(catalog("prop1", cap=cap), 10**6)
+            build(G, 10**6)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1077,14 +1078,13 @@ class TestResourceBudget:
             lambda: _support_values(catalog("weakly_exotic_sample"), 2 * 10**6),
             lambda: restricted_mobius_partial_sums(catalog("GR"), 1, 2 * 10**6),
             lambda: expansion_partial_sums(catalog("GH"), 6, 2 * 10**6, coprime_to=2),
-            # Both slots hold 10^6 already: the budget must win over the cache.
+            # Neither is cached: each checks the budget before it builds.
             lambda: core.mobius_table(2 * 10**5),
             lambda: core.sieve_primes(2 * 10**5),
         ],
         ids=["value_table", "general_table", "restricted_series", "expansion", "cached_mobius", "cached_primes"],
     )
     def test_over_budget_raises_before_allocating(self, monkeypatch, build):
-        core.mobius_table(10**6)
         monkeypatch.setattr(core, "SIEVE_BUDGET", 10**5)
         tracemalloc.start()
         try:
@@ -1666,15 +1666,14 @@ class TestKernelChoice:
         # kernel: the value table (7.6 MiB), then one T_d buffer at a time,
         # 15.3 MiB in all; the unread G mu table would add 2.5 MiB.
         G = dataclasses.replace(catalog("prop5", p2=5, g2=2))
-        core.sieve_primes(10**6)
-        core.mobius_table(10**6)
+        expansion._mu_table(G, 10**6)
         tracemalloc.start()
         try:
             expansion_partial_sums(G, 5, 10**6, exact=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _tuple_keys(G) == {("values", 10**6)}
+        assert _tuple_keys(G) == {("values", 10**6), ("mu", 10**6)}
         assert peak < 17 * 2**20
 
     def test_large_g3_reads_only_the_gmu_table(self):
@@ -1682,8 +1681,6 @@ class TestKernelChoice:
         # G(dm') at the m' with 3, so a = 3 reads the G mu table (2.5 MiB)
         # and no value table; the direct kernel peaked at 15.3 MiB.
         G = dataclasses.replace(catalog("prop5", g2=2))
-        core.sieve_primes(10**6)
-        core.mobius_table(10**6)
         tracemalloc.start()
         try:
             expansion_partial_sums(G, 3, 10**6, exact=False)
@@ -1699,8 +1696,6 @@ class TestKernelChoice:
         # the climb.  The direct kernel, value table and one T_d buffer
         # at a time, peaked at 30.6 MiB.
         G = dataclasses.replace(catalog("lemma7_h", s=0.6 + 0.3j))
-        core.sieve_primes(10**6)
-        core.mobius_table(10**6)
         tracemalloc.start()
         try:
             expansion_partial_sums(G, 2, 10**6, exact=False)
@@ -1720,7 +1715,7 @@ class TestKernelChoice:
         parts = sorted({_coprime_part(a, 2) for a in (*cfg.sample_a, 1, 3, 5, 7, 15)})
         cps = checkpoint_schedule(10**6)
         _value_table(G, 10**6)
-        core.mobius_table(10**6)
+        expansion._mu_table(G, 10**6)
         tracemalloc.start()
         try:
             expansion._peel_sums(G, [(a, 2) for a in parts], 10**6, cps)
@@ -1738,7 +1733,7 @@ class TestAbsoluteSums:
         # built took it to 11.45 MiB.
         G = dataclasses.replace(catalog("GR"))
         _value_table(G, 10**6)
-        core.mobius_table(10**6)
+        expansion._mu_table(G, 10**6)
         peaks = []
         for a in (1, 360):
             tracemalloc.start()
@@ -1980,7 +1975,6 @@ class TestGmuTable:
         # their values and three pair arrays peak near 4.0 MiB (4.4 while
         # every prime above isqrt(Q) and its value were held).  All pairs of a block at once
         # took the build of a full-layout table (7.6 MiB) to 12.8 MiB.
-        core.sieve_primes(10**6)
         tracemalloc.start()
         try:
             expansion._gmu_table(catalog("GH"), 10**6)
@@ -1996,7 +1990,6 @@ class TestGmuTable:
         # near 20.6 (7.9) MiB.  Swept whole, with one gather per cofactor, a
         # value table peaked at 26.7-29.2 MiB.
         G = catalog(name, s=0.6 + 0.3j)
-        core.sieve_primes(10**6)
         tracemalloc.start()
         try:
             build(G, 10**6)
@@ -2010,7 +2003,6 @@ class TestGmuTable:
         # (2.54 MiB), and its build, or a signed GH expansion that reads it,
         # peaks at 4.0 MiB traced.  The odd layout's table (3.81 MiB) peaked
         # at 5.6 MiB.
-        core.sieve_primes(10**6)
         for run in (
             lambda: expansion._gmu_table(catalog("GH"), 10**6),
             lambda: expansion_partial_sums(catalog("GH"), 47, 10**6, coprime_to=2, exact=False),
@@ -2634,7 +2626,6 @@ class TestZeroCloudVerdict:
         cfg = EngineConfig(Q=2 * 10**5)
         table = (core._wheel_count(cfg.Q) + 1) * 8
         entries = [catalog("GR"), catalog("GH"), catalog("prop1")]
-        core.sieve_primes(cfg.Q)
         tracemalloc.start()
         try:
             verdicts = [zero_cloud_verdict(G, cfg) for G in entries]
