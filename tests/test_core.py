@@ -648,14 +648,11 @@ class TestTables:
 
 
 # Module state is what pytest's test order would hide, so whether anything
-# in core grows runs in a fresh interpreter: every kind of caller, then
-# core's module arrays must be the very arrays import made.  The sieve
-# counter wraps the private whole-range sieve.
-_MODULE_SCRIPT = """
+# in core grows runs in a fresh interpreter: each script runs one kind of
+# caller, then core's module arrays must be the very arrays import made.
+_IMPORTED = """
 import numpy as np
 import ramanujan_cloud.core as core
-from ramanujan_cloud import EngineConfig, absolute_convergence_report, catalog, factorize, mobius, mobius_table, sieve_primes, zero_cloud_verdict
-from ramanujan_cloud.expansion import _value_table
 
 
 def arrays():
@@ -664,6 +661,14 @@ def arrays():
 
 imported = arrays()
 assert imported == {"_SMALL_PRIMES": (id(core._SMALL_PRIMES), 6542)}, imported
+"""
+
+# The order in which primes and mu are asked for.  The sieve counter wraps
+# the private whole-range sieve.
+_GROWTH_SCRIPT = _IMPORTED + """
+from ramanujan_cloud import catalog, mobius, mobius_table, sieve_primes
+from ramanujan_cloud.expansion import _value_table
+
 sieves = []
 _sieve = core._sieve
 core._sieve = lambda limit: sieves.append(limit) or _sieve(limit)
@@ -698,12 +703,26 @@ _value_table(catalog("GR"), Q)
 assert sieves[4:] == [], sieves
 sieve_primes(Q // 2)
 assert sieves[4:] == [Q // 2], sieves
+assert arrays() == imported, (arrays(), imported)
+print("ok")
+"""
 
-# Trial division past 2^16, prop1's transparent-prime scan up to
-# (2c)^(1/2) = 1.4 * 10^6 for c = 10^12, the prime sum of the absolute
-# report and a strided verdict (G(5) = 2) keep nothing in core either.
-assert factorize(65537**2).factors == ((65537, 2),)
+# prop1's transparent-prime scan sieves up to (2c)^(1/2) = 1.4 * 10^6 for
+# c = 10^12 and must keep none of that sieve in core.
+_PROP1_SCRIPT = _IMPORTED + """
+from ramanujan_cloud import catalog
+
 catalog("prop1", c=1e12)
+assert arrays() == imported, (arrays(), imported)
+print("ok")
+"""
+
+# Trial division past 2^16, the prime sum of the absolute report and a
+# strided verdict (G(5) = 2) keep nothing in core either.
+_MODULE_SCRIPT = _IMPORTED + """
+from ramanujan_cloud import EngineConfig, absolute_convergence_report, catalog, factorize, zero_cloud_verdict
+
+assert factorize(65537**2).factors == ((65537, 2),)
 absolute_convergence_report(catalog("GR"), 2 * 10**5, 1, 1000)
 G = catalog("prop5", p2=5, g2=2)
 zero_cloud_verdict(G, EngineConfig(Q=2 * 10**5))
@@ -814,6 +833,12 @@ def _run_fresh(script: str) -> None:
 
 class TestSlots:
     """core keeps no slot: nothing there grows after import."""
+
+    def test_growth_order_in_a_fresh_interpreter(self):
+        _run_fresh(_GROWTH_SCRIPT)
+
+    def test_prop1_scan_leaves_the_prime_slot_alone(self):
+        _run_fresh(_PROP1_SCRIPT)
 
     def test_module_arrays_stay_as_imported(self):
         _run_fresh(_MODULE_SCRIPT)
