@@ -12,8 +12,9 @@ concurrent workers.
 
 Tables of multiplicative functions (mu here, G(q) and G(q) mu(q) in the
 expansion engine) come from one sieve, ``multiplicative_sieve``, which
-reads the primes p <= isqrt(Q) and finishes the table one block of 2^18
-entries at a time, each block in one cache-resident pass: the block starts
+reads G at every prime through one reader, the primes p <= isqrt(Q) in one
+call, and finishes the table one block of 2^18 entries at a time, each
+block in one cache-resident pass: the block starts
 as a tiled period of the primes <= 7 when their higher powers vanish (mu,
 every G mu), takes one strided multiply per remaining prime p <= isqrt(Q),
 which also marks the multiples of p, and then, a quarter block at a time,
@@ -30,11 +31,12 @@ A table has one of two layouts: index i holds n = i (mu, value tables), or,
 in the wheel layout, n = 3i - 1 - (i mod 2), the i-th n coprime to 6, with
 entry 0 still 0 (G mu, whose values at the multiples of 2 and 3 follow from
 G(2), G(3) and the rest).  n sits at n // 3 + 1, so a table at Q takes
-Q / 3 entries.  The wheel layout never sweeps 2 or 3: the multiples kp of
-a prime p >= 5 with k = 1, 5 (mod 6) are two progressions of index stride
-2p, its cofactors m are coprime to 6, and its period of 5 and 7 has 2,450
-entries (n moves by 6 every two entries).  The bytes at each n coprime to 6
-are those of the full layout.
+Q / 3 entries.  The wheel layout never sweeps or reads 2 or 3: the
+multiples kp of a prime p >= 5 with k = 1, 5 (mod 6) are two progressions
+of index stride 2p, its cofactors m are coprime to 6, and its period of 5
+and 7 has 2,450 entries (n moves by 6 every two entries).  Its dtype is
+that of its own reads, the primes from 5 on, and in that dtype the bytes at
+each n coprime to 6 are those of the full layout.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -306,43 +308,34 @@ def _pi_bound(x: int) -> int:
 
 def multiplicative_sieve(
     limit: int,
-    powers: Callable[[int, int], np.ndarray],
     at_primes: Callable[[np.ndarray], np.ndarray],
     dtype,
     *,
+    higher: Optional[Callable[[int, int], np.ndarray]] = None,
     _wheel: bool = False,
 ) -> np.ndarray:
     """g(n) for n = 0..limit (g(0) = 0) of a multiplicative g, writable.
 
     With ``_wheel`` the table holds the n coprime to 6 only: entry i is
     g(3i - 1 - (i mod 2)) for i = 1..``_wheel_count(limit)``, so n sits at
-    n // 3 + 1, and entry 0 is 0.  Primes 2 and 3 are then never swept and
-    ``powers`` is never called for them; a g whose values at the multiples
-    of 2 and 3 follow from g(2), g(3) and the rest needs only this third.
+    n // 3 + 1, and entry 0 is 0.  Primes 2 and 3 are then never swept or
+    read; a g whose values at the multiples of 2 and 3 follow from g(2),
+    g(3) and the rest needs only this third.
 
-    ``powers(p, E)`` returns g(p), g(p^2), ..., g(p^E) for a prime
-    p <= isqrt(limit), where p^E <= limit < p^(E+1).  ``at_primes(P)``
-    returns g(p) for each prime p in P as a numeric array of shape
-    ``(len(P),)`` (anything else raises ``ValueError``).  Each P is the
-    ascending int64 array of the primes above isqrt(limit) in one quarter
-    of a block, so every prime in (isqrt(limit), limit] is read once per
-    build, in ascending order, and no call is longer than a quarter block
-    (a build restarts only as the dtype rule below says); the wheel
-    layout's start at 5, and below limit 9 it also reads the values of 2
-    and 3 above isqrt(limit) once, for the dtype only.  Only the primes up
-    to isqrt(limit) <= 14,142 are read (``sieve_primes``, a prefix of the
-    primes up to 2^16), so no build sieves.
+    ``at_primes(P)`` returns g(p) for each prime p in P, an ascending int64
+    array, as a numeric array of shape ``(len(P),)`` (anything else raises
+    ``ValueError``).  It is the one reader of g at the primes, each read
+    once per build in ascending order: the primes up to isqrt(limit) <= 14,142
+    in one call (``sieve_primes``, a prefix of the primes up to 2^16, so no
+    build sieves), then those above it a quarter block at a time (the
+    wheel layout's from 5).  ``higher(p, E)``, when given, returns g(p^2),
+    ..., g(p^E) for a prime p <= isqrt(limit) with p^E <= limit < p^(E+1),
+    E >= 2; without it every higher power is +0 (mu, any g mu).
 
-    The table's dtype is ``dtype`` promoted with the dtypes of all powers
-    and of the prime values read so far (complex values make a float table
-    complex).  The prime values keep their own dtype, the promotion of
-    every read so far, as one read of all of them would have it: a real
-    g(P) multiplies a complex entry as (ac, bc), a complex one as
-    (ac - bd, ad + bc).  A quarter whose values widen the table's dtype, or
-    the prime values' dtype once earlier values are applied, restarts the
-    build from the start in the wider dtype, so the bytes are those of a
-    build that had it from the start (promoting in place would flip signed
-    zeros).
+    Every value is cast to the table's dtype, ``dtype`` promoted with the
+    dtypes of every read, and a read that widens it restarts the build in
+    the wider dtype, so the bytes are those of a build that had it from the
+    start (promoting in place would flip signed zeros).
 
     Every entry is multiplied in the order of a prime-by-prime sweep: its
     primes p <= isqrt(limit) ascending (phase 1), each by g(p^v_p(n)), then
@@ -350,16 +343,16 @@ def multiplicative_sieve(
     m = n / P < sqrt(limit) (phase 2).  A complex entry is multiplied on its
     float planes (see ``_mul``), so every table, complex ones included, is
     bit-identical to such a sweep, and the wheel layout to the entries of
-    the full one at the n coprime to 6.  The table is finished one block of
-    ``_BLOCK`` entries at a time, each block before the next, so it stays in
-    cache:
+    the full one at the n coprime to 6 in the dtype its own reads give.  The
+    table is finished one block of ``_BLOCK`` entries at a time, each block
+    before the next, so it stays in cache:
 
     - it starts as a tiled period: the leading primes p <= 7 whose higher
-      powers are all +0 (mu, any g supported on squarefree n) act on n only
-      through n mod p^2, so one period of prod p^2 entries (44,100 for
-      2, 3, 5, 7; 2,450 for 5, 7 in the wheel layout, where n moves by
-      6 prod p^2 over two prod p^2 entries) is swept once, at entries
-      period .. 2 period - 1, unless the table is shorter than two periods;
+      powers are all +0 act on n only through n mod p^2, so one period of
+      prod p^2 entries (44,100 for 2, 3, 5, 7; 2,450 for 5, 7 in the wheel
+      layout, where n moves by 6 prod p^2 over two prod p^2 entries) is
+      swept once, at entries period .. 2 period - 1, unless the table is
+      shorter than two periods;
     - phase 1 multiplies each remaining small prime's column over the
       block's multiples of p (in the wheel layout, over each of its two
       progressions of stride 2p, the multiples kp with k = 1 and with
@@ -381,43 +374,38 @@ def multiplicative_sieve(
     After phase 1 the entry of m * P equals the entry of m, so a cofactor
     whose entry is 0 leaves them at that 0, up to its sign; phase 2 skips it
     wherever no byte can change: integer tables, or, while every prime
-    value read so far is real, finite and sign-clear, float ones.  Every
-    pair in a quarter reads a P whose value is already read.  The limit is
-    checked first, so an over-budget limit raises ``ResourceLimitError``
-    before anything is allocated, and a non-number from ``at_primes``
-    raises ``ValueError`` when its quarter is reached.
+    value read so far is finite and sign-clear, float ones.  Every pair in a
+    quarter reads a P whose value is already read.  The limit is checked
+    first, so an over-budget limit raises ``ResourceLimitError`` before
+    anything is allocated, and a non-number from ``at_primes`` raises
+    ``ValueError`` when its read is reached.
     """
     _check_limit(limit)
-    root = math.isqrt(limit)
-    small = []  # (p, g, every higher power is +0)
-    for p in sieve_primes(root).tolist():
-        if _wheel and p <= 3:  # 2 and 3 divide no n coprime to 6
-            continue
+    P = sieve_primes(math.isqrt(limit))
+    if _wheel:
+        P = P[P > 3]  # 2 and 3 divide no n coprime to 6
+    g1 = checked_values(at_primes(P), len(P), "at_primes(P)") if len(P) else np.empty(0, dtype)
+    small = []  # (p, (g(p), ..., g(p^E)), every higher power is +0)
+    for i, p in enumerate(P.tolist()):
         E, pe = 1, p
         while pe * p <= limit:
             E, pe = E + 1, pe * p
-        g = powers(p, E)
-        small.append((p, g, not any(g[1:].tobytes())))
-    final = np.result_type(dtype, *{g.dtype for _, g, _ in small})
-    gdtype = None  # the prime values' dtype, promoted over every read so far
-    head = [p for p in (2, 3) if _wheel and root < p <= limit]
-    if head:  # limit < 9: the wheel holds neither, but their values join the dtype
-        gdtype = checked_values(at_primes(np.array(head, dtype=np.int64)), len(head), "at_primes(P)").dtype
-    while True:
-        if gdtype is not None:
-            final = np.result_type(final, gdtype)
-        table, gdtype = _build(limit, small, at_primes, final, gdtype, _wheel)
-        if table is not None:
-            return table
+        rest = higher(p, E) if higher is not None and E > 1 else np.zeros(E - 1, g1.dtype)
+        small.append((p, np.concatenate((g1[i : i + 1], rest)), not any(rest.tobytes())))
+    final = np.result_type(dtype, g1.dtype, *{g.dtype for _, g, _ in small})
+    table = None
+    while table is None:
+        table, final = _build(limit, small, at_primes, final, _wheel)
+    return table
 
 
-def _build(limit: int, small: list, at_primes, final: np.dtype, gdtype, wheel: bool) -> tuple:
-    """One build of ``multiplicative_sieve``'s table in the dtype ``final``,
-    with ``gdtype`` the prime values' dtype so far (None before any read):
-    (table, None), or (None, the wider dtype) when a quarter's prime values
-    widen ``final``, or widen ``gdtype`` once values are applied."""
+def _build(limit: int, small: list, at_primes, final: np.dtype, wheel: bool) -> tuple:
+    """One build of ``multiplicative_sieve``'s table in the dtype ``final``:
+    (table, its dtype), or (None, the wider dtype) when a quarter's prime
+    values widen ``final``."""
     root = math.isqrt(limit)
     size = (_wheel_count(limit) if wheel else limit) + 1
+    small = [(p, g.astype(final), squarefree) for p, g, squarefree in small]
     lead = 0  # the primes p <= 7 of the presieved period: small[:lead]
     while lead < len(small) and small[lead][0] <= 7 and small[lead][2]:
         lead += 1
@@ -432,7 +420,8 @@ def _build(limit: int, small: list, at_primes, final: np.dtype, gdtype, wheel: b
     first = (_wheel_count(root) if wheel else root) + 1  # the entry of the least n > isqrt(limit)
     keep = limit // (5 if wheel else 2)  # a larger P has no multiple m P <= limit with m > 1
     kept_P = np.empty(_pi_bound(keep), dtype=np.int64)
-    kept_g, kept = None, 0
+    kept_g = np.empty(len(kept_P), dtype=final)
+    kept = 0
     skip_zeros = True
     table = np.empty(size, dtype=final)
     marks = np.empty(min(size, _BLOCK), dtype=bool)
@@ -456,11 +445,9 @@ def _build(limit: int, small: list, at_primes, final: np.dtype, gdtype, wheel: b
             if len(i):
                 P = _held(i, wheel)
                 g = checked_values(at_primes(P), len(P), "at_primes(P)")
-                wider = g.dtype if gdtype is None else np.result_type(gdtype, g.dtype)
-                if np.result_type(final, wider) != final or (gdtype is not None and wider != gdtype):
-                    return None, wider
-                gdtype = wider
-                g = g.astype(gdtype, copy=False)
+                if np.result_type(final, g.dtype) != final:
+                    return None, np.result_type(final, g.dtype)
+                g = g.astype(final, copy=False)
                 skip_zeros = final.kind in "iu" or (
                     skip_zeros and final.kind == "f" and bool(np.isfinite(g).all()) and not np.signbit(g).any()
                 )
@@ -468,27 +455,19 @@ def _build(limit: int, small: list, at_primes, final: np.dtype, gdtype, wheel: b
                 _mul(prod, g)
                 table[i] = prod
                 new = int(np.searchsorted(P, keep, "right"))
-                if new:
-                    if kept_g is None:
-                        kept_g = np.empty(len(kept_P), dtype=gdtype)
-                    kept_P[kept : kept + new] = P[:new]
-                    kept_g[kept : kept + new] = g[:new]
-                    kept += new
+                kept_P[kept : kept + new] = P[:new]
+                kept_g[kept : kept + new] = g[:new]
+                kept += new
                 del i, P, g, prod  # the pairs read only the kept primes
             if kept:
                 _scatter_large(table, kept_P[:kept], kept_g[:kept], mid, hi, skip_zeros, wheel)
-    return table, None
-
-
-def _mobius_powers(p: int, E: int) -> np.ndarray:
-    return np.array([-1] + [0] * (E - 1), dtype=np.int8)
+    return table, final
 
 
 def mobius_table(limit: int) -> np.ndarray:
     """mu(n) for n = 0..limit (mu[0] = 0), a fresh read-only int8 array from
-    ``multiplicative_sieve``: -1 at p and 0 at p^2 for each prime
-    p <= isqrt(limit), then -1 for every prime above it."""
-    mu = multiplicative_sieve(limit, _mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
+    ``multiplicative_sieve``: -1 at every prime, and every higher power +0."""
+    mu = multiplicative_sieve(limit, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8)
     mu.setflags(write=False)
     return mu
 
@@ -524,7 +503,10 @@ def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division: by the primes up to 2^16, then by
     the odd d above 2^16, each of which is prime when it divides what is
     left (meant for n up to ~10^12).  An isqrt(n) above ``SIEVE_BUDGET``
-    raises ``ResourceLimitError``."""
+    raises ``ResourceLimitError``.  The integer check runs on cache misses
+    only, and a non-integer key never hits an int's entry."""
+    if type(n) is not int:  # the cheap test first: the exact oracle factors every n it sums
+        _check_integers(n=n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     root = math.isqrt(n)
@@ -549,6 +531,7 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
+    _check_integers(n=n)
     return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
@@ -572,6 +555,7 @@ def euler_phi(n: int) -> int:
 
 def radical(a: int) -> int:
     """Product of the distinct primes dividing a; radical(1) = 1."""
+    _check_integers(a=a)
     out = 1
     for p, _ in factorize(a).factors:
         out *= p
@@ -580,6 +564,7 @@ def radical(a: int) -> int:
 
 def valuation(p: int, a: int) -> int:
     """Largest K with p**K | a, for prime p and a >= 1."""
+    _check_integers(p=p, a=a)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if a < 1:

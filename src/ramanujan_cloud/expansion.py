@@ -211,10 +211,11 @@ def _value_table(G, Q: int) -> np.ndarray:
     Multiplicative G goes through ``multiplicative_sieve``: one strided
     multiply per prime p <= isqrt(Q) and block of the table, then, per
     quarter block, G at the quarter's primes above isqrt(Q) and one scatter
-    over their multiples.  The rule is called once per power of each prime
-    p <= isqrt(Q); the values at the primes above come from ``G.at_primes``
-    when the entry carries that numpy form, else from one rule call per
-    prime.  A general G is evaluated at every n;
+    over their multiples.  G at every prime is read by ``_prime_values``
+    (``G.at_primes`` when the entry carries that numpy form, else one rule
+    call per prime), and the rule is called once per higher power
+    p^2, ..., p^E <= Q of each prime p <= isqrt(Q).  A general G is
+    evaluated at every n;
     the series kernels read a G with a ``support`` at its support points
     instead (``_support_values``).  Every value goes through
     ``core._gather`` or ``checked_values``, so the table does not depend on
@@ -230,12 +231,8 @@ def _value_table(G, Q: int) -> np.ndarray:
     _core._check_limit(Q)
 
     if isinstance(G, MultiplicativeFunction):
-        vals = multiplicative_sieve(
-            Q,
-            lambda p, E: _rule_values(G, [p] * E, range(1, E + 1)),
-            partial(_prime_values, G),
-            np.float64,
-        )
+        higher = lambda p, E: _rule_values(G, [p] * (E - 1), range(2, E + 1))
+        vals = multiplicative_sieve(Q, partial(_prime_values, G), np.float64, higher=higher)
         if G.squarefree_cap is not None:
             # Squarefree n > 1 only (mu(n) != 0; G(1) = 1), block by block.
             mu = _mu_table(G, Q)
@@ -303,10 +300,11 @@ _PRIME_CHUNK = 1 << 14
 
 
 def _prime_values(G: MultiplicativeFunction, P: np.ndarray, negate: bool = False) -> np.ndarray:
-    """G(p) at the ascending primes P, a value table's above isqrt(Q) one
-    quarter block at a time (G mu's likewise), or all of the prime sum's,
-    or 0 - G(p) with ``negate``: ``G.at_primes`` when the entry carries it,
-    else one rule call per prime.
+    """G(p) at the ascending primes P, or 0 - G(p) with ``negate``:
+    ``G.at_primes`` when the entry carries it, else one rule call per prime.
+    The one reader of G at the primes: a table's (those up to isqrt(Q) in
+    one call, those above one quarter block at a time), the prime sum's, and
+    the peel's guards (``_cap_binds``, the kernel rule of ``_peel_sums``).
 
     Both are read ``_PRIME_CHUNK`` primes at a time, each chunk an ascending
     prime array as ``at_primes`` expects, into one output array, so no
@@ -353,10 +351,10 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
     is redundant: the sums R_6(z) over the n <= z coprime to 6, the entries
     1..``core._wheel_count(z)``, give
     M_G(z) = sum over s | 6 of mu(s) G(s) R_6(z // s).
-    One wheel-layout ``multiplicative_sieve`` from the powers
-    (-G(p), 0, ..., 0) and 0 - ``G.at_primes``, so no value table and no mu
-    table is built, and the table takes 8/3 bytes per q (float64; 16/3
-    complex); for an uncapped G, entries 1.. equal
+    One wheel-layout ``multiplicative_sieve`` from 0 - G(p) at every prime
+    p >= 5 (``_prime_values``), every higher power +0, so no value table
+    and no mu table is built, and the table takes 8/3 bytes per q (float64;
+    16/3 complex); for an uncapped G, entries 1.. equal
     ``_value_table(G, Q) * mobius_table(Q)`` at the n coprime to 6, entry
     by entry (the signs of their zeros may differ, since they are only
     summed).  Kept on G (``_keep``; a verdict drops it when it returns);
@@ -367,13 +365,9 @@ def _gmu_table(G: MultiplicativeFunction, Q: int) -> np.ndarray:
         return G._memo[key]
     _core._check_limit(Q)
 
-    def powers(p, E):
-        g = _rule_values(G, [p], [1])
-        return np.concatenate((-g, np.zeros(E - 1, g.dtype)))
-
     # 0 - G(p) rather than -G(p): a zero value stays +0, so the sieve can
     # skip the zero cofactors of a G that vanishes at the large primes.
-    gmu = multiplicative_sieve(Q, powers, partial(_prime_values, G, negate=True), np.float64, _wheel=True)
+    gmu = multiplicative_sieve(Q, partial(_prime_values, G, negate=True), np.float64, _wheel=True)
     gmu.setflags(write=False)
     return _keep(G, key, gmu)
 
@@ -390,7 +384,7 @@ def _cap_binds(G: MultiplicativeFunction, Q: int, gmu: np.ndarray) -> bool:
     key = ("clamped", Q)
     if key not in G._memo:
         cap = G.squarefree_cap
-        g2, g3 = np.abs(_rule_values(G, [2, 3], [1, 1])).tolist()
+        g2, g3 = np.abs(_prime_values(G, np.array([2, 3], dtype=np.int64))).tolist()
         classes = ((1, 1.0), (2, g2), (3, g3), (6, g2 * g3))  # (c, |G(c)|)
 
         def binds(lo):
@@ -636,7 +630,7 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     T_{d,b}(y) = sum_{m <= y, (m, b) = 1} G(dm) mu(m).  Each pair's kernel
     is chosen before any table is built.  A pair is peeled when G is
     multiplicative, |G(p)| <= 1 at every prime 3 < p <= Q of ab
-    (``G.rule(p, 1)``; the climb's powers G(p)^k would amplify the roundoff
+    (``_prime_values``; the climb's powers G(p)^k would amplify the roundoff
     of R_6 above 1, and 2 and 3 are never climbed), and no cap binds up to
     Q (``_cap_binds``).  The other pairs go, as one batch, to
     ``_strided_sums``, and never read a T_{d,b} that the peel computed.
@@ -676,8 +670,9 @@ def _peel_sums(G, pairs: Iterable[tuple[int, int]], Q: int, cps: list[int]) -> d
     pairs = list(pairs)
     peel = set()
     if isinstance(G, MultiplicativeFunction):
-        bounded = lambda n: all(abs(_rule_values(G, [p], [1])[0]) <= 1 for p in factorize(n).primes() if 3 < p <= Q)
-        peel = {(a, b) for a, b in pairs if bounded(a * b)}
+        primes = sorted({p for a, b in pairs for p in factorize(a * b).primes() if 3 < p <= Q})
+        over = {p for p, g in zip(primes, _prime_values(G, np.array(primes, dtype=np.int64)).tolist()) if not abs(g) <= 1}
+        peel = {(a, b) for a, b in pairs if over.isdisjoint(factorize(a * b).primes())}
     if peel and G.squarefree_cap is not None and _cap_binds(G, Q, _gmu_table(G, Q)):
         peel = set()
     plans = {(a, b): [(d, d, b) for d in divisors(a) if d <= Q] for a, b in pairs}
@@ -773,6 +768,7 @@ def finite_factor(G, a: int) -> Number:
     The inner sums truncate where the prime-power Ramanujan sums vanish;
     a = 1 gives the empty product 1.
     """
+    _check_integers(a=a)
     if a < 1:
         raise ValueError("a must be >= 1")
     out: Number = 1
@@ -814,6 +810,7 @@ def finite_factor_forms_equal(G, a: int) -> bool:
     """Check, prime by prime over p | a, that the truncated expansion factor
     equals its Abel-summed form sum_{K<=v} p^K (G(p^K) - G(p^(K+1))):
     exactly for exact G, within ``FORMS_TOL`` otherwise."""
+    _check_integers(a=a)
     if a < 1:
         raise ValueError("a must be >= 1")
     exact = getattr(G, "exact", False)
@@ -830,6 +827,7 @@ def finite_factor_forms_equal(G, a: int) -> bool:
 def factorized_expansion(G, a: int, x: int, *, exact: Optional[bool] = None) -> Number:
     """finite_factor(G, a) times the truncated cofactor
     sum_{r <= x, (r, a) = 1} G(r) mu(r)."""
+    _check_integers(a=a, x=x)
     cofactor = restricted_mobius_partial_sums(G, a, x, checkpoints=[x], exact=exact).final
     return finite_factor(G, a) * cofactor
 
@@ -848,6 +846,7 @@ def coprime_peel_identity(
     rhs = same over (r, F u {p1}) = 1, minus G(p1) times the sum to x/p1.
     Exactly equal for multiplicative G in exact mode.
     """
+    _check_integers(p1=p1)
     F = sorted(set(F))
     if not is_prime(p1):
         raise ValueError(f"p1 = {p1} is not prime")
@@ -979,6 +978,7 @@ def absolute_convergence_report(
     which reads G at the primes <= ``prime_bound`` only, diverges when its
     last decade adds more than ``config.slow_growth_tol``."""
     cfg = config if config is not None else EngineConfig()
+    _check_integers(prime_bound=prime_bound, a=a, Q=Q)
     if prime_bound < 2 or a < 1 or Q < 1:
         raise ValueError("bounds must be >= 1 (prime_bound >= 2)")
     rep = spectrum(G, config=cfg)  # rejects a non-multiplicative G before any table

@@ -56,14 +56,15 @@ class MultiplicativeFunction:
 
     ``at_primes``, when set, is a numpy form of the rule at e = 1: given an
     ascending int64 array P of primes it returns G(p) for each, as a numeric
-    array of shape ``(len(P),)``.  Value tables use it in place of one rule
-    call per prime, so it must equal ``core._gather`` of the rule bit for
-    bit; only forms whose values are correctly rounded divisions (1/p,
-    1/(p-1), constants) meet that.  Powers such as p ** x are not: numpy
-    and Python round them differently in the last place.  The constructor
-    compares the form with the rule on the primes <= 100 and raises
-    ``ValueError`` on any mismatch, as ``at_prime_power`` (so ``eval``)
-    does on a rule value that is not a number.
+    array of shape ``(len(P),)``.  Every table reads G at every prime
+    through it in place of one rule call per prime (the rule is then read
+    at the higher powers only), so it must equal ``core._gather`` of the
+    rule bit for bit; only forms whose values are correctly rounded
+    divisions (1/p, 1/(p-1), constants) meet that.  Powers such as p ** x
+    are not: numpy and Python round them differently in the last place.
+    The constructor compares the form with the rule on the primes <= 100
+    and raises ``ValueError`` on any mismatch, as ``at_prime_power`` (so
+    ``eval``) does on a rule value that is not a number.
 
     Evaluation memoizes into ``_memo``; entries are deterministic, so a
     concurrent duplicate write is benign.  Every instance, a

@@ -44,6 +44,7 @@ def count_squarefree_in_ap(x: int, m: int, r: int) -> int:
 def hooley_constant(m: int) -> float:
     """Density (6/pi^2) / (m * prod_{p | m} (1 - p^-2)) of squarefree numbers
     in a reduced residue class mod m."""
+    _check_integers(m=m)
     if m < 1:
         raise ValueError("m must be >= 1")
     out = 6.0 / math.pi**2 / m

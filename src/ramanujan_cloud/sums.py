@@ -15,6 +15,7 @@ from math import gcd
 
 import numpy as np
 
+from .config import _check_integers
 from .core import divisors, euler_phi, mobius, valuation
 
 # c_direct must land within this distance of an integer (and on the real axis).
@@ -26,6 +27,8 @@ class FormulaInconsistencyError(ArithmeticError):
 
 
 def _check_args(q: int, a: int) -> None:
+    if type(q) is not int or type(a) is not int:  # the cheap test first: the exact oracle checks every term
+        _check_integers(q=q, a=a)
     if q < 1:
         raise ValueError("q must be >= 1")
     if a < 1:
@@ -87,6 +90,7 @@ def c_prime_power(p: int, K: int, a: int) -> int:
     Equals phi(p^K) for K <= v_p(a), -p^v_p(a) at K = v_p(a) + 1, and 0
     beyond; agrees with c_holder(p**K, a) everywhere.
     """
+    _check_integers(p=p, K=K, a=a)
     if K < 0:
         raise ValueError("K must be >= 0")
     v = valuation(p, a)  # validates p prime and a >= 1

@@ -38,6 +38,7 @@ from ramanujan_cloud import (
     valuation,
     weighted_squarefree_sum,
 )
+import ramanujan_cloud as rc
 import ramanujan_cloud.core as core
 from ramanujan_cloud.expansion import _gmu_table, _rule_values, _value_table
 
@@ -71,12 +72,12 @@ def plain_trial_factors(n: int) -> tuple:
 
 
 def _gmu_case(G):
-    """The powers and prime values of G mu, as expansion._gmu_table builds them."""
-    return (
-        lambda p, E: np.array([-float(G.rule(p, 1))] + [0.0] * (E - 1)),
-        lambda P: 0.0 - G.at_primes(P),
-        np.float64,
-    )
+    """The prime values of G mu, as expansion._gmu_table reads them."""
+    return dict(at_primes=lambda P: 0.0 - G.at_primes(P), dtype=np.float64)
+
+
+def _mu_primes(P):
+    return np.full(len(P), -1, dtype=np.int8)
 
 
 _LATE = 40_000  # past the first block of every block size the sieve tests use
@@ -241,6 +242,37 @@ class TestIntegerArguments:
         ],
     )
     def test_a_non_integer_size_is_named(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: rc.factorize(8) and rc.factorize(8.0), "n"),  # a float key misses the int's cache entry
+            (lambda: rc.is_prime(2.5), "n"),
+            (lambda: rc.mobius(6.0), "n"),
+            (lambda: rc.euler_phi(2.5), "n"),
+            (lambda: rc.radical(12.0), "a"),
+            (lambda: rc.divisors(12.5), "n"),
+            (lambda: rc.valuation(2, 8.0), "a"),
+            (lambda: rc.c_direct(2.5, 1), "q"),
+            (lambda: rc.c_kluyver(4, 2.0), "a"),
+            (lambda: rc.c_holder(4.0, 2), "q"),
+            (lambda: rc.c_prime_power(2, 1.5, 4), "K"),
+            (lambda: rc.finite_factor(TestIntegerArguments.GR, 2.5), "a"),
+            (lambda: rc.finite_factor_forms_equal(TestIntegerArguments.GR, 6.0), "a"),
+            (lambda: rc.hooley_constant(3.5), "m"),
+            (lambda: rc.coprime_peel_identity(TestIntegerArguments.GR, [2], 3.0, 100), "p1"),
+            (lambda: rc.factorized_expansion(TestIntegerArguments.GR, 2.5, 100), "a"),
+            (lambda: rc.absolute_convergence_report(TestIntegerArguments.GR, 100.5, 1, 10), "prime_bound"),
+        ],
+        ids=[
+            "factorize", "is_prime", "mobius", "euler_phi", "radical", "divisors", "valuation", "c_direct",
+            "c_kluyver", "c_holder", "c_prime_power", "finite_factor", "finite_factor_forms_equal",
+            "hooley_constant", "coprime_peel_identity-p1", "factorized_expansion-a", "absconv-prime_bound",
+        ],
+    )
+    def test_each_public_entry_names_its_argument(self, call, name):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             call()
 
@@ -431,7 +463,7 @@ class TestTables:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                core.multiplicative_sieve(2 * 10**6, lambda p, E: np.full(E, 0.5), lambda P: np.full(len(P), 0.5), np.float64)
+                core.multiplicative_sieve(2 * 10**6, lambda P: np.full(len(P), 0.5), np.float64, higher=lambda p, E: np.full(E - 1, 0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,7 +482,7 @@ class TestTables:
     )
     def test_sieve_rejects_malformed_prime_values(self, at_primes):
         with pytest.raises(ValueError, match="at_primes"):
-            core.multiplicative_sieve(1000, lambda p, E: np.full(E, 0.5), at_primes, np.float64)
+            core.multiplicative_sieve(1000, at_primes, np.float64, higher=lambda p, E: np.full(E - 1, 0.5))
 
     @pytest.mark.parametrize("block", [2, 97, 1000])
     def test_sieve_blocks_keep_every_byte(self, monkeypatch, block):
@@ -460,101 +492,93 @@ class TestTables:
         # complex value at p = 7 among real ones, and complex powers
         # p^(-e s).  Complex entries are multiplied on their float planes, so
         # no product depends on where it sits in a slice.
-        def dense(p, E):
-            return np.array([-0.0 if p == 5 else (-1.0) ** e / p**e for e in range(1, E + 1)])
-
-        def complex_at_7(p, E):
-            return np.array([1j if p == 7 else -1.0 / p] + [0.0] * (E - 1))
-
-        s = 0.6 + 0.3j
-        cases = [
-            (core._mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8),
-            (dense, lambda P: -1.0 / P, np.float64),
-            (complex_at_7, lambda P: 1.0 / P, np.float64),
-            (lambda p, E: float(p) ** (-s * np.arange(1, E + 1)), lambda P: P.astype(float) ** -s, np.float64),
-        ]
+        cases = [self._REFERENCE_CASES[name] for name in ("mu", "dense", "complex_at_7", "complex dense")]
         limit = 3000
-        want = [core.multiplicative_sieve(limit, *case).tobytes() for case in cases]
+        want = [core.multiplicative_sieve(limit, **case).tobytes() for case in cases]
         monkeypatch.setattr(core, "_BLOCK", block)
-        assert [core.multiplicative_sieve(limit, *case).tobytes() for case in cases] == want
+        assert [core.multiplicative_sieve(limit, **case).tobytes() for case in cases] == want
 
     @staticmethod
-    def _reference_sieve(limit, powers, at_primes, dtype):
+    def _reference_sieve(limit, at_primes, dtype, higher=None, wheel=False):
         # Prime by prime, ascending: every multiple n of a prime p <= isqrt
         # is multiplied by g(p^v_p(n)), then every multiple of a larger
-        # prime by g(P).  One strided multiply per prime, no blocks.  The
-        # table has its final dtype before the first multiply, and a complex
-        # entry a + bi is multiplied on its float planes: by c + di it
-        # becomes (ac - bd, ad + bc), by a real c it becomes (ac, bc).
+        # prime by g(P).  One strided multiply per prime, no blocks.  Every
+        # value is cast to the table's dtype, the promotion of ``dtype`` and
+        # of every read, before the first multiply, and a complex entry
+        # a + bi times c + di becomes (ac - bd, ad + bc).  With ``wheel``,
+        # 2 and 3 are neither read nor swept, as in the wheel layout, whose
+        # entries are this table's at the n coprime to 6.
         primes = sieve_primes(limit)
-        small = primes[primes <= math.isqrt(limit)].tolist()
-        steps = []
-        for p in small:
-            n = np.arange(p, limit + 1, p)
-            v = np.zeros(len(n), dtype=np.int64)
-            while len(q := np.flatnonzero(n % p**(v + 1) == 0)):
-                v[q] += 1
-            steps.append((p, powers(p, int(v.max()))[v - 1]))
-        large = primes[len(small) :]
-        if len(large):
-            steps += zip(large.tolist(), at_primes(large))
-        table = np.ones(limit + 1, dtype=np.result_type(dtype, *{np.asarray(g).dtype for _, g in steps}))
+        primes = primes[primes > 3] if wheel else primes
+        small = primes[primes <= math.isqrt(limit)]
+        reads = [at_primes(P) for P in (small, primes[len(small) :]) if len(P)]
+        higher_powers = {}  # p: g(p^2), ..., g(p^E) for p^E <= limit < p^(E + 1)
+        for p in small.tolist():
+            E = 1
+            while p ** (E + 1) <= limit:
+                E += 1
+            higher_powers[p] = higher(p, E) if higher is not None and E > 1 else np.zeros(E - 1, np.int8)
+        dtype = np.result_type(dtype, *(r.dtype for r in reads), *(h.dtype for h in higher_powers.values()))
+        table = np.ones(limit + 1, dtype=dtype)
         table[0] = 0
-        for p, g in steps:
+        for p, g in zip(primes.tolist(), np.concatenate(reads).astype(dtype) if reads else []):
+            if p in higher_powers:  # g(p^v_p(n)) at each multiple n of p
+                n = np.arange(p, limit + 1, p)
+                v = np.zeros(len(n), dtype=np.int64)
+                while len(q := np.flatnonzero(n % p**(v + 1) == 0)):
+                    v[q] += 1
+                g = np.concatenate(([g], higher_powers[p].astype(dtype)))[v - 1]
             view = table[p::p]
             if table.dtype.kind != "c":
                 view *= g
-            elif np.iscomplexobj(g):
+            else:
                 a, b = view.real.copy(), view.imag.copy()
                 view.real = a * g.real - b * g.imag
                 view.imag = a * g.imag + b * g.real
-            else:
-                view.real *= g
-                view.imag *= g
         return table
 
     _REFERENCE_CASES = {
-        "mu": (core._mobius_powers, lambda P: np.full(len(P), -1, dtype=np.int8), np.int8),
+        "mu": dict(at_primes=_mu_primes, dtype=np.int8),
         "GH mu": _gmu_case(catalog("GH")),
         "G0(3) mu": _gmu_case(catalog("G0", p0=3)),  # negative prime values, zero cofactors
         "indicator(2) mu": _gmu_case(catalog("indicator_prime_powers", p0=2)),  # +0 prime values
-        "dense": (lambda p, E: np.array([-0.0 if p == 5 else (-1.0) ** e / p**e for e in range(1, E + 1)]), lambda P: -1.0 / P, np.float64),
-        "float32 primes": (core._mobius_powers, lambda P: (1.0 / P).astype(np.float32), np.float64),
-        # int8 through p = 7, float64 from p = 11: the table is float64 from
-        # the start, so an int8 zero that later meets a negative value is -0.0
-        "mu, float from 11": (
-            lambda p, E: np.array([-1] + [0] * (E - 1), dtype=np.int8 if p <= 7 else np.float64),
-            lambda P: -1.0 / P,
-            np.int8,
+        # Columns of higher powers, with signed zeros at 5.
+        "dense": dict(
+            at_primes=lambda P: np.where(P == 5, -0.0, -1.0 / P),
+            dtype=np.float64,
+            higher=lambda p, E: np.array([-0.0 if p == 5 else (-1.0) ** e / p**e for e in range(2, E + 1)]),
         ),
-        # A complex value inside the presieved period (from limit 88,199).
-        "complex_at_7": (lambda p, E: np.array([1j if p == 7 else -1.0 / p] + [0.0] * (E - 1)), lambda P: 1.0 / P, np.float64),
+        "float32 primes": dict(at_primes=lambda P: (1.0 / P).astype(np.float32), dtype=np.float64),
+        # -1 as int8 while a read holds no prime above 7, float64 from a read
+        # that reaches 11: the int8 table is widened by float values, so an
+        # int8 zero that later meets a negative value is -0.0.
+        "mu, float from 11": dict(
+            at_primes=lambda P: _mu_primes(P) if P[-1] <= 7 else np.where(P <= 7, -1.0, -1.0 / P),
+            dtype=np.int8,
+        ),
+        # A complex value at 7 among real ones: inside the presieved period
+        # from limit 88,199, a large prime below limit 49.
+        "complex_at_7": dict(
+            at_primes=lambda P: np.where(P == 7, 1j, -1.0 / P) if 7 in P else -1.0 / P, dtype=np.float64
+        ),
         # p^(-e s) and the G mu of p^(-s), s = 0.6 + 0.3i.
-        "complex dense": (
-            lambda p, E: float(p) ** (-(0.6 + 0.3j) * np.arange(1, E + 1)),
-            lambda P: P.astype(float) ** -(0.6 + 0.3j),
-            np.float64,
+        "complex dense": dict(
+            at_primes=lambda P: P.astype(float) ** -(0.6 + 0.3j),
+            dtype=np.float64,
+            higher=lambda p, E: float(p) ** (-(0.6 + 0.3j) * np.arange(2, E + 1)),
         ),
-        "complex squarefree": (
-            lambda p, E: np.array([-(float(p) ** -(0.6 + 0.3j))] + [0j] * (E - 1)),
-            lambda P: 0.0 - P.astype(float) ** -(0.6 + 0.3j),
-            np.float64,
-        ),
+        "complex squarefree": dict(at_primes=lambda P: 0.0 - P.astype(float) ** -(0.6 + 0.3j), dtype=np.float64),
         # Negative prime values below 1000 only: a zero cofactor m times an
         # early P is -0 in every later quarter, so no quarter may skip it.
-        "negative early": (
-            lambda p, E: np.array([-1.0] + [0.0] * (E - 1)),
-            lambda P: np.where(P < 1000, -1.0, 1.0) / P,
-            np.float64,
-        ),
-        # Prime values that turn complex only in a late block, read per
-        # quarter block: the table restarts complex, and the earlier real
-        # values are applied as complex ones, as one read of all of them is.
-        "complex late": (core._mobius_powers, lambda P: _late_complex(P), np.float64),
-        "complex late, complex powers": (
-            lambda p, E: float(p) ** (-(0.6 + 0.3j) * np.arange(1, E + 1)),
-            lambda P: _late_complex(P),
-            np.float64,
+        "negative early": dict(at_primes=lambda P: np.where(P < 1000, -1.0, 1.0) / P, dtype=np.float64),
+        # Real, mu-like prime values that turn complex only in a late block,
+        # read per quarter block: the table restarts complex, and the earlier
+        # real values are applied as complex ones.
+        "complex late": dict(at_primes=_late_complex, dtype=np.float64),
+        "complex late, complex powers": dict(
+            at_primes=_late_complex,
+            dtype=np.float64,
+            higher=lambda p, E: float(p) ** (-(0.6 + 0.3j) * np.arange(2, E + 1)),
         ),
     }
 
@@ -568,17 +592,19 @@ class TestTables:
         # reference at the n coprime to 6, in the reference's dtype; its
         # period of 5^2 7^2 = 1,225 n is 2,450 entries long and is used from
         # limit 14,695, the first whose wheel table holds two periods
-        # (4,900 entries).
+        # (4,900 entries).  The wheel layout reads no prime below 5, so its
+        # dtype is the one the primes >= 5 give.
         case = self._REFERENCE_CASES[name]
-        want = self._reference_sieve(limit, *case)
+        want = self._reference_sieve(limit, **case)
+        want_wheel = self._reference_sieve(limit, **case, wheel=True)
         coprime = np.gcd(np.arange(limit + 1), 6) == 1
         for block in (97, 1000, 4096):
             monkeypatch.setattr(core, "_BLOCK", block)
-            got = core.multiplicative_sieve(limit, *case)
+            got = core.multiplicative_sieve(limit, **case)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, block)
-            wheel = core.multiplicative_sieve(limit, *case, _wheel=True)
-            assert wheel.dtype == want.dtype and len(wheel) == coprime.sum() + 1 and wheel[0] == 0, (name, block)
-            assert wheel[1:].tobytes() == want[coprime].tobytes(), (name, block)
+            wheel = core.multiplicative_sieve(limit, **case, _wheel=True)
+            assert wheel.dtype == want_wheel.dtype and len(wheel) == coprime.sum() + 1 and wheel[0] == 0, (name, block)
+            assert wheel[1:].tobytes() == want_wheel[coprime].tobytes(), (name, block)
 
     @pytest.mark.parametrize("limit", [14694, 14695])
     def test_wheel_period_starts_at_two_periods(self, monkeypatch, limit):
@@ -593,7 +619,7 @@ class TestTables:
             sweep(block, small, lo, wheel, marks)
 
         monkeypatch.setattr(core, "_sweep_block", record)
-        table = core.multiplicative_sieve(limit, *self._REFERENCE_CASES["mu"], _wheel=True)
+        table = core.multiplicative_sieve(limit, **self._REFERENCE_CASES["mu"], _wheel=True)
         tiled = limit == 14695
         assert len(table) == 4899 + tiled
         assert (swept[0] == [5, 7]) is tiled and (5 in swept[-1]) is not tiled
@@ -603,31 +629,31 @@ class TestTables:
     @pytest.mark.parametrize("block", [97, 4096])
     @pytest.mark.parametrize("wheel", [False, True])
     def test_each_large_prime_is_read_once(self, monkeypatch, wheel, block):
-        # Blocks find their own primes above isqrt(limit): each reaches
-        # at_primes once, in ascending int64 calls of one quarter block's
-        # primes.  The wheel layout's start at 5; below limit 9 the values
-        # of 2 and 3 above isqrt(limit) are read first, once, for the dtype.
+        # at_primes is the one reader of g at the primes, each read once
+        # (from 5 in the wheel layout), in ascending int64 calls: first the
+        # primes up to isqrt(limit) in one call, then those above it, which
+        # blocks find themselves, one quarter block's at a time.
         monkeypatch.setattr(core, "_BLOCK", block)
         for limit in self._EDGE_LIMITS:
             calls = []
 
             def at_primes(P):
                 calls.append(P.copy())
-                return np.full(len(P), -1, dtype=np.int8)
+                return _mu_primes(P)
 
-            core.multiplicative_sieve(limit, core._mobius_powers, at_primes, np.int8, _wheel=wheel)
+            core.multiplicative_sieve(limit, at_primes, np.int8, _wheel=wheel)
             root = math.isqrt(limit)
-            large = [p for p in sieve_primes(limit).tolist() if p > root]
-            head = [p for p in large if wheel and p <= 3]
+            primes = [p for p in sieve_primes(limit).tolist() if not (wheel and p <= 3)]
+            small = [p for p in primes if p <= root]
             for P in calls:
                 assert P.dtype == np.int64 and P.ndim == 1 and len(P), (limit, P)
-                assert np.all(np.diff(P) > 0) and root < P[0] and P[-1] <= limit, (limit, P)
-            if head:
-                assert calls[0].tolist() == head, limit
+                assert np.all(np.diff(P) > 0) and P[-1] <= limit, (limit, P)
+            assert [p for P in calls for p in P.tolist()] == primes, limit
+            if small:
+                assert calls[0].tolist() == small, limit
                 calls = calls[1:]
-            assert [p for P in calls for p in P.tolist()] == large[len(head) :], limit
             for P in calls:
-                assert core._entry(P[-1], wheel) - core._entry(P[0], wheel) < -(-block // 4), (limit, P)
+                assert root < P[0] and core._entry(P[-1], wheel) - core._entry(P[0], wheel) < -(-block // 4), (limit, P)
 
     def test_a_late_non_number_names_its_prime(self, monkeypatch):
         # None at the largest prime, in the last block: the value table and
@@ -775,9 +801,10 @@ print("ok")
 
 
 # A G mu table at 10^6 reads the primes up to 1000, a prefix of those up
-# to 2^16, and reads G at each quarter block's primes: its traced peak is the table
-# and block-sized scratch.  Holding every prime up to Q and G at each of
-# them took it to 1.96 tables.
+# to 2^16, and reads G at every prime from 5 once, those up to 1000 in one
+# call, then each quarter block's: its traced peak is the table and
+# block-sized scratch.  Holding every prime up to Q and G at each of them
+# took it to 1.96 tables.
 _GMU_SCRIPT = """
 import dataclasses, tracemalloc
 import ramanujan_cloud.core as core
@@ -798,7 +825,8 @@ tracemalloc.stop()
 assert core._SMALL_PRIMES is small and len(small) == 6542
 # (primes, entries spanned) of each call: none reaches past a quarter block.
 assert calls and max(span for _, span in calls) < core._BLOCK // 4, calls
-assert sum(n for n, _ in calls) == len(core.sieve_primes(Q)) - len(core.sieve_primes(1000)), calls
+assert calls[0][0] == len(core.sieve_primes(1000)) - 2, calls[0]
+assert sum(n for n, _ in calls) == len(core.sieve_primes(Q)) - 2, calls
 assert peak < 1.8 * gmu.nbytes, peak / gmu.nbytes
 print("ok")
 """

@@ -13,6 +13,7 @@ import pkgutil
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import numpy as np
@@ -1940,13 +1941,8 @@ _GMU_ENTRIES = [
 
 def _full_gmu(G, Q):
     """G(n) mu(n) for every n = 0..Q, unclamped: the full-layout sieve of
-    the powers and prime values that ``_gmu_table`` gathers."""
-    return core.multiplicative_sieve(
-        Q,
-        lambda p, E: np.concatenate((-expansion._rule_values(G, [p], [1]), np.zeros(E - 1))),
-        lambda P: 0.0 - expansion._prime_values(G, P),
-        np.float64,
-    )
+    the prime values that ``_gmu_table`` reads."""
+    return core.multiplicative_sieve(Q, partial(expansion._prime_values, G, negate=True), np.float64)
 
 
 def _coprime_to_6(Q):
@@ -1955,6 +1951,29 @@ def _coprime_to_6(Q):
 
 
 class TestGmuTable:
+    def test_a_series_that_never_reads_g3_is_real_at_every_q(self):
+        # Off the multiples of 3 this G is real, and the wheel table never
+        # reads G(2) or G(3), so its dtype comes from the primes >= 5 at
+        # every Q (below Q = 9, G(2) and G(3) used to make it complex).
+        G = catalog("prop5", p2=3, g2=0.5 + 0.5j)
+        for Q in range(1, 21):
+            final = expansion_partial_sums(G, 1, Q, coprime_to=3, exact=False).final
+            assert type(final) is float, (Q, final)
+            assert expansion._gmu_table(G, Q).dtype == np.float64, Q
+
+    def test_tables_read_the_primes_through_at_primes(self):
+        # One reader of G at the primes: GR's G mu table at 10^6 calls its
+        # rule nowhere (once per prime up to 1000 before), and its value
+        # table calls it at the higher powers p^e <= 10^6, e >= 2, only.
+        calls = []
+        GR = catalog("GR")
+        G = dataclasses.replace(GR, rule=lambda p, e: calls.append((p, e)) or GR.rule(p, e))
+        calls.clear()  # the constructor checks the form against the rule
+        expansion._gmu_table(G, 10**6)
+        assert calls == []
+        _value_table(G, 10**6)
+        assert sorted(calls) == [(p, e) for p in sieve_primes(1000).tolist() for e in range(2, 20) if p**e <= 10**6]
+
     @pytest.mark.parametrize("Q", [1, 2, 3, 10, 97, 1000, 10**6 + 7])
     def test_is_the_value_table_times_mu(self, Q):
         # Entry by entry at the n coprime to 6, against the value table
